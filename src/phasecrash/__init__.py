@@ -71,4 +71,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -9,15 +9,31 @@ path itself: a window covers ``w`` consecutive prices and is stamped with
 the last one. Both families advance by ``stride`` observations, so stride
 ``s`` output is exactly the stride-1 output subsampled every ``s`` windows.
 
+Every estimator is a row-wise reduction over one kernel: the matrix whose
+rows are the selected windows, read from a sliding-window view of the
+series in row blocks of bounded size. Each row is reduced on its own, so
+a window's value does not depend on the stride or on the blocking.
+Moments are two-pass (window mean first, then centred sums), as in the
+textbook formulas, so they avoid the cancellation of one-pass power
+sums. The cross-covariance is the mean
+pairwise covariance ``(Var(sum_i r_i) - sum_i Var(r_i)) / (k (k - 1))``.
+
 The scaling exponent of a window is estimated from structure functions:
 ``S_q(tau) = mean_t |x(t+tau) - x(t)|**q`` over the lags in ``tau_grid``,
 with ``log S_q`` regressed on ``log tau``; the reported exponent is
-``slope / q``. Second order (``q = 2``) is the anomalous-dimension
-estimate, where self-similar scaling with exponent ``D`` gives slope
-``2 D``; additive constants are absorbed into the regression intercept.
-The conformality index is the standard deviation across ``tau_grid`` of
-the per-lag exponents implied by that same fit: zero for an exact power
-law, large when scaling is broken inside the window.
+``slope / q``. The lagged differences ``x(t+tau) - x(t)`` are taken once
+per lag for the whole series, and ``S_q`` of a window is the mean of
+``|d|**q`` over its ``w - tau`` differences. Demeaning a window leaves
+its differences unchanged; linear detrending subtracts the window's OLS
+slope times ``tau`` from each of them. The regression on the fixed
+``log tau_grid`` is one fixed projection vector. Second order
+(``q = 2``) is the anomalous-dimension estimate, where self-similar
+scaling with exponent ``D`` gives slope ``2 D``; additive constants are
+absorbed into the regression intercept, and the generalized Hurst
+exponent of order 2 equals it bitwise. The conformality index is the
+standard deviation across ``tau_grid`` of the per-lag exponents implied
+by that same fit: zero for an exact power law, large when scaling is
+broken inside the window.
 
 Windows without enough signal (zero variance, overflowing moments) yield
 NaN, which downstream trend statistics skip.
@@ -26,6 +42,7 @@ NaN, which downstream trend statistics skip.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError
 
@@ -194,76 +211,122 @@ def _price_windows(series, cfg):
     return x, starts, times
 
 
+#: Most float64 values that one row block of a window matrix may hold.
+#: At 256 kB a block and its temporaries stay near the core caches, and a
+#: stride-1 call on a long series never builds the whole
+#: n_windows x window matrix.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _rowwise(v, starts, length, reduce, *row_args):
+    """Per-window values of ``reduce`` over the windows of ``v``.
+
+    Row ``j`` of the window matrix is ``v[..., starts[j] : starts[j] +
+    length]``; ``reduce`` maps a block of rows, shaped ``(..., rows,
+    length)``, to one value per row. Arrays in ``row_args`` hold one entry
+    per window and reach ``reduce`` sliced to the same block. Each row is
+    reduced on its own, so the result does not depend on the blocking.
+    """
+    view = sliding_window_view(v, length, axis=-1)
+    step = max(1, _BLOCK_ELEMENTS // (length * (v.size // v.shape[-1])))
+    blocks = [slice(lo, lo + step) for lo in range(0, starts.size, step)]
+    return np.concatenate(
+        [reduce(view[..., starts[b], :], *(a[b] for a in row_args)) for b in blocks]
+    )
+
+
+def _centered(w):
+    return w - w.mean(axis=-1, keepdims=True)
+
+
 def rolling_volatility(series, cfg):
     """Sample standard deviation (ddof=1) of log-returns per window."""
     r, starts, times = _return_windows(series, cfg, min_window=2)
-    vals = np.array([r[s : s + cfg.window].std(ddof=1) for s in starts])
+    vals = _rowwise(r, starts, cfg.window, lambda w: w.std(axis=-1, ddof=1))
     return EwsSeries(times, vals, VOLATILITY, series.id)
 
 
-def _adjusted_skew(x):
-    n = x.size
-    c = x - x.mean()
-    m2 = np.mean(c * c)
-    if m2 == 0.0:
-        return np.nan
-    g1 = np.mean(c * c * c) / m2**1.5
+def _skew_rows(w):
+    n = w.shape[-1]
+    c = _centered(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m2 = np.mean(c * c, axis=-1)
+        g1 = np.mean(c * c * c, axis=-1) / m2**1.5
+    g1[m2 == 0.0] = np.nan
     return g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
 
 
 def rolling_skewness(series, cfg):
     """Adjusted Fisher-Pearson skewness of log-returns per window."""
     r, starts, times = _return_windows(series, cfg, min_window=3)
-    vals = np.array([_adjusted_skew(r[s : s + cfg.window]) for s in starts])
+    vals = _rowwise(r, starts, cfg.window, _skew_rows)
     return EwsSeries(times, vals, SKEWNESS, series.id)
 
 
-def _lag1_pearson(x):
-    a, b = x[:-1], x[1:]
-    da, db = a - a.mean(), b - b.mean()
-    va, vb = np.dot(da, da), np.dot(db, db)
-    if va == 0.0 or vb == 0.0:
-        return np.nan
-    return np.dot(da, db) / np.sqrt(va * vb)
+def _lag1_rows(w):
+    da, db = _centered(w[..., :-1]), _centered(w[..., 1:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        va, vb = (da * da).sum(axis=-1), (db * db).sum(axis=-1)
+        rho = (da * db).sum(axis=-1) / np.sqrt(va * vb)
+    rho[(va == 0.0) | (vb == 0.0)] = np.nan
+    return rho
 
 
 def rolling_lag1_autocorr(series, cfg):
     """Pearson correlation of consecutive log-return pairs per window."""
     r, starts, times = _return_windows(series, cfg, min_window=4)
-    vals = np.array([_lag1_pearson(r[s : s + cfg.window]) for s in starts])
+    vals = _rowwise(r, starts, cfg.window, _lag1_rows)
     return EwsSeries(times, vals, LAG1_AUTOCORR, series.id)
 
 
-def _prepare_window(x, detrend):
-    if detrend:
-        t = np.arange(x.size, dtype=float)
-        slope, intercept = np.polyfit(t, x, 1)
-        return x - (slope * t + intercept)
-    return x - x.mean()
+def _row_mean(m):
+    return m.mean(axis=-1)
 
 
-def _structure_fit(x, taus, order):
-    """(slope, intercept) of log S_order(tau) on log tau, or None."""
-    svals = np.empty(len(taus))
-    with np.errstate(over="ignore"):  # overflowing moments become missing
-        for i, tau in enumerate(taus):
+def _log_structure(series, cfg, order):
+    """Window end times and per-window ``log S_order(tau)``, one column
+    per lag in ``cfg.tau_grid``; rows with a zero or non-finite structure
+    function are all NaN."""
+    x, starts, times = _price_windows(series, cfg)
+    w = cfg.window
+    if cfg.detrend:
+        # OLS slope on centred time; shifting each row by its first value
+        # keeps the slope of a constant window exactly zero
+        t = np.arange(w) - (w - 1) / 2.0
+        slopes = _rowwise(
+            x, starts, w, lambda m: ((m - m[:, :1]) * t).sum(axis=-1)
+        ) / (t * t).sum()
+
+        def detrended_moment(m, trend):
+            return np.mean(np.abs(m - trend[:, None]) ** order, axis=-1)
+
+    cols = []
+    # overflowing or vanishing moments become missing windows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for tau in cfg.tau_grid:
             d = x[tau:] - x[:-tau]
-            svals[i] = np.mean(np.abs(d) ** order)
-    if not np.all(np.isfinite(svals)) or np.any(svals <= 0.0):
-        return None, svals
-    fit = np.polyfit(np.log(taus), np.log(svals), 1)
-    return fit, svals
+            if cfg.detrend:
+                s = _rowwise(d, starts, w - tau, detrended_moment, slopes * tau)
+            else:
+                s = _rowwise(np.abs(d) ** order, starts, w - tau, _row_mean)
+            cols.append(s)
+        logs = np.log(np.column_stack(cols))
+    logs[~np.isfinite(logs).all(axis=1)] = np.nan
+    return times, logs
+
+
+def _loglog_fit(logs, taus):
+    """Per-row OLS (slope, intercept) of ``logs`` on ``log taus``."""
+    log_tau = np.log(np.asarray(taus, dtype=float))
+    lc = log_tau - log_tau.mean()
+    slope = (logs * (lc / (lc * lc).sum())).sum(axis=1)
+    return slope, logs.mean(axis=1) - slope * log_tau.mean()
 
 
 def _rolling_exponent(series, cfg, order):
-    x, starts, times = _price_windows(series, cfg)
-    vals = np.full(starts.size, np.nan)
-    for j, s in enumerate(starts):
-        w = _prepare_window(x[s : s + cfg.window], cfg.detrend)
-        fit, _ = _structure_fit(w, cfg.tau_grid, order)
-        if fit is not None:
-            vals[j] = fit[0] / order
-    return times, vals
+    times, logs = _log_structure(series, cfg, order)
+    slope, _ = _loglog_fit(logs, cfg.tau_grid)
+    return times, slope / order
 
 
 def anomalous_dimension(series, cfg):
@@ -293,16 +356,11 @@ def conformality_index(series, cfg):
     """
     if len(cfg.tau_grid) < 3:
         raise ValueError("conformality index needs at least 3 lags in tau_grid")
-    x, starts, times = _price_windows(series, cfg)
+    times, logs = _log_structure(series, cfg, order=2)
+    _, intercept = _loglog_fit(logs, cfg.tau_grid)
     log_tau = np.log(np.asarray(cfg.tau_grid, dtype=float))
-    vals = np.full(starts.size, np.nan)
-    for j, s in enumerate(starts):
-        w = _prepare_window(x[s : s + cfg.window], cfg.detrend)
-        fit, svals = _structure_fit(w, cfg.tau_grid, order=2)
-        if fit is None:
-            continue
-        per_tau = (np.log(svals) - fit[1]) / (2.0 * log_tau)
-        vals[j] = per_tau.std(ddof=1)
+    per_tau = (logs - intercept[:, None]) / (2.0 * log_tau)
+    vals = per_tau.std(axis=1, ddof=1)
     return EwsSeries(times, vals, CONFORMALITY, series.id)
 
 
@@ -323,10 +381,13 @@ def cross_covariance(series_list, cfg):
     _, starts, times = _return_windows(ref, cfg, min_window=2)
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]
-    iu = np.triu_indices(k, 1)
-    vals = np.empty(starts.size)
-    for j, s in enumerate(starts):
-        cov = np.cov(rets[:, s : s + cfg.window], ddof=1)
-        vals[j] = cov[iu].mean()
+
+    # Var(sum_i r_i) = sum_i Var(r_i) + 2 * sum_{i<j} Cov(r_i, r_j)
+    def mean_pair_cov(w):
+        var = w.var(axis=-1, ddof=1)
+        return (var[-1] - var[:-1].sum(axis=0)) / (k * (k - 1))
+
+    panel = np.vstack([rets, rets.sum(axis=0)])
+    vals = _rowwise(panel, starts, cfg.window, mean_pair_cov)
     label = "|".join(s.id for s in series_list) if k <= 4 else f"panel[{k}]"
     return EwsSeries(times, vals, CROSS_COV, label)

@@ -311,6 +311,16 @@ def _estimator(signal):
     raise ValueError(f"unknown signal {signal!r}")
 
 
+def _segment_tau(ews, cfg):
+    """Kendall trend of one segment's EWS, or ``(None, None)`` when the
+    segment has too few windows or a NaN tau (a constant signal)."""
+    try:
+        tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
+    except InsufficientDataError:
+        return None, None
+    return (tau, p) if np.isfinite(tau) else (None, None)
+
+
 def _segment_trends(asset, signals, cfg):
     events = detect_crashes(asset, cfg)
     pre, normal = segment_windows(asset, events, cfg)
@@ -322,9 +332,8 @@ def _segment_trends(asset, signals, cfg):
                 if len(seg) < cfg.ews_cfg.window + 1:
                     continue
                 ews = estimator(seg, cfg.ews_cfg)
-                try:
-                    tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
-                except InsufficientDataError:
+                tau, p = _segment_tau(ews, cfg)
+                if tau is None:
                     continue
                 records.append(
                     SegmentTrend(
@@ -367,9 +376,8 @@ def _panel_cross_cov_trends(assets, all_events, cfg):
             hi = lo + len(seg)
             panel = [s.slice(lo, hi) for s in assets]
             ews = cross_covariance(panel, cfg.ews_cfg)
-            try:
-                tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
-            except InsufficientDataError:
+            tau, p = _segment_tau(ews, cfg)
+            if tau is None:
                 continue
             records.append(
                 SegmentTrend(

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import wilcoxon
 
 import phasecrash as pc
 from phasecrash.errors import AlignmentError
-from phasecrash.ews import _structure_fit, ghe_signal
+from phasecrash.ews import ghe_signal
 from phasecrash.io import derive_seed
 
+import ews_reference as ref
 from conftest import series_from_increments
 
 
@@ -380,3 +383,84 @@ def test_price_series_validation():
         pc.PriceSeries(np.arange(3.0), np.array([0.0, np.nan, 1.0]), "x")
     with pytest.raises(ValueError):
         pc.PriceSeries(np.arange(3.0), np.zeros(4), "x")
+
+
+# ------------------------------------------------------ reference oracles
+
+
+def _oracle_series(seed, asset_id="x"):
+    """Random walk of random scale and level with an exactly flat stretch;
+    odd seeds add a 1e150 jump whose third moments overflow."""
+    rng = np.random.default_rng(derive_seed(700, seed))
+    inc = rng.standard_normal(600) * 10.0 ** rng.uniform(-3.0, 0.0)
+    inc[250:400] = 0.0
+    if seed % 2:
+        inc[480] = 1e150
+    lp = np.concatenate([[rng.uniform(-5.0, 5.0)], inc]).cumsum()
+    return pc.PriceSeries(np.arange(lp.size, dtype=float), lp, asset_id)
+
+
+def _assert_matches_oracle(fast, oracle, *args):
+    with np.errstate(all="ignore"):  # the oracle warns on overflowing windows
+        expected = oracle(*args)
+    assert fast.shape == expected.shape
+    assert np.array_equal(np.isnan(fast), np.isnan(expected))
+    assert np.allclose(fast, expected, rtol=1e-10, atol=1e-12, equal_nan=True)
+
+
+@pytest.mark.parametrize("detrend", [False, True])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_estimators_match_reference_oracles(stride, detrend):
+    cfg = pc.WindowConfig(
+        window=96, stride=stride, tau_grid=(2, 4, 8, 16), orders=(1, 2, 3), detrend=detrend
+    )
+    for seed in range(6):
+        series = _oracle_series(seed)
+        # a constant price window has no scaling signal; the oracle's
+        # polyfit detrend turns it into rounding noise instead of NaN
+        x = np.lib.stride_tricks.sliding_window_view(series.log_prices, cfg.window)
+        flat = np.ptp(x[:: cfg.stride], axis=1) == 0.0
+        assert flat.any()
+
+        def scaling(oracle, *args):
+            return np.where(flat, np.nan, oracle(series, cfg, *args))
+
+        for fn, oracle in [
+            (pc.rolling_volatility, ref.volatility),
+            (pc.rolling_skewness, ref.skewness),
+            (pc.rolling_lag1_autocorr, ref.lag1_autocorr),
+        ]:
+            _assert_matches_oracle(fn(series, cfg).values, oracle, series, cfg)
+        for est in pc.generalized_hurst(series, cfg):
+            _assert_matches_oracle(
+                est.values, scaling, ref.scaling_exponent, int(est.signal[3:])
+            )
+        _assert_matches_oracle(
+            pc.anomalous_dimension(series, cfg).values, scaling, ref.scaling_exponent, 2
+        )
+        _assert_matches_oracle(
+            pc.conformality_index(series, cfg).values, scaling, ref.conformality
+        )
+        panel = [series, _oracle_series(seed + 10, "b"), _oracle_series(seed + 20, "c")]
+        _assert_matches_oracle(
+            pc.cross_covariance(panel, cfg).values, ref.cross_covariance, panel, cfg
+        )
+
+
+def test_row_blocks_bound_memory_and_are_seamless():
+    rng = np.random.default_rng(derive_seed(701, 0))
+    series = series_from_increments(0.01 * rng.standard_normal(49_999))
+    cfg = pc.WindowConfig(window=512, stride=1, tau_grid=(2, 4, 8, 16, 32))
+    n_windows = len(series) - cfg.window + 1
+    tracemalloc.start()
+    try:
+        full = pc.anomalous_dimension(series, cfg).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole float64 window matrix would take about 200 MB
+    assert peak < n_windows * cfg.window * 8 / 10
+    half = n_windows // 2
+    first = pc.anomalous_dimension(series.slice(0, half + cfg.window - 1), cfg)
+    second = pc.anomalous_dimension(series.slice(half, len(series)), cfg)
+    assert np.array_equal(full, np.concatenate([first.values, second.values]))

@@ -300,6 +300,28 @@ def test_run_study_handles_insufficient_segments():
     assert report.signals["anomalous_dim"].inconclusive
 
 
+def test_run_study_skips_nan_tau_of_flat_asset():
+    # a flat asset has a constant volatility series, whose Kendall tau is NaN
+    flat = pc.PriceSeries(np.arange(1280.0), np.zeros(1280), "FLAT")
+    report = pc.run_study(_mini_corpus() + [flat], _mini_cfg(signals=("volatility",)))
+    st = report.signals["volatility"]
+    assert np.all(np.isfinite(st.taus_pre + st.taus_normal))
+    assert all(rec.asset_id != "FLAT" for rec in report.segments)
+    assert np.isfinite(st.p_value) and not st.inconclusive
+
+
+def test_run_study_nan_taus_leave_group_empty_and_inconclusive():
+    rise = 100.0 * np.exp(np.cumsum(0.01 + 0.005 * np.sin(np.arange(31.0))))
+    crash = _prices(np.concatenate([rise, rise[-1] * 0.93 ** np.arange(1, 6)]), "C")
+    flat = _prices(np.full(36, 100.0), "FLAT")
+    # the margin leaves the crash asset no normal segment, so the flat
+    # asset's NaN tau would be the only normal-time sample
+    report = pc.run_study([crash, flat], _cfg(exclusion_margin=40, signals=("volatility",)))
+    st = report.signals["volatility"]
+    assert st.n_pre == 1 and st.n_normal == 0
+    assert st.inconclusive and math.isnan(st.p_value)
+
+
 def test_segment_trend_record_fields():
     report = pc.run_study(_mini_corpus(), _mini_cfg())
     assert report.segments
