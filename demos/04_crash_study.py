@@ -49,7 +49,7 @@ CONFIG = pc.StudyConfig(
 
 def main():
     corpus = synth_corpus(SPEC, 4102)
-    report = pc.run_study(corpus, CONFIG, threads=2)
+    report = pc.run_study(corpus, CONFIG)
     print(f"{report.n_assets} assets, {report.n_events} crash events")
     print(f"{'signal':16s} {'pre':>7s} {'normal':>7s} {'p':>9s}")
     for name, st in report.signals.items():

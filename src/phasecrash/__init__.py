@@ -44,7 +44,6 @@ from .noise import (
     HurstSchedule,
     NoisePath,
     StableSchedule,
-    rng_for_path,
     sample_alpha_stable,
     sample_gaussian_increments,
     synth_fbm,
@@ -71,4 +70,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

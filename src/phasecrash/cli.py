@@ -48,12 +48,13 @@ from .io import (
     write_segments_csv,
 )
 from .lppl import SearchConfig, fit_lppl
-from .noise import HurstSchedule, StableSchedule
+from .noise import HurstSchedule, StableSchedule, sample_gaussian_increments
 from .simulate import (
     CptParams,
     DptParams,
     MultiParams,
     MuSchedule,
+    SimPath,
     SptParams,
     simulate_cpt,
     simulate_dpt,
@@ -87,7 +88,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master RNG seed (u64)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("synth", help="synthesise a corpus from a spec JSON")
     common(p)
@@ -201,27 +201,24 @@ def _sim_config(args):
 def _cmd_simulate(args):
     n, dt, seed = args.n, args.dt, args.seed
     if args.kind == "bm":
-        sch = HurstSchedule(0.5)
-        path = simulate_dpt(DptParams(sch, scale=args.sigma, p0=args.p0), n, dt, seed)
-        series = [path.to_price_series("SIM000", args.sample_every)]
+        noise = sample_gaussian_increments(n, dt, seed)
+        paths = [SimPath(args.p0 + args.sigma * noise.path(), dt)]
     elif args.kind == "cpt":
         params = CptParams(
             args.r, MuSchedule(args.mu_start, args.mu_end), args.sigma, args.p0
         )
-        series = [simulate_cpt(params, n, dt, seed).to_price_series("SIM000", args.sample_every)]
+        paths = [simulate_cpt(params, n, dt, seed)]
     elif args.kind == "spt":
         params = SptParams(args.r, args.lam, args.alpha_vol, args.p0)
-        series = [simulate_spt(params, n, dt, seed).to_price_series("SIM000", args.sample_every)]
+        paths = [simulate_spt(params, n, dt, seed)]
     elif args.kind == "dpt-hurst":
         ramp = "constant" if args.h_end is None else "linear"
         sch = HurstSchedule(args.h_start, args.h_end, ramp, args.t_start, None)
-        path = simulate_dpt(DptParams(sch, scale=args.scale, p0=args.p0), n, dt, seed)
-        series = [path.to_price_series("SIM000", args.sample_every)]
+        paths = [simulate_dpt(DptParams(sch, scale=args.scale, p0=args.p0), n, dt, seed)]
     elif args.kind == "dpt-stable":
         ramp = "constant" if args.alpha_end is None else "linear"
         sch = StableSchedule(args.alpha_start, args.alpha_end, args.scale, ramp)
-        path = simulate_dpt(DptParams(sch, scale=1.0, p0=args.p0), n, dt, seed)
-        series = [path.to_price_series("SIM000", args.sample_every)]
+        paths = [simulate_dpt(DptParams(sch, scale=1.0, p0=args.p0), n, dt, seed)]
     else:  # multi
         k = args.k
         coupling = tuple(
@@ -236,15 +233,11 @@ def _cmd_simulate(args):
             p0=(args.p0,) * k,
         )
         paths = simulate_multivariate(params, n, dt, seed)
-        series = [
-            p.to_price_series(f"SIM{i:03d}", args.sample_every)
-            for i, p in enumerate(paths)
-        ]
-    # serialise on an integer observation grid
-    series = [
-        PriceSeries(np.arange(len(s), dtype=float), s.log_prices, s.id)
-        for s in series
-    ]
+    # serialise every sample_every-th state on an integer observation grid
+    series = []
+    for i, path in enumerate(paths):
+        lp = path.to_price_series(sample_every=args.sample_every).log_prices
+        series.append(PriceSeries(np.arange(lp.size, dtype=float), lp, f"SIM{i:03d}"))
     write_price_csv(series, _outpath(args, "path.csv"))
     cfg = _sim_config(args)
     _manifest(args, "simulate", cfg, RunManifest.digest_config(cfg)).write(
@@ -269,6 +262,8 @@ def _cmd_fit_lppl(args):
     tc_bounds = None
     if args.tc_min is not None and args.tc_max is not None:
         tc_bounds = (args.tc_min, args.tc_max)
+    elif args.tc_min is not None or args.tc_max is not None:
+        log.warning("--tc-min and --tc-max apply only together; ignoring the one given")
     n_tc, n_m, n_omega = (tuple(args.grid) + (20, 9, 12))[:3]
     search = SearchConfig(
         m_bounds=(args.m_min, args.m_max),
@@ -372,7 +367,7 @@ def _cmd_study(args):
             spec = CorpusSpec.from_dict(json.load(fh))
         assets = synth_corpus(spec, args.seed)
         digest = RunManifest.digest_file(args.spec)
-    report = run_study(assets, cfg, threads=args.threads)
+    report = run_study(assets, cfg)
     write_report_json(report, _outpath(args, "report.json"))
     write_report_csv(report, _outpath(args, "report.csv"))
     write_segments_csv(report, _outpath(args, "segments.csv"))

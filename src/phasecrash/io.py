@@ -25,13 +25,19 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
+from io import StringIO
 
 import numpy as np
 
 from . import __version__
 from .errors import CsvParseError
 from .ews import PriceSeries, WindowConfig
-from .noise import HurstSchedule, StableSchedule, sample_alpha_stable
+from .noise import (
+    HurstSchedule,
+    StableSchedule,
+    sample_alpha_stable,
+    sample_gaussian_increments,
+)
 from .simulate import (
     CptParams,
     DptParams,
@@ -84,6 +90,16 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path, header, rows):
+    """Write the comma-separated column names ``header``, then ``rows``;
+    only fields holding a comma, a quote or a line break get quoted."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def _dump_json(obj):
@@ -189,31 +205,28 @@ def load_price_csv(path, calendar="as_is"):
 
 def write_price_csv(series_list, path):
     """Serialise series back to ``date,ticker,close`` with 17-digit closes."""
-    lines = ["date,ticker,close"]
-    for s in series_list:
-        if s.dates is not None:
+
+    def rows():
+        for s in series_list:
             dates = s.dates
-        else:
-            dates = [
-                (_BASE_DATE + timedelta(days=i)).isoformat() for i in range(len(s))
-            ]
-        for d, lp in zip(dates, s.log_prices):
-            lines.append(f"{d},{s.id},{_close_repr(float(lp))}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+            if dates is None:
+                dates = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(len(s))]
+            for d, lp in zip(dates, s.log_prices):
+                yield d, s.id, _close_repr(float(lp))
+
+    _write_csv(path, "date,ticker,close", rows())
 
 
 def write_ews_csv(ews_list, path):
     """Long-format signal CSV: asset_id, signal, window_end_time, value,
     missing_flag."""
-    lines = ["asset_id,signal,window_end_time,value,missing_flag"]
+    rows = []
     for e in ews_list:
         for t, v in zip(e.times, e.values):
             missing = not np.isfinite(v)
             val = "" if missing else format(float(v), ".17g")
-            lines.append(
-                f"{e.id},{e.signal},{format(float(t), '.17g')},{val},{int(missing)}"
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+            rows.append((e.id, e.signal, format(float(t), ".17g"), val, int(missing)))
+    _write_csv(path, "asset_id,signal,window_end_time,value,missing_flag", rows)
 
 
 def write_events_json(events, path):
@@ -229,27 +242,23 @@ def write_report_json(report, path):
 
 
 def write_report_csv(report, path):
-    lines = ["signal,group,mean_tau,n,p_value"]
+    rows = []
     for name, st in report.signals.items():
         p = format(st.p_value, ".17g")
-        lines.append(f"{name},pre,{format(st.mean_tau_pre, '.17g')},{st.n_pre},{p}")
-        lines.append(
-            f"{name},normal,{format(st.mean_tau_normal, '.17g')},{st.n_normal},{p}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+        rows.append((name, "pre", format(st.mean_tau_pre, ".17g"), st.n_pre, p))
+        rows.append((name, "normal", format(st.mean_tau_normal, ".17g"), st.n_normal, p))
+    _write_csv(path, "signal,group,mean_tau,n,p_value", rows)
 
 
 def write_segments_csv(report, path):
-    lines = [
-        "asset_id,signal,group,segment_index,start_time,end_time,n_windows,tau,p_value"
+    header = "asset_id,signal,group,segment_index,start_time,end_time,n_windows,tau,p_value"
+    rows = [
+        (r.asset_id, r.signal, r.group, r.segment_index, format(r.start_time, ".17g"),
+         format(r.end_time, ".17g"), r.n_windows, format(r.tau, ".17g"),
+         format(r.p_value, ".17g"))
+        for r in report.segments
     ]
-    for r in report.segments:
-        lines.append(
-            f"{r.asset_id},{r.signal},{r.group},{r.segment_index},"
-            f"{format(r.start_time, '.17g')},{format(r.end_time, '.17g')},"
-            f"{r.n_windows},{format(r.tau, '.17g')},{format(r.p_value, '.17g')}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, rows)
 
 
 # --------------------------------------------------------------------- #
@@ -306,11 +315,8 @@ def _simulate_asset(group, seed):
     p = dict(group.params)
     n, dt = group.n, group.dt
     if group.kind == "bm":
-        sigma = p.get("sigma", 0.001)
-        inc = sample_alpha_stable(
-            n, StableSchedule(2.0, scale=sigma / math.sqrt(2.0)), dt, seed
-        ).increments
-        values = p.get("p0", 0.0) + np.concatenate([[0.0], np.cumsum(inc)])
+        noise = sample_gaussian_increments(n, dt, seed)
+        values = p.get("p0", 0.0) + p.get("sigma", 0.001) * noise.path()
     elif group.kind == "cpt":
         params = CptParams(
             r=p.get("r", 1.0),

@@ -2,22 +2,22 @@
 
 Three families are provided:
 
-* Wiener increments: iid Gaussian, variance ``dt`` per step.
+* Wiener increments: iid Gaussian, variance ``dt`` per step; every
+  Brownian path in the package is a scaled cumulative sum of them.
 * Symmetric alpha-stable increments via the Chambers-Mallows-Stuck
   transform, with a fixed or linearly ramped stability index. The
   per-step scale is ``scale * dt ** (1 / alpha)``.
 * Fractional Brownian motion. Constant-Hurst paths are exact Gaussian
-  draws: Cholesky factorisation of the increment covariance up to 4096
-  steps, circulant embedding (Davies-Harte) beyond that, falling back to
-  Cholesky when the embedding is not nonnegative. Ramped-Hurst paths are
-  drawn by Cholesky factorisation of the kernel
-  ``R(s, t) = (s**(H(s)+H(t)) + t**(H(s)+H(t)) - |t-s|**(H(s)+H(t))) / 2``.
+  draws by circulant embedding (Davies-Harte), which is nonnegative for
+  fractional Gaussian noise at every H and length (Davies & Harte 1987;
+  Craigmile 2003); a negative eigenvalue raises ``GenerationError``.
+  Ramped-Hurst paths are drawn by Cholesky factorisation of the kernel
+  ``R(s, t) = (s**(H(s)+H(t)) + t**(H(s)+H(t)) - |t-s|**(H(s)+H(t))) / 2``,
+  an O(n**2)-memory factor refused above ``MAX_MBM_STEPS`` steps.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
-same inputs, bit-identical output. For batches, derive one stream per
-path with :func:`rng_for_path`, which keys stream ``i`` of master seed
-``s`` by ``numpy.random.SeedSequence([s, i])``; results are then
-independent of scheduling order.
+same inputs, bit-identical output. Batches split one master seed into
+per-path seeds with :func:`phasecrash.io.derive_seed`.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ __all__ = [
     "NoisePath",
     "HurstSchedule",
     "StableSchedule",
-    "rng_for_path",
     "sample_gaussian_increments",
     "sample_alpha_stable",
     "synth_fbm",
@@ -39,8 +38,9 @@ __all__ = [
 
 MAX_SEED = 2**64 - 1
 
-# Exact Cholesky below this size; circulant embedding above.
-_CHOLESKY_LIMIT = 4096
+#: Longest ramped-Hurst path synth_fbm draws; its Cholesky factor takes
+#: 8 * n**2 bytes (512 MB here) plus as much again while it is built.
+MAX_MBM_STEPS = 8192
 
 _COV_JITTER = 1e-10
 
@@ -49,14 +49,6 @@ def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
-
-
-def rng_for_path(seed, index):
-    """Independent generator for path ``index`` under master ``seed``."""
-    seed = _check_seed(seed)
-    if index < 0:
-        raise ValueError("path index must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence([seed, int(index)]))
 
 
 @dataclass(frozen=True)
@@ -205,31 +197,21 @@ def _fgn_autocov(n_lags, h):
 
 
 @lru_cache(maxsize=4)
-def _fgn_cholesky_factor(h, n):
-    gamma = _fgn_autocov(n - 1, h)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return np.linalg.cholesky(gamma[idx])
-
-
-@lru_cache(maxsize=4)
 def _fgn_embedding_weights(h, n):
-    """sqrt(eigenvalues / M) of the circulant embedding, or None if the
-    embedding is not nonnegative."""
+    """sqrt(eigenvalues / M) of the circulant embedding."""
     gamma = _fgn_autocov(n, h)
     row = np.concatenate([gamma[:n], [gamma[n]], gamma[1:n][::-1]])
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * lam.max():
-        return None
+        raise GenerationError(
+            f"circulant embedding of fGn (H={h}, n={n}) has eigenvalue {lam.min():.3g}"
+        )
     return np.sqrt(np.clip(lam, 0.0, None) / row.size)
 
 
 def _fgn_constant(h, n, rng):
     """Unit-step fractional Gaussian noise, exact in distribution."""
-    if n <= _CHOLESKY_LIMIT:
-        return _fgn_cholesky_factor(h, n) @ rng.standard_normal(n)
     w = _fgn_embedding_weights(h, n)
-    if w is None:
-        return _fgn_cholesky_factor(h, n) @ rng.standard_normal(n)
     m = w.size
     z = rng.standard_normal(2 * m)
     spec = w * (z[:m] + 1j * z[m:])
@@ -260,7 +242,8 @@ def synth_fbm(n, schedule, dt, seed):
     Constant schedules yield exact fBM with
     ``Cov[X(s), X(t)] = (|s|**2H + |t|**2H - |t-s|**2H) / 2`` in units
     where dt = 1, scaling as ``dt**2H``. Ramped schedules draw the path
-    from the local-exponent kernel documented in the module docstring.
+    from the local-exponent kernel documented in the module docstring and
+    are refused above ``MAX_MBM_STEPS`` steps.
     """
     if not isinstance(schedule, HurstSchedule):
         raise ValueError("schedule must be a HurstSchedule")
@@ -268,6 +251,11 @@ def synth_fbm(n, schedule, dt, seed):
     rng = np.random.default_rng(_check_seed(seed))
     if schedule.is_constant():
         inc = _fgn_constant(schedule.h_start, n, rng) * dt**schedule.h_start
+    elif n > MAX_MBM_STEPS:
+        raise GenerationError(
+            f"ramped-Hurst paths are limited to {MAX_MBM_STEPS} steps, got {n}",
+            schedule=schedule,
+        )
     else:
         path = _mbm_cholesky_factor(schedule, n, dt) @ rng.standard_normal(n)
         inc = np.diff(path, prepend=0.0)

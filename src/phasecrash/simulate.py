@@ -1,25 +1,26 @@
 """Euler-Maruyama simulation of the three crash routes.
 
-Three univariate mechanisms share the scheme
-``p[k+1] = p[k] + drift(p[k], t_k) * dt + diffusion(t_k) * dW[k]``:
+The critical and stochastic routes and the multivariate system share one
+Euler step, ``x[k+1] = x[k] + (-mu[k] + r*x[k] - lam*x[k]**3) * dt + w[k]``,
+on pre-scaled noise increments ``w``:
 
-* critical route: cubic drift ``-mu(t) + r*p - p**3`` with a ramped
-  ``mu(t)`` that destroys the upper equilibrium at the fold
-  ``mu* = (2r/3) * sqrt(r/3)``;
-* stochastic route: fixed double-well drift ``r*p - lam*p**3`` with
-  linearly growing volatility ``sigma(t) = alpha_vol * t``;
+* critical route: ``lam = 1``, a ramped ``mu(t)`` that destroys the
+  upper equilibrium at the fold ``mu* = (2r/3) * sqrt(r/3)``, and
+  ``w = sigma * dW``;
+* stochastic route: fixed double well (``mu = 0``) with linearly growing
+  volatility, ``w = alpha_vol * t * dW``;
 * dynamic route: zero drift, the path is a rescaled cumulative sum of a
   scheduled noise process (ramped Hurst exponent or stability index).
 
-The multivariate system couples per-asset cubic drifts through
-correlated Wiener increments with ``cov(dW_i, dW_j) = D_ij * dt``.
+The multivariate system runs the same step per asset, on Wiener
+increments correlated by ``cov(dW_i, dW_j) = D_ij * dt``.
 
-All simulators are pure functions of (params, n, dt, seed). The state is
-checked for finiteness each step; blow-ups raise
-:class:`~phasecrash.errors.SimulationOverflowError` with the step index.
+All simulators are pure functions of (params, n, dt, seed). A non-finite
+state stays non-finite under the step, so a blow-up raises
+:class:`~phasecrash.errors.SimulationOverflowError` naming the first
+non-finite step.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,20 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MuSchedule:
-    """Drift offset mu(t): constant, or a linear ramp over the whole run."""
+    """Drift offset mu(t): a linear ramp from ``mu_start`` to ``mu_end``
+    over the whole run, constant when ``mu_end`` is omitted."""
 
     mu_start: float
     mu_end: float | None = None
-    ramp: str = "linear"
-
-    def __post_init__(self):
-        if self.ramp not in ("constant", "linear"):
-            raise ValueError(f"unknown ramp kind {self.ramp!r}")
 
     def values(self, n):
         end = self.mu_start if self.mu_end is None else self.mu_end
-        if self.ramp == "constant":
-            return np.full(n, self.mu_start)
         return np.linspace(self.mu_start, end, n)
 
 
@@ -181,13 +176,30 @@ class SimPath:
         )
 
 
-def _finish(values, step, kind, params, dt, seed, n):
-    if step is not None:
+def _euler(x, mu, r, lam, w, dt):
+    """All ``len(w) + 1`` states of the shared Euler step from ``x``, for
+    per-step lists ``mu`` and ``w``; Python floats beat numpy scalars here."""
+    out = [x]
+    append = out.append
+    for m, wk in zip(mu, w):
+        x = x + (-m + r * x - lam * x * x * x) * dt + wk
+        append(x)
+    return np.array(out)
+
+
+def _finish(values, kind, params, dt, seed, n):
+    """Raise at the first step with a non-finite state, else wrap ``values``
+    (one row per asset when 2-D) into SimPaths."""
+    finite = np.isfinite(values).reshape(-1, n + 1).all(axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite))
         raise SimulationOverflowError(
             f"{kind} simulation diverged at step {step}", step=step
         )
     record = {"kind": kind, "params": params, "n": n, "dt": dt, "seed": seed}
-    return SimPath(values, dt, record)
+    if values.ndim == 1:
+        return SimPath(values, dt, record)
+    return [SimPath(v, dt, dict(record, asset=i)) for i, v in enumerate(values)]
 
 
 def simulate_cpt(params, n, dt, seed):
@@ -195,17 +207,10 @@ def simulate_cpt(params, n, dt, seed):
     if not isinstance(params, CptParams):
         raise ValueError("params must be CptParams")
     seed = _check_seed(seed)
-    dw = sample_gaussian_increments(n, dt, seed).increments.tolist()
+    w = params.sigma * sample_gaussian_increments(n, dt, seed).increments
     mu = params.mu_schedule.values(n).tolist()
-    r, sig = params.r, params.sigma
-    out = np.empty(n + 1)
-    out[0] = x = params.p0
-    for k in range(n):
-        x = x + (-mu[k] + r * x - x * x * x) * dt + sig * dw[k]
-        if not math.isfinite(x):
-            return _finish(None, k + 1, "cpt", params, dt, seed, n)
-        out[k + 1] = x
-    return _finish(out, None, "cpt", params, dt, seed, n)
+    values = _euler(params.p0, mu, params.r, 1.0, w.tolist(), dt)
+    return _finish(values, "cpt", params, dt, seed, n)
 
 
 def simulate_spt(params, n, dt, seed):
@@ -213,16 +218,10 @@ def simulate_spt(params, n, dt, seed):
     if not isinstance(params, SptParams):
         raise ValueError("params must be SptParams")
     seed = _check_seed(seed)
-    dw = sample_gaussian_increments(n, dt, seed).increments.tolist()
-    r, lam, a = params.r, params.lam, params.alpha_vol
-    out = np.empty(n + 1)
-    out[0] = x = params.p0
-    for k in range(n):
-        x = x + (r * x - lam * x * x * x) * dt + (a * k * dt) * dw[k]
-        if not math.isfinite(x):
-            return _finish(None, k + 1, "spt", params, dt, seed, n)
-        out[k + 1] = x
-    return _finish(out, None, "spt", params, dt, seed, n)
+    dw = sample_gaussian_increments(n, dt, seed).increments
+    w = (params.alpha_vol * np.arange(n) * dt) * dw
+    values = _euler(params.p0, [0.0] * n, params.r, params.lam, w.tolist(), dt)
+    return _finish(values, "spt", params, dt, seed, n)
 
 
 def simulate_dpt(params, n, dt, seed):
@@ -235,10 +234,7 @@ def simulate_dpt(params, n, dt, seed):
     else:
         noise = sample_alpha_stable(n, params.noise_spec, dt, seed)
     values = params.p0 + params.scale * noise.path()
-    if not np.all(np.isfinite(values)):
-        step = int(np.argmax(~np.isfinite(values)))
-        return _finish(None, step, "dpt", params, dt, seed, n)
-    return _finish(values, None, "dpt", params, dt, seed, n)
+    return _finish(values, "dpt", params, dt, seed, n)
 
 
 def simulate_multivariate(params, n, dt, seed):
@@ -258,21 +254,12 @@ def simulate_multivariate(params, n, dt, seed):
     k = params.k
     rng = np.random.default_rng(seed)
     dw = (rng.standard_normal((n, k)) @ chol.T) * np.sqrt(dt)
-    mu = params.mu_schedule.values(n)
-    r = np.asarray(params.r, dtype=float)
-    lam = np.asarray(params.lam, dtype=float)
-    sig = np.asarray(params.sigma, dtype=float)
-    p0 = np.zeros(k) if params.p0 is None else np.asarray(params.p0, dtype=float)
-
-    out = np.empty((n + 1, k))
-    out[0] = x = p0
-    for step in range(n):
-        x = x + (-mu[step] + r * x - lam * x**3) * dt + sig * dw[step]
-        if not np.all(np.isfinite(x)):
-            return _finish(None, step + 1, "multi", params, dt, seed, n)
-        out[step + 1] = x
-
-    record = {"kind": "multi", "params": params, "n": n, "dt": dt, "seed": seed}
-    return [
-        SimPath(out[:, i].copy(), dt, dict(record, asset=i)) for i in range(k)
-    ]
+    w = dw * np.asarray(params.sigma, dtype=float)
+    mu = params.mu_schedule.values(n).tolist()
+    p0 = (0.0,) * k if params.p0 is None else params.p0
+    values = np.array([
+        _euler(float(p0[i]), mu, float(params.r[i]), float(params.lam[i]),
+               w[:, i].tolist(), dt)
+        for i in range(k)
+    ])
+    return _finish(values, "multi", params, dt, seed, n)

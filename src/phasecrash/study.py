@@ -12,11 +12,9 @@ Kendall's tau-b against window index, and the pre and normal tau samples
 are compared per signal with a two-sample Mann-Whitney test.
 
 Everything here is deterministic: no randomness enters detection,
-segmentation, or aggregation, and per-asset work reduces in input order
-regardless of thread count.
+segmentation, or aggregation, and per-asset work reduces in input order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -395,7 +393,7 @@ def _panel_cross_cov_trends(assets, all_events, cfg):
     return records
 
 
-def run_study(assets, cfg=None, threads=1):
+def run_study(assets, cfg=None):
     """Detect, segment, and compare trends across a panel of assets.
 
     Per-signal pre and normal tau samples are pooled across assets and
@@ -408,13 +406,7 @@ def run_study(assets, cfg=None, threads=1):
         cfg = StudyConfig()
     univariate = [s for s in cfg.signals if s != CROSS_COV]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_asset = list(
-                pool.map(lambda a: _segment_trends(a, univariate, cfg), assets)
-            )
-    else:
-        per_asset = [_segment_trends(a, univariate, cfg) for a in assets]
+    per_asset = [_segment_trends(a, univariate, cfg) for a in assets]
 
     all_events = [ev for events, _ in per_asset for ev in events]
     segment_records = [rec for _, recs in per_asset for rec in recs]

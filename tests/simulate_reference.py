@@ -1,0 +1,66 @@
+"""Reference oracles for the Euler simulators: the per-route loops that
+``phasecrash.simulate`` ran before its routes shared one Euler step.
+
+The critical and stochastic oracles step a scalar state on Python floats
+and stop at the first non-finite state; the multivariate oracle steps
+the whole asset vector with numpy per time step. Each returns
+``(values, step)``: the state path and ``None``, or ``None`` and the
+index of the first non-finite state. Noise comes from the package's own
+samplers with the same seeds, so the fast simulators must reproduce the
+scalar oracles bitwise and the vector oracle to rounding.
+"""
+
+import math
+
+import numpy as np
+
+import phasecrash as pc
+
+
+def cpt(params, n, dt, seed):
+    dw = pc.sample_gaussian_increments(n, dt, seed).increments.tolist()
+    mu = params.mu_schedule.values(n).tolist()
+    r, sig = params.r, params.sigma
+    out = np.empty(n + 1)
+    out[0] = x = params.p0
+    for k in range(n):
+        x = x + (-mu[k] + r * x - x * x * x) * dt + sig * dw[k]
+        if not math.isfinite(x):
+            return None, k + 1
+        out[k + 1] = x
+    return out, None
+
+
+def spt(params, n, dt, seed):
+    dw = pc.sample_gaussian_increments(n, dt, seed).increments.tolist()
+    r, lam, a = params.r, params.lam, params.alpha_vol
+    out = np.empty(n + 1)
+    out[0] = x = params.p0
+    for k in range(n):
+        x = x + (r * x - lam * x * x * x) * dt + (a * k * dt) * dw[k]
+        if not math.isfinite(x):
+            return None, k + 1
+        out[k + 1] = x
+    return out, None
+
+
+def multivariate(params, n, dt, seed):
+    """Values have one column per asset."""
+    chol = np.linalg.cholesky(params.coupling_matrix())
+    k = params.k
+    rng = np.random.default_rng(seed)
+    dw = (rng.standard_normal((n, k)) @ chol.T) * np.sqrt(dt)
+    mu = params.mu_schedule.values(n)
+    r = np.asarray(params.r, dtype=float)
+    lam = np.asarray(params.lam, dtype=float)
+    sig = np.asarray(params.sigma, dtype=float)
+    p0 = np.zeros(k) if params.p0 is None else np.asarray(params.p0, dtype=float)
+    out = np.empty((n + 1, k))
+    out[0] = x = p0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            x = x + (-mu[step] + r * x - lam * x**3) * dt + sig * dw[step]
+            if not np.all(np.isfinite(x)):
+                return None, step + 1
+            out[step + 1] = x
+    return out, None

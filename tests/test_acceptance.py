@@ -154,7 +154,7 @@ def test_criterion_4_simulator_oracles():
             x = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         return x
 
-    mu = pc.MuSchedule(0.2, 0.2, ramp="constant")
+    mu = pc.MuSchedule(0.2)
     params = pc.CptParams(r=1.0, mu_schedule=mu, sigma=0.0, p0=1.5)
     drift = lambda x: -0.2 + x - x**3
     # short transient at fine step, and the settled state at n*dt = 20
@@ -316,7 +316,7 @@ def test_criterion_7_study_pipeline(tmp_path):
     assert delta.p_value < 0.01
 
     # determinism: identical corpora and byte-identical serialised reports
-    rep_a2 = pc.run_study(_study_corpus("dpt_stable", 4101), cfg, threads=2)
+    rep_a2 = pc.run_study(_study_corpus("dpt_stable", 4101), cfg)
     assert rep_a.to_dict() == rep_a2.to_dict()
     f1, f2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     write_report_json(rep_a, f1)

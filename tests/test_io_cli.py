@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from phasecrash.io import (
     load_price_csv,
     study_config_from_dict,
     synth_corpus,
+    write_ews_csv,
     write_price_csv,
 )
 from phasecrash.simulate import CptParams, MuSchedule, simulate_cpt
@@ -147,6 +149,30 @@ def test_roundtrip_idempotent_bytes(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_roundtrip_ids_with_comma_and_quote(tmp_path):
+    # ids that need CSV quoting survive every writer
+    ids = ["BRK,A", 'say "hi"', "plain"]
+    t = np.arange(5.0)
+    series = [pc.PriceSeries(t, 4.0 + 0.01 * (k + 1) * t, i) for k, i in enumerate(ids)]
+    path = str(tmp_path / "q.csv")
+    write_price_csv(series, path)
+    loaded = load_price_csv(path)
+    assert [s.id for s in loaded] == ids
+    for a, b in zip(series, loaded):
+        assert np.array_equal(a.log_prices, b.log_prices)
+    text = open(path, encoding="utf-8").read()
+    assert ',"BRK,A",' in text and ',"say ""hi""",' in text and ",plain," in text
+
+    cfg = pc.WindowConfig(window=3, stride=1, tau_grid=(2,))
+    ews_path = str(tmp_path / "q_ews.csv")
+    write_ews_csv([pc.rolling_volatility(s, cfg) for s in series], ews_path)
+    with open(ews_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["asset_id", "signal", "window_end_time", "value", "missing_flag"]
+    assert {r[0] for r in rows[1:]} == set(ids)
+    assert all(len(r) == 5 for r in rows)
+
+
 # ------------------------------------------------------------------ corpus
 
 
@@ -165,6 +191,23 @@ def test_synth_corpus_deterministic():
         assert np.array_equal(x.log_prices, y.log_prices)
     c = synth_corpus(spec, 43)
     assert not np.array_equal(a[0].log_prices, c[0].log_prices)
+
+
+def test_bm_is_scaled_gaussian_cumsum(tmp_path):
+    # synth and simulate share one Brownian source: p0 + sigma * cumsum(dW)
+    spec = {"groups": [{"kind": "bm", "count": 2, "n": 300, "dt": 0.5,
+                        "params": {"sigma": 0.02, "p0": 1.5}}]}
+    for j, s in enumerate(synth_corpus(spec, 8)):
+        dw = pc.sample_gaussian_increments(300, 0.5, derive_seed(8, j))
+        assert np.array_equal(s.log_prices, 1.5 + 0.02 * dw.path())
+    out = str(tmp_path / "bm")
+    rc = cli_dispatch(["simulate", "--kind", "bm", "--n", "300", "--dt", "0.5",
+                       "--sigma", "0.02", "--p0", "1.5", "--sample-every", "3",
+                       "--seed", "8", "--out", out])
+    assert rc == 0
+    (s,) = load_price_csv(os.path.join(out, "path.csv"))
+    expected = (1.5 + 0.02 * pc.sample_gaussian_increments(300, 0.5, 8).path())[::3]
+    assert np.max(np.abs(s.log_prices - expected)) < 1e-15
 
 
 def test_synth_corpus_empty():
@@ -317,6 +360,21 @@ def test_cli_fit_lppl_fixture(tmp_path):
     assert abs(fit["omega"] - 8.0) <= 0.1
 
 
+@pytest.mark.parametrize("given", [["--tc-min", "510"], ["--tc-max", "600"]])
+def test_cli_fit_lppl_warns_on_one_sided_tc_bound(tmp_path, caplog, given):
+    t = np.arange(200.0)
+    series = pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")
+    csv_path = str(tmp_path / "up.csv")
+    write_price_csv([series], csv_path)
+    out = str(tmp_path / "fit")
+    with caplog.at_level("WARNING", logger="phasecrash"):
+        rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--grid", "4,3,3",
+                           "--top-k", "1", "--out", out, *given])
+    assert rc == 0
+    assert any("--tc-min and --tc-max" in r.message for r in caplog.records)
+    assert json.load(open(os.path.join(out, "manifest.json")))["config"]["tc_bounds"] is None
+
+
 def test_cli_study_replay_byte_identical(tmp_path):
     spec = _spec_file(tmp_path)
     cfg = {
@@ -332,7 +390,7 @@ def test_cli_study_replay_byte_identical(tmp_path):
         out = str(tmp_path / name)
         rc = cli_dispatch(
             ["study", "--spec", spec, "--config", str(cfg_path), "--seed", "11",
-             "--out", out, "--threads", "2"]
+             "--out", out]
         )
         assert rc == 0
         blobs.append(

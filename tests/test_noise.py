@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
 
 import phasecrash as pc
+from phasecrash import noise
 from phasecrash.errors import GenerationError
 from phasecrash.io import derive_seed
-from phasecrash.noise import rng_for_path
 
 from conftest import series_from_increments
 
@@ -155,7 +157,7 @@ def test_fbm_dt_scaling():
 
 
 def test_fbm_davies_harte_large_n():
-    # n > 4096 switches to circulant embedding; same marginal statistics
+    # a long circulant-embedding draw keeps the fGn marginal statistics
     p = pc.synth_fbm(8192, pc.HurstSchedule(0.7), 1.0, 5)
     r = p.increments
     expected = 2**0.4 - 1
@@ -164,6 +166,43 @@ def test_fbm_davies_harte_large_n():
     assert np.array_equal(
         r, pc.synth_fbm(8192, pc.HurstSchedule(0.7), 1.0, 5).increments
     )
+
+
+def test_fbm_davies_harte_eigenvalues_positive():
+    # every circulant eigenvalue is positive (a weight is zero exactly when
+    # its eigenvalue is not), so no H or length needs another method
+    weights = noise._fgn_embedding_weights.__wrapped__
+    for h in np.linspace(0.001, 0.999, 37):
+        for n in (1, 2, 3, 5, 64, 1000, 2520, 4096, 4097, 20_000):
+            w = weights(float(h), n)
+            assert w.size == 2 * n
+            assert np.all(w > 0), (h, n)
+
+
+def test_fbm_negative_embedding_raises(monkeypatch):
+    # an autocovariance that is not positive definite cannot be embedded
+    bad = lambda n_lags, h: np.r_[1.0, np.full(n_lags, 2.0)]
+    monkeypatch.setattr(noise, "_fgn_autocov", bad)
+    noise._fgn_embedding_weights.cache_clear()
+    with pytest.raises(GenerationError, match="eigenvalue"):
+        pc.synth_fbm(64, pc.HurstSchedule(0.7), 1.0, 1)
+    noise._fgn_embedding_weights.cache_clear()
+
+
+def test_fbm_ramped_hurst_refused_above_limit():
+    sch = pc.HurstSchedule(0.5, 0.9, ramp="linear")
+    n = noise.MAX_MBM_STEPS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenerationError, match="limited") as exc:
+            pc.synth_fbm(n, sch, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.schedule == sch
+    assert peak < 8 * n  # refused before even one row of the n x n factor
+    # the constant-H path has no such limit
+    assert len(pc.synth_fbm(n, pc.HurstSchedule(0.9), 1.0, 1)) == n
 
 
 def test_fbm_time_varying_determinism():
@@ -215,13 +254,3 @@ def test_noisepath_validation():
     with pytest.raises(ValueError):
         pc.NoisePath(np.array([1.0]), 0.0, "wiener")
 
-
-def test_rng_for_path_streams():
-    a = rng_for_path(7, 0).standard_normal(8)
-    b = rng_for_path(7, 1).standard_normal(8)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, rng_for_path(7, 0).standard_normal(8))
-    with pytest.raises(ValueError):
-        rng_for_path(-1, 0)
-    with pytest.raises(ValueError):
-        rng_for_path(7, -2)

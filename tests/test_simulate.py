@@ -7,9 +7,11 @@ import phasecrash as pc
 from phasecrash.errors import SimulationOverflowError
 from phasecrash.io import derive_seed
 
+import simulate_reference as ref
+
 
 def _const_mu(value=0.0):
-    return pc.MuSchedule(value, value, ramp="constant")
+    return pc.MuSchedule(value)
 
 
 def _rk4_autonomous(f, x0, n, dt):
@@ -76,11 +78,26 @@ def test_cpt_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_cpt_overflow_reports_step():
-    params = pc.CptParams(r=1.0, mu_schedule=_const_mu(0.0), sigma=0.0, p0=3.0)
+_DIVERGING = {
+    "cpt": (pc.simulate_cpt, ref.cpt,
+            pc.CptParams(r=1.0, mu_schedule=_const_mu(0.0), sigma=0.0, p0=3.0)),
+    "spt": (pc.simulate_spt, ref.spt,
+            pc.SptParams(r=1.0, lam=1.0, alpha_vol=0.0, p0=3.0)),
+    # only the second asset diverges, so the step is the first bad row
+    "multi": (pc.simulate_multivariate, ref.multivariate,
+              pc.MultiParams(r=(1.0, 1.0), lam=(1.0, 1.0), mu_schedule=_const_mu(0.0),
+                             sigma=(0.1, 0.1), coupling=((1.0, 0.3), (0.3, 1.0)),
+                             p0=(1.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_DIVERGING))
+def test_cpt_overflow_reports_step(route):
+    simulate, oracle, params = _DIVERGING[route]
     with pytest.raises(SimulationOverflowError) as exc:
-        pc.simulate_cpt(params, 100, 1.0, 1)
+        simulate(params, 100, 1.0, 1)
     assert exc.value.step >= 1
+    assert exc.value.step == oracle(params, 100, 1.0, 1)[1]
 
 
 def test_cpt_odd_symmetry():
@@ -297,3 +314,46 @@ def test_sample_every_observation_grid():
     assert len(series) == 11
     assert np.array_equal(series.log_prices, path.values[::10])
     assert np.allclose(np.diff(series.times), 0.1)
+
+
+# ------------------------------------------------- shared Euler step oracles
+
+
+_MU_RAMPS = [(0.0, 0.36), (0.2, None), (-0.1, 0.45)]
+
+
+@pytest.mark.parametrize("mu", _MU_RAMPS)
+@pytest.mark.parametrize("seed", [1, 2**63 + 5])
+def test_cpt_matches_scalar_oracle_bitwise(mu, seed):
+    params = pc.CptParams(r=1.0, mu_schedule=pc.MuSchedule(*mu), sigma=0.05, p0=1.0)
+    expected, step = ref.cpt(params, 5000, 0.02, seed)
+    assert step is None
+    assert np.array_equal(pc.simulate_cpt(params, 5000, 0.02, seed).values, expected)
+
+
+@pytest.mark.parametrize("r, lam, alpha_vol, p0", [(1.0, 1.0, 0.008, 1.0),
+                                                   (1.3, 2.5, 0.05, 0.4)])
+def test_spt_matches_scalar_oracle_bitwise(r, lam, alpha_vol, p0):
+    params = pc.SptParams(r=r, lam=lam, alpha_vol=alpha_vol, p0=p0)
+    expected, step = ref.spt(params, 5000, 0.01, 31)
+    assert step is None
+    assert np.array_equal(pc.simulate_spt(params, 5000, 0.01, 31).values, expected)
+
+
+@pytest.mark.parametrize("p0", [None, (1.0, 0.9, -0.5)])
+def test_multi_matches_vector_oracle(p0):
+    # the oracle cubes with numpy's x**3, the kernel with x*x*x: equal to rounding
+    params = pc.MultiParams(
+        r=(1.0, 0.8, 1.2),
+        lam=(1.0, 0.5, 2.0),
+        mu_schedule=pc.MuSchedule(0.0, 0.36),
+        sigma=(0.03, 0.05, 0.02),
+        coupling=((1.0, 0.5, 0.2), (0.5, 1.0, 0.4), (0.2, 0.4, 1.0)),
+        p0=p0,
+    )
+    expected, step = ref.multivariate(params, 5000, 0.02, 17)
+    assert step is None
+    paths = pc.simulate_multivariate(params, 5000, 0.02, 17)
+    got = np.column_stack([p.values for p in paths])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert [p.params["asset"] for p in paths] == [0, 1, 2]

