@@ -45,7 +45,7 @@ def main():
 
     # Dynamic, fat-tail family: stability index 2 -> 1.2, increments stay
     # independent, so only tail statistics move.
-    dpt = pc.DptParams(pc.StableSchedule(2.0, 1.2, ramp="linear", scale=0.01), scale=1.0)
+    dpt = pc.DptParams(pc.StableSchedule(2.0, 1.2, scale=0.01), scale=1.0)
     s = pc.simulate_dpt(dpt, 4096, 1.0, seed).to_price_series("dpt-stable")
     ghe1 = lambda series, cfg: pc.generalized_hurst(series, cfg)[0]
     print("dynamic route (stability index 2 -> 1.2)")
@@ -53,7 +53,7 @@ def main():
     print("  lag-1 autocorr  ", trend(s, pc.rolling_lag1_autocorr, MOMENT_CFG))
 
     # Dynamic, Hurst family: H 0.5 -> 0.9, the second-order exponent rises.
-    dpt_h = pc.DptParams(pc.HurstSchedule(0.5, 0.9, ramp="linear"), scale=0.01)
+    dpt_h = pc.DptParams(pc.HurstSchedule(0.5, 0.9), scale=0.01)
     s = pc.simulate_dpt(dpt_h, 2048, 1.0, seed).to_price_series("dpt-hurst")
     print("dynamic route (Hurst 0.5 -> 0.9)")
     print("  scaling exponent", trend(s, pc.anomalous_dimension, SCALING_CFG))

@@ -43,6 +43,7 @@ from .lppl import (
 from .noise import (
     HurstSchedule,
     NoisePath,
+    Ramp,
     StableSchedule,
     sample_alpha_stable,
     sample_gaussian_increments,
@@ -70,4 +71,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -112,7 +112,9 @@ def build_parser():
     p.add_argument("--alpha-vol", type=float, default=0.01)
     p.add_argument("--h-start", type=float, default=0.5)
     p.add_argument("--h-end", type=float, default=None)
-    p.add_argument("--t-start", type=int, default=0)
+    p.add_argument(
+        "--t-start", type=int, default=0, help="first step of the mu, H or alpha ramp"
+    )
     p.add_argument("--alpha-start", type=float, default=2.0)
     p.add_argument("--alpha-end", type=float, default=None)
     p.add_argument("--scale", type=float, default=1.0)
@@ -200,24 +202,23 @@ def _sim_config(args):
 
 def _cmd_simulate(args):
     n, dt, seed = args.n, args.dt, args.seed
+    mu = MuSchedule(args.mu_start, args.mu_end, t_start=args.t_start)
     if args.kind == "bm":
         noise = sample_gaussian_increments(n, dt, seed)
         paths = [SimPath(args.p0 + args.sigma * noise.path(), dt)]
     elif args.kind == "cpt":
-        params = CptParams(
-            args.r, MuSchedule(args.mu_start, args.mu_end), args.sigma, args.p0
-        )
+        params = CptParams(args.r, mu, args.sigma, args.p0)
         paths = [simulate_cpt(params, n, dt, seed)]
     elif args.kind == "spt":
         params = SptParams(args.r, args.lam, args.alpha_vol, args.p0)
         paths = [simulate_spt(params, n, dt, seed)]
     elif args.kind == "dpt-hurst":
-        ramp = "constant" if args.h_end is None else "linear"
-        sch = HurstSchedule(args.h_start, args.h_end, ramp, args.t_start, None)
+        sch = HurstSchedule(args.h_start, args.h_end, t_start=args.t_start)
         paths = [simulate_dpt(DptParams(sch, scale=args.scale, p0=args.p0), n, dt, seed)]
     elif args.kind == "dpt-stable":
-        ramp = "constant" if args.alpha_end is None else "linear"
-        sch = StableSchedule(args.alpha_start, args.alpha_end, args.scale, ramp)
+        sch = StableSchedule(
+            args.alpha_start, args.alpha_end, t_start=args.t_start, scale=args.scale
+        )
         paths = [simulate_dpt(DptParams(sch, scale=1.0, p0=args.p0), n, dt, seed)]
     else:  # multi
         k = args.k
@@ -227,7 +228,7 @@ def _cmd_simulate(args):
         params = MultiParams(
             r=(args.r,) * k,
             lam=(args.lam,) * k,
-            mu_schedule=MuSchedule(args.mu_start, args.mu_end),
+            mu_schedule=mu,
             sigma=(args.sigma,) * k,
             coupling=coupling,
             p0=(args.p0,) * k,

@@ -154,12 +154,6 @@ class WindowConfig:
                 f"{4 * max(self.tau_grid)} for scaling estimators"
             )
 
-    @classmethod
-    def scaling_default(cls):
-        """Default layout for the scaling estimators: window 512,
-        lags 2..32, stride 5."""
-        return cls(window=512, stride=5, tau_grid=(2, 4, 8, 16, 32))
-
 
 @dataclass
 class EwsSeries:

@@ -32,12 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import CsvParseError
 from .ews import PriceSeries, WindowConfig
-from .noise import (
-    HurstSchedule,
-    StableSchedule,
-    sample_alpha_stable,
-    sample_gaussian_increments,
-)
+from .noise import HurstSchedule, StableSchedule, sample_gaussian_increments
 from .simulate import (
     CptParams,
     DptParams,
@@ -204,7 +199,14 @@ def load_price_csv(path, calendar="as_is"):
 
 
 def write_price_csv(series_list, path):
-    """Serialise series back to ``date,ticker,close`` with 17-digit closes."""
+    """Serialise series back to ``date,ticker,close`` with 17-digit closes.
+
+    Ids with leading or trailing whitespace are refused: the loader strips
+    every field, so they would not come back unchanged.
+    """
+    padded = [s.id for s in series_list if s.id != s.id.strip()]
+    if padded:
+        raise ValueError(f"ids with leading or trailing whitespace: {padded!r}")
 
     def rows():
         for s in series_list:
@@ -333,42 +335,17 @@ def _simulate_asset(group, seed):
             p0=p.get("p0", 1.0),
         )
         values = simulate_spt(params, n, dt, seed).values
-    elif group.kind == "dpt_hurst":
-        onset = p.get("onset", 0.0)
-        sch = HurstSchedule(
-            p.get("h_start", 0.5),
-            p.get("h_end", 0.9),
-            ramp="linear",
-            t_start=int(onset * n),
-            t_end=n,
-        )
-        values = simulate_dpt(
-            DptParams(sch, scale=p.get("scale", 0.0015)), n, dt, seed
-        ).values
-    else:  # dpt_stable: flat alpha until onset, then linear ramp
-        onset = p.get("onset", 0.0)
+    else:  # dpt_hurst | dpt_stable: a flat noise law until onset, then a ramp
+        t_start = int(p.get("onset", 0.0) * n)
         scale = p.get("scale", 0.0015)
-        a0, a1 = p.get("alpha_start", 2.0), p.get("alpha_end", 1.2)
-        n1 = int(onset * n)
-        pieces = []
-        if n1 > 0:
-            pieces.append(
-                sample_alpha_stable(
-                    n1, StableSchedule(a0, scale=scale), dt, derive_seed(seed, 0)
-                ).increments
-            )
-        if n - n1 > 0:
-            pieces.append(
-                sample_alpha_stable(
-                    n - n1,
-                    StableSchedule(a0, a1, ramp="linear", scale=scale),
-                    dt,
-                    derive_seed(seed, 1),
-                ).increments
-            )
-        values = p.get("p0", 0.0) + np.concatenate(
-            [[0.0], np.cumsum(np.concatenate(pieces))]
-        )
+        if group.kind == "dpt_hurst":
+            h0, h1 = p.get("h_start", 0.5), p.get("h_end", 0.9)
+            params = DptParams(HurstSchedule(h0, h1, t_start=t_start), scale=scale)
+        else:
+            a0, a1 = p.get("alpha_start", 2.0), p.get("alpha_end", 1.2)
+            sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
+            params = DptParams(sch, scale=1.0, p0=p.get("p0", 0.0))
+        values = simulate_dpt(params, n, dt, seed).values
     values = values[:: group.sample_every]
     if group.forced_drop is not None:
         steps = np.arange(1, group.drop_len + 1) / group.drop_len

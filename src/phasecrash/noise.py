@@ -5,7 +5,7 @@ Three families are provided:
 * Wiener increments: iid Gaussian, variance ``dt`` per step; every
   Brownian path in the package is a scaled cumulative sum of them.
 * Symmetric alpha-stable increments via the Chambers-Mallows-Stuck
-  transform, with a fixed or linearly ramped stability index. The
+  transform, with the stability index on a :class:`Ramp` schedule. The
   per-step scale is ``scale * dt ** (1 / alpha)``.
 * Fractional Brownian motion. Constant-Hurst paths are exact Gaussian
   draws by circulant embedding (Davies-Harte), which is nonnegative for
@@ -20,7 +20,7 @@ same inputs, bit-identical output. Batches split one master seed into
 per-path seeds with :func:`phasecrash.io.derive_seed`.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import GenerationError
 
 __all__ = [
     "NoisePath",
+    "Ramp",
     "HurstSchedule",
     "StableSchedule",
     "sample_gaussian_increments",
@@ -52,73 +53,73 @@ def _check_seed(seed):
 
 
 @dataclass(frozen=True)
-class HurstSchedule:
-    """Hurst exponent over the path: constant, or a linear ramp between
-    step indices ``t_start`` and ``t_end`` (flat outside the ramp)."""
+class Ramp:
+    """A per-step value that holds ``start`` before step ``t_start``, runs
+    ``np.linspace(start, end, t_end - t_start)`` over ``[t_start, t_end)``
+    and holds ``end`` after; ``t_end`` defaults to the path length and the
+    ramp is cut off at the path's end. Constant when ``end`` is omitted."""
 
-    h_start: float
-    h_end: float | None = None
-    ramp: str = "constant"
+    start: float
+    end: float | None = None
     t_start: int = 0
     t_end: int | None = None
 
     def __post_init__(self):
-        if self.ramp not in ("constant", "linear"):
-            raise ValueError(f"unknown ramp kind {self.ramp!r}")
-        end = self.h_start if self.h_end is None else self.h_end
-        for h in (self.h_start, end):
-            if not 0.0 < h < 1.0:
-                raise ValueError(f"Hurst exponent must lie in (0, 1), got {h}")
-        if self.ramp == "linear":
-            if self.t_end is not None and self.t_start >= self.t_end:
-                raise ValueError("t_start must be < t_end for a linear ramp")
+        if not isinstance(self.t_start, (int, np.integer)) or self.t_start < 0:
+            raise ValueError(f"t_start must be an integer >= 0, got {self.t_start!r}")
+        if self.t_end is not None and self.t_end <= self.t_start:
+            raise ValueError(f"t_end {self.t_end} must exceed t_start {self.t_start}")
 
     def values(self, n):
-        """Per-step Hurst exponents for a path of ``n`` increments."""
-        end = self.h_start if self.h_end is None else self.h_end
-        if self.ramp == "constant":
-            return np.full(n, self.h_start)
-        t_end = n if self.t_end is None else min(self.t_end, n)
-        t_start = min(self.t_start, t_end - 1)
-        h = np.full(n, self.h_start)
-        span = t_end - t_start
-        ramp = self.h_start + (end - self.h_start) * (
-            np.arange(span) + 1.0
-        ) / span
-        h[t_start:t_end] = ramp
-        h[t_end:] = end
-        return h
+        """Per-step values for a path of ``n`` steps."""
+        end = self.start if self.end is None else self.end
+        t_end = n if self.t_end is None else self.t_end
+        out = np.full(n, float(end))
+        out[: self.t_start] = self.start
+        ramp = np.linspace(self.start, end, max(t_end - self.t_start, 0))
+        out[self.t_start : t_end] = ramp[: max(n - self.t_start, 0)]
+        return out
 
     def is_constant(self):
-        return self.ramp == "constant" or self.h_end in (None, self.h_start)
+        return self.end is None or self.end == self.start
+
+
+def _check_schedule(sch, ramp, name, interval, inside):
+    # ``ramp`` selects nothing; it is accepted for callers that still pass
+    # ramp="linear", and ramp="constant" must not contradict ``end``
+    if ramp not in ("constant", "linear"):
+        raise ValueError(f"unknown ramp kind {ramp!r}")
+    if ramp == "constant" and not sch.is_constant():
+        raise ValueError(f"ramp='constant' but end {sch.end} != start {sch.start}")
+    for v in (sch.start, sch.end):
+        if v is not None and not inside(v):
+            raise ValueError(f"{name} must lie in {interval}, got {v}")
 
 
 @dataclass(frozen=True)
-class StableSchedule:
-    """Stability index over the path: constant, or a linear ramp from
-    ``alpha_start`` to ``alpha_end`` across the whole path."""
+class HurstSchedule(Ramp):
+    """Hurst exponent over the path, a :class:`Ramp` of values in (0, 1)."""
 
-    alpha_start: float
-    alpha_end: float | None = None
+    ramp: InitVar[str] = "linear"
+
+    def __post_init__(self, ramp):
+        super().__post_init__()
+        _check_schedule(self, ramp, "Hurst exponent", "(0, 1)", lambda h: 0 < h < 1)
+
+
+@dataclass(frozen=True)
+class StableSchedule(Ramp):
+    """Stability index over the path, a :class:`Ramp` of values in (0, 2],
+    with a per-step scale."""
+
     scale: float = 1.0
-    ramp: str = "constant"
+    ramp: InitVar[str] = "linear"
 
-    def __post_init__(self):
-        if self.ramp not in ("constant", "linear"):
-            raise ValueError(f"unknown ramp kind {self.ramp!r}")
-        end = self.alpha_start if self.alpha_end is None else self.alpha_end
-        for a in (self.alpha_start, end):
-            if not 0.0 < a <= 2.0:
-                raise ValueError(f"stability index must lie in (0, 2], got {a}")
+    def __post_init__(self, ramp):
+        super().__post_init__()
+        _check_schedule(self, ramp, "stability index", "(0, 2]", lambda a: 0 < a <= 2)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    def values(self, n):
-        """Per-step stability indices for a path of ``n`` increments."""
-        end = self.alpha_start if self.alpha_end is None else self.alpha_end
-        if self.ramp == "constant":
-            return np.full(n, self.alpha_start)
-        return np.linspace(self.alpha_start, end, n)
 
 
 @dataclass
@@ -218,7 +219,7 @@ def _fgn_constant(h, n, rng):
     return np.fft.fft(spec).real[:n]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)  # one factor is up to 8 * MAX_MBM_STEPS**2 bytes
 def _mbm_cholesky_factor(schedule, n, dt):
     h = schedule.values(n)
     t = np.arange(1, n + 1) * dt
@@ -250,7 +251,7 @@ def synth_fbm(n, schedule, dt, seed):
     n, dt = _check_n_dt(n, dt)
     rng = np.random.default_rng(_check_seed(seed))
     if schedule.is_constant():
-        inc = _fgn_constant(schedule.h_start, n, rng) * dt**schedule.h_start
+        inc = _fgn_constant(schedule.start, n, rng) * dt**schedule.start
     elif n > MAX_MBM_STEPS:
         raise GenerationError(
             f"ramped-Hurst paths are limited to {MAX_MBM_STEPS} steps, got {n}",

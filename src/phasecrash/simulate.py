@@ -28,6 +28,7 @@ import numpy as np
 from .errors import SimulationOverflowError
 from .noise import (
     HurstSchedule,
+    Ramp,
     StableSchedule,
     _check_seed,
     sample_alpha_stable,
@@ -49,17 +50,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MuSchedule:
-    """Drift offset mu(t): a linear ramp from ``mu_start`` to ``mu_end``
-    over the whole run, constant when ``mu_end`` is omitted."""
-
-    mu_start: float
-    mu_end: float | None = None
-
-    def values(self, n):
-        end = self.mu_start if self.mu_end is None else self.mu_end
-        return np.linspace(self.mu_start, end, n)
+#: Drift offset mu(t), constant when its end is omitted.
+MuSchedule = Ramp
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ def dpt_hurst_trend_taus():
     """Per-seed Kendall tau of windowed scaling exponents along a
     0.5 -> 0.9 Hurst ramp; shared by the noise, simulator, and estimator
     trend tests (identical computation in all three contracts)."""
-    sch = pc.HurstSchedule(0.5, 0.9, ramp="linear")
+    sch = pc.HurstSchedule(0.5, 0.9)
     params = pc.DptParams(sch, scale=0.01)
     cfg = pc.WindowConfig(window=512, stride=128, tau_grid=(2, 4, 8, 16, 32))
     taus = []

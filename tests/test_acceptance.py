@@ -208,7 +208,7 @@ def test_criterion_5_ews_signature_matrix(dpt_hurst_trend_taus):
 
     # dynamic route, fat-tail family: independent increments keep the
     # autocorrelation flat while the order-1 exponent tracks 1/alpha
-    dpt_a = pc.DptParams(pc.StableSchedule(2.0, 1.2, ramp="linear", scale=0.01), scale=1.0)
+    dpt_a = pc.DptParams(pc.StableSchedule(2.0, 1.2, scale=0.01), scale=1.0)
     dpta_series = lambda seed: pc.simulate_dpt(dpt_a, 4096, 1.0, seed).to_price_series("dpta")
     ghe1 = _trend_taus(
         dpta_series,

@@ -173,6 +173,16 @@ def test_roundtrip_ids_with_comma_and_quote(tmp_path):
     assert all(len(r) == 5 for r in rows)
 
 
+def test_write_refuses_ids_with_outer_whitespace(tmp_path):
+    # the loader strips fields, so " PAD " would come back as "PAD"
+    t = np.arange(3.0)
+    series = [pc.PriceSeries(t, 4.0 + t, i) for i in ("PAD", " PAD ")]
+    path = tmp_path / "pad.csv"
+    with pytest.raises(ValueError, match="' PAD '"):
+        write_price_csv(series, str(path))
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ corpus
 
 
@@ -328,6 +338,31 @@ def test_cli_simulate_byte_identical_reruns(tmp_path):
         assert rc == 0
         outs.append(open(os.path.join(out, "path.csv"), "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_cli_simulate_dpt_stable_honours_t_start(tmp_path):
+    def cli_path(t_start):
+        out = str(tmp_path / f"t{t_start}")
+        rc = cli_dispatch(
+            ["simulate", "--kind", "dpt-stable", "--alpha-end", "1.2", "--t-start",
+             str(t_start), "--n", "400", "--dt", "1", "--scale", "0.01", "--p0", "0",
+             "--seed", "7", "--out", out]
+        )
+        assert rc == 0
+        return load_price_csv(os.path.join(out, "path.csv"))[0].log_prices
+
+    sch = pc.StableSchedule(2.0, 1.2, t_start=300, scale=0.01)
+    expected = pc.simulate_dpt(pc.DptParams(sch, scale=1.0), 400, 1.0, 7).values
+    got = cli_path(300)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert not np.allclose(got, cli_path(0))
+
+
+def test_cli_simulate_negative_t_start_is_a_clear_error(tmp_path, capsys):
+    rc = cli_dispatch(["simulate", "--kind", "dpt-hurst", "--h-end", "0.9", "--n", "50",
+                       "--t-start", "-5", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "t_start must be an integer >= 0, got -5" in capsys.readouterr().err
 
 
 def test_cli_ews_schema(tmp_path):

@@ -190,7 +190,7 @@ def test_fbm_negative_embedding_raises(monkeypatch):
 
 
 def test_fbm_ramped_hurst_refused_above_limit():
-    sch = pc.HurstSchedule(0.5, 0.9, ramp="linear")
+    sch = pc.HurstSchedule(0.5, 0.9)
     n = noise.MAX_MBM_STEPS + 1
     tracemalloc.start()
     try:
@@ -206,7 +206,7 @@ def test_fbm_ramped_hurst_refused_above_limit():
 
 
 def test_fbm_time_varying_determinism():
-    sch = pc.HurstSchedule(0.5, 0.9, ramp="linear")
+    sch = pc.HurstSchedule(0.5, 0.9)
     a = pc.synth_fbm(256, sch, 1.0, 21)
     b = pc.synth_fbm(256, sch, 1.0, 21)
     assert np.array_equal(a.increments, b.increments)
@@ -223,17 +223,95 @@ def test_hurst_schedule_validation():
     with pytest.raises(ValueError):
         pc.HurstSchedule(0.0)
     with pytest.raises(ValueError):
-        pc.HurstSchedule(0.5, 1.0, ramp="linear")
+        pc.HurstSchedule(0.5, 1.0)
     with pytest.raises(ValueError):
-        pc.HurstSchedule(0.5, 0.9, ramp="linear", t_start=10, t_end=10)
+        pc.HurstSchedule(0.5, 0.9, t_start=10, t_end=10)
     with pytest.raises(ValueError):
         pc.HurstSchedule(0.5, ramp="quadratic")
     with pytest.raises(ValueError):
         pc.synth_fbm(10, pc.StableSchedule(1.5), 1.0, 1)
 
 
+# ------------------------------------------------------------------ ramp
+
+
+def _ramp_oracle(start, end, t_start, t_end, n):
+    end = start if end is None else end
+    t_end = n if t_end is None else t_end
+    i = np.arange(n)
+    # a span of one step is just ``start`` at t_start: guard the 0/0
+    frac = np.clip((i - t_start) / max(t_end - 1 - t_start, 1), 0.0, 1.0)
+    return start + (end - start) * frac
+
+
+@pytest.mark.parametrize(
+    "start, end, t_start, t_end, n",
+    [
+        (0.5, 0.9, 0, None, 5),  # whole path
+        (0.5, 0.9, 3, 8, 12),  # flat, ramp, flat
+        (2.0, 1.2, 4, None, 10),  # ramp to the end of the path
+        (0.5, 0.9, 12, None, 10),  # t_start >= n: flat at start
+        (0.5, 0.9, 10, None, 10),
+        (0.5, 0.9, 6, 20, 10),  # t_end > n: ramp truncated
+        (0.5, 0.9, 15, 20, 10),
+        (0.5, 0.9, 4, 5, 8),  # span of 1
+        (0.5, None, 2, 6, 8),  # end omitted
+        (0.7, 0.7, 2, 6, 8),  # end == start
+        (-0.1, 0.3, 0, 1000, 1000),
+    ],
+)
+def test_ramp_matches_oracle(start, end, t_start, t_end, n):
+    r = pc.Ramp(start, end, t_start, t_end)
+    v = r.values(n)
+    assert v.shape == (n,)
+    assert np.allclose(v, _ramp_oracle(start, end, t_start, t_end, n), rtol=0, atol=1e-15)
+    assert r.is_constant() == (end is None or end == start)
+
+
+def test_schedules_ramp_without_ramp_keyword():
+    # H and alpha ramp like mu; neither is a constant path by default
+    h = pc.HurstSchedule(0.5, 0.9)
+    assert not h.is_constant()
+    assert np.array_equal(h.values(5), np.linspace(0.5, 0.9, 5))
+    a = pc.StableSchedule(2.0, 1.2, scale=0.5)
+    assert np.array_equal(a.values(7), np.linspace(2.0, 1.2, 7))
+    # the ramp starts exactly at its start value
+    assert pc.HurstSchedule(0.5, 0.9, t_start=3).values(10)[3] == 0.5
+
+
+def test_ramp_keyword_selects_nothing():
+    assert pc.HurstSchedule(0.5, 0.9, ramp="linear") == pc.HurstSchedule(0.5, 0.9)
+    assert pc.StableSchedule(1.5, ramp="constant").is_constant()
+    with pytest.raises(ValueError, match="constant"):
+        pc.HurstSchedule(0.5, 0.9, ramp="constant")
+    with pytest.raises(ValueError, match="constant"):
+        pc.StableSchedule(2.0, 1.2, ramp="constant")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pc.Ramp, pc.HurstSchedule, pc.StableSchedule],
+    ids=["ramp", "hurst", "stable"],
+)
+def test_ramp_rejects_bad_step_range(make):
+    with pytest.raises(ValueError, match="t_start must be an integer >= 0, got -5"):
+        make(0.5, 0.9, t_start=-5)
+    with pytest.raises(ValueError, match="must exceed t_start"):
+        make(0.5, 0.9, t_start=4, t_end=4)
+    with pytest.raises(ValueError, match="integer"):  # e.g. a scale passed by position
+        make(0.5, 0.9, 2.0)
+
+
+def test_mbm_factor_cache_holds_one_factor():
+    noise._mbm_cholesky_factor.cache_clear()
+    for t_start in (0, 10, 20):
+        pc.synth_fbm(64, pc.HurstSchedule(0.5, 0.9, t_start=t_start), 1.0, 1)
+    assert noise._mbm_cholesky_factor.cache_info().currsize == 1
+    noise._mbm_cholesky_factor.cache_clear()
+
+
 def test_generation_error_names_schedule(monkeypatch):
-    sch = pc.HurstSchedule(0.5, 0.9, ramp="linear")
+    sch = pc.HurstSchedule(0.5, 0.9)
     monkeypatch.setattr(
         np.linalg,
         "cholesky",

@@ -28,6 +28,11 @@ def _rk4_autonomous(f, x0, n, dt):
 # ------------------------------------------------------------------- CPT
 
 
+@pytest.mark.parametrize("a, b, n", [(0.0, 0.36, 2000), (0.37, 0.40, 7), (-0.1, -0.3, 1)])
+def test_mu_schedule_is_linspace(a, b, n):
+    assert np.array_equal(pc.MuSchedule(a, b).values(n), np.linspace(a, b, n))
+
+
 def test_cpt_zero_noise_fixed_point():
     params = pc.CptParams(r=1.0, mu_schedule=_const_mu(0.0), sigma=0.0, p0=1.0)
     path = pc.simulate_cpt(params, 2000, 0.01, 1)  # n*dt = 20
@@ -191,7 +196,7 @@ def test_dpt_hurst_ramp_scaling_trend(dpt_hurst_trend_taus):
 
 
 def test_dpt_stable_ramp_fattens_tails():
-    spec = pc.DptParams(pc.StableSchedule(2.0, 1.2, ramp="linear", scale=1.0), scale=1.0)
+    spec = pc.DptParams(pc.StableSchedule(2.0, 1.2, scale=1.0), scale=1.0)
     wins = 0
     for i in range(100):
         path = pc.simulate_dpt(spec, 4000, 1.0, derive_seed(88, i))
