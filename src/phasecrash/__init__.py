@@ -71,4 +71,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -340,11 +340,12 @@ def _simulate_asset(group, seed):
         scale = p.get("scale", 0.0015)
         if group.kind == "dpt_hurst":
             h0, h1 = p.get("h_start", 0.5), p.get("h_end", 0.9)
-            params = DptParams(HurstSchedule(h0, h1, t_start=t_start), scale=scale)
+            sch = HurstSchedule(h0, h1, t_start=t_start)
         else:
             a0, a1 = p.get("alpha_start", 2.0), p.get("alpha_end", 1.2)
             sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
-            params = DptParams(sch, scale=1.0, p0=p.get("p0", 0.0))
+            scale = 1.0  # the stable schedule carries the scale
+        params = DptParams(sch, scale=scale, p0=p.get("p0", 0.0))
         values = simulate_dpt(params, n, dt, seed).values
     values = values[:: group.sample_every]
     if group.forced_drop is not None:

@@ -10,15 +10,20 @@ valid for t < tc only. The companion hazard rate is
 ``alpha * (tc - t)**(m - 1) * (1 + beta * cos(omega * ln(tc - t) - phi))``,
 nonnegative whenever ``|beta| <= 1``.
 
-Calibration profiles out the linear parameters: for fixed (tc, m, omega)
-the best (A, B, C1, C2) solve an ordinary least-squares problem on the
-four basis functions above, so the search runs over a coarse
-(tc, m, omega) grid followed by Nelder-Mead refinement of the best grid
-nodes. Ties in the residual are broken by lexicographic (tc, m, omega)
-so parallel and serial sweeps return the same fit. The linear solve is
-rank-revealing; design matrices with condition number above 1e12 raise
+Calibration profiles out the linear parameters (Filimonov & Sornette
+2013): for fixed (tc, m, omega) the best (A, B, C1, C2) solve an ordinary
+least-squares problem on the four basis functions above. One QR
+factorisation of the augmented design ``[1, f, f*cos, f*sin | y]`` gives
+the residual as the square of R's last diagonal entry, and the singular
+values of R's leading 4x4 block, which are the design's, gate the node: a
+numerical rank below 4 or a condition number above 1e12 makes it
+degenerate. The grid skips such nodes, Nelder-Mead sees an infinite
+residual there and :func:`solve_linear_params` raises
 :class:`~phasecrash.errors.DegenerateDesignError` instead of returning
-noise-amplified coefficients.
+noise-amplified coefficients. The search factorises a coarse grid one
+(tc, m) row of omegas at a time, then refines the best nodes with
+Nelder-Mead. Ties in the residual are broken by lexicographic
+(tc, m, omega), so the fit does not depend on the order of the grid.
 
 Fitting arbitrary data always yields *some* finite-residual parameters;
 when a series has no log-periodic structure the improvement over a pure
@@ -106,6 +111,7 @@ class LpplFit:
     n_obs: int
     grid_evals: int
     converged: bool
+    degenerate_nodes: int
 
     def to_dict(self):
         p = self.params
@@ -122,6 +128,7 @@ class LpplFit:
             "ssr": self.ssr,
             "n_obs": self.n_obs,
             "converged": self.converged,
+            "degenerate_nodes": self.degenerate_nodes,
         }
 
 
@@ -190,23 +197,28 @@ def hazard_rate(params, t):
     return float(h) if np.isscalar(t) else h
 
 
-def _design_matrix(times, tc, m, omega):
+def _profile(times, y, tc, m, omega):
+    """Profile (A, B, C1, C2) out at (tc, m, omega); ``m`` and ``omega``
+    broadcast. Returns ``(ssr, ok, sv, r)``: the residual, the gate (rank 4
+    at rcond = eps * max(n, 4) and condition at most 1e12), the design's
+    singular values and the R factor of the augmented design."""
     tail = tc - times
-    f = tail**m
-    phase = omega * np.log(tail)
-    return np.column_stack([np.ones_like(f), f, f * np.cos(phase), f * np.sin(phase)])
-
-
-def _solve_linear(times, y, tc, m, omega):
-    x = _design_matrix(times, tc, m, omega)
-    beta, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 4 or sv[-1] == 0.0 or sv[0] / sv[-1] > _MAX_CONDITION:
-        raise DegenerateDesignError(
-            f"design matrix at (tc={tc}, m={m}, omega={omega}) is degenerate "
-            f"(condition {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3g})"
-        )
-    resid = y - x @ beta
-    return beta, float(resid @ resid)
+    f = tail ** np.asarray(m)[..., None]
+    phase = np.asarray(omega)[..., None] * np.log(tail)
+    fcos = f * np.cos(phase)
+    # rows hold the columns, so each swapped matrix is Fortran-ordered for LAPACK
+    a = np.empty(fcos.shape[:-1] + (5, times.size))
+    a[..., 0, :] = 1.0
+    a[..., 1, :] = f
+    a[..., 2, :] = fcos
+    a[..., 3, :] = f * np.sin(phase)
+    a[..., 4, :] = y
+    r = np.linalg.qr(a.swapaxes(-1, -2), mode="r")
+    sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
+    lo, hi = sv[..., -1], sv[..., 0]
+    rcond = np.finfo(float).eps * max(times.size, 4)
+    ok = (lo > rcond * hi) & (hi <= _MAX_CONDITION * lo)
+    return r[..., 4, 4] ** 2, ok, sv, r
 
 
 def solve_linear_params(tc, m, omega, series):
@@ -216,8 +228,14 @@ def solve_linear_params(tc, m, omega, series):
         raise ValueError("need at least 8 observations for the linear subproblem")
     if tc <= times[-1]:
         raise ValueError(f"tc = {tc} must exceed every observation time")
-    beta, ssr = _solve_linear(times, y, tc, m, omega)
-    return beta[0], beta[1], beta[2], beta[3], ssr
+    ssr, ok, sv, r = _profile(times, y, tc, m, omega)
+    if not ok:
+        raise DegenerateDesignError(
+            f"design matrix at (tc={tc}, m={m}, omega={omega}) is degenerate "
+            f"(condition {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3g})"
+        )
+    beta = np.linalg.solve(r[:4, :4], r[:4, 4])
+    return beta[0], beta[1], beta[2], beta[3], float(ssr)
 
 
 def power_law_ssr(series, tc, m):
@@ -229,10 +247,9 @@ def power_law_ssr(series, tc, m):
     tail = tc - series.times
     if np.any(tail <= 0):
         raise ValueError(f"tc = {tc} must exceed every observation time")
-    x = np.column_stack([np.ones_like(tail), tail**m])
-    beta, _, _, _ = np.linalg.lstsq(x, series.log_prices, rcond=None)
-    resid = series.log_prices - x @ beta
-    return float(resid @ resid)
+    # the last diagonal entry of R for [1, f | y], as in _profile
+    a = np.column_stack([np.ones_like(tail), tail**m, series.log_prices])
+    return float(np.linalg.qr(a, mode="r")[2, 2] ** 2)
 
 
 def _default_tc_bounds(times):
@@ -267,31 +284,25 @@ def fit_lppl(series, search=None):
     ms = _grid(search.m_grid, search.m_bounds, search.n_m)
     omegas = _grid(search.omega_grid, search.omega_bounds, search.n_omega)
 
-    evals = 0
-    candidates = []  # (ssr, tc, m, omega, beta)
-    for tc in tcs:
-        if tc <= tc_floor:
-            continue
-        for m in ms:
-            for omega in omegas:
-                evals += 1
-                try:
-                    beta, ssr = _solve_linear(times, y, tc, m, omega)
-                except DegenerateDesignError:
-                    continue
-                candidates.append((ssr, tc, m, omega, beta))
-    if not candidates:
+    # one (tc, m) row of omegas per kernel call keeps the working set to one row
+    live = tcs[tcs > tc_floor]
+    shape = (live.size, ms.size, omegas.size)
+    ssr, ok = np.empty(shape), np.empty(shape, dtype=bool)
+    for i, j in np.ndindex(shape[:2]):
+        ssr[i, j], ok[i, j], _, _ = _profile(times, y, live[i], ms[j], omegas)
+    keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
+    order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)
+    if not order.size:
         raise FitFailureError("every grid node had a degenerate design matrix")
-    candidates.sort(key=lambda c: c[:4])
+    candidates = [tuple(key[k] for key in keys) for k in order]
+    evals, degenerate = ssr.size, int(ssr.size - ok.sum())
 
     def objective(theta):
         tc, m, omega = theta
         if tc <= tc_floor or not 0.0 < m < 1.0 or omega <= 0.0:
             return np.inf
-        try:
-            return _solve_linear(times, y, tc, m, omega)[1]
-        except DegenerateDesignError:
-            return np.inf
+        ssr, ok, _, _ = _profile(times, y, tc, m, omega)
+        return float(ssr) if ok else np.inf
 
     best = candidates[0]
     converged = False
@@ -300,7 +311,7 @@ def fit_lppl(series, search=None):
         search.m_bounds,
         search.omega_bounds,
     ]
-    for ssr0, tc0, m0, omega0, _ in candidates[: search.refine_top_k]:
+    for _, tc0, m0, omega0 in candidates[: search.refine_top_k]:
         res = minimize(
             objective,
             np.array([tc0, m0, omega0]),
@@ -312,28 +323,18 @@ def fit_lppl(series, search=None):
         if not np.isfinite(res.fun):
             continue
         converged = converged or bool(res.success)
-        tc, m, omega = res.x
-        try:
-            beta, ssr = _solve_linear(times, y, tc, m, omega)
-        except DegenerateDesignError:
-            continue
-        if (ssr, tc, m, omega) < (best[0], best[1], best[2], best[3]):
-            best = (ssr, tc, m, omega, beta)
+        # res.fun is the objective at res.x, a node the gate accepted
+        if (res.fun, *res.x) < best:
+            best = (res.fun, *res.x)
 
-    ssr, tc, m, omega, beta = best
-    params = LpplParams(
-        A=float(beta[0]),
-        B=float(beta[1]),
-        C1=float(beta[2]),
-        C2=float(beta[3]),
-        m=float(m),
-        omega=float(omega),
-        tc=float(tc),
-    )
+    ssr, tc, m, omega = best
+    *beta, _ = solve_linear_params(tc, m, omega, series)
+    params = LpplParams(*map(float, (*beta, m, omega, tc)))
     return LpplFit(
         params=params,
         ssr=float(ssr),
         n_obs=len(series),
         grid_evals=evals,
         converged=converged,
+        degenerate_nodes=degenerate,
     )

@@ -76,8 +76,14 @@ class Ramp:
         t_end = n if self.t_end is None else self.t_end
         out = np.full(n, float(end))
         out[: self.t_start] = self.start
-        ramp = np.linspace(self.start, end, max(t_end - self.t_start, 0))
-        out[self.t_start : t_end] = ramp[: max(n - self.t_start, 0)]
+        span, k = t_end - self.t_start, min(n, t_end) - self.t_start
+        if k > 0:
+            # the first k of np.linspace(start, end, span), by linspace's own
+            # arithmetic, so a long t_end costs no memory the path never uses
+            step = (end - self.start) / (span - 1) if span > 1 else 0.0
+            out[self.t_start : self.t_start + k] = np.arange(k) * step + self.start
+            if k == span and span > 1:
+                out[t_end - 1] = end
         return out
 
     def is_constant(self):

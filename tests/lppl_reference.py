@@ -1,0 +1,131 @@
+"""Slow per-node reference oracle for the LPPL profile search.
+
+Each grid node builds its own four-column design matrix and solves it
+with ``np.linalg.lstsq``; the residual is ``y - X @ beta`` squared and
+summed. A node is degenerate when lstsq's rank falls under 4 or the
+condition number exceeds ``1e12``. ``fit_lppl`` walks the grid node by
+node, sorts the survivors by ``(ssr, tc, m, omega)`` and refines the best
+with Nelder-Mead on the same solve. The batched QR kernel in
+``phasecrash.lppl`` must choose the same grid node, refuse the same nodes
+and agree on the residuals to a fixed tolerance.
+"""
+
+import numpy as np
+from scipy.optimize import minimize
+
+import phasecrash as pc
+from phasecrash.errors import DegenerateDesignError, FitFailureError
+from phasecrash.lppl import _default_tc_bounds, _grid
+
+MAX_CONDITION = 1e12
+
+
+def design_matrix(times, tc, m, omega):
+    tail = tc - times
+    f = tail**m
+    phase = omega * np.log(tail)
+    return np.column_stack([np.ones_like(f), f, f * np.cos(phase), f * np.sin(phase)])
+
+
+def solve_linear(times, y, tc, m, omega):
+    """``(beta, ssr, cond)``; raises DegenerateDesignError like the gate."""
+    x = design_matrix(times, tc, m, omega)
+    beta, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
+    cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
+    if rank < 4 or sv[-1] == 0.0 or cond > MAX_CONDITION:
+        raise DegenerateDesignError(f"degenerate at ({tc}, {m}, {omega})")
+    resid = y - x @ beta
+    return beta, float(resid @ resid), cond
+
+
+def power_law_ssr(series, tc, m):
+    tail = tc - series.times
+    x = np.column_stack([np.ones_like(tail), tail**m])
+    beta, _, _, _ = np.linalg.lstsq(x, series.log_prices, rcond=None)
+    resid = series.log_prices - x @ beta
+    return float(resid @ resid)
+
+
+def grid(times, y, tcs, ms, omegas):
+    """Per-node ``(ssr, cond)`` arrays of shape (tc, m, omega); NaN where
+    the node is degenerate."""
+    ssr = np.full((len(tcs), len(ms), len(omegas)), np.nan)
+    cond = np.full_like(ssr, np.nan)
+    for i, tc in enumerate(tcs):
+        for j, m in enumerate(ms):
+            for k, omega in enumerate(omegas):
+                try:
+                    node = solve_linear(times, y, tc, m, omega)
+                except DegenerateDesignError:
+                    continue
+                ssr[i, j, k], cond[i, j, k] = node[1:]
+    return ssr, cond
+
+
+def fit_lppl(series, search=None):
+    """The per-node profiled least-squares fit; returns an ``LpplFit``."""
+    search = search or pc.SearchConfig()
+    times, y = series.times, series.log_prices
+    tc_bounds = search.tc_bounds or _default_tc_bounds(times)
+    tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))
+    tcs = _grid(search.tc_grid, tc_bounds, search.n_tc)
+    ms = _grid(search.m_grid, search.m_bounds, search.n_m)
+    omegas = _grid(search.omega_grid, search.omega_bounds, search.n_omega)
+
+    evals, degenerate = 0, 0
+    candidates = []  # (ssr, tc, m, omega, beta)
+    for tc in tcs:
+        if tc <= tc_floor:
+            continue
+        for m in ms:
+            for omega in omegas:
+                evals += 1
+                try:
+                    beta, ssr, _ = solve_linear(times, y, tc, m, omega)
+                except DegenerateDesignError:
+                    degenerate += 1
+                    continue
+                candidates.append((ssr, tc, m, omega, beta))
+    if not candidates:
+        raise FitFailureError("every grid node had a degenerate design matrix")
+    candidates.sort(key=lambda c: c[:4])
+
+    def objective(theta):
+        tc, m, omega = theta
+        if tc <= tc_floor or not 0.0 < m < 1.0 or omega <= 0.0:
+            return np.inf
+        try:
+            return solve_linear(times, y, tc, m, omega)[1]
+        except DegenerateDesignError:
+            return np.inf
+
+    best = candidates[0]
+    converged = False
+    nm_bounds = [
+        (tc_floor, max(tc_bounds[1], tcs.max())),
+        search.m_bounds,
+        search.omega_bounds,
+    ]
+    for _, tc0, m0, omega0, _ in candidates[: search.refine_top_k]:
+        res = minimize(
+            objective,
+            np.array([tc0, m0, omega0]),
+            method="Nelder-Mead",
+            bounds=nm_bounds,
+            options={"maxiter": search.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
+        )
+        evals += res.nfev
+        if not np.isfinite(res.fun):
+            continue
+        converged = converged or bool(res.success)
+        tc, m, omega = res.x
+        try:
+            beta, ssr, _ = solve_linear(times, y, tc, m, omega)
+        except DegenerateDesignError:
+            continue
+        if (ssr, tc, m, omega) < best[:4]:
+            best = (ssr, tc, m, omega, beta)
+
+    ssr, tc, m, omega, beta = best
+    params = pc.LpplParams(*map(float, (*beta, m, omega, tc)))
+    return pc.LpplFit(params, float(ssr), len(series), evals, converged, degenerate)

@@ -220,6 +220,14 @@ def test_bm_is_scaled_gaussian_cumsum(tmp_path):
     assert np.max(np.abs(s.log_prices - expected)) < 1e-15
 
 
+@pytest.mark.parametrize("kind", ["bm", "dpt_hurst", "dpt_stable"])
+def test_synth_corpus_honours_p0(kind):
+    # p0 is a plain offset for these kinds, so the path starts exactly there
+    spec = {"groups": [{"kind": kind, "count": 1, "n": 200, "params": {"p0": 5.0}}]}
+    (s,) = synth_corpus(spec, 3)
+    assert s.log_prices[0] == 5.0
+
+
 def test_synth_corpus_empty():
     assert synth_corpus({"groups": []}, 1) == []
 

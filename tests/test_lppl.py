@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 import phasecrash as pc
 from phasecrash.errors import DegenerateDesignError
 from phasecrash.io import derive_seed
+from phasecrash.lppl import _profile
+
+import lppl_reference as ref
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -277,6 +281,107 @@ def test_fit_to_dict_schema():
     d = fit.to_dict()
     assert set(d) == {
         "A", "B", "C1", "C2", "C", "phi", "m", "omega", "tc", "ssr", "n_obs",
-        "converged",
+        "converged", "degenerate_nodes",
     }
     assert d["C"] == pytest.approx(math.hypot(d["C1"], d["C2"]))
+
+
+# -------------------------------------------- batched kernel vs oracle
+
+
+def _oracle_series(kind, n, seed):
+    # a criterion-2 bubble (tc = 1.1 n, 1% noise) or an iid-return walk
+    rng = np.random.default_rng(derive_seed(seed, n))
+    if kind == "bubble":
+        p = _params(A=7.0, B=-0.5, tc=1.1 * n)
+        return _synthetic_series(p, n=n, noise=0.01, seed=derive_seed(seed, n))
+    walk = np.cumsum(0.01 * rng.standard_normal(n))
+    return pc.PriceSeries(np.arange(float(n)), walk, kind)
+
+
+def _kernel_grid(series, tcs, ms, omegas):
+    # one call per tc, with m down the rows and omega along them
+    rows = [_profile(series.times, series.log_prices, tc, ms[:, None], omegas)
+            for tc in tcs]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+@pytest.mark.parametrize("kind", ["bubble", "walk"])
+@pytest.mark.parametrize("n", [30, 250, 1000])
+def test_grid_matches_reference_oracle(kind, n):
+    series = _oracle_series(kind, n, 71)
+    cfg = pc.SearchConfig(refine_top_k=0)
+    fit, oracle = pc.fit_lppl(series, cfg), ref.fit_lppl(series, cfg)
+    got = (fit.params.tc, fit.params.m, fit.params.omega)
+    assert got == (oracle.params.tc, oracle.params.m, oracle.params.omega)
+    assert fit.ssr == pytest.approx(oracle.ssr, rel=1e-12, abs=0)
+    assert fit.grid_evals == oracle.grid_evals == 20 * 9 * 12
+    assert fit.degenerate_nodes == oracle.degenerate_nodes
+
+    lo, hi = pc.lppl._default_tc_bounds(series.times)
+    tcs = np.linspace(lo, hi, 20)
+    ms, omegas = np.linspace(0.1, 0.9, 9), np.linspace(2.0, 25.0, 12)
+    expected, _ = ref.grid(series.times, series.log_prices, tcs, ms, omegas)
+    ssr, ok = _kernel_grid(series, tcs, ms, omegas)
+    assert np.array_equal(ok, np.isfinite(expected))
+    assert np.allclose(ssr[ok], expected[ok], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 250), ("walk", 1000)])
+def test_gate_matches_reference_on_stress_grid(kind, n):
+    # m and omega down to where the power and log-periodic columns collapse
+    # into the intercept, and tc just past the last observation
+    series = _oracle_series(kind, n, 72)
+    last = series.times[-1]
+    tcs = last + np.array([1e-6, 1e-3, 1.0, 10.0, 1e3])
+    ms = np.array([1e-14, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    omegas = np.array([1e-12, 1e-8, 1e-4, 1e-2, 1.0, 8.0, 25.0])
+    expected, cond = ref.grid(series.times, series.log_prices, tcs, ms, omegas)
+    ssr, ok = _kernel_grid(series, tcs, ms, omegas)
+    assert np.array_equal(ok, np.isfinite(expected))
+    assert 0 < ok.sum() < ok.size
+    # accepted nodes may be ill-conditioned: the residual is good to cond(X) eps
+    tol = cond[ok] * np.finfo(float).eps
+    assert np.all(np.abs(ssr[ok] - expected[ok]) <= tol * expected[ok])
+
+
+def test_grid_memory_is_one_row_at_a_time():
+    # the whole (2160, 1000, 5) augmented tensor would take 86 MB
+    series = _oracle_series("walk", 1000, 73)
+    cfg = pc.SearchConfig(refine_top_k=0)
+    pc.fit_lppl(series, cfg)  # warm up imports and LAPACK
+    tracemalloc.start()
+    try:
+        pc.fit_lppl(series, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 86e6 / 20
+
+
+@pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 250), ("bubble", 500),
+                                     ("walk", 500)])
+def test_fit_matches_reference_oracle(kind, n):
+    # Nelder-Mead stops once its simplex spans 1e-6 and its values 1e-12, so
+    # last-bit differences in the objective can move the end point by a few
+    # simplex widths; the residual moves far less
+    series = _oracle_series(kind, n, 74)
+    fit, oracle = pc.fit_lppl(series), ref.fit_lppl(series)
+    assert fit.ssr == pytest.approx(oracle.ssr, rel=1e-10, abs=0)
+    assert fit.params.tc == pytest.approx(oracle.params.tc, rel=0, abs=1e-3)
+    assert fit.params.m == pytest.approx(oracle.params.m, rel=0, abs=1e-5)
+    assert fit.params.omega == pytest.approx(oracle.params.omega, rel=0, abs=1e-4)
+    for name in ("A", "B", "C1", "C2"):
+        a, b = getattr(fit.params, name), getattr(oracle.params, name)
+        assert a == pytest.approx(b, rel=1e-4, abs=1e-8)
+    assert fit.converged == oracle.converged
+    assert fit.degenerate_nodes == oracle.degenerate_nodes
+
+
+@pytest.mark.parametrize("kind", ["bubble", "walk"])
+def test_power_law_ssr_matches_reference_oracle(kind):
+    series = _oracle_series(kind, 500, 75)
+    for tc in series.times[-1] + np.array([1e-3, 1.0, 50.0, 250.0]):
+        for m in (0.1, 0.5, 0.9):
+            expected = ref.power_law_ssr(series, tc, m)
+            assert pc.power_law_ssr(series, tc, m) == pytest.approx(expected, rel=1e-12)

@@ -268,6 +268,24 @@ def test_ramp_matches_oracle(start, end, t_start, t_end, n):
     assert r.is_constant() == (end is None or end == start)
 
 
+def test_ramp_builds_only_the_steps_it_returns():
+    tracemalloc.start()
+    try:
+        v = pc.Ramp(0.0, 1.0, t_end=10**7).values(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000  # the whole 10**7-step ramp would take 80 MB
+    assert np.array_equal(v, np.linspace(0.0, 1.0, 10**7)[:5])
+    # a cut ramp is bitwise the head of the full linspace
+    for start, end, t_start, t_end, n in [(0.5, 0.9, 6, 20, 10), (2.0, 1.2, 0, 7, 3),
+                                          (-0.1, 0.3, 2, 1001, 600), (1, 4, 0, 9, 9)]:
+        expected = np.full(n, float(end))
+        expected[:t_start] = start
+        expected[t_start:t_end] = np.linspace(start, end, t_end - t_start)[: n - t_start]
+        assert np.array_equal(pc.Ramp(start, end, t_start, t_end).values(n), expected)
+
+
 def test_schedules_ramp_without_ramp_keyword():
     # H and alpha ramp like mu; neither is a constant path by default
     h = pc.HurstSchedule(0.5, 0.9)
