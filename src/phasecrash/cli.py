@@ -80,6 +80,13 @@ def _int_list(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _grid_counts(text):
+    counts = _int_list(text)
+    if len(counts) != 3 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"need three positive counts, got {text!r}")
+    return counts
+
+
 def build_parser():
     parser = _Parser(prog="phasecrash", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -133,7 +140,9 @@ def build_parser():
     p.add_argument("--m-max", type=float, default=0.9)
     p.add_argument("--omega-min", type=float, default=2.0)
     p.add_argument("--omega-max", type=float, default=25.0)
-    p.add_argument("--grid", type=_int_list, default=(20, 9, 12), metavar="TC,M,OMEGA")
+    p.add_argument(
+        "--grid", type=_grid_counts, default=(20, 9, 12), metavar="TC,M,OMEGA"
+    )
     p.add_argument("--top-k", type=int, default=5)
 
     p = sub.add_parser("ews", help="rolling early-warning signals")
@@ -265,7 +274,7 @@ def _cmd_fit_lppl(args):
         tc_bounds = (args.tc_min, args.tc_max)
     elif args.tc_min is not None or args.tc_max is not None:
         log.warning("--tc-min and --tc-max apply only together; ignoring the one given")
-    n_tc, n_m, n_omega = (tuple(args.grid) + (20, 9, 12))[:3]
+    n_tc, n_m, n_omega = args.grid
     search = SearchConfig(
         m_bounds=(args.m_min, args.m_max),
         omega_bounds=(args.omega_min, args.omega_max),

@@ -358,20 +358,21 @@ def conformality_index(series, cfg):
     return EwsSeries(times, vals, CONFORMALITY, series.id)
 
 
+def check_aligned(series_list):
+    """Raise :class:`AlignmentError` naming every series whose timestamps
+    differ from those of the first."""
+    ref = series_list[0]
+    bad = [s.id for s in series_list[1:] if not np.array_equal(s.times, ref.times)]
+    if bad:
+        raise AlignmentError(f"series not aligned with {ref.id!r}: {bad}", ids=bad)
+
+
 def cross_covariance(series_list, cfg):
     """Mean pairwise covariance of log-returns across an aligned panel."""
     if len(series_list) < 2:
         raise ValueError("cross_covariance needs at least 2 series")
+    check_aligned(series_list)
     ref = series_list[0]
-    bad = [
-        s.id
-        for s in series_list[1:]
-        if len(s) != len(ref) or not np.array_equal(s.times, ref.times)
-    ]
-    if bad:
-        raise AlignmentError(
-            f"series not aligned with {ref.id!r}: {bad}", ids=bad
-        )
     _, starts, times = _return_windows(ref, cfg, min_window=2)
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]

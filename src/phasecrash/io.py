@@ -5,10 +5,13 @@ header required). Timestamps become integer observation indices per
 ticker; calendar gaps are not interpolated. On write, closes carry 17
 significant digits and are nudged within a few ulps so that
 ``log(parse(close))`` reproduces the in-memory log-price bit-exactly
-wherever a decimal preimage exists (any price away from 1.0; for
-|log-price| below ~0.25 the log grid outruns the price grid and the
-round trip is exact only to one representable price, under 3e-16).
-Write/load/write is byte-stable in all cases.
+for |log-price| >= 1, that is, for prices outside (1/e, e). Closer to
+1.0 the log grid outruns the price grid, and the round trip is exact
+only to one representable price, under 3e-16. Write/load/write is
+byte-stable in all cases.
+
+JSON configs and corpus specs are keyed by dataclass field names;
+unknown keys raise a ``ValueError`` that names them.
 
 Every CLI command emits a ``manifest.json`` recording the resolved
 configuration, seed, tool version, and a content hash of the inputs;
@@ -23,7 +26,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from io import StringIO
 
@@ -266,7 +269,15 @@ def write_segments_csv(report, path):
 # --------------------------------------------------------------------- #
 # corpus synthesis
 
-_KINDS = ("bm", "cpt", "spt", "dpt_hurst", "dpt_stable")
+#: Every ``params`` key each asset kind reads, with its default.
+_PARAM_DEFAULTS = {
+    "bm": dict(p0=0.0, sigma=0.001),
+    "cpt": dict(r=1.0, mu_start=0.0, mu_end=0.36, sigma=0.03, p0=1.0),
+    "spt": dict(r=1.0, lam=1.0, alpha_vol=0.01, p0=1.0),
+    "dpt_hurst": dict(onset=0.0, scale=0.0015, h_start=0.5, h_end=0.9, p0=0.0),
+    "dpt_stable": dict(onset=0.0, scale=0.0015, alpha_start=2.0, alpha_end=1.2, p0=0.0),
+}
+_KINDS = tuple(_PARAM_DEFAULTS)
 
 
 @dataclass
@@ -292,6 +303,10 @@ class AssetGroupSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown asset kind {self.kind!r}; pick from {_KINDS}")
+        known = sorted(_PARAM_DEFAULTS[self.kind])
+        unknown = sorted(set(self.params) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {self.kind} params {unknown}; known {known}")
         if self.count < 0 or self.n < 1 or self.dt <= 0 or self.sample_every < 1:
             raise ValueError("count, n, dt, sample_every out of range")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:
@@ -303,49 +318,44 @@ class AssetGroupSpec:
 
 @dataclass
 class CorpusSpec:
-    groups: list
+    groups: list = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, d):
-        return cls([AssetGroupSpec(**g) for g in d.get("groups", [])])
+        groups = _from_dict(cls, d, "corpus spec").groups
+        return cls([_from_dict(AssetGroupSpec, g, "asset group") for g in groups])
 
     def to_dict(self):
         return {"groups": [g.to_dict() for g in self.groups]}
 
 
 def _simulate_asset(group, seed):
-    p = dict(group.params)
+    p = {**_PARAM_DEFAULTS[group.kind], **group.params}
     n, dt = group.n, group.dt
     if group.kind == "bm":
         noise = sample_gaussian_increments(n, dt, seed)
-        values = p.get("p0", 0.0) + p.get("sigma", 0.001) * noise.path()
+        values = p["p0"] + p["sigma"] * noise.path()
     elif group.kind == "cpt":
         params = CptParams(
-            r=p.get("r", 1.0),
-            mu_schedule=MuSchedule(p.get("mu_start", 0.0), p.get("mu_end", 0.36)),
-            sigma=p.get("sigma", 0.03),
-            p0=p.get("p0", 1.0),
+            r=p["r"],
+            mu_schedule=MuSchedule(p["mu_start"], p["mu_end"]),
+            sigma=p["sigma"],
+            p0=p["p0"],
         )
         values = simulate_cpt(params, n, dt, seed).values
     elif group.kind == "spt":
-        params = SptParams(
-            r=p.get("r", 1.0),
-            lam=p.get("lam", 1.0),
-            alpha_vol=p.get("alpha_vol", 0.01),
-            p0=p.get("p0", 1.0),
-        )
+        params = SptParams(r=p["r"], lam=p["lam"], alpha_vol=p["alpha_vol"], p0=p["p0"])
         values = simulate_spt(params, n, dt, seed).values
     else:  # dpt_hurst | dpt_stable: a flat noise law until onset, then a ramp
-        t_start = int(p.get("onset", 0.0) * n)
-        scale = p.get("scale", 0.0015)
+        t_start = int(p["onset"] * n)
+        scale = p["scale"]
         if group.kind == "dpt_hurst":
-            h0, h1 = p.get("h_start", 0.5), p.get("h_end", 0.9)
-            sch = HurstSchedule(h0, h1, t_start=t_start)
+            sch = HurstSchedule(p["h_start"], p["h_end"], t_start=t_start)
         else:
-            a0, a1 = p.get("alpha_start", 2.0), p.get("alpha_end", 1.2)
+            a0, a1 = p["alpha_start"], p["alpha_end"]
             sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
             scale = 1.0  # the stable schedule carries the scale
-        params = DptParams(sch, scale=scale, p0=p.get("p0", 0.0))
+        params = DptParams(sch, scale=scale, p0=p["p0"])
         values = simulate_dpt(params, n, dt, seed).values
     values = values[:: group.sample_every]
     if group.forced_drop is not None:
@@ -406,31 +416,43 @@ class RunManifest:
         _atomic_write(path, _dump_json(asdict(self)))
 
 
-def window_config_from_dict(d):
+#: JSON keys that differ from the field they fill.
+_JSON_KEYS = {"ews_cfg": "ews"}
+
+
+def _from_dict(cls, d, what):
+    """Dataclass ``cls`` from the JSON object ``d``.
+
+    Keys are the field names (``ews`` for ``ews_cfg``); unknown or
+    missing required keys raise ``ValueError``. Lists become tuples, and
+    an object under a dataclass-typed field is built the same way.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(d) - set(by_key))
+    missing = [
+        k for k, f in by_key.items()
+        if k not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}; known: {sorted(by_key)}")
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
     kw = {}
-    for key in ("window", "stride", "detrend"):
-        if key in d:
-            kw[key] = d[key]
-    for key in ("tau_grid", "orders"):
-        if key in d:
-            kw[key] = tuple(d[key])
-    return WindowConfig(**kw)
+    for key, value in d.items():
+        f = by_key[key]
+        if is_dataclass(f.type):
+            value = _from_dict(f.type, value, key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kw[f.name] = value
+    return cls(**kw)
+
+
+def window_config_from_dict(d):
+    return _from_dict(WindowConfig, d, "window config")
 
 
 def study_config_from_dict(d):
-    kw = {}
-    for key in (
-        "crash_threshold",
-        "lookback",
-        "pre_crash_window",
-        "exclusion_margin",
-        "recovery_fraction",
-        "min_trend_points",
-    ):
-        if key in d:
-            kw[key] = d[key]
-    if "signals" in d:
-        kw["signals"] = tuple(d["signals"])
-    if "ews" in d:
-        kw["ews_cfg"] = window_config_from_dict(d["ews"])
-    return StudyConfig(**kw)
+    return _from_dict(StudyConfig, d, "study config")

@@ -155,9 +155,12 @@ class SearchConfig:
     omega_grid: tuple = None
 
     def __post_init__(self):
-        for lo, hi in (self.m_bounds, self.omega_bounds):
-            if not lo < hi:
-                raise ValueError("bounds must satisfy lo < hi")
+        if not 0.0 < self.m_bounds[0] < self.m_bounds[1] < 1.0:
+            raise ValueError(f"m_bounds must satisfy 0 < lo < hi < 1: {self.m_bounds}")
+        if not 0.0 < self.omega_bounds[0] < self.omega_bounds[1]:
+            raise ValueError(
+                f"omega_bounds must satisfy 0 < lo < hi: {self.omega_bounds}"
+            )
         if self.tc_bounds is not None and not self.tc_bounds[0] < self.tc_bounds[1]:
             raise ValueError("tc_bounds must satisfy lo < hi")
 

@@ -13,7 +13,9 @@ Three families are provided:
   Craigmile 2003); a negative eigenvalue raises ``GenerationError``.
   Ramped-Hurst paths are drawn by Cholesky factorisation of the kernel
   ``R(s, t) = (s**(H(s)+H(t)) + t**(H(s)+H(t)) - |t-s|**(H(s)+H(t))) / 2``,
-  an O(n**2)-memory factor refused above ``MAX_MBM_STEPS`` steps.
+  an O(n**2)-memory factor refused above ``MAX_MBM_STEPS`` steps. A
+  kernel that is not positive definite raises ``GenerationError`` naming
+  its smallest eigenvalue.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
 same inputs, bit-identical output. Batches split one master seed into
@@ -42,9 +44,6 @@ MAX_SEED = 2**64 - 1
 #: Longest ramped-Hurst path synth_fbm draws; its Cholesky factor takes
 #: 8 * n**2 bytes (512 MB here) plus as much again while it is built.
 MAX_MBM_STEPS = 8192
-
-_COV_JITTER = 1e-10
-
 
 def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= MAX_SEED:
@@ -232,15 +231,14 @@ def _mbm_cholesky_factor(schedule, n, dt):
     hs = h[:, None] + h[None, :]
     s, tt = t[:, None], t[None, :]
     cov = 0.5 * (s**hs + tt**hs - np.abs(tt - s) ** hs)
-    for jitter in (0.0, _COV_JITTER, _COV_JITTER * max(1.0, cov[-1, -1])):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-    raise GenerationError(
-        f"covariance for {schedule} not positive definite after jitter",
-        schedule=schedule,
-    )
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise GenerationError(
+            f"covariance for {schedule} is not positive definite: smallest "
+            f"eigenvalue {np.linalg.eigvalsh(cov)[0]:.3g}",
+            schedule=schedule,
+        ) from None
 
 
 def synth_fbm(n, schedule, dt, seed):

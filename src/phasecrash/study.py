@@ -16,11 +16,12 @@ segmentation, or aggregation, and per-asset work reduces in input order.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.stats import kendalltau, mannwhitneyu
 
-from .errors import AlignmentError, InsufficientDataError
+from .errors import InsufficientDataError
 from .ews import (
     ANOMALOUS_DIM,
     CONFORMALITY,
@@ -30,6 +31,7 @@ from .ews import (
     VOLATILITY,
     WindowConfig,
     anomalous_dimension,
+    check_aligned,
     conformality_index,
     cross_covariance,
     generalized_hurst,
@@ -257,18 +259,11 @@ def segment_windows(series, events, cfg):
         hi = min(n, ev.trough_index + cfg.exclusion_margin + 1)
         keep[lo:hi] = False
 
-    normal = []
-    i = 0
-    while i < n:
-        if not keep[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and keep[j]:
-            j += 1
-        if j - i >= min_len:
-            normal.append(series.slice(i, j))
-        i = j
+    # each run of kept steps starts where keep rises and stops where it falls
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    normal = [
+        series.slice(i, j) for i, j in zip(edges[::2], edges[1::2]) if j - i >= min_len
+    ]
     return pre, normal
 
 
@@ -309,78 +304,26 @@ def _estimator(signal):
     raise ValueError(f"unknown signal {signal!r}")
 
 
-def _segment_tau(ews, cfg):
-    """Kendall trend of one segment's EWS, or ``(None, None)`` when the
-    segment has too few windows or a NaN tau (a constant signal)."""
-    try:
-        tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
-    except InsufficientDataError:
-        return None, None
-    return (tau, p) if np.isfinite(tau) else (None, None)
-
-
-def _segment_trends(asset, signals, cfg):
-    events = detect_crashes(asset, cfg)
-    pre, normal = segment_windows(asset, events, cfg)
-    records = []
-    for signal in signals:
-        estimator = _estimator(signal)
-        for group, segments in (("pre", pre), ("normal", normal)):
-            for k, seg in enumerate(segments):
-                if len(seg) < cfg.ews_cfg.window + 1:
-                    continue
-                ews = estimator(seg, cfg.ews_cfg)
-                tau, p = _segment_tau(ews, cfg)
-                if tau is None:
-                    continue
-                records.append(
-                    SegmentTrend(
-                        asset_id=asset.id,
-                        signal=signal,
-                        group=group,
-                        segment_index=k,
-                        start_time=float(seg.times[0]),
-                        end_time=float(seg.times[-1]),
-                        n_windows=int(np.isfinite(ews.values).sum()),
-                        tau=tau,
-                        p_value=p,
-                    )
-                )
-    return events, records
-
-
-def _panel_cross_cov_trends(assets, all_events, cfg):
-    """Cross-covariance trends on the aligned panel, segmented by the
-    union of every asset's crash events."""
-    ref = assets[0]
-    bad = [
-        s.id
-        for s in assets[1:]
-        if len(s) != len(ref) or not np.array_equal(s.times, ref.times)
-    ]
-    if bad:
-        raise AlignmentError(
-            f"cross-covariance needs an aligned panel; misaligned vs {ref.id!r}: {bad}",
-            ids=bad,
-        )
-    merged = sorted(all_events, key=lambda e: (e.peak_index, e.trough_index))
-    pre, normal = segment_windows(ref, merged, cfg)
+def _trend_records(asset_id, signal, estimate, pre, normal, cfg):
+    """One :class:`SegmentTrend` per segment whose EWS ``estimate(seg)``
+    has a Kendall trend; segments shorter than ``window + 1``, with too
+    few trend points or with a NaN tau (a constant signal) are dropped."""
     records = []
     for group, segments in (("pre", pre), ("normal", normal)):
         for k, seg in enumerate(segments):
             if len(seg) < cfg.ews_cfg.window + 1:
                 continue
-            lo = int(np.searchsorted(ref.times, seg.times[0]))
-            hi = lo + len(seg)
-            panel = [s.slice(lo, hi) for s in assets]
-            ews = cross_covariance(panel, cfg.ews_cfg)
-            tau, p = _segment_tau(ews, cfg)
-            if tau is None:
+            ews = estimate(seg)
+            try:
+                tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
+            except InsufficientDataError:
+                continue
+            if not np.isfinite(tau):
                 continue
             records.append(
                 SegmentTrend(
-                    asset_id="panel",
-                    signal=CROSS_COV,
+                    asset_id=asset_id,
+                    signal=signal,
                     group=group,
                     segment_index=k,
                     start_time=float(seg.times[0]),
@@ -406,19 +349,34 @@ def run_study(assets, cfg=None):
         cfg = StudyConfig()
     univariate = [s for s in cfg.signals if s != CROSS_COV]
 
-    per_asset = [_segment_trends(a, univariate, cfg) for a in assets]
-
-    all_events = [ev for events, _ in per_asset for ev in events]
-    segment_records = [rec for _, recs in per_asset for rec in recs]
+    all_events, records = [], []
+    for asset in assets:
+        events = detect_crashes(asset, cfg)
+        pre, normal = segment_windows(asset, events, cfg)
+        for signal in univariate:
+            estimate = partial(_estimator(signal), cfg=cfg.ews_cfg)
+            records += _trend_records(asset.id, signal, estimate, pre, normal, cfg)
+        all_events += events
     if CROSS_COV in cfg.signals:
+        # the aligned panel is segmented by the union of every asset's events
         if len(assets) < 2:
             raise ValueError("cross_cov signal needs at least 2 assets")
-        segment_records.extend(_panel_cross_cov_trends(assets, all_events, cfg))
+        check_aligned(assets)
+        ref = assets[0]
+        merged = sorted(all_events, key=lambda e: (e.peak_index, e.trough_index))
+        pre, normal = segment_windows(ref, merged, cfg)
+
+        def panel_cross_cov(seg):
+            lo = int(np.searchsorted(ref.times, seg.times[0]))
+            panel = [s.slice(lo, lo + len(seg)) for s in assets]
+            return cross_covariance(panel, cfg.ews_cfg)
+
+        records += _trend_records("panel", CROSS_COV, panel_cross_cov, pre, normal, cfg)
 
     report_signals = {}
     for signal in cfg.signals:
         taus = {"pre": [], "normal": []}
-        for rec in segment_records:
+        for rec in records:
             if rec.signal == signal:
                 taus[rec.group].append(rec.tau)
         if taus["pre"] and taus["normal"]:
@@ -435,7 +393,7 @@ def run_study(assets, cfg=None):
         )
     return TrendReport(
         signals=report_signals,
-        segments=segment_records,
+        segments=records,
         n_assets=len(assets),
         n_events=len(all_events),
     )

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,47 @@ def test_study_config_from_dict():
     assert cfg.ews_cfg.tau_grid == (2, 4, 8)
 
 
+@pytest.mark.parametrize(
+    "d, name",
+    [
+        ({"crash_treshold": 0.3}, "crash_treshold"),
+        ({"ews": {"windw": 63}}, "windw"),
+        ({"ews_cfg": {"window": 63}}, "ews_cfg"),
+    ],
+)
+def test_study_config_refuses_unknown_keys(d, name):
+    with pytest.raises(ValueError, match=f"unknown keys \\['{name}'\\]"):
+        study_config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"groups": [{"kind": "bm", "count": 1, "colour": 1}]}, "'colour'"),
+        ({"groups": [{"count": 1}]}, "missing keys \\['kind'\\]"),
+        ({"grups": []}, "'grups'"),
+        ({"groups": [{"kind": "bm", "count": 1, "params": {"sigmaa": 5}}]}, "'sigmaa'"),
+        # a key of another kind is as unknown as a typo
+        ({"groups": [{"kind": "dpt_hurst", "count": 1, "params": {"alpha_end": 1}}]},
+         "'alpha_end'"),
+    ],
+)
+def test_corpus_spec_refuses_unknown_keys(spec, message):
+    with pytest.raises(ValueError, match=message):
+        CorpusSpec.from_dict(spec)
+
+
+def test_readme_configs_parse_under_strict_readers():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    blocks = dict(re.findall(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", readme, re.S))
+    spec = CorpusSpec.from_dict(json.loads(blocks["spec.json"]))
+    assert [(g.kind, g.count) for g in spec.groups] == [("dpt_hurst", 20), ("bm", 20)]
+    cfg = study_config_from_dict(json.loads(blocks["study.json"]))
+    assert cfg.ews_cfg.tau_grid == (2, 4, 8, 16)
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -416,6 +458,26 @@ def test_cli_fit_lppl_warns_on_one_sided_tc_bound(tmp_path, caplog, given):
     assert rc == 0
     assert any("--tc-min and --tc-max" in r.message for r in caplog.records)
     assert json.load(open(os.path.join(out, "manifest.json")))["config"]["tc_bounds"] is None
+
+
+def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 1, "colour": 1}]}))
+    rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "'colour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["5", "5,6,7,8", "0,9,12", "4,x,3"])
+def test_cli_fit_lppl_grid_takes_three_positive_counts(tmp_path, capsys, grid):
+    t = np.arange(60.0)
+    csv_path = str(tmp_path / "up.csv")
+    write_price_csv([pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")], csv_path)
+    rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--grid", grid,
+                       "--top-k", "0", "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fit")
 
 
 def test_cli_study_replay_byte_identical(tmp_path):

@@ -385,3 +385,22 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         for m in (0.1, 0.5, 0.9):
             expected = ref.power_law_ssr(series, tc, m)
             assert pc.power_law_ssr(series, tc, m) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"m_bounds": (0.5, 1.5)},
+        {"m_bounds": (0.0, 0.5)},
+        {"omega_bounds": (-5.0, 5.0)},
+        {"omega_bounds": (0.0, 5.0)},
+    ],
+)
+def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds):
+    def no_profile(*_a, **_k):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(pc.lppl, "_profile", no_profile)
+    series = _synthetic_series(_params(), n=100)
+    with pytest.raises(ValueError, match="_bounds must satisfy 0 < lo"):
+        pc.fit_lppl(series, pc.SearchConfig(**bounds))

@@ -330,17 +330,20 @@ def test_mbm_factor_cache_holds_one_factor():
 
 def test_generation_error_names_schedule(monkeypatch):
     sch = pc.HurstSchedule(0.5, 0.9)
-    monkeypatch.setattr(
-        np.linalg,
-        "cholesky",
-        lambda *_a, **_k: (_ for _ in ()).throw(np.linalg.LinAlgError("boom")),
-    )
+    attempts = []
+
+    def failing_cholesky(a):
+        attempts.append(a)
+        raise np.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     from phasecrash.noise import _mbm_cholesky_factor
 
     _mbm_cholesky_factor.cache_clear()
-    with pytest.raises(GenerationError) as exc:
+    with pytest.raises(GenerationError, match="smallest eigenvalue") as exc:
         pc.synth_fbm(64, sch, 1.0, 1)
     assert exc.value.schedule == sch
+    assert len(attempts) == 1  # no retry with jitter
     _mbm_cholesky_factor.cache_clear()
 
 

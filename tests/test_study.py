@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import phasecrash as pc
-from phasecrash.errors import InsufficientDataError
+from phasecrash.errors import AlignmentError, InsufficientDataError
 from phasecrash.io import derive_seed, synth_corpus
 from phasecrash.study import SegmentTrend
 
+import study_reference
 from conftest import series_from_increments
 
 
@@ -212,6 +213,46 @@ def test_segment_exclusion_invariant_random_events():
             assert seg.times[-1] < lo or seg.times[0] > hi
 
 
+def _assert_normal_matches_reference(series, events, cfg):
+    _, normal = pc.segment_windows(series, events, cfg)
+    expected = study_reference.normal_segments(series, events, cfg)
+    assert [(s.times[0], len(s)) for s in normal] == [
+        (s.times[0], len(s)) for s in expected
+    ]
+    for got, want in zip(normal, expected):
+        assert np.array_equal(got.log_prices, want.log_prices)
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [
+        [],  # all kept: one run over the whole series
+        [(5, 94)],  # none kept: the margins cover both ends
+        [(50, 55)],  # one run touching each end
+        [(14, 80)],  # the first run is window - 1 steps long: dropped
+        [(15, 80)],  # ... exactly window steps: kept
+        [(16, 80)],
+        [(30, 40), (61, 70)],  # a middle run of exactly window steps
+        [(30, 40), (35, 60)],  # overlapping exclusion zones
+    ],
+)
+def test_segment_normal_matches_reference_edges(spans):
+    series = _prices(np.linspace(100, 120, 100))
+    events = [_event(series, p, t) for p, t in spans]
+    _assert_normal_matches_reference(series, events, _cfg())
+
+
+def test_segment_normal_matches_reference_random_events():
+    rng = np.random.default_rng(23)
+    series = _prices(np.linspace(100, 120, 200))
+    for _ in range(300):
+        peaks = rng.integers(0, 199, size=rng.integers(0, 7))
+        events = [_event(series, int(p), int(min(199, p + rng.integers(1, 20))))
+                  for p in peaks]
+        cfg = _cfg(exclusion_margin=int(rng.integers(0, 15)))
+        _assert_normal_matches_reference(series, events, cfg)
+
+
 # --------------------------------------------------------------- run_study
 
 
@@ -290,6 +331,18 @@ def test_run_study_cross_cov_signal():
         [r for r in report.segments if r.signal == "cross_cov"]
     )
     assert not math.isnan(st.mean_tau_normal)
+
+
+@pytest.mark.parametrize("shift", ["length", "times"])
+def test_run_study_cross_cov_misaligned_panel_raises(shift):
+    panel = [_prices(np.linspace(100, 120, 60), f"A{i}") for i in range(3)]
+    if shift == "length":
+        panel[2] = _prices(np.linspace(100, 120, 61), "A2")
+    else:
+        panel[1] = pc.PriceSeries(panel[1].times + 0.5, panel[1].log_prices, "A1")
+    with pytest.raises(AlignmentError) as exc:
+        pc.run_study(panel, _cfg(signals=("volatility", "cross_cov")))
+    assert exc.value.ids == (("A2",) if shift == "length" else ("A1",))
 
 
 def test_run_study_handles_insufficient_segments():
