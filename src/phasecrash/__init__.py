@@ -66,9 +66,10 @@ from .study import (
     StudyConfig,
     TrendReport,
     detect_crashes,
+    detect_panel,
     kendall_tau_trend,
     run_study,
     segment_windows,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -61,7 +61,7 @@ from .simulate import (
     simulate_multivariate,
     simulate_spt,
 )
-from .study import StudyConfig, detect_crashes, run_study
+from .study import StudyConfig, detect_panel, run_study
 from .study import _estimator as _signal_estimator
 
 log = logging.getLogger("phasecrash")
@@ -343,10 +343,9 @@ def _cmd_detect(args):
         lookback=args.lookback,
         recovery_fraction=args.recovery,
     )
-    events = []
-    for s in series_list:
-        events.extend(detect_crashes(s, cfg))
-    write_events_json(events, _outpath(args, "events.json"))
+    scanned, skipped = detect_panel(series_list, cfg)
+    events = [ev for _, found in scanned for ev in found]
+    write_events_json(events, _outpath(args, "events.json"), skipped)
     cfg_dict = {
         "threshold": args.threshold,
         "lookback": args.lookback,
@@ -355,7 +354,12 @@ def _cmd_detect(args):
     _manifest(args, "detect-crashes", cfg_dict, RunManifest.digest_file(args.input)).write(
         _outpath(args, "manifest.json")
     )
-    log.info("%d events across %d series", len(events), len(series_list))
+    log.info(
+        "%d events across %d series, %d skipped",
+        len(events),
+        len(series_list),
+        len(skipped),
+    )
     return 0
 
 
@@ -383,8 +387,9 @@ def _cmd_study(args):
     write_segments_csv(report, _outpath(args, "segments.csv"))
     _manifest(args, "study", cfg_dict, digest).write(_outpath(args, "manifest.json"))
     log.info(
-        "study: %d assets, %d events, %d signals",
+        "study: %d assets (%d skipped), %d events, %d signals",
         report.n_assets,
+        len(report.skipped),
         report.n_events,
         len(report.signals),
     )

@@ -11,7 +11,8 @@ only to one representable price, under 3e-16. Write/load/write is
 byte-stable in all cases.
 
 JSON configs and corpus specs are keyed by dataclass field names;
-unknown keys raise a ``ValueError`` that names them.
+unknown keys raise a ``ValueError`` that names them, and so does a
+value of the wrong type that the dataclass refuses.
 
 Every CLI command emits a ``manifest.json`` recording the resolved
 configuration, seed, tool version, and a content hash of the inputs;
@@ -234,8 +235,10 @@ def write_ews_csv(ews_list, path):
     _write_csv(path, "asset_id,signal,window_end_time,value,missing_flag", rows)
 
 
-def write_events_json(events, path):
-    _atomic_write(path, _dump_json({"events": [e.to_dict() for e in events]}))
+def write_events_json(events, path, skipped=()):
+    """Events and the ``{asset_id, reason}`` records of skipped series."""
+    doc = {"events": [e.to_dict() for e in events], "skipped": list(skipped)}
+    _atomic_write(path, _dump_json(doc))
 
 
 def write_fit_json(fit, path):
@@ -424,7 +427,8 @@ def _from_dict(cls, d, what):
     """Dataclass ``cls`` from the JSON object ``d``.
 
     Keys are the field names (``ews`` for ``ews_cfg``); unknown or
-    missing required keys raise ``ValueError``. Lists become tuples, and
+    missing required keys, and a ``TypeError`` from ``cls`` itself (a
+    value of the wrong type), raise ``ValueError``. Lists become tuples, and
     an object under a dataclass-typed field is built the same way.
     """
     if not isinstance(d, dict):
@@ -447,7 +451,10 @@ def _from_dict(cls, d, what):
         elif isinstance(value, list):
             value = tuple(value)
         kw[f.name] = value
-    return cls(**kw)
+    try:
+        return cls(**kw)
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def window_config_from_dict(d):

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateDesignError, FitFailureError
 
@@ -53,6 +52,14 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: importing scipy
+    costs about a second and only the Nelder-Mead refinement needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -200,22 +207,35 @@ def hazard_rate(params, t):
     return float(h) if np.isscalar(t) else h
 
 
-def _profile(times, y, tc, m, omega):
+def _design(y, batch):
+    """Augmented designs ``[1, f, f*cos, f*sin | y]`` for a ``batch`` of
+    nodes, one column per row, with the constant and ``y`` rows filled.
+    A fit fills one such buffer per node instead of allocating a new one
+    for each of its hundreds of kernel calls."""
+    a = np.empty(tuple(batch) + (5, y.size))
+    a[..., 0, :] = 1.0
+    a[..., 4, :] = y
+    return a
+
+
+def _profile(times, y, tc, m, omega, a=None):
     """Profile (A, B, C1, C2) out at (tc, m, omega); ``m`` and ``omega``
-    broadcast. Returns ``(ssr, ok, sv, r)``: the residual, the gate (rank 4
-    at rcond = eps * max(n, 4) and condition at most 1e12), the design's
-    singular values and the R factor of the augmented design."""
+    broadcast. ``a`` is a :func:`_design` buffer of the broadcast batch
+    shape to fill, made here when None. Returns ``(ssr, ok, sv, r)``: the
+    residual, the gate (rank 4 at rcond = eps * max(n, 4) and condition
+    at most 1e12), the design's singular values and the R factor of the
+    augmented design."""
     tail = tc - times
     f = tail ** np.asarray(m)[..., None]
     phase = np.asarray(omega)[..., None] * np.log(tail)
-    fcos = f * np.cos(phase)
-    # rows hold the columns, so each swapped matrix is Fortran-ordered for LAPACK
-    a = np.empty(fcos.shape[:-1] + (5, times.size))
-    a[..., 0, :] = 1.0
+    if a is None:
+        a = _design(y, np.broadcast_shapes(f.shape, phase.shape)[:-1])
     a[..., 1, :] = f
-    a[..., 2, :] = fcos
-    a[..., 3, :] = f * np.sin(phase)
-    a[..., 4, :] = y
+    np.cos(phase, out=a[..., 2, :])
+    a[..., 2, :] *= f
+    np.sin(phase, out=a[..., 3, :])
+    a[..., 3, :] *= f
+    # rows hold the columns, so each swapped matrix is Fortran-ordered for LAPACK
     r = np.linalg.qr(a.swapaxes(-1, -2), mode="r")
     sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
@@ -291,8 +311,9 @@ def fit_lppl(series, search=None):
     live = tcs[tcs > tc_floor]
     shape = (live.size, ms.size, omegas.size)
     ssr, ok = np.empty(shape), np.empty(shape, dtype=bool)
+    row = _design(y, omegas.shape)
     for i, j in np.ndindex(shape[:2]):
-        ssr[i, j], ok[i, j], _, _ = _profile(times, y, live[i], ms[j], omegas)
+        ssr[i, j], ok[i, j], _, _ = _profile(times, y, live[i], ms[j], omegas, row)
     keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
     order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)
     if not order.size:
@@ -300,11 +321,13 @@ def fit_lppl(series, search=None):
     candidates = [tuple(key[k] for key in keys) for k in order]
     evals, degenerate = ssr.size, int(ssr.size - ok.sum())
 
+    node = _design(y, ())
+
     def objective(theta):
         tc, m, omega = theta
         if tc <= tc_floor or not 0.0 < m < 1.0 or omega <= 0.0:
             return np.inf
-        ssr, ok, _, _ = _profile(times, y, tc, m, omega)
+        ssr, ok, _, _ = _profile(times, y, tc, m, omega, node)
         return float(ssr) if ok else np.inf
 
     best = candidates[0]

@@ -1,8 +1,19 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 import phasecrash as pc
 from phasecrash.io import derive_seed
+
+
+def readme_json_blocks():
+    """The JSON files the README writes with ``cat > name.json``, by name."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    return dict(re.findall(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", readme, re.S))
 
 
 def series_from_increments(inc, asset_id="x"):

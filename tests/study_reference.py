@@ -1,13 +1,63 @@
-"""Slow reference oracle for the normal-time segments of ``segment_windows``.
+"""Slow reference oracles for ``phasecrash.study``.
 
-It masks every peak-to-trough interval widened by the exclusion margin,
-then walks the mask one step at a time, collecting each maximal run of
-kept steps that can hold one EWS window. ``phasecrash.study`` finds the
-same runs from the boundaries of the mask; both must return the same
-segments.
+``detect_crashes`` walks the series one step at a time, keeping the
+rolling peak in a monotone deque of indices; ``phasecrash.study`` takes
+the rolling peak from a sliding-window maximum and steps from event to
+event. Both must return the same events, field for field.
+
+``normal_segments`` masks every peak-to-trough interval widened by the
+exclusion margin, then walks the mask one step at a time, collecting
+each maximal run of kept steps that can hold one EWS window.
+``phasecrash.study`` finds the same runs from the boundaries of the
+mask; both must return the same segments.
 """
 
 import numpy as np
+
+from phasecrash.study import _BOUNDARY_EPS, CrashEvent
+
+
+def detect_crashes(series, cfg):
+    n = len(series)
+    if n <= cfg.lookback:
+        raise ValueError(f"series {series.id!r} is too short")
+    lp = series.log_prices
+    times = series.times
+    thresh = cfg.crash_threshold - _BOUNDARY_EPS
+    recovery_gap = np.log1p(-cfg.recovery_fraction)
+
+    events = []
+    window = []  # indices with decreasing log-price, rolling max front
+    in_episode = False
+    episode_peak_lp = -np.inf
+    for i in range(n):
+        while window and lp[window[-1]] < lp[i]:
+            window.pop()
+        window.append(i)
+        while window[0] < i - cfg.lookback + 1:
+            window.pop(0)
+        if in_episode:
+            if lp[i] >= episode_peak_lp + recovery_gap:
+                in_episode = False
+            continue
+        peak = window[0]
+        drawdown = 1.0 - np.exp(lp[i] - lp[peak])
+        if drawdown >= thresh:
+            events.append(
+                CrashEvent(
+                    asset_id=series.id,
+                    peak_time=float(times[peak]),
+                    trough_time=float(times[i]),
+                    peak_log_price=float(lp[peak]),
+                    trough_log_price=float(lp[i]),
+                    drawdown=float(drawdown),
+                    peak_index=int(peak),
+                    trough_index=int(i),
+                )
+            )
+            in_episode = True
+            episode_peak_lp = lp[peak]
+    return events
 
 
 def normal_segments(series, events, cfg):

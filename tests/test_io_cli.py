@@ -2,7 +2,8 @@ import csv
 import json
 import math
 import os
-import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from phasecrash.io import (
     write_price_csv,
 )
 from phasecrash.simulate import CptParams, MuSchedule, simulate_cpt
+
+from conftest import readme_json_blocks
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -326,10 +329,7 @@ def test_corpus_spec_refuses_unknown_keys(spec, message):
 
 
 def test_readme_configs_parse_under_strict_readers():
-    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
-    with open(path, encoding="utf-8") as fh:
-        readme = fh.read()
-    blocks = dict(re.findall(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", readme, re.S))
+    blocks = readme_json_blocks()
     spec = CorpusSpec.from_dict(json.loads(blocks["spec.json"]))
     assert [(g.kind, g.count) for g in spec.groups] == [("dpt_hurst", 20), ("bm", 20)]
     cfg = study_config_from_dict(json.loads(blocks["study.json"]))
@@ -375,6 +375,44 @@ def test_cli_synth_and_detect(tmp_path):
     events = json.load(open(os.path.join(out2, "events.json")))["events"]
     assert len(events) == 3
     assert all(e["drawdown"] >= 0.20 for e in events)
+
+
+def _panel_with_short_ticker(tmp_path):
+    # 3 crash and 3 control assets of the CLI spec plus a ticker of
+    # exactly `lookback` (126) rows, too short to scan for crashes
+    corpus = synth_corpus(json.load(open(_spec_file(tmp_path))), 7)
+    short = pc.PriceSeries(np.arange(126.0), np.linspace(4.6, 4.7, 126), "SHORT")
+    path = str(tmp_path / "panel.csv")
+    write_price_csv(corpus + [short], path)
+    return path
+
+
+def test_cli_detect_records_short_ticker_as_skip(tmp_path):
+    panel = _panel_with_short_ticker(tmp_path)
+    out = str(tmp_path / "ev")
+    assert cli_dispatch(["detect-crashes", "--input", panel, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "events.json")))
+    assert len(doc["events"]) == 3
+    assert doc["skipped"] == [
+        {"asset_id": "SHORT", "reason": "126 observations, needs more than lookback = 126"}
+    ]
+
+
+def test_cli_study_records_short_ticker_as_skip(tmp_path):
+    panel = _panel_with_short_ticker(tmp_path)
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"pre_crash_window": 504, "exclusion_margin": 504,
+                                    "signals": ["volatility"]}))
+    out = str(tmp_path / "st")
+    rc = cli_dispatch(["study", "--input", panel, "--config", str(cfg_path), "--out", out])
+    assert rc == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert report["n_assets"] == 7 and report["n_skipped"] == 1
+    assert [s["asset_id"] for s in report["skipped"]] == ["SHORT"]
+    assert report["n_events"] == 3
+    volatility = report["signals"]["volatility"]
+    assert volatility["inconclusive"] is False
+    assert volatility["inconclusive_reason"] is None
 
 
 def test_cli_simulate_byte_identical_reruns(tmp_path):
@@ -466,6 +504,52 @@ def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
     rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "'colour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg", [{"crash_threshold": "0.3"}, {"lookback": "126"}, {"min_trend_points": "10"}]
+)
+def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_dispatch(["study", "--spec", _spec_file(tmp_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "phasecrash: error: study config:" in capsys.readouterr().err
+
+
+def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": "2"}]}))
+    rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "phasecrash: error: asset group:" in capsys.readouterr().err
+
+
+def _fresh_python(code):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, phasecrash.cli; print('scipy' in sys.modules)"
+    assert _fresh_python(code).split() == ["False"]
+
+
+def test_scipy_loads_only_when_fit_lppl_refines():
+    code = (
+        "import sys, numpy as np, phasecrash as pc\n"
+        "t = np.arange(60.0)\n"
+        "s = pc.PriceSeries(t, 0.01 * np.sin(t) + 0.001 * t, 'x')\n"
+        "print('scipy' in sys.modules)\n"
+        "pc.fit_lppl(s, pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=0))\n"
+        "print('scipy' in sys.modules)\n"
+        "pc.fit_lppl(s, pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=1))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(code).split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("grid", ["5", "5,6,7,8", "0,9,12", "4,x,3"])

@@ -1,15 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import phasecrash as pc
 from phasecrash.errors import AlignmentError, InsufficientDataError
-from phasecrash.io import derive_seed, synth_corpus
-from phasecrash.study import SegmentTrend
+from phasecrash.io import CorpusSpec, derive_seed, synth_corpus
+from phasecrash.study import SegmentTrend, _mannwhitney_p
 
 import study_reference
-from conftest import series_from_increments
+from conftest import readme_json_blocks
 
 
 def _prices(levels, asset_id="x"):
@@ -71,6 +73,77 @@ def test_kendall_skips_missing_and_requires_points():
     short = pc.EwsSeries(np.arange(9.0), np.arange(9.0), "s")
     with pytest.raises(InsufficientDataError):
         pc.kendall_tau_trend(short)
+
+
+def _scipy_kendall(vals):
+    keep = np.isfinite(vals)
+    res = stats.kendalltau(np.flatnonzero(keep).astype(float), vals[keep],
+                           variant="b", method="asymptotic")
+    return float(res.statistic), float(res.pvalue)
+
+
+@pytest.mark.parametrize("n", [10, 16, 17, 33, 64, 657, 2000])
+@pytest.mark.parametrize("kind", ["distinct", "ties", "missing"])
+def test_kendall_matches_scipy_oracle(n, kind):
+    rng = np.random.default_rng(derive_seed(905, n))
+    for _ in range(5):
+        vals = rng.standard_normal(n) + rng.uniform(-0.02, 0.02) * np.arange(n)
+        if kind == "ties":
+            vals = np.round(vals * rng.integers(1, 4))
+        elif kind == "missing":
+            vals[rng.choice(n, n // 5, replace=False)] = np.nan
+        tau, p = pc.kendall_tau_trend(pc.EwsSeries(np.arange(float(n)), vals, "s"),
+                                      min_points=n // 2)
+        want_tau, want_p = _scipy_kendall(vals)
+        assert abs(tau - want_tau) <= 1e-15
+        assert p == pytest.approx(want_p, rel=1e-12, abs=0)
+
+
+def test_kendall_constant_series_is_nan_like_scipy():
+    vals = np.full(40, 0.3)
+    vals[[4, 9]] = np.nan
+    tau, p = pc.kendall_tau_trend(pc.EwsSeries(np.arange(40.0), vals, "s"))
+    assert math.isnan(tau) and math.isnan(p)
+    assert all(math.isnan(x) for x in _scipy_kendall(vals))
+
+
+# ----------------------------------------------------------- mann-whitney
+
+
+def _mwu_cases(seed, sizes, ties):
+    rng = np.random.default_rng(seed)
+    for n1, n2 in sizes:
+        a = rng.standard_normal(n1) + rng.uniform(0.0, 1.5)
+        b = rng.standard_normal(n2)
+        if ties:
+            a, b = np.round(a), np.round(b)
+        yield a, b
+
+
+@pytest.mark.parametrize(
+    "branch, sizes, ties",
+    [
+        # exact: the smaller sample has at most 8 values and nothing ties
+        ("exact", [(n1, n2) for n1 in (1, 2, 5, 8) for n2 in (1, 3, 8, 9, 40)], False),
+        ("exact", [(n1, n2) for n1 in (9, 30, 200) for n2 in (4, 8)], False),
+        # normal approximation: both samples larger than 8, or ties
+        ("asymptotic", [(n1, n2) for n1 in (9, 20, 60) for n2 in (9, 37)], False),
+        ("asymptotic", [(n1, n2) for n1 in (2, 8, 30) for n2 in (3, 25)], True),
+    ],
+)
+def test_mannwhitney_matches_scipy_oracle(branch, sizes, ties):
+    for a, b in _mwu_cases(derive_seed(906, len(sizes), ties), sizes, ties):
+        has_ties = np.unique(np.concatenate([a, b])).size < a.size + b.size
+        assert (min(a.size, b.size) <= 8 and not has_ties) == (branch == "exact")
+        want = stats.mannwhitneyu(a, b, alternative="two-sided").pvalue
+        assert _mannwhitney_p(a, b) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (3, 5), (12, 30)])
+def test_mannwhitney_all_tied_is_one_like_scipy(n1, n2):
+    a, b = np.full(n1, 0.25), np.full(n2, 0.25)
+    assert _mannwhitney_p(a, b) == 1.0
+    assert stats.mannwhitneyu(a, b, alternative="two-sided").pvalue == 1.0
 
 
 # -------------------------------------------------------- crash detection
@@ -140,6 +213,56 @@ def test_detect_slow_decline_outside_lookback():
 def test_detect_requires_more_than_lookback():
     with pytest.raises(ValueError):
         pc.detect_crashes(_prices([100] * 5), _cfg(lookback=10))
+
+
+def _readme_corpus():
+    spec = CorpusSpec.from_dict(json.loads(readme_json_blocks()["spec.json"]))
+    return synth_corpus(spec, 7)
+
+
+def _same_events(series, cfg):
+    got = pc.detect_crashes(series, cfg)
+    want = study_reference.detect_crashes(series, cfg)
+    assert [ev.to_dict() for ev in got] == [ev.to_dict() for ev in want]
+    assert got == want
+    return got
+
+
+def test_detect_matches_reference_on_readme_corpus():
+    corpus = _readme_corpus()
+    events = [ev for s in corpus for ev in _same_events(s, pc.StudyConfig())]
+    assert len(events) >= 20
+
+
+@pytest.mark.parametrize(
+    "levels, lookback, n_events",
+    [
+        ([100.0] * 11 + [80.0] * 4, 10, 1),  # a drop of exactly the threshold
+        ([100.0] * 11 + [80.1] * 4, 10, 0),  # just short of it
+        # recovery on the step after the breach, then a second breach
+        ([100.0] * 11 + [79.0, 96.0, 100.0, 79.0, 70.0], 10, 2),
+        ([100.0] * 10 + [79.0], 10, 1),  # n = lookback + 1
+        ([100.0] * 10 + [81.0], 10, 0),
+        ([90.0, 100.0, 100.0, 85.0, 79.0, 80.0], 5, 1),  # tied peaks: the earliest
+    ],
+)
+def test_detect_matches_reference_edges(levels, lookback, n_events):
+    assert len(_same_events(_prices(levels), _cfg(lookback=lookback))) == n_events
+
+
+def test_detect_matches_reference_random_walks():
+    rng = np.random.default_rng(derive_seed(907, 0))
+    n_events = 0
+    for k in range(200):
+        n = int(rng.integers(12, 600))
+        lookback = int(rng.integers(1, n))
+        lp = np.cumsum(rng.standard_normal(n) * rng.uniform(0.01, 0.2))
+        if k % 5 == 0:
+            lp = np.round(lp, 1)  # tied peaks
+        series = pc.PriceSeries(np.arange(float(n)), lp, f"W{k}")
+        cfg = _cfg(lookback=lookback, recovery_fraction=float(rng.uniform(0.01, 0.5)))
+        n_events += len(_same_events(series, cfg))
+    assert n_events > 200
 
 
 # ------------------------------------------------------------ segmentation
@@ -383,3 +506,46 @@ def test_segment_trend_record_fields():
     assert rec.group in ("pre", "normal")
     assert -1.0 <= rec.tau <= 1.0
     assert rec.n_windows >= 10
+
+
+def test_run_study_records_short_ticker_as_skip():
+    corpus = _mini_corpus()
+    short = _prices(np.linspace(100, 90, 126), "SHORT")  # lookback is 126
+    full = pc.run_study(corpus, _mini_cfg())
+    report = pc.run_study(corpus[:3] + [short] + corpus[3:], _mini_cfg())
+    assert report.n_assets == len(corpus) + 1
+    assert report.skipped == [
+        {"asset_id": "SHORT", "reason": "126 observations, needs more than lookback = 126"}
+    ]
+    doc = report.to_dict()
+    assert doc["n_skipped"] == 1 and doc["skipped"] == report.skipped
+    drop = ("n_assets", "n_skipped", "skipped")
+    assert {k: v for k, v in doc.items() if k not in drop} == {
+        k: v for k, v in full.to_dict().items() if k not in drop
+    }
+    with pytest.raises(ValueError, match="lookback"):
+        pc.detect_crashes(short, _mini_cfg())
+
+
+def test_run_study_only_short_tickers_is_inconclusive():
+    report = pc.run_study([_prices([100.0] * 10, "A"), _prices([100.0] * 5, "B")], _cfg())
+    assert report.n_assets == 2 and report.n_events == 0
+    assert [s["asset_id"] for s in report.skipped] == ["A", "B"]
+    for st in report.signals.values():
+        assert st.inconclusive_reason == "no segments"
+
+
+def test_signal_trend_inconclusive_reason():
+    report = pc.run_study(_mini_corpus(), _mini_cfg())
+    assert report.signals["anomalous_dim"].inconclusive_reason is None
+    spec = {"groups": [{"kind": "bm", "count": 2, "n": 1280, "params": {"sigma": 0.001}}]}
+    calm = pc.run_study(synth_corpus(spec, 3), _mini_cfg())
+    assert calm.signals["volatility"].inconclusive_reason == "no pre segments"
+    short = pc.run_study([_prices(np.linspace(100, 130, 140))], _mini_cfg())
+    assert short.signals["anomalous_dim"].inconclusive_reason == "no segments"
+    rise = 100.0 * np.exp(np.cumsum(0.01 + 0.005 * np.sin(np.arange(31.0))))
+    crash = _prices(np.concatenate([rise, rise[-1] * 0.93 ** np.arange(1, 6)]), "C")
+    no_normal = pc.run_study([crash], _cfg(exclusion_margin=40, signals=("volatility",)))
+    st = no_normal.signals["volatility"]
+    assert st.inconclusive and st.inconclusive_reason == "no normal segments"
+    assert st.to_dict()["inconclusive_reason"] == "no normal segments"
