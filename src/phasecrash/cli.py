@@ -4,7 +4,10 @@ Subcommands: ``synth`` (corpus spec -> price CSV), ``simulate`` (one
 generator -> path CSV), ``fit-lppl`` (price CSV -> fit JSON), ``ews``
 (price CSV -> long-format signal CSV), ``detect-crashes`` (price CSV ->
 events JSON), ``study`` (price CSV or corpus spec -> trend report JSON
-and CSVs). Every run writes a ``manifest.json`` beside its outputs; all
+and CSVs). ``simulate`` draws a corpus kind through the builder that
+``synth`` uses, from the flags named like the kind's params, with
+``--t-start`` in place of ``onset``; only ``multi``, a coupled panel, is
+built here. Every run writes a ``manifest.json`` beside its outputs; all
 randomness flows from ``--seed``. Exit codes: 0 success, 1 validation or
 usage error, 2 computation failure. ``PHASECRASH_LOG`` sets the log level.
 """
@@ -32,11 +35,14 @@ from .ews import (
     PriceSeries,
     WindowConfig,
     cross_covariance,
+    signal_estimator,
 )
 from .io import (
+    PARAM_DEFAULTS,
     CorpusSpec,
     RunManifest,
     load_price_csv,
+    simulate_asset,
     study_config_from_dict,
     synth_corpus,
     write_events_json,
@@ -48,21 +54,8 @@ from .io import (
     write_segments_csv,
 )
 from .lppl import SearchConfig, fit_lppl
-from .noise import HurstSchedule, StableSchedule, sample_gaussian_increments
-from .simulate import (
-    CptParams,
-    DptParams,
-    MultiParams,
-    MuSchedule,
-    SimPath,
-    SptParams,
-    simulate_cpt,
-    simulate_dpt,
-    simulate_multivariate,
-    simulate_spt,
-)
+from .simulate import MultiParams, MuSchedule, simulate_multivariate
 from .study import StudyConfig, detect_panel, run_study
-from .study import _estimator as _signal_estimator
 
 log = logging.getLogger("phasecrash")
 
@@ -105,7 +98,7 @@ def build_parser():
     p.add_argument(
         "--kind",
         required=True,
-        choices=["bm", "cpt", "spt", "dpt-hurst", "dpt-stable", "multi"],
+        choices=[k.replace("_", "-") for k in PARAM_DEFAULTS] + ["multi"],
     )
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--dt", type=float, default=0.01)
@@ -157,7 +150,6 @@ def build_parser():
     p.add_argument("--window", type=int, default=252)
     p.add_argument("--stride", type=int, default=5)
     p.add_argument("--tau-grid", type=_int_list, default=(2, 4, 8, 16, 32))
-    p.add_argument("--orders", type=_int_list, default=(1, 2))
     p.add_argument("--detrend", action="store_true")
     p.add_argument("--calendar", choices=["as-is", "intersect"], default="as-is")
 
@@ -201,35 +193,11 @@ def _cmd_synth(args):
     return 0
 
 
-def _sim_config(args):
-    keys = (
-        "kind n dt sample_every r sigma mu_start mu_end p0 lam alpha_vol "
-        "h_start h_end t_start alpha_start alpha_end scale k coupling"
-    ).split()
-    return {k: getattr(args, k) for k in keys}
-
-
 def _cmd_simulate(args):
+    if args.sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
     n, dt, seed = args.n, args.dt, args.seed
-    mu = MuSchedule(args.mu_start, args.mu_end, t_start=args.t_start)
-    if args.kind == "bm":
-        noise = sample_gaussian_increments(n, dt, seed)
-        paths = [SimPath(args.p0 + args.sigma * noise.path(), dt)]
-    elif args.kind == "cpt":
-        params = CptParams(args.r, mu, args.sigma, args.p0)
-        paths = [simulate_cpt(params, n, dt, seed)]
-    elif args.kind == "spt":
-        params = SptParams(args.r, args.lam, args.alpha_vol, args.p0)
-        paths = [simulate_spt(params, n, dt, seed)]
-    elif args.kind == "dpt-hurst":
-        sch = HurstSchedule(args.h_start, args.h_end, t_start=args.t_start)
-        paths = [simulate_dpt(DptParams(sch, scale=args.scale, p0=args.p0), n, dt, seed)]
-    elif args.kind == "dpt-stable":
-        sch = StableSchedule(
-            args.alpha_start, args.alpha_end, t_start=args.t_start, scale=args.scale
-        )
-        paths = [simulate_dpt(DptParams(sch, scale=1.0, p0=args.p0), n, dt, seed)]
-    else:  # multi
+    if args.kind == "multi":
         k = args.k
         coupling = tuple(
             tuple(1.0 if i == j else args.coupling for j in range(k)) for i in range(k)
@@ -237,19 +205,23 @@ def _cmd_simulate(args):
         params = MultiParams(
             r=(args.r,) * k,
             lam=(args.lam,) * k,
-            mu_schedule=mu,
+            mu_schedule=MuSchedule(args.mu_start, args.mu_end, t_start=args.t_start),
             sigma=(args.sigma,) * k,
             coupling=coupling,
             p0=(args.p0,) * k,
         )
-        paths = simulate_multivariate(params, n, dt, seed)
+        paths = [path.values for path in simulate_multivariate(params, n, dt, seed)]
+    else:  # a corpus kind, from the flags named like its params
+        kind = args.kind.replace("-", "_")
+        p = {key: v for key, v in vars(args).items() if key in PARAM_DEFAULTS[kind]}
+        paths = [simulate_asset(kind, p, n, dt, args.t_start, seed)]
     # serialise every sample_every-th state on an integer observation grid
     series = []
-    for i, path in enumerate(paths):
-        lp = path.to_price_series(sample_every=args.sample_every).log_prices
+    for i, values in enumerate(paths):
+        lp = values[:: args.sample_every]
         series.append(PriceSeries(np.arange(lp.size, dtype=float), lp, f"SIM{i:03d}"))
     write_price_csv(series, _outpath(args, "path.csv"))
-    cfg = _sim_config(args)
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "seed", "out")}
     _manifest(args, "simulate", cfg, RunManifest.digest_config(cfg)).write(
         _outpath(args, "manifest.json")
     )
@@ -309,7 +281,6 @@ def _cmd_ews(args):
         window=args.window,
         stride=args.stride,
         tau_grid=args.tau_grid,
-        orders=args.orders,
         detrend=args.detrend,
     )
     out = []
@@ -317,7 +288,7 @@ def _cmd_ews(args):
         if signal == CROSS_COV:
             out.append(cross_covariance(series_list, cfg))
         else:
-            estimator = _signal_estimator(signal)
+            estimator = signal_estimator(signal)
             for s in series_list:
                 out.append(estimator(s, cfg))
     write_ews_csv(out, _outpath(args, "signals.csv"))
@@ -326,7 +297,6 @@ def _cmd_ews(args):
         "window": args.window,
         "stride": args.stride,
         "tau_grid": list(args.tau_grid),
-        "orders": list(args.orders),
         "detrend": args.detrend,
         "calendar": calendar,
     }

@@ -39,7 +39,7 @@ Windows without enough signal (zero variance, overflowing moments) yield
 NaN, which downstream trend statistics skip.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,7 +50,7 @@ __all__ = [
     "PriceSeries",
     "WindowConfig",
     "EwsSeries",
-    "SIGNALS",
+    "signal_estimator",
     "rolling_volatility",
     "rolling_skewness",
     "rolling_lag1_autocorr",
@@ -66,11 +66,6 @@ LAG1_AUTOCORR = "lag1_autocorr"
 ANOMALOUS_DIM = "anomalous_dim"
 CONFORMALITY = "conformality"
 CROSS_COV = "cross_cov"
-
-#: Valid signal names; generalized Hurst exponents appear as "ghe<n>".
-SIGNALS = frozenset(
-    [VOLATILITY, SKEWNESS, LAG1_AUTOCORR, ANOMALOUS_DIM, CONFORMALITY, CROSS_COV]
-)
 
 
 def ghe_signal(order):
@@ -386,3 +381,29 @@ def cross_covariance(series_list, cfg):
     vals = _rowwise(panel, starts, cfg.window, mean_pair_cov)
     label = "|".join(s.id for s in series_list) if k <= 4 else f"panel[{k}]"
     return EwsSeries(times, vals, CROSS_COV, label)
+
+
+def signal_estimator(name):
+    """The estimator ``f(series, cfg) -> EwsSeries`` of the univariate
+    signal ``name``; ``ghe<n>`` is the generalized Hurst exponent of order
+    ``n >= 1``. Any other name, ``cross_cov`` included, raises ValueError."""
+    # built per call from the module globals, so a wrapper bound to one of
+    # these names (the benchmark's tracer) sees every call
+    table = {
+        VOLATILITY: rolling_volatility,
+        SKEWNESS: rolling_skewness,
+        LAG1_AUTOCORR: rolling_lag1_autocorr,
+        ANOMALOUS_DIM: anomalous_dimension,
+        CONFORMALITY: conformality_index,
+    }
+    if name in table:
+        return table[name]
+    digits = name[3:]
+    if name.startswith("ghe") and digits.isdecimal() and int(digits) >= 1:
+        order = int(digits)
+
+        def ghe_one(series, cfg):
+            return generalized_hurst(series, replace(cfg, orders=(order,)))[0]
+
+        return ghe_one
+    raise ValueError(f"unknown signal {name!r}")

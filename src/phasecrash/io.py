@@ -59,6 +59,8 @@ __all__ = [
     "write_segments_csv",
     "AssetGroupSpec",
     "CorpusSpec",
+    "PARAM_DEFAULTS",
+    "simulate_asset",
     "synth_corpus",
     "derive_seed",
     "RunManifest",
@@ -273,14 +275,14 @@ def write_segments_csv(report, path):
 # corpus synthesis
 
 #: Every ``params`` key each asset kind reads, with its default.
-_PARAM_DEFAULTS = {
+PARAM_DEFAULTS = {
     "bm": dict(p0=0.0, sigma=0.001),
     "cpt": dict(r=1.0, mu_start=0.0, mu_end=0.36, sigma=0.03, p0=1.0),
     "spt": dict(r=1.0, lam=1.0, alpha_vol=0.01, p0=1.0),
     "dpt_hurst": dict(onset=0.0, scale=0.0015, h_start=0.5, h_end=0.9, p0=0.0),
     "dpt_stable": dict(onset=0.0, scale=0.0015, alpha_start=2.0, alpha_end=1.2, p0=0.0),
 }
-_KINDS = tuple(_PARAM_DEFAULTS)
+_KINDS = tuple(PARAM_DEFAULTS)
 
 
 @dataclass
@@ -306,7 +308,7 @@ class AssetGroupSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown asset kind {self.kind!r}; pick from {_KINDS}")
-        known = sorted(_PARAM_DEFAULTS[self.kind])
+        known = sorted(PARAM_DEFAULTS[self.kind])
         unknown = sorted(set(self.params) - set(known))
         if unknown:
             raise ValueError(f"unknown {self.kind} params {unknown}; known {known}")
@@ -332,54 +334,54 @@ class CorpusSpec:
         return {"groups": [g.to_dict() for g in self.groups]}
 
 
-def _simulate_asset(group, seed):
-    p = {**_PARAM_DEFAULTS[group.kind], **group.params}
-    n, dt = group.n, group.dt
-    if group.kind == "bm":
+def simulate_asset(kind, p, n, dt, t_start, seed):
+    """Log-price path of ``n`` steps for asset ``kind``, a key of
+    :data:`PARAM_DEFAULTS`, from its params ``p`` with every key given
+    (``onset`` is not read); the kind's mu, H or alpha ramp starts at
+    step ``t_start``. ``synth`` and ``simulate`` both draw through here."""
+    if t_start < 0:
+        raise ValueError(f"t_start must be an integer >= 0, got {t_start!r}")
+    if kind == "bm":
         noise = sample_gaussian_increments(n, dt, seed)
-        values = p["p0"] + p["sigma"] * noise.path()
-    elif group.kind == "cpt":
-        params = CptParams(
-            r=p["r"],
-            mu_schedule=MuSchedule(p["mu_start"], p["mu_end"]),
-            sigma=p["sigma"],
-            p0=p["p0"],
-        )
-        values = simulate_cpt(params, n, dt, seed).values
-    elif group.kind == "spt":
+        return p["p0"] + p["sigma"] * noise.path()
+    if kind == "cpt":
+        mu = MuSchedule(p["mu_start"], p["mu_end"], t_start=t_start)
+        params = CptParams(r=p["r"], mu_schedule=mu, sigma=p["sigma"], p0=p["p0"])
+        return simulate_cpt(params, n, dt, seed).values
+    if kind == "spt":
         params = SptParams(r=p["r"], lam=p["lam"], alpha_vol=p["alpha_vol"], p0=p["p0"])
-        values = simulate_spt(params, n, dt, seed).values
-    else:  # dpt_hurst | dpt_stable: a flat noise law until onset, then a ramp
-        t_start = int(p["onset"] * n)
-        scale = p["scale"]
-        if group.kind == "dpt_hurst":
-            sch = HurstSchedule(p["h_start"], p["h_end"], t_start=t_start)
-        else:
-            a0, a1 = p["alpha_start"], p["alpha_end"]
-            sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
-            scale = 1.0  # the stable schedule carries the scale
-        params = DptParams(sch, scale=scale, p0=p["p0"])
-        values = simulate_dpt(params, n, dt, seed).values
-    values = values[:: group.sample_every]
-    if group.forced_drop is not None:
-        steps = np.arange(1, group.drop_len + 1) / group.drop_len
-        values = np.concatenate(
-            [values, values[-1] + math.log1p(-group.forced_drop) * steps]
-        )
-    return values
+        return simulate_spt(params, n, dt, seed).values
+    scale = p["scale"]  # dpt_hurst | dpt_stable: a flat noise law, then a ramp
+    if kind == "dpt_hurst":
+        sch = HurstSchedule(p["h_start"], p["h_end"], t_start=t_start)
+    else:
+        a0, a1 = p["alpha_start"], p["alpha_end"]
+        sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
+        scale = 1.0  # the stable schedule carries the scale
+    return simulate_dpt(DptParams(sch, scale=scale, p0=p["p0"]), n, dt, seed).values
 
 
 def synth_corpus(spec, seed):
     """Deterministic synthetic panel; asset ``j`` overall uses the RNG
-    stream derived from ``(seed, j)``."""
+    stream derived from ``(seed, j)``, and ``onset`` starts a group's
+    ramp at step ``int(onset * n)``."""
     if isinstance(spec, dict):
         spec = CorpusSpec.from_dict(spec)
     out = []
     asset_index = 0
     for gi, group in enumerate(spec.groups):
         prefix = group.id_prefix if group.id_prefix is not None else f"{group.kind}{gi}_"
+        p = {**PARAM_DEFAULTS[group.kind], **group.params}
+        t_start = int(p.get("onset", 0.0) * group.n)
         for i in range(group.count):
-            values = _simulate_asset(group, derive_seed(seed, asset_index))
+            seed_i = derive_seed(seed, asset_index)
+            values = simulate_asset(group.kind, p, group.n, group.dt, t_start, seed_i)
+            values = values[:: group.sample_every]
+            if group.forced_drop is not None:
+                steps = np.arange(1, group.drop_len + 1) / group.drop_len
+                values = np.concatenate(
+                    [values, values[-1] + math.log1p(-group.forced_drop) * steps]
+                )
             out.append(
                 PriceSeries(
                     np.arange(values.size, dtype=float),
@@ -422,13 +424,17 @@ class RunManifest:
 #: JSON keys that differ from the field they fill.
 _JSON_KEYS = {"ews_cfg": "ews"}
 
+#: JSON value types a field takes besides its annotated type.
+_ALSO_ACCEPTED = {float: (int,), tuple: (list,)}
+
 
 def _from_dict(cls, d, what):
     """Dataclass ``cls`` from the JSON object ``d``.
 
     Keys are the field names (``ews`` for ``ews_cfg``); unknown or
-    missing required keys, and a ``TypeError`` from ``cls`` itself (a
-    value of the wrong type), raise ``ValueError``. Lists become tuples, and
+    missing required keys raise ``ValueError``, and so does a value whose
+    type is not the field's annotated type, an int for a float, a list for
+    a tuple, or None where the default is None. Lists become tuples, and
     an object under a dataclass-typed field is built the same way.
     """
     if not isinstance(d, dict):
@@ -446,14 +452,19 @@ def _from_dict(cls, d, what):
     kw = {}
     for key, value in d.items():
         f = by_key[key]
+        accepted = (f.type, *_ALSO_ACCEPTED.get(f.type, ()))
         if is_dataclass(f.type):
             value = _from_dict(f.type, value, key)
+        elif type(value) not in accepted and not (value is None and f.default is None):
+            raise ValueError(
+                f"{what}: {key} must be {f.type.__name__}, got {type(value).__name__}"
+            )
         elif isinstance(value, list):
             value = tuple(value)
         kw[f.name] = value
     try:
         return cls(**kw)
-    except TypeError as exc:  # a value of the wrong JSON type
+    except TypeError as exc:  # an element of the wrong JSON type
         raise ValueError(f"{what}: {exc}") from exc
 
 

@@ -30,7 +30,7 @@ segmentation, or aggregation, and per-asset work reduces in input order.
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -39,21 +39,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InsufficientDataError
 from .ews import (
     ANOMALOUS_DIM,
-    CONFORMALITY,
     CROSS_COV,
     LAG1_AUTOCORR,
     SKEWNESS,
     VOLATILITY,
     WindowConfig,
-    anomalous_dimension,
     check_aligned,
-    conformality_index,
     cross_covariance,
-    generalized_hurst,
-    rolling_lag1_autocorr,
-    rolling_skewness,
-    rolling_volatility,
+    signal_estimator,
 )
+from .ews import rolling_volatility  # noqa: F401  perfbench's tracer test reads it here
 
 __all__ = [
     "CrashEvent",
@@ -91,16 +86,7 @@ class CrashEvent:
             raise ValueError("peak_time must precede trough_time")
 
     def to_dict(self):
-        return {
-            "asset_id": self.asset_id,
-            "peak_time": self.peak_time,
-            "trough_time": self.trough_time,
-            "peak_log_price": self.peak_log_price,
-            "trough_log_price": self.trough_log_price,
-            "drawdown": self.drawdown,
-            "peak_index": self.peak_index,
-            "trough_index": self.trough_index,
-        }
+        return asdict(self)
 
 
 def _default_ews_cfg():
@@ -133,6 +119,11 @@ class StudyConfig:
             raise ValueError("recovery_fraction must lie in (0, 1)")
         if self.min_trend_points < 1:
             raise ValueError("min_trend_points must be positive")
+        if isinstance(self.signals, str):
+            raise ValueError(f"signals must be a list of names, got {self.signals!r}")
+        for name in self.signals:
+            if name != CROSS_COV:
+                signal_estimator(name)  # raises for an unknown name
 
 
 @dataclass
@@ -432,26 +423,6 @@ def _mwu_lower_tail(m, n, k):
     return f[m].sum() / math.comb(m + n, m)
 
 
-def _estimator(signal):
-    table = {
-        VOLATILITY: rolling_volatility,
-        SKEWNESS: rolling_skewness,
-        LAG1_AUTOCORR: rolling_lag1_autocorr,
-        ANOMALOUS_DIM: anomalous_dimension,
-        CONFORMALITY: conformality_index,
-    }
-    if signal in table:
-        return table[signal]
-    if signal.startswith("ghe"):
-        order = int(signal[3:])
-
-        def ghe_one(series, cfg):
-            return generalized_hurst(series, replace(cfg, orders=(order,)))[0]
-
-        return ghe_one
-    raise ValueError(f"unknown signal {signal!r}")
-
-
 def _trend_records(asset_id, signal, estimate, pre, normal, cfg):
     """One :class:`SegmentTrend` per segment whose EWS ``estimate(seg)``
     has a Kendall trend; segments shorter than ``window + 1``, with too
@@ -503,7 +474,7 @@ def run_study(assets, cfg=None):
     for asset, events in scanned:
         pre, normal = segment_windows(asset, events, cfg)
         for signal in univariate:
-            estimate = partial(_estimator(signal), cfg=cfg.ews_cfg)
+            estimate = partial(signal_estimator(signal), cfg=cfg.ews_cfg)
             records += _trend_records(asset.id, signal, estimate, pre, normal, cfg)
         all_events += events
     if CROSS_COV in cfg.signals:

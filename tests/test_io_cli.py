@@ -446,6 +446,53 @@ def test_cli_simulate_dpt_stable_honours_t_start(tmp_path):
     assert not np.allclose(got, cli_path(0))
 
 
+#: Non-default params per corpus kind, passed to ``simulate`` as the
+#: flags of the same names.
+_KIND_PARAMS = {
+    "bm": {"p0": 1.5, "sigma": 0.02},
+    "cpt": {"r": 1.0, "mu_start": 0.05, "mu_end": 0.3, "sigma": 0.05, "p0": 1.0},
+    "spt": {"r": 1.0, "lam": 1.5, "alpha_vol": 0.02, "p0": 1.0},
+    "dpt_hurst": {"scale": 0.01, "h_start": 0.5, "h_end": 0.85, "p0": 0.5},
+    "dpt_stable": {"scale": 0.01, "alpha_start": 1.9, "alpha_end": 1.3, "p0": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+def test_cli_simulate_draws_what_a_one_asset_synth_group_draws(tmp_path, kind):
+    # onset = 0.5 at n = 400 is --t-start 200; cpt's mu ramp starts at step 0 in both
+    params = dict(_KIND_PARAMS[kind])
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+    if kind.startswith("dpt"):
+        params["onset"] = 0.5
+        flags.append("--t-start=200")
+    group = {"kind": kind, "count": 1, "n": 400, "dt": 0.01, "params": params,
+             "sample_every": 2, "id_prefix": "SIM"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [group]}))
+    synth_out, sim_out = str(tmp_path / "synth"), str(tmp_path / "sim")
+    assert cli_dispatch(["synth", "--spec", str(spec), "--seed", "5", "--out", synth_out]) == 0
+    rc = cli_dispatch(["simulate", "--kind", kind.replace("_", "-"), "--n", "400",
+                       "--dt", "0.01", "--sample-every", "2", *flags,
+                       "--seed", str(derive_seed(5, 0)), "--out", sim_out])
+    assert rc == 0
+    corpus = open(os.path.join(synth_out, "corpus.csv"), "rb").read()
+    assert open(os.path.join(sim_out, "path.csv"), "rb").read() == corpus
+
+
+@pytest.mark.parametrize("kind", ["bm", "cpt", "spt", "dpt-hurst", "dpt-stable", "multi"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--sample-every", "0"], "sample_every must be >= 1"),
+     (["--t-start", "-5"], "t_start must be an integer >= 0, got -5")],
+)
+def test_cli_simulate_refuses_bad_sample_every_and_t_start(tmp_path, capsys, kind, flag,
+                                                           message):
+    rc = cli_dispatch(["simulate", "--kind", kind, "--n", "50", *flag,
+                       "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"phasecrash: error: {message}" in capsys.readouterr().err
+
+
 def test_cli_simulate_negative_t_start_is_a_clear_error(tmp_path, capsys):
     rc = cli_dispatch(["simulate", "--kind", "dpt-hurst", "--h-end", "0.9", "--n", "50",
                        "--t-start", "-5", "--out", str(tmp_path)])
@@ -467,6 +514,18 @@ def test_cli_ews_schema(tmp_path):
     assert lines[0] == "asset_id,signal,window_end_time,value,missing_flag"
     signals = {ln.split(",")[1] for ln in lines[1:]}
     assert signals == {"volatility", "anomalous_dim", "ghe1"}
+
+
+def test_cli_ews_has_no_orders_flag(tmp_path):
+    # a ghe<n> name fixes its own order, so --orders would select nothing
+    spec = _spec_file(tmp_path, n_crash=0, n_bm=1)
+    out = str(tmp_path / "o")
+    cli_dispatch(["synth", "--spec", spec, "--seed", "3", "--out", out])
+    corpus = os.path.join(out, "corpus.csv")
+    assert cli_dispatch(["ews", "--input", corpus, "--orders", "1", "--out", out]) == 1
+    assert cli_dispatch(["ews", "--input", corpus, "--signals", "ghe1", "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert "orders" not in manifest["config"]
 
 
 def test_cli_fit_lppl_fixture(tmp_path):
@@ -507,15 +566,37 @@ def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cfg", [{"crash_threshold": "0.3"}, {"lookback": "126"}, {"min_trend_points": "10"}]
+    "cfg",  # (config, expected message)
+    [
+        ({"crash_threshold": "0.3"}, "study config: crash_threshold must be float, got str"),
+        ({"lookback": "126"}, "study config: lookback must be int, got str"),
+        ({"min_trend_points": "10"}, "study config: min_trend_points must be int, got str"),
+        ({"ews": {"window": "126"}}, "ews: window must be int, got str"),
+    ],
 )
 def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, capsys, cfg):
+    cfg, message = cfg
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = cli_dispatch(["study", "--spec", _spec_file(tmp_path), "--config", str(cfg_path),
                        "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "phasecrash: error: study config:" in capsys.readouterr().err
+    assert f"phasecrash: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "signals, message",
+    [("volatility", "signals must be tuple, got str"),
+     (["volatility", "ghe0"], "unknown signal 'ghe0'")],
+)
+def test_cli_study_refuses_bad_signals_before_reading_the_panel(tmp_path, capsys, signals,
+                                                                message):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"signals": signals}))
+    rc = cli_dispatch(["study", "--input", str(tmp_path / "absent.csv"),
+                       "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, capsys):
@@ -523,7 +604,7 @@ def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, cap
     spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": "2"}]}))
     rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "phasecrash: error: asset group:" in capsys.readouterr().err
+    assert "phasecrash: error: asset group: count must be int, got str" in capsys.readouterr().err
 
 
 def _fresh_python(code):

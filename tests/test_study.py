@@ -549,3 +549,22 @@ def test_signal_trend_inconclusive_reason():
     st = no_normal.signals["volatility"]
     assert st.inconclusive and st.inconclusive_reason == "no normal segments"
     assert st.to_dict()["inconclusive_reason"] == "no normal segments"
+
+
+@pytest.mark.parametrize(
+    "signals, message",
+    [("volatility", "signals must be a list of names, got 'volatility'"),
+     ("", "signals must be a list of names, got ''")]
+    + [((name,), f"unknown signal '{name}'")
+       for name in ("vol", "ghe0", "ghe-1", "ghe+1", "ghex", "ghe", "cross_covariance")],
+)
+def test_study_config_refuses_bad_signals_at_construction(signals, message):
+    with pytest.raises(ValueError) as err:
+        pc.StudyConfig(signals=signals)
+    assert str(err.value) == message
+
+
+def test_study_config_accepts_every_signal_name():
+    names = ("volatility", "skewness", "lag1_autocorr", "anomalous_dim", "conformality",
+             "ghe1", "ghe12", "cross_cov")
+    assert pc.StudyConfig(signals=names).signals == names
