@@ -6,8 +6,11 @@ generator -> path CSV), ``fit-lppl`` (price CSV -> fit JSON), ``ews``
 events JSON), ``study`` (price CSV or corpus spec -> trend report JSON
 and CSVs). ``simulate`` draws a corpus kind through the builder that
 ``synth`` uses, from the flags named like the kind's params, with
-``--t-start`` in place of ``onset``; only ``multi``, a coupled panel, is
-built here. Every run writes a ``manifest.json`` beside its outputs; all
+``--t-start`` in place of ``onset``; a flag left out takes the kind's
+``PARAM_DEFAULTS`` value. Only ``multi``, coupled critical-route assets,
+is built here, from the ``cpt`` row. The other commands' flags default
+to the ``SearchConfig``, ``WindowConfig`` and ``StudyConfig`` fields they
+fill. Every run writes a ``manifest.json`` beside its outputs; all
 randomness flows from ``--seed``. Exit codes: 0 success, 1 validation or
 usage error, 2 computation failure. ``PHASECRASH_LOG`` sets the log level.
 """
@@ -54,10 +57,16 @@ from .io import (
     write_segments_csv,
 )
 from .lppl import SearchConfig, fit_lppl
-from .simulate import MultiParams, MuSchedule, simulate_multivariate
+from .simulate import CPT_LAM, MultiParams, MuSchedule, simulate_multivariate
 from .study import StudyConfig, detect_panel, run_study
 
 log = logging.getLogger("phasecrash")
+
+#: The ``simulate`` flags named like corpus params; ``--t-start`` replaces ``onset``.
+_PARAM_KEYS = sorted({key for row in PARAM_DEFAULTS.values() for key in row} - {"onset"})
+
+#: ``multi`` couples critical-route assets, so it reads the cpt row.
+_MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM}
 
 
 class _UsageError(Exception):
@@ -103,21 +112,12 @@ def build_parser():
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--sample-every", type=int, default=1)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--mu-start", type=float, default=0.0)
-    p.add_argument("--mu-end", type=float, default=0.0)
-    p.add_argument("--p0", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--alpha-vol", type=float, default=0.01)
-    p.add_argument("--h-start", type=float, default=0.5)
-    p.add_argument("--h-end", type=float, default=None)
     p.add_argument(
         "--t-start", type=int, default=0, help="first step of the mu, H or alpha ramp"
     )
-    p.add_argument("--alpha-start", type=float, default=2.0)
-    p.add_argument("--alpha-end", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
+    for key in _PARAM_KEYS:
+        p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
+                       help="default: the kind's PARAM_DEFAULTS value")
     p.add_argument("--k", type=int, default=2, help="asset count (multi)")
     p.add_argument(
         "--coupling", type=float, default=0.5, help="off-diagonal D_ij (multi)"
@@ -129,36 +129,35 @@ def build_parser():
     p.add_argument("--ticker", default=None, help="default: first ticker in file")
     p.add_argument("--tc-min", type=float, default=None)
     p.add_argument("--tc-max", type=float, default=None)
-    p.add_argument("--m-min", type=float, default=0.1)
-    p.add_argument("--m-max", type=float, default=0.9)
-    p.add_argument("--omega-min", type=float, default=2.0)
-    p.add_argument("--omega-max", type=float, default=25.0)
-    p.add_argument(
-        "--grid", type=_grid_counts, default=(20, 9, 12), metavar="TC,M,OMEGA"
-    )
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--m-min", type=float, default=SearchConfig.m_bounds[0])
+    p.add_argument("--m-max", type=float, default=SearchConfig.m_bounds[1])
+    p.add_argument("--omega-min", type=float, default=SearchConfig.omega_bounds[0])
+    p.add_argument("--omega-max", type=float, default=SearchConfig.omega_bounds[1])
+    grid = (SearchConfig.n_tc, SearchConfig.n_m, SearchConfig.n_omega)
+    p.add_argument("--grid", type=_grid_counts, default=grid, metavar="TC,M,OMEGA")
+    p.add_argument("--top-k", type=int, default=SearchConfig.refine_top_k)
 
     p = sub.add_parser("ews", help="rolling early-warning signals")
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument(
         "--signals",
-        default="volatility,skewness,lag1_autocorr,anomalous_dim",
+        default=",".join(StudyConfig.signals),
         help="comma list (volatility, skewness, lag1_autocorr, anomalous_dim, "
         "conformality, ghe<n>, cross_cov)",
     )
-    p.add_argument("--window", type=int, default=252)
-    p.add_argument("--stride", type=int, default=5)
-    p.add_argument("--tau-grid", type=_int_list, default=(2, 4, 8, 16, 32))
+    p.add_argument("--window", type=int, default=WindowConfig.window)
+    p.add_argument("--stride", type=int, default=WindowConfig.stride)
+    p.add_argument("--tau-grid", type=_int_list, default=WindowConfig.tau_grid)
     p.add_argument("--detrend", action="store_true")
     p.add_argument("--calendar", choices=["as-is", "intersect"], default="as-is")
 
     p = sub.add_parser("detect-crashes", help="drawdown event detection")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=0.20)
-    p.add_argument("--lookback", type=int, default=126)
-    p.add_argument("--recovery", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=StudyConfig.crash_threshold)
+    p.add_argument("--lookback", type=int, default=StudyConfig.lookback)
+    p.add_argument("--recovery", type=float, default=StudyConfig.recovery_fraction)
 
     p = sub.add_parser("study", help="pre-crash vs normal-time trend study")
     common(p)
@@ -197,23 +196,22 @@ def _cmd_simulate(args):
     if args.sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n, dt, seed = args.n, args.dt, args.seed
-    if args.kind == "multi":
+    kind = args.kind.replace("-", "_")
+    row = _MULTI_DEFAULTS if kind == "multi" else PARAM_DEFAULTS[kind]
+    given = {key: v for key, v in vars(args).items() if v is not None}
+    p = {key: given.get(key, v) for key, v in row.items() if key != "onset"}
+    if kind == "multi":
         k = args.k
         coupling = tuple(
             tuple(1.0 if i == j else args.coupling for j in range(k)) for i in range(k)
         )
         params = MultiParams(
-            r=(args.r,) * k,
-            lam=(args.lam,) * k,
-            mu_schedule=MuSchedule(args.mu_start, args.mu_end, t_start=args.t_start),
-            sigma=(args.sigma,) * k,
+            **{key: (p[key],) * k for key in ("r", "lam", "sigma", "p0")},
+            mu_schedule=MuSchedule(p["mu_start"], p["mu_end"], t_start=args.t_start),
             coupling=coupling,
-            p0=(args.p0,) * k,
         )
         paths = [path.values for path in simulate_multivariate(params, n, dt, seed)]
-    else:  # a corpus kind, from the flags named like its params
-        kind = args.kind.replace("-", "_")
-        p = {key: v for key, v in vars(args).items() if key in PARAM_DEFAULTS[kind]}
+    else:
         paths = [simulate_asset(kind, p, n, dt, args.t_start, seed)]
     # serialise every sample_every-th state on an integer observation grid
     series = []
@@ -221,7 +219,8 @@ def _cmd_simulate(args):
         lp = values[:: args.sample_every]
         series.append(PriceSeries(np.arange(lp.size, dtype=float), lp, f"SIM{i:03d}"))
     write_price_csv(series, _outpath(args, "path.csv"))
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "seed", "out")}
+    skip = ("command", "seed", "out", *_PARAM_KEYS)
+    cfg = {key: v for key, v in vars(args).items() if key not in skip} | p
     _manifest(args, "simulate", cfg, RunManifest.digest_config(cfg)).write(
         _outpath(args, "manifest.json")
     )
@@ -275,22 +274,22 @@ def _cmd_fit_lppl(args):
 
 def _cmd_ews(args):
     calendar = "intersect" if args.calendar == "intersect" else "as_is"
-    series_list = load_price_csv(args.input, calendar)
     signals = tuple(s.strip() for s in args.signals.split(",") if s.strip())
+    # resolve every name before the panel is read; None marks cross_cov
+    estimators = [None if s == CROSS_COV else signal_estimator(s) for s in signals]
     cfg = WindowConfig(
         window=args.window,
         stride=args.stride,
         tau_grid=args.tau_grid,
         detrend=args.detrend,
     )
+    series_list = load_price_csv(args.input, calendar)
     out = []
-    for signal in signals:
-        if signal == CROSS_COV:
+    for estimator in estimators:
+        if estimator is None:
             out.append(cross_covariance(series_list, cfg))
         else:
-            estimator = signal_estimator(signal)
-            for s in series_list:
-                out.append(estimator(s, cfg))
+            out.extend(estimator(s, cfg) for s in series_list)
     write_ews_csv(out, _outpath(args, "signals.csv"))
     cfg_dict = {
         "signals": list(signals),

@@ -312,6 +312,14 @@ class AssetGroupSpec:
         unknown = sorted(set(self.params) - set(known))
         if unknown:
             raise ValueError(f"unknown {self.kind} params {unknown}; known {known}")
+        for key, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"{self.kind} params: {key} must be float, got {type(value).__name__}"
+                )
+        onset = self.params.get("onset", 0.0)
+        if not 0.0 <= onset < 1.0:
+            raise ValueError(f"{self.kind} params: onset must lie in [0, 1), got {onset!r}")
         if self.count < 0 or self.n < 1 or self.dt <= 0 or self.sample_every < 1:
             raise ValueError("count, n, dt, sample_every out of range")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:

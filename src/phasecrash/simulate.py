@@ -37,6 +37,7 @@ from .noise import (
 )
 
 __all__ = [
+    "CPT_LAM",
     "MuSchedule",
     "CptParams",
     "SptParams",
@@ -52,6 +53,9 @@ __all__ = [
 
 #: Drift offset mu(t), constant when its end is omitted.
 MuSchedule = Ramp
+
+#: The critical route's cubic coefficient ``lam``, fixed at 1.
+CPT_LAM = 1.0
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def simulate_cpt(params, n, dt, seed):
     seed = _check_seed(seed)
     w = params.sigma * sample_gaussian_increments(n, dt, seed).increments
     mu = params.mu_schedule.values(n).tolist()
-    values = _euler(params.p0, mu, params.r, 1.0, w.tolist(), dt)
+    values = _euler(params.p0, mu, params.r, CPT_LAM, w.tolist(), dt)
     return _finish(values, "cpt", params, dt, seed, n)
 
 

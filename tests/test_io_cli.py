@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import phasecrash as pc
-from phasecrash.cli import cli_dispatch
+from phasecrash.cli import build_parser, cli_dispatch
 from phasecrash.errors import CsvParseError
 from phasecrash.io import (
+    PARAM_DEFAULTS,
     AssetGroupSpec,
     CorpusSpec,
     RunManifest,
@@ -479,6 +480,53 @@ def test_cli_simulate_draws_what_a_one_asset_synth_group_draws(tmp_path, kind):
     assert open(os.path.join(sim_out, "path.csv"), "rb").read() == corpus
 
 
+@pytest.mark.parametrize("kind", sorted(PARAM_DEFAULTS))
+def test_cli_simulate_without_param_flags_draws_a_default_synth_group(tmp_path, kind):
+    # every param flag left out takes the kind's PARAM_DEFAULTS value, as synth does
+    group = {"kind": kind, "count": 1, "n": 400, "dt": 0.01, "params": {},
+             "id_prefix": "SIM"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [group]}))
+    synth_out, sim_out = str(tmp_path / "synth"), str(tmp_path / "sim")
+    assert cli_dispatch(["synth", "--spec", str(spec), "--seed", "5", "--out", synth_out]) == 0
+    rc = cli_dispatch(["simulate", "--kind", kind.replace("_", "-"), "--n", "400",
+                       "--dt", "0.01", "--seed", str(derive_seed(5, 0)), "--out", sim_out])
+    assert rc == 0
+    corpus = open(os.path.join(synth_out, "corpus.csv"), "rb").read()
+    assert open(os.path.join(sim_out, "path.csv"), "rb").read() == corpus
+    config = json.load(open(os.path.join(sim_out, "manifest.json")))["config"]
+    row = {key: v for key, v in PARAM_DEFAULTS[kind].items() if key != "onset"}
+    assert config == {"kind": kind.replace("_", "-"), "n": 400, "dt": 0.01,
+                      "sample_every": 1, "t_start": 0, "k": 2, "coupling": 0.5, **row}
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    parser = build_parser()
+    search, study, window = pc.SearchConfig(), pc.StudyConfig(), pc.WindowConfig()
+    fit = parser.parse_args(["fit-lppl", "--input", "x.csv"])
+    assert (fit.m_min, fit.m_max) == search.m_bounds
+    assert (fit.omega_min, fit.omega_max) == search.omega_bounds
+    assert (fit.tc_min, fit.tc_max) == (None, None) and search.tc_bounds is None
+    assert fit.grid == (search.n_tc, search.n_m, search.n_omega)
+    assert fit.top_k == search.refine_top_k
+    detect = parser.parse_args(["detect-crashes", "--input", "x.csv"])
+    assert detect.threshold == study.crash_threshold
+    assert detect.lookback == study.lookback
+    assert detect.recovery == study.recovery_fraction
+    ews = parser.parse_args(["ews", "--input", "x.csv"])
+    assert tuple(ews.signals.split(",")) == study.signals
+    assert (ews.window, ews.stride, ews.detrend) == (window.window, window.stride,
+                                                     window.detrend)
+    assert tuple(ews.tau_grid) == window.tau_grid
+    # multi couples critical-route assets: the cpt row, with the route's lam = 1
+    out = str(tmp_path / "multi")
+    assert cli_dispatch(["simulate", "--kind", "multi", "--n", "50", "--out", out]) == 0
+    config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+    assert config == {"kind": "multi", "n": 50, "dt": 0.01, "sample_every": 1,
+                      "t_start": 0, "k": 2, "coupling": 0.5, **PARAM_DEFAULTS["cpt"],
+                      "lam": 1.0}
+
+
 @pytest.mark.parametrize("kind", ["bm", "cpt", "spt", "dpt-hurst", "dpt-stable", "multi"])
 @pytest.mark.parametrize(
     "flag, message",
@@ -605,6 +653,30 @@ def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, cap
     rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "phasecrash: error: asset group: count must be int, got str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [("dpt_stable", {"onset": 1.5}, "dpt_stable params: onset must lie in [0, 1), got 1.5"),
+     ("dpt_stable", {"onset": 1.0}, "dpt_stable params: onset must lie in [0, 1), got 1.0"),
+     ("dpt_stable", {"onset": -0.1}, "dpt_stable params: onset must lie in [0, 1), got -0.1"),
+     ("bm", {"sigma": "0.001"}, "bm params: sigma must be float, got str"),
+     ("bm", {"sigma": True}, "bm params: sigma must be float, got bool")],
+)
+def test_cli_synth_refuses_bad_param_values(tmp_path, capsys, kind, params, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"kind": kind, "count": 1, "n": 200,
+                                            "params": params}]}))
+    rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"phasecrash: error: {message}" in capsys.readouterr().err
+
+
+def test_cli_ews_refuses_unknown_signal_before_reading_input(tmp_path, capsys):
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "absent.csv"),
+                       "--signals", "cross_cov,bogus", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "phasecrash: error: unknown signal 'bogus'" in capsys.readouterr().err
 
 
 def _fresh_python(code):
