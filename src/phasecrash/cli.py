@@ -7,12 +7,13 @@ events JSON), ``study`` (price CSV or corpus spec -> trend report JSON
 and CSVs). ``simulate`` draws a corpus kind through the builder that
 ``synth`` uses, from the flags named like the kind's params, with
 ``--t-start`` in place of ``onset``; a flag left out takes the kind's
-``PARAM_DEFAULTS`` value. Only ``multi``, coupled critical-route assets,
-is built here, from the ``cpt`` row. The other commands' flags default
-to the ``SearchConfig``, ``WindowConfig`` and ``StudyConfig`` fields they
-fill. Every run writes a ``manifest.json`` beside its outputs; all
-randomness flows from ``--seed``. Exit codes: 0 success, 1 validation or
-usage error, 2 computation failure. ``PHASECRASH_LOG`` sets the log level.
+``PARAM_DEFAULTS`` value, and a flag the kind does not read is refused.
+Only ``multi``, coupled critical-route assets, is built here, from the
+``cpt`` row. The other commands' flags default to the ``SearchConfig``,
+``WindowConfig`` and ``StudyConfig`` fields they fill. Every run writes
+a ``manifest.json`` beside its outputs; all randomness flows from
+``--seed``. Exit codes: 0 success, 1 validation or usage error, 2
+computation failure. ``PHASECRASH_LOG`` sets the log level.
 """
 
 import argparse
@@ -199,6 +200,10 @@ def _cmd_simulate(args):
     kind = args.kind.replace("-", "_")
     row = _MULTI_DEFAULTS if kind == "multi" else PARAM_DEFAULTS[kind]
     given = {key: v for key, v in vars(args).items() if v is not None}
+    unread = [f"--{key.replace('_', '-')}" for key in _PARAM_KEYS
+              if key in given and key not in row]
+    if unread:
+        raise ValueError(f"simulate --kind {args.kind} does not read {', '.join(unread)}")
     p = {key: given.get(key, v) for key, v in row.items() if key != "onset"}
     if kind == "multi":
         k = args.k

@@ -79,7 +79,7 @@ class PriceSeries:
     times: np.ndarray
     log_prices: np.ndarray
     id: str = ""
-    dates: tuple = None  # original ISO dates when loaded from CSV
+    dates: tuple = None  # YYYY-MM-DD dates when loaded from CSV
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

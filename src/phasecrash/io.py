@@ -1,14 +1,15 @@
 """CSV/JSON ingestion and serialisation, corpus synthesis, run manifests.
 
 Price files use the fixed schema ``date,ticker,close`` (ISO dates, UTF-8,
-header required). Timestamps become integer observation indices per
-ticker; calendar gaps are not interpolated. On write, closes carry 17
-significant digits and are nudged within a few ulps so that
-``log(parse(close))`` reproduces the in-memory log-price bit-exactly
-for |log-price| >= 1, that is, for prices outside (1/e, e). Closer to
-1.0 the log grid outruns the price grid, and the round trip is exact
-only to one representable price, under 3e-16. Write/load/write is
-byte-stable in all cases.
+header required). Dates load as ``YYYY-MM-DD`` however they are spelt,
+and sort, match and intersect in that form. Timestamps become integer
+observation indices per ticker; calendar gaps are not interpolated. On
+write, closes carry 17 significant digits and are nudged within a few
+ulps so that the loader's ``np.log(float(close))`` reproduces the
+in-memory log-price bit-exactly for |log-price| >= 1, that is, for
+prices outside (1/e, e). Closer to 1.0 the log grid outruns the price
+grid, and the round trip is exact only to one representable price,
+under 3e-16. Write/load/write is byte-stable in all cases.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -107,101 +108,107 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _close_repr(log_price):
-    """Decimal close whose parse-then-log reproduces ``log_price`` exactly.
-
-    exp followed by log is not the identity in floating point; trying the
-    neighbouring representable closes recovers an exact preimage in
-    practice, and the raw exp is kept as fallback.
-    """
-    c = math.exp(log_price)
-    for cand in (
-        c,
-        math.nextafter(c, 0.0),
-        math.nextafter(c, math.inf),
-        math.nextafter(math.nextafter(c, 0.0), 0.0),
-        math.nextafter(math.nextafter(c, math.inf), math.inf),
-    ):
-        if cand > 0 and math.log(cand) == log_price:
-            return format(cand, ".17g")
-    return format(c, ".17g")
+def _raise_first_bad_row(path, records):
+    """Raise the CsvParseError of the first bad row of the data ``records``
+    (file lines 2, 3, ...); a row is checked in the order below."""
+    seen = set()
+    for lineno, row in enumerate(records, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != 3:
+            raise CsvParseError(f"{where}: expected 3 fields", line=lineno)
+        raw_date, ticker, raw_close = (f.strip() for f in row)
+        try:
+            day = date.fromisoformat(raw_date)
+        except ValueError as exc:
+            msg = f"bad date {raw_date!r}: {exc}"
+            raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
+        if not ticker:
+            raise CsvParseError(f"{where}: empty ticker", line=lineno)
+        try:
+            close = float(raw_close)
+        except ValueError as exc:
+            raise CsvParseError(f"{where}: bad close {raw_close!r}", line=lineno) from exc
+        if not close > 0 or not math.isfinite(close):
+            msg = f"close must be positive and finite, got {raw_close}"
+            raise CsvParseError(f"{where}: {msg}", line=lineno)
+        if (ticker, day) in seen:
+            msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
+            raise CsvParseError(f"{where}: {msg}", line=lineno)
+        seen.add((ticker, day))
 
 
 def load_price_csv(path, calendar="as_is"):
-    """Read ``date,ticker,close`` rows into one PriceSeries per ticker.
+    """Read ``date,ticker,close`` rows into one PriceSeries per ticker, in
+    first-appearance order, each sorted by its ``YYYY-MM-DD`` dates.
 
     ``calendar="intersect"`` restricts every series to the common date
     set, which aligns the panel for cross-covariance work.
     """
     if calendar not in ("as_is", "intersect"):
         raise ValueError(f"unknown calendar mode {calendar!r}")
-    by_ticker = {}
-    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "date",
-            "ticker",
-            "close",
-        ]:
-            raise CsvParseError(
-                f"{path}: expected header 'date,ticker,close', got {header}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise CsvParseError(f"{path}:{lineno}: expected 3 fields", line=lineno)
-            raw_date, ticker, raw_close = (f.strip() for f in row)
-            try:
-                date.fromisoformat(raw_date)
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"{path}:{lineno}: bad date {raw_date!r}: {exc}", line=lineno
-                ) from exc
-            if not ticker:
-                raise CsvParseError(f"{path}:{lineno}: empty ticker", line=lineno)
-            try:
-                close = float(raw_close)
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"{path}:{lineno}: bad close {raw_close!r}", line=lineno
-                ) from exc
-            if not close > 0 or not math.isfinite(close):
-                raise CsvParseError(
-                    f"{path}:{lineno}: close must be positive and finite, "
-                    f"got {raw_close}",
-                    line=lineno,
-                )
-            if (ticker, raw_date) in seen:
-                raise CsvParseError(
-                    f"{path}:{lineno}: duplicate (ticker, date) = "
-                    f"({ticker}, {raw_date})",
-                    line=lineno,
-                )
-            seen.add((ticker, raw_date))
-            by_ticker.setdefault(ticker, []).append((raw_date, close))
-
-    if calendar == "intersect" and by_ticker:
-        common = set.intersection(*(set(d for d, _ in rows) for rows in by_ticker.values()))
-        if not common:
+        if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
+            msg = f"expected header 'date,ticker,close', got {header}"
+            raise CsvParseError(f"{path}: {msg}", line=1)
+        records = list(reader)
+    # Each check runs once per column or per distinct value; when one
+    # fails, the records are walked to report the first bad row.
+    rows = [row for row in records if len(row) > 1 or (row and row[0].strip())]
+    if not rows:
+        return []
+    if any(len(row) != 3 for row in rows):
+        _raise_first_bad_row(path, records)
+    raw_dates, raw_tickers, raw_closes = ([row[k] for row in rows] for k in range(3))
+    rank = {}  # stripped ticker -> rank of its first appearance
+    code = {t: rank.setdefault(t.strip(), len(rank)) for t in dict.fromkeys(raw_tickers)}
+    try:
+        ordinal = {s: date.fromisoformat(s.strip()).toordinal() for s in set(raw_dates)}
+        closes = np.array(raw_closes, dtype=float)  # parses as float() does
+    except ValueError:
+        closes = None
+    if closes is None or "" in rank or not np.all((closes > 0) & np.isfinite(closes)):
+        _raise_first_bad_row(path, records)
+    tick = np.array([code[t] for t in raw_tickers])
+    day = np.array([ordinal[s] for s in raw_dates])
+    order = np.lexsort((day, tick))
+    tick, day, lp = tick[order], day[order], np.log(closes)[order]
+    if np.any((tick[1:] == tick[:-1]) & (day[1:] == day[:-1])):
+        _raise_first_bad_row(path, records)
+    if calendar == "intersect":
+        _, inverse, per_day = np.unique(day, return_inverse=True, return_counts=True)
+        common = per_day[inverse] == len(rank)
+        if not common.any():
             log.warning("%s: no common dates across tickers; empty result", path)
             return []
-        by_ticker = {
-            t: [(d, c) for d, c in rows if d in common]
-            for t, rows in by_ticker.items()
-        }
+        tick, day, lp = tick[common], day[common], lp[common]
+    cuts = np.flatnonzero(np.diff(tick)) + 1
+    iso = {o: date.fromordinal(o).isoformat() for o in np.unique(day).tolist()}
+    return [
+        PriceSeries(np.arange(d.size, dtype=float), x, t, tuple(iso[o] for o in d.tolist()))
+        for t, d, x in zip(rank, np.split(day, cuts), np.split(lp, cuts))
+    ]
 
-    out = []
-    for ticker, rows in by_ticker.items():
-        rows.sort(key=lambda r: r[0])
-        dates = tuple(d for d, _ in rows)
-        lp = np.log([c for _, c in rows])
-        out.append(
-            PriceSeries(np.arange(len(rows), dtype=float), lp, ticker, dates)
-        )
-    return out
+
+def _csv_field(text):
+    """``text`` quoted as the csv module quotes one field of a row."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the empty second field's "," and the "\n"
+
+
+def _closes(log_prices):
+    """Closes whose ``np.log``, the loader's log, gives back ``log_prices``: the
+    first of exp, down, up, down², up² (nearest doubles) that does, else exp."""
+    c = np.exp(log_prices)
+    down, up = np.nextafter(c, 0.0), np.nextafter(c, np.inf)
+    cands = [c, down, up, np.nextafter(down, 0.0), np.nextafter(up, np.inf)]
+    with np.errstate(divide="ignore"):  # an exp that underflowed to 0
+        exact = [(k > 0) & (np.log(k) == log_prices) for k in cands]
+    return np.select(exact, cands, default=c)
 
 
 def write_price_csv(series_list, path):
@@ -213,16 +220,15 @@ def write_price_csv(series_list, path):
     padded = [s.id for s in series_list if s.id != s.id.strip()]
     if padded:
         raise ValueError(f"ids with leading or trailing whitespace: {padded!r}")
-
-    def rows():
-        for s in series_list:
-            dates = s.dates
-            if dates is None:
-                dates = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(len(s))]
-            for d, lp in zip(dates, s.log_prices):
-                yield d, s.id, _close_repr(float(lp))
-
-    _write_csv(path, "date,ticker,close", rows())
+    n_synthetic = max((len(s) for s in series_list if s.dates is None), default=0)
+    calendar = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(n_synthetic)]
+    lines = ["date,ticker,close\n"]
+    for s in series_list:
+        ticker = _csv_field(s.id)
+        dates = calendar[: len(s)] if s.dates is None else s.dates
+        closes = _closes(s.log_prices).tolist()
+        lines.extend(f"{d},{ticker},{c:.17g}\n" for d, c in zip(dates, closes))
+    _atomic_write(path, "".join(lines))
 
 
 def write_ews_csv(ews_list, path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from phasecrash.io import (
 )
 from phasecrash.simulate import CptParams, MuSchedule, simulate_cpt
 
+import io_reference
 from conftest import readme_json_blocks
 
 
@@ -84,16 +86,16 @@ def test_load_nonpositive_close_names_line(tmp_path):
     assert exc.value.line == 3
 
 
-@pytest.mark.parametrize(
-    "body,line",
-    [
-        ("2020-01-02,A,100\n2020-01-02,A,101\n", 3),  # duplicate (ticker, date)
-        ("02/01/2020,A,100\n", 2),  # bad date
-        ("2020-01-02,A,ten\n", 2),  # bad close
-        ("2020-01-02,,100\n", 2),  # empty ticker
-        ("2020-01-02,A\n", 2),  # wrong arity
-    ],
-)
+_MALFORMED = [
+    ("2020-01-02,A,100\n2020-01-02,A,101\n", 3),  # duplicate (ticker, date)
+    ("02/01/2020,A,100\n", 2),  # bad date
+    ("2020-01-02,A,ten\n", 2),  # bad close
+    ("2020-01-02,,100\n", 2),  # empty ticker
+    ("2020-01-02,A\n", 2),  # wrong arity
+]
+
+
+@pytest.mark.parametrize("body,line", _MALFORMED)
 def test_load_malformed_rows(tmp_path, body, line):
     path = _write(tmp_path, "date,ticker,close\n" + body)
     with pytest.raises(CsvParseError) as exc:
@@ -106,6 +108,106 @@ def test_load_bad_header(tmp_path):
     with pytest.raises(CsvParseError) as exc:
         load_price_csv(path)
     assert exc.value.line == 1
+
+
+needs_311 = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD before 3.11"
+)
+
+
+@needs_311
+def test_load_same_date_in_three_spellings_is_a_duplicate(tmp_path):
+    body = "2000-01-04,A,101\n2000-01-03,A,100\n20000103,A,102\n2000-W01-1,A,103\n"
+    path = _write(tmp_path, "date,ticker,close\n" + body)
+    with pytest.raises(CsvParseError) as exc:
+        load_price_csv(path)
+    assert exc.value.line == 4
+    assert str(exc.value) == f"{path}:4: duplicate (ticker, date) = (A, 20000103)"
+
+
+@needs_311
+def test_load_mixed_date_spellings_sort_and_intersect_in_calendar_order(tmp_path):
+    text = (
+        "date,ticker,close\n"
+        "2000-01-04,A,101\n20000106,A,103\n2000-W01-1,A,100\n2000-01-05,A,102\n"
+        "2000-01-03,B,50\n2000-W01-4,B,53\n"
+    )
+    path = _write(tmp_path, text)
+    a, b = load_price_csv(path)
+    assert a.dates == ("2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06")
+    assert np.array_equal(a.log_prices, np.log([100.0, 101.0, 102.0, 103.0]))
+    assert b.dates == ("2000-01-03", "2000-01-06")
+    out = load_price_csv(path, calendar="intersect")
+    assert [s.dates for s in out] == [("2000-01-03", "2000-01-06")] * 2
+    assert np.array_equal(out[0].log_prices, np.log([100.0, 103.0]))
+
+
+def _assert_same_series(got, want):
+    assert [s.id for s in got] == [s.id for s in want]
+    for g, w in zip(got, want):
+        assert g.dates == w.dates
+        assert g.times.tobytes() == w.times.tobytes()
+        assert g.log_prices.tobytes() == w.log_prices.tobytes()  # bit-identical
+
+
+def test_load_matches_reference_on_a_mixed_file(tmp_path):
+    # explicit dates out of order, quoted ids, padded fields, blank rows
+    text = (
+        "date,ticker,close\n"
+        '2020-01-03,"BRK,A",101.5\n'
+        "\n"
+        " 2020-01-02 , plain , 7.25 \n"
+        '2020-01-02,"say ""hi""",3\n'
+        "   \n"
+        '2020-01-02,"BRK,A",100\n'
+        "2020-01-06,plain,7.5\n"
+        '2020-01-06,"say ""hi""",3.5\n'
+        "2020-01-03,plain,1_000\n"
+        '2020-01-06,"BRK,A",1e2\n'
+    )
+    path = _write(tmp_path, text)
+    for calendar in ("as_is", "intersect"):
+        got = load_price_csv(path, calendar)
+        _assert_same_series(got, io_reference.load_price_csv(path, calendar))
+    assert [s.id for s in got] == ["BRK,A", "plain", 'say "hi"']
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    _MALFORMED
+    + [
+        ("2020-01-02,A,-5\n", 2),  # non-positive close
+        ("2020-01-02,A,nan\n", 2),  # non-finite close
+        ("2020-01-02,A,inf\n", 2),
+        ("\n2020-01-02,A,100\n  \n2020-01-03,A,1,2\n", 5),  # arity, after blank rows
+        ("2020-01-02,A,100\n2020-01-03,,x\n", 3),  # empty ticker is checked before close
+        ("2020-01-02,A,100\n2020-01-03,A,0\n2020-01-04,B\n", 3),  # earlier row wins
+        ("2020-01-03,A,100\n2020-01-02,A,1\nbad,B,1\n2020-01-03,A,5\n", 4),
+    ],
+)
+def test_load_errors_match_reference(tmp_path, body, line):
+    path = _write(tmp_path, "date,ticker,close\n" + body)
+    with pytest.raises(CsvParseError) as got:
+        load_price_csv(path)
+    with pytest.raises(CsvParseError) as want:
+        io_reference.load_price_csv(path)
+    assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+    assert got.value.line == line
+
+
+def test_load_bad_close_deep_in_a_large_file_matches_reference(tmp_path):
+    day0 = date(2000, 1, 3).toordinal()
+    rows = [f"{date.fromordinal(day0 + i).isoformat()},T{i % 3},{100 + i % 7}"
+            for i in range(60_000)]
+    rows[49_999] = rows[49_999].rsplit(",", 1)[0] + ",ten"  # data row 50,000
+    rows[54_999] = "2000-01-03,T0"  # a later failure must not be the one reported
+    path = _write(tmp_path, "date,ticker,close\n" + "\n".join(rows) + "\n")
+    with pytest.raises(CsvParseError) as got:
+        load_price_csv(path)
+    with pytest.raises(CsvParseError) as want:
+        io_reference.load_price_csv(path)
+    assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+    assert str(got.value) == f"{path}:50001: bad close 'ten'"
 
 
 # --------------------------------------------------------------- roundtrip
@@ -176,6 +278,58 @@ def test_roundtrip_ids_with_comma_and_quote(tmp_path):
     assert rows[0] == ["asset_id", "signal", "window_end_time", "value", "missing_flag"]
     assert {r[0] for r in rows[1:]} == set(ids)
     assert all(len(r) == 5 for r in rows)
+
+
+def _closes_in(path):
+    with open(path, encoding="utf-8") as fh:
+        return np.array([float(line.rsplit(",", 1)[1]) for line in fh.read().splitlines()[1:]])
+
+
+def test_readme_corpus_round_trip_matches_reference(tmp_path):
+    corpus = synth_corpus(json.loads(readme_json_blocks()["spec.json"]), 7)
+    lp = np.concatenate([s.log_prices for s in corpus])
+    new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
+    write_price_csv(corpus, new)
+    io_reference.write_price_csv(corpus, ref)
+    for calendar in ("as_is", "intersect"):
+        got = load_price_csv(new, calendar)
+        _assert_same_series(got, io_reference.load_price_csv(new, calendar))
+    # the two writers differ in close digits only, and never in exactness
+    # where the oracle's close reloads exactly
+    new_lines, ref_lines = open(new).read().splitlines(), open(ref).read().splitlines()
+    assert [r.rsplit(",", 1)[0] for r in new_lines] == [r.rsplit(",", 1)[0] for r in ref_lines]
+    ref_exact = np.log(_closes_in(ref)) == lp
+    assert np.all((np.log(_closes_in(new)) == lp)[ref_exact])
+
+
+@pytest.mark.parametrize(
+    "low,high,exact", [(1, 3, True), (-3, -1, True), (0.25, 0.5, False), (-1, -0.25, False)]
+)
+def test_roundtrip_bound_on_random_log_prices(tmp_path, low, high, exact):
+    # bit-exact for |log-price| >= 1; closer to price 1 the reloaded
+    # log-price is within one ulp of the close, relative to the close
+    lp = np.random.default_rng(int(100 * (low + 3))).uniform(low, high, 20_000)
+    half = lp.size // 2
+    dates = tuple((date(1990, 1, 1) + timedelta(days=2 * i)).isoformat()
+                  for i in range(lp.size - half))
+    series = [
+        pc.PriceSeries(np.arange(half, dtype=float), lp[:half], "SYN"),
+        pc.PriceSeries(np.arange(lp.size - half, dtype=float), lp[half:], "DATED", dates),
+    ]
+    path, again, ref = (str(tmp_path / f"{name}.csv") for name in ("a", "b", "ref"))
+    write_price_csv(series, path)
+    reloaded = load_price_csv(path)
+    loaded = np.concatenate([s.log_prices for s in reloaded])
+    closes = _closes_in(path)
+    if exact:
+        assert loaded.tobytes() == lp.tobytes()
+    else:
+        assert np.all(np.abs(loaded - lp) <= np.spacing(closes) / closes)
+    write_price_csv(reloaded, again)
+    assert open(path, "rb").read() == open(again, "rb").read()
+    io_reference.write_price_csv(series, ref)
+    ref_exact = np.log(_closes_in(ref)) == lp
+    assert np.all((loaded == lp)[ref_exact])
 
 
 def test_write_refuses_ids_with_outer_whitespace(tmp_path):
@@ -539,6 +693,26 @@ def test_cli_simulate_refuses_bad_sample_every_and_t_start(tmp_path, capsys, kin
                        "--out", str(tmp_path)])
     assert rc == 1
     assert f"phasecrash: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["bm", "cpt", "spt", "dpt-hurst", "dpt-stable", "multi"])
+def test_cli_simulate_refuses_param_flags_the_kind_does_not_read(tmp_path, capsys, kind):
+    row = (PARAM_DEFAULTS["cpt"] | {"lam": 1.0} if kind == "multi"
+           else PARAM_DEFAULTS[kind.replace("-", "_")])
+    unread = sorted({key for r in PARAM_DEFAULTS.values() for key in r} - {"onset"} - set(row))
+    flags = [f"--{key.replace('_', '-')}" for key in unread]
+    out = tmp_path / "sim"
+    base = ["simulate", "--kind", kind, "--n", "50", "--out", str(out)]
+    for flag in flags:
+        assert cli_dispatch([*base, flag, "0.5"]) == 1
+        message = f"phasecrash: error: simulate --kind {kind} does not read {flag}\n"
+        assert capsys.readouterr().err == message
+    assert cli_dispatch([*base, *(arg for flag in flags for arg in (flag, "0.5"))]) == 1
+    assert f"does not read {', '.join(flags)}\n" in capsys.readouterr().err
+    assert not out.exists()
+    read = [arg for key, v in row.items() if key != "onset"
+            for arg in (f"--{key.replace('_', '-')}", str(v))]
+    assert cli_dispatch([*base, *read]) == 0
 
 
 def test_cli_simulate_negative_t_start_is_a_clear_error(tmp_path, capsys):
