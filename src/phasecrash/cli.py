@@ -85,8 +85,8 @@ def _int_list(text):
 
 def _grid_counts(text):
     counts = _int_list(text)
-    if len(counts) != 3 or min(counts) < 1:
-        raise argparse.ArgumentTypeError(f"need three positive counts, got {text!r}")
+    if len(counts) != 3:
+        raise argparse.ArgumentTypeError(f"need three counts, got {text!r}")
     return counts
 
 

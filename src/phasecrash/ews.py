@@ -90,6 +90,10 @@ class PriceSeries:
             raise ValueError(f"timestamps of {self.id!r} must be strictly increasing")
         if not np.all(np.isfinite(self.log_prices)):
             raise ValueError(f"log-prices of {self.id!r} must be finite")
+        if self.dates is not None and len(self.dates) != self.times.size:
+            raise ValueError(
+                f"{self.id!r} has {len(self.dates)} dates for {self.times.size} prices"
+            )
 
     def __len__(self):
         return self.times.size

@@ -215,11 +215,16 @@ def write_price_csv(series_list, path):
     """Serialise series back to ``date,ticker,close`` with 17-digit closes.
 
     Ids with leading or trailing whitespace are refused: the loader strips
-    every field, so they would not come back unchanged.
+    every field, so they would not come back unchanged. So are ids that
+    hold a carriage return, which the csv module leaves unquoted and the
+    loader reads as the end of a row.
     """
     padded = [s.id for s in series_list if s.id != s.id.strip()]
     if padded:
         raise ValueError(f"ids with leading or trailing whitespace: {padded!r}")
+    returns = [s.id for s in series_list if "\r" in s.id]
+    if returns:
+        raise ValueError(f"ids with a carriage return: {returns!r}")
     n_synthetic = max((len(s) for s in series_list if s.dates is None), default=0)
     calendar = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(n_synthetic)]
     lines = ["date,ticker,close\n"]
@@ -326,8 +331,12 @@ class AssetGroupSpec:
         onset = self.params.get("onset", 0.0)
         if not 0.0 <= onset < 1.0:
             raise ValueError(f"{self.kind} params: onset must lie in [0, 1), got {onset!r}")
-        if self.count < 0 or self.n < 1 or self.dt <= 0 or self.sample_every < 1:
-            raise ValueError("count, n, dt, sample_every out of range")
+        for name, lo in (("count", 0), ("n", 1), ("sample_every", 1), ("drop_len", 1)):
+            value = getattr(self, name)
+            if value < lo:
+                raise ValueError(f"asset group: {name} must be >= {lo}, got {value!r}")
+        if not self.dt > 0:
+            raise ValueError(f"asset group: dt must be > 0, got {self.dt!r}")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:
             raise ValueError("forced_drop must lie in (0, 1)")
 

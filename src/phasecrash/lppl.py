@@ -143,10 +143,13 @@ class LpplFit:
 class SearchConfig:
     """Search bounds and grid density for :func:`fit_lppl`.
 
-    ``tc_bounds`` defaults to (last time + spacing, last time +
-    0.5 * n * spacing). Explicit ``*_grid`` tuples override the linspace
-    grids, which is how supersets of a previous search are expressed.
-    ``refine_top_k = 0`` disables Nelder-Mead refinement (grid only).
+    The coarse grid holds ``n_tc``, ``n_m`` and ``n_omega`` evenly spaced
+    values over ``tc_bounds``, ``m_bounds`` and ``omega_bounds``, ends
+    included. ``tc_bounds`` defaults to (last time + spacing, last time +
+    0.5 * n * spacing). Nelder-Mead refines the ``refine_top_k`` best
+    nodes for at most 400 iterations each, inside the m and omega bounds
+    and with tc between the last time and the upper tc bound;
+    ``refine_top_k = 0`` keeps the best grid node.
     """
 
     m_bounds: tuple = (0.1, 0.9)
@@ -156,10 +159,6 @@ class SearchConfig:
     n_m: int = 9
     n_omega: int = 12
     refine_top_k: int = 5
-    nm_max_iter: int = 400
-    tc_grid: tuple = None
-    m_grid: tuple = None
-    omega_grid: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.m_bounds[0] < self.m_bounds[1] < 1.0:
@@ -170,6 +169,10 @@ class SearchConfig:
             )
         if self.tc_bounds is not None and not self.tc_bounds[0] < self.tc_bounds[1]:
             raise ValueError("tc_bounds must satisfy lo < hi")
+        for name, lo in (("n_tc", 1), ("n_m", 1), ("n_omega", 1), ("refine_top_k", 0)):
+            value = getattr(self, name)
+            if value < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {value!r}")
 
 
 def _tail(params, t):
@@ -281,12 +284,6 @@ def _default_tc_bounds(times):
     return last + spacing, last + 0.5 * times.size * spacing
 
 
-def _grid(explicit, bounds, count):
-    if explicit is not None:
-        return np.asarray(explicit, dtype=float)
-    return np.linspace(bounds[0], bounds[1], count)
-
-
 def fit_lppl(series, search=None):
     """Calibrate the model by profiled least squares.
 
@@ -303,9 +300,9 @@ def fit_lppl(series, search=None):
     tc_bounds = search.tc_bounds or _default_tc_bounds(times)
     tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))
 
-    tcs = _grid(search.tc_grid, tc_bounds, search.n_tc)
-    ms = _grid(search.m_grid, search.m_bounds, search.n_m)
-    omegas = _grid(search.omega_grid, search.omega_bounds, search.n_omega)
+    tcs = np.linspace(tc_bounds[0], tc_bounds[1], search.n_tc)
+    ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
+    omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
     # one (tc, m) row of omegas per kernel call keeps the working set to one row
     live = tcs[tcs > tc_floor]
@@ -332,18 +329,14 @@ def fit_lppl(series, search=None):
 
     best = candidates[0]
     converged = False
-    nm_bounds = [
-        (tc_floor, max(tc_bounds[1], tcs.max())),
-        search.m_bounds,
-        search.omega_bounds,
-    ]
+    nm_bounds = [(tc_floor, tc_bounds[1]), search.m_bounds, search.omega_bounds]
     for _, tc0, m0, omega0 in candidates[: search.refine_top_k]:
         res = minimize(
             objective,
             np.array([tc0, m0, omega0]),
             method="Nelder-Mead",
             bounds=nm_bounds,
-            options={"maxiter": search.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
+            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-12},
         )
         evals += res.nfev
         if not np.isfinite(res.fun):

@@ -53,36 +53,23 @@ def _check_seed(seed):
 
 @dataclass(frozen=True)
 class Ramp:
-    """A per-step value that holds ``start`` before step ``t_start``, runs
-    ``np.linspace(start, end, t_end - t_start)`` over ``[t_start, t_end)``
-    and holds ``end`` after; ``t_end`` defaults to the path length and the
-    ramp is cut off at the path's end. Constant when ``end`` is omitted."""
+    """A per-step value that holds ``start`` before step ``t_start`` and
+    runs ``np.linspace(start, end, n - t_start)`` from there to the end of
+    an ``n``-step path. Constant when ``end`` is omitted."""
 
     start: float
     end: float | None = None
     t_start: int = 0
-    t_end: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.t_start, (int, np.integer)) or self.t_start < 0:
             raise ValueError(f"t_start must be an integer >= 0, got {self.t_start!r}")
-        if self.t_end is not None and self.t_end <= self.t_start:
-            raise ValueError(f"t_end {self.t_end} must exceed t_start {self.t_start}")
 
     def values(self, n):
         """Per-step values for a path of ``n`` steps."""
         end = self.start if self.end is None else self.end
-        t_end = n if self.t_end is None else self.t_end
-        out = np.full(n, float(end))
-        out[: self.t_start] = self.start
-        span, k = t_end - self.t_start, min(n, t_end) - self.t_start
-        if k > 0:
-            # the first k of np.linspace(start, end, span), by linspace's own
-            # arithmetic, so a long t_end costs no memory the path never uses
-            step = (end - self.start) / (span - 1) if span > 1 else 0.0
-            out[self.t_start : self.t_start + k] = np.arange(k) * step + self.start
-            if k == span and span > 1:
-                out[t_end - 1] = end
+        out = np.full(n, float(self.start))
+        out[self.t_start :] = np.linspace(self.start, end, max(n - self.t_start, 0))
         return out
 
     def is_constant(self):

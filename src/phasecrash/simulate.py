@@ -30,6 +30,7 @@ from .noise import (
     HurstSchedule,
     Ramp,
     StableSchedule,
+    _check_n_dt,
     _check_seed,
     sample_alpha_stable,
     sample_gaussian_increments,
@@ -241,6 +242,7 @@ def simulate_multivariate(params, n, dt, seed):
     """
     if not isinstance(params, MultiParams):
         raise ValueError("params must be MultiParams")
+    _check_n_dt(n, dt)
     seed = _check_seed(seed)
     d = params.coupling_matrix()
     try:

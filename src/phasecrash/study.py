@@ -104,7 +104,6 @@ class StudyConfig:
     signals: tuple = (VOLATILITY, SKEWNESS, LAG1_AUTOCORR, ANOMALOUS_DIM)
     ews_cfg: WindowConfig = field(default_factory=_default_ews_cfg)
     recovery_fraction: float = 0.05
-    min_trend_points: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.crash_threshold < 1.0:
@@ -117,8 +116,6 @@ class StudyConfig:
             raise ValueError("pre_crash_window must be >= ews_cfg.window")
         if not 0.0 < self.recovery_fraction < 1.0:
             raise ValueError("recovery_fraction must lie in (0, 1)")
-        if self.min_trend_points < 1:
-            raise ValueError("min_trend_points must be positive")
         if isinstance(self.signals, str):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
         for name in self.signals:
@@ -425,8 +422,8 @@ def _mwu_lower_tail(m, n, k):
 
 def _trend_records(asset_id, signal, estimate, pre, normal, cfg):
     """One :class:`SegmentTrend` per segment whose EWS ``estimate(seg)``
-    has a Kendall trend; segments shorter than ``window + 1``, with too
-    few trend points or with a NaN tau (a constant signal) are dropped."""
+    has a Kendall trend; segments shorter than ``window + 1``, with fewer
+    than 10 trend points or with a NaN tau (a constant signal) are dropped."""
     records = []
     for group, segments in (("pre", pre), ("normal", normal)):
         for k, seg in enumerate(segments):
@@ -434,7 +431,7 @@ def _trend_records(asset_id, signal, estimate, pre, normal, cfg):
                 continue
             ews = estimate(seg)
             try:
-                tau, p = kendall_tau_trend(ews, cfg.min_trend_points)
+                tau, p = kendall_tau_trend(ews)
             except InsufficientDataError:
                 continue
             if not np.isfinite(tau):

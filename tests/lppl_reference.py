@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 import phasecrash as pc
 from phasecrash.errors import DegenerateDesignError, FitFailureError
-from phasecrash.lppl import _default_tc_bounds, _grid
+from phasecrash.lppl import _default_tc_bounds
 
 MAX_CONDITION = 1e12
 
@@ -68,9 +68,9 @@ def fit_lppl(series, search=None):
     times, y = series.times, series.log_prices
     tc_bounds = search.tc_bounds or _default_tc_bounds(times)
     tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))
-    tcs = _grid(search.tc_grid, tc_bounds, search.n_tc)
-    ms = _grid(search.m_grid, search.m_bounds, search.n_m)
-    omegas = _grid(search.omega_grid, search.omega_bounds, search.n_omega)
+    tcs = np.linspace(tc_bounds[0], tc_bounds[1], search.n_tc)
+    ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
+    omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
     evals, degenerate = 0, 0
     candidates = []  # (ssr, tc, m, omega, beta)
@@ -101,18 +101,14 @@ def fit_lppl(series, search=None):
 
     best = candidates[0]
     converged = False
-    nm_bounds = [
-        (tc_floor, max(tc_bounds[1], tcs.max())),
-        search.m_bounds,
-        search.omega_bounds,
-    ]
+    nm_bounds = [(tc_floor, tc_bounds[1]), search.m_bounds, search.omega_bounds]
     for _, tc0, m0, omega0, _ in candidates[: search.refine_top_k]:
         res = minimize(
             objective,
             np.array([tc0, m0, omega0]),
             method="Nelder-Mead",
             bounds=nm_bounds,
-            options={"maxiter": search.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
+            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-12},
         )
         evals += res.nfev
         if not np.isfinite(res.fun):

@@ -383,6 +383,9 @@ def test_price_series_validation():
         pc.PriceSeries(np.arange(3.0), np.array([0.0, np.nan, 1.0]), "x")
     with pytest.raises(ValueError):
         pc.PriceSeries(np.arange(3.0), np.zeros(4), "x")
+    # write_price_csv zips dates with prices, so a short tuple would truncate
+    with pytest.raises(ValueError, match="'A' has 1 dates for 3 prices"):
+        pc.PriceSeries(np.arange(3.0), 4 + np.arange(3.0), "A", ("2020-01-01",))
 
 
 # ------------------------------------------------------ reference oracles

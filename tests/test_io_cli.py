@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -342,6 +343,16 @@ def test_write_refuses_ids_with_outer_whitespace(tmp_path):
     assert not path.exists()
 
 
+def test_write_refuses_ids_with_a_carriage_return(tmp_path):
+    # csv leaves "\r" unquoted, and the loader ends the row there
+    t = np.arange(3.0)
+    series = [pc.PriceSeries(t, 4.0 + t, i) for i in ("A", "A\rB")]
+    path = tmp_path / "cr.csv"
+    with pytest.raises(ValueError, match=re.escape("carriage return: " + repr(["A\rB"]))):
+        write_price_csv(series, str(path))
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ corpus
 
 
@@ -435,6 +446,13 @@ def test_asset_group_spec_validation():
         AssetGroupSpec(kind="lppl", count=1)
     with pytest.raises(ValueError):
         AssetGroupSpec(kind="bm", count=1, forced_drop=1.5)
+    for key, value, rule in [("count", -1, ">= 0"), ("n", 0, ">= 1"), ("dt", 0.0, "> 0"),
+                             ("dt", -1.0, "> 0"), ("sample_every", 0, ">= 1"),
+                             ("drop_len", 0, ">= 1"), ("drop_len", -3, ">= 1")]:
+        kw = {"kind": "bm", "count": 1, "forced_drop": 0.25, key: value}
+        message = f"asset group: {key} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AssetGroupSpec(**kw)
     spec = CorpusSpec.from_dict({"groups": [{"kind": "bm", "count": 1}]})
     assert spec.to_dict()["groups"][0]["kind"] == "bm"
 
@@ -459,6 +477,7 @@ def test_study_config_from_dict():
         ({"crash_treshold": 0.3}, "crash_treshold"),
         ({"ews": {"windw": 63}}, "windw"),
         ({"ews_cfg": {"window": 63}}, "ews_cfg"),
+        ({"min_trend_points": 10}, "min_trend_points"),  # a fixed 10 since 0.9.0
     ],
 )
 def test_study_config_refuses_unknown_keys(d, name):
@@ -685,7 +704,9 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
 @pytest.mark.parametrize(
     "flag, message",
     [(["--sample-every", "0"], "sample_every must be >= 1"),
-     (["--t-start", "-5"], "t_start must be an integer >= 0, got -5")],
+     (["--t-start", "-5"], "t_start must be an integer >= 0, got -5"),
+     (["--dt", "-1"], "dt must be positive, got -1.0"),
+     (["--n", "0"], "n must be a positive integer, got 0")],
 )
 def test_cli_simulate_refuses_bad_sample_every_and_t_start(tmp_path, capsys, kind, flag,
                                                            message):
@@ -792,7 +813,6 @@ def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
     [
         ({"crash_threshold": "0.3"}, "study config: crash_threshold must be float, got str"),
         ({"lookback": "126"}, "study config: lookback must be int, got str"),
-        ({"min_trend_points": "10"}, "study config: min_trend_points must be int, got str"),
         ({"ews": {"window": "126"}}, "ews: window must be int, got str"),
     ],
 )
@@ -879,15 +899,23 @@ def test_scipy_loads_only_when_fit_lppl_refines():
     assert _fresh_python(code).split() == ["False", "False", "True"]
 
 
-@pytest.mark.parametrize("grid", ["5", "5,6,7,8", "0,9,12", "4,x,3"])
-def test_cli_fit_lppl_grid_takes_three_positive_counts(tmp_path, capsys, grid):
+@pytest.mark.parametrize(
+    "grid, top_k, message",
+    [("5", "0", "usage:"), ("5,6,7,8", "0", "usage:"), ("4,x,3", "0", "usage:"),
+     # SearchConfig refuses counts that cannot form a search
+     ("0,9,12", "0", "error: n_tc must be >= 1, got 0"),
+     ("4,3,3", "-1", "error: refine_top_k must be >= 0, got -1")],
+    ids=["5", "5,6,7,8", "4,x,3", "0,9,12", "top-k"],
+)
+def test_cli_fit_lppl_grid_takes_three_positive_counts(tmp_path, capsys, grid, top_k,
+                                                       message):
     t = np.arange(60.0)
     csv_path = str(tmp_path / "up.csv")
     write_price_csv([pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")], csv_path)
     rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--grid", grid,
-                       "--top-k", "0", "--out", str(tmp_path / "fit")])
+                       "--top-k", top_k, "--out", str(tmp_path / "fit")])
     assert rc == 1
-    assert "usage:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "fit")
 
 

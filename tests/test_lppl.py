@@ -227,18 +227,12 @@ def test_fit_iid_noise_returns_finite_fit():
 def test_fit_monotonicity_on_grid_supersets():
     p = _params(A=7.0, B=-0.5)
     series = _synthetic_series(p, noise=0.02, seed=9)
-    small = pc.SearchConfig(
-        tc_grid=(520.0, 560.0),
-        m_grid=(0.3, 0.6),
-        omega_grid=(6.0, 9.0),
-        refine_top_k=0,
-    )
-    large = pc.SearchConfig(
-        tc_grid=(510.0, 520.0, 545.0, 560.0),
-        m_grid=(0.3, 0.45, 0.6),
-        omega_grid=(6.0, 8.0, 9.0),
-        refine_top_k=0,
-    )
+    bounds = dict(tc_bounds=(520.0, 560.0), m_bounds=(0.3, 0.6), omega_bounds=(6.0, 9.0))
+    small = pc.SearchConfig(n_tc=2, n_m=2, n_omega=2, refine_top_k=0, **bounds)
+    large = pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=0, **bounds)
+    # the 3-point linspace over each bound holds the 2-point one exactly
+    for lo, hi in bounds.values():
+        assert set(np.linspace(lo, hi, 2)) <= set(np.linspace(lo, hi, 3))
     assert pc.fit_lppl(series, large).ssr <= pc.fit_lppl(series, small).ssr
 
 
@@ -255,11 +249,12 @@ def test_time_shift_covariance():
     b = pc.solve_linear_params(p.tc + shift, p.m, p.omega, shifted)
     assert np.allclose(a, b, rtol=0, atol=1e-9)
 
-    grids = dict(m_grid=(0.3, 0.5, 0.6), omega_grid=(6.0, 8.0, 9.0), refine_top_k=0)
-    cfg = pc.SearchConfig(tc_grid=(512.0, 544.0, 560.0, 576.0), **grids)
-    cfg_shift = pc.SearchConfig(
-        tc_grid=tuple(tc + shift for tc in (512.0, 544.0, 560.0, 576.0)), **grids
-    )
+    # a tc step of 16 keeps both grids exact, so they differ by the shift alone
+    grids = dict(m_bounds=(0.3, 0.6), omega_bounds=(6.0, 9.0), n_tc=5, refine_top_k=0)
+    cfg = pc.SearchConfig(tc_bounds=(512.0, 576.0), **grids)
+    cfg_shift = pc.SearchConfig(tc_bounds=(512.0 + shift, 576.0 + shift), **grids)
+    assert np.array_equal(np.linspace(512.0, 576.0, 5) + shift,
+                          np.linspace(512.0 + shift, 576.0 + shift, 5))
     fa = pc.fit_lppl(series, cfg)
     fb = pc.fit_lppl(shifted, cfg_shift)
     assert abs((fb.params.tc - shift) - fa.params.tc) < 1e-9
@@ -388,19 +383,24 @@ def test_power_law_ssr_matches_reference_oracle(kind):
 
 
 @pytest.mark.parametrize(
-    "bounds",
+    "bounds, message",
     [
-        {"m_bounds": (0.5, 1.5)},
-        {"m_bounds": (0.0, 0.5)},
-        {"omega_bounds": (-5.0, 5.0)},
-        {"omega_bounds": (0.0, 5.0)},
+        ({"m_bounds": (0.5, 1.5)}, "m_bounds must satisfy 0 < lo"),
+        ({"m_bounds": (0.0, 0.5)}, "m_bounds must satisfy 0 < lo"),
+        ({"omega_bounds": (-5.0, 5.0)}, "omega_bounds must satisfy 0 < lo"),
+        ({"omega_bounds": (0.0, 5.0)}, "omega_bounds must satisfy 0 < lo"),
+        ({"n_tc": 0}, "n_tc must be >= 1, got 0"),
+        ({"n_m": -2}, "n_m must be >= 1, got -2"),
+        ({"n_omega": 0}, "n_omega must be >= 1, got 0"),
+        ({"refine_top_k": -1}, "refine_top_k must be >= 0, got -1"),
     ],
+    ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k"],
 )
-def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds):
+def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(pc.lppl, "_profile", no_profile)
     series = _synthetic_series(_params(), n=100)
-    with pytest.raises(ValueError, match="_bounds must satisfy 0 < lo"):
+    with pytest.raises(ValueError, match=message):
         pc.fit_lppl(series, pc.SearchConfig(**bounds))

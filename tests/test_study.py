@@ -8,7 +8,7 @@ from scipy import stats
 import phasecrash as pc
 from phasecrash.errors import AlignmentError, InsufficientDataError
 from phasecrash.io import CorpusSpec, derive_seed, synth_corpus
-from phasecrash.study import SegmentTrend, _mannwhitney_p
+from phasecrash.study import SegmentTrend, _mannwhitney_p, _trend_records
 
 import study_reference
 from conftest import readme_json_blocks
@@ -73,6 +73,19 @@ def test_kendall_skips_missing_and_requires_points():
     short = pc.EwsSeries(np.arange(9.0), np.arange(9.0), "s")
     with pytest.raises(InsufficientDataError):
         pc.kendall_tau_trend(short)
+
+
+def test_trend_records_need_ten_trend_points():
+    # the study keeps a segment only with kendall_tau_trend's default of 10
+    def estimate(seg):
+        values = np.arange(float(len(seg)))
+        values[:10] = np.nan  # a window of 10 leaves len - 10 points
+        return pc.EwsSeries(seg.times, values, "volatility")
+
+    segments = [_prices(np.linspace(1.0, 2.0, n)) for n in (19, 20)]
+    records = _trend_records("x", "volatility", estimate, segments, segments, _cfg())
+    assert [(r.group, r.segment_index, r.n_windows) for r in records] == [
+        ("pre", 1, 10), ("normal", 1, 10)]
 
 
 def _scipy_kendall(vals):
