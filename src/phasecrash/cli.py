@@ -197,6 +197,8 @@ def _cmd_simulate(args):
     if args.sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n, dt, seed = args.n, args.dt, args.seed
+    if 0 < n <= args.t_start:  # the ramp would never start
+        raise ValueError(f"t_start must lie in [0, n), got {args.t_start} with n = {n}")
     kind = args.kind.replace("-", "_")
     row = _MULTI_DEFAULTS if kind == "multi" else PARAM_DEFAULTS[kind]
     given = {key: v for key, v in vars(args).items() if v is not None}

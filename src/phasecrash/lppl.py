@@ -20,9 +20,15 @@ numerical rank below 4 or a condition number above 1e12 makes it
 degenerate. The grid skips such nodes, Nelder-Mead sees an infinite
 residual there and :func:`solve_linear_params` raises
 :class:`~phasecrash.errors.DegenerateDesignError` instead of returning
-noise-amplified coefficients. The search factorises a coarse grid one
-(tc, m) row of omegas at a time, then refines the best nodes with
-Nelder-Mead. Ties in the residual are broken by lexicographic
+noise-amplified coefficients.
+
+The search factorises a coarse grid one (tc, m) row of omegas at a time.
+``ln(tc - t)`` and the cosine and sine of every omega depend on tc only,
+so one trig pass per tc serves all of its m rows. Then :func:`minimize`,
+a numpy port of scipy's bounded Nelder-Mead (Nelder & Mead 1965), refines
+the best nodes in lockstep: each phase of a step (reflect; expand or
+contract; shrink) profiles the trial points of every live start in one
+batched call. Ties in the residual are broken by lexicographic
 (tc, m, omega), so the fit does not depend on the order of the grid.
 
 Fitting arbitrary data always yields *some* finite-residual parameters;
@@ -52,14 +58,6 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: importing scipy
-    costs about a second and only the Nelder-Mead refinement needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,12 @@ class SearchConfig:
     The coarse grid holds ``n_tc``, ``n_m`` and ``n_omega`` evenly spaced
     values over ``tc_bounds``, ``m_bounds`` and ``omega_bounds``, ends
     included. ``tc_bounds`` defaults to (last time + spacing, last time +
-    0.5 * n * spacing). Nelder-Mead refines the ``refine_top_k`` best
-    nodes for at most 400 iterations each, inside the m and omega bounds
-    and with tc between the last time and the upper tc bound;
-    ``refine_top_k = 0`` keeps the best grid node.
+    0.5 * n * spacing). The grid computes the trig columns once per tc and
+    factorises one (tc, m) row of omegas per QR call. Nelder-Mead then
+    refines the ``refine_top_k`` best nodes in lockstep, for at most 400
+    iterations each, inside the m and omega bounds and with tc between
+    the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
+    best grid node.
     """
 
     m_bounds: tuple = (0.1, 0.9)
@@ -213,38 +213,48 @@ def hazard_rate(params, t):
 def _design(y, batch):
     """Augmented designs ``[1, f, f*cos, f*sin | y]`` for a ``batch`` of
     nodes, one column per row, with the constant and ``y`` rows filled.
-    A fit fills one such buffer per node instead of allocating a new one
-    for each of its hundreds of kernel calls."""
+    The grid fills one such buffer per (tc, m) row instead of allocating a
+    new one for each of its hundreds of QR calls."""
     a = np.empty(tuple(batch) + (5, y.size))
     a[..., 0, :] = 1.0
     a[..., 4, :] = y
     return a
 
 
-def _profile(times, y, tc, m, omega, a=None):
-    """Profile (A, B, C1, C2) out at (tc, m, omega); ``m`` and ``omega``
-    broadcast. ``a`` is a :func:`_design` buffer of the broadcast batch
-    shape to fill, made here when None. Returns ``(ssr, ok, sv, r)``: the
-    residual, the gate (rank 4 at rcond = eps * max(n, 4) and condition
-    at most 1e12), the design's singular values and the R factor of the
-    augmented design."""
-    tail = tc - times
-    f = tail ** np.asarray(m)[..., None]
-    phase = np.asarray(omega)[..., None] * np.log(tail)
-    if a is None:
-        a = _design(y, np.broadcast_shapes(f.shape, phase.shape)[:-1])
+def _fill(a, f, cos, sin):
+    """Write the basis rows ``f``, ``f*cos`` and ``f*sin`` of the
+    :func:`_design` buffer ``a``; all three broadcast."""
     a[..., 1, :] = f
-    np.cos(phase, out=a[..., 2, :])
-    a[..., 2, :] *= f
-    np.sin(phase, out=a[..., 3, :])
-    a[..., 3, :] *= f
+    np.multiply(cos, f, out=a[..., 2, :])
+    np.multiply(sin, f, out=a[..., 3, :])
+
+
+def _gate(a):
+    """QR-factorise the filled designs ``a``. Returns ``(ssr, ok, sv, r)``:
+    the residual, the gate (rank 4 at rcond = eps * max(n, 4) and
+    condition at most 1e12), the design's singular values and the R factor
+    of the augmented design."""
     # rows hold the columns, so each swapped matrix is Fortran-ordered for LAPACK
     r = np.linalg.qr(a.swapaxes(-1, -2), mode="r")
     sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
-    rcond = np.finfo(float).eps * max(times.size, 4)
+    rcond = np.finfo(float).eps * max(a.shape[-1], 4)
     ok = (lo > rcond * hi) & (hi <= _MAX_CONDITION * lo)
     return r[..., 4, 4] ** 2, ok, sv, r
+
+
+def _profile(times, y, tc, m, omega):
+    """Profile (A, B, C1, C2) out at (tc, m, omega), which broadcast: a
+    batch of nodes is one call. Returns :func:`_gate`'s ``(ssr, ok, sv, r)``."""
+    tail = np.asarray(tc)[..., None] - times
+    m = np.asarray(m)[..., None]
+    # numpy's power takes sqrt for one broadcast exponent of 0.5 but pow for
+    # an array of them; sqrt in both keeps a node's residual batch-independent
+    f = np.where(m == 0.5, np.sqrt(tail), tail**m)
+    phase = np.asarray(omega)[..., None] * np.log(tail)
+    a = _design(y, np.broadcast_shapes(f.shape, phase.shape)[:-1])
+    _fill(a, f, np.cos(phase), np.sin(phase))
+    return _gate(a)
 
 
 def solve_linear_params(tc, m, omega, series):
@@ -284,6 +294,105 @@ def _default_tc_bounds(times):
     return last + spacing, last + 0.5 * times.size * spacing
 
 
+@dataclass(frozen=True)
+class SimplexResult:
+    """Per-start outcome of :func:`minimize`, one row per start: the best
+    vertex ``x``, its value ``fun``, ``success`` when the stop rule held
+    before ``maxiter``, and the evaluations ``start_nfev``. ``nfev`` sums
+    them."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: np.ndarray
+    start_nfev: np.ndarray
+
+    @property
+    def nfev(self):
+        return int(self.start_nfev.sum())
+
+
+def _sorted(sim, fsim):
+    order = np.argsort(fsim, axis=-1)
+    return np.take_along_axis(sim, order[..., None], -2), np.take_along_axis(fsim, order, -1)
+
+
+def minimize(fun, x0, bounds, maxiter=400):
+    """Bounded Nelder-Mead from each row of ``x0``, all starts in lockstep.
+
+    A numpy port of ``scipy.optimize.minimize(method="Nelder-Mead")`` with
+    ``bounds``, a sequence of (lo, hi) pairs, ``maxiter`` and the stop rule
+    ``xatol=1e-6``, ``fatol=1e-12``. It keeps scipy's coefficients
+    (reflect 1, expand 2, contract 1/2, shrink 1/2), its initial simplex
+    (each coordinate times 1.05, reflected back under its upper bound) and
+    its clipping of every vertex, so each start takes scipy's steps
+    exactly. ``fun`` maps a (p, d) array of points to their p values. Each
+    phase of a step (reflect; expand or contract; shrink) calls it once on
+    the trial points of every live start; a start that stops is masked
+    out. Returns a :class:`SimplexResult`.
+    """
+    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    k, d = x0.shape
+    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
+    diag = np.arange(d)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.asarray(fun(sim.reshape(-1, d)), dtype=float).reshape(k, d + 1)
+    sim, fsim = _sorted(sim, fsim)
+    nfev = np.full(k, d + 1)
+    iterations = np.ones(k, dtype=int)  # scipy counts from 1
+    running = np.ones(k, dtype=bool)
+    while True:
+        running &= iterations < maxiter
+        s, f = sim[running], fsim[running]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which never stops
+            running[running] = ~(
+                (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2), initial=0.0) <= 1e-6)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1, initial=0.0) <= 1e-12)
+            )
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        s, f = sim[live], fsim[live]
+        worst = s[:, -1]
+        xbar = np.add.reduce(s[:, :-1], 1) / d
+        xr = np.clip(2 * xbar - worst, lo, hi)
+        fxr = np.asarray(fun(xr), dtype=float)
+        # scipy's branches: expand, keep xr, contract outside or inside
+        expand = fxr < f[:, 0]
+        keep = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~keep & (fxr < f[:, -1])
+        inside = ~expand & ~keep & ~outside
+        trial = np.where(
+            expand[:, None],
+            3 * xbar - 2 * worst,
+            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
+        )
+        trial = np.clip(trial, lo, hi)
+        ftrial = np.full(live.size, np.nan)
+        if not keep.all():
+            ftrial[~keep] = fun(trial[~keep])
+        take = (
+            (expand & (ftrial < fxr))
+            | (outside & (ftrial <= fxr))
+            | (inside & (ftrial < f[:, -1]))
+        )
+        shrink = (outside | inside) & ~take
+        swap = ~shrink
+        s[swap, -1] = np.where(take[:, None], trial, xr)[swap]
+        f[swap, -1] = np.where(take, ftrial, fxr)[swap]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = np.clip(best + 0.5 * (s[shrink, 1:] - best), lo, hi)
+            f[shrink, 1:] = np.reshape(fun(s[shrink, 1:].reshape(-1, d)), (-1, d))
+        nfev[live] += 1 + ~keep + d * shrink
+        iterations[live] += 1
+        sim[live], fsim[live] = _sorted(s, f)
+    return SimplexResult(
+        x=sim[:, 0], fun=fsim.min(axis=1), success=iterations < maxiter, start_nfev=nfev
+    )
+
+
 def fit_lppl(series, search=None):
     """Calibrate the model by profiled least squares.
 
@@ -304,47 +413,49 @@ def fit_lppl(series, search=None):
     ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
     omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
-    # one (tc, m) row of omegas per kernel call keeps the working set to one row
+    # ln(tc - t) and the trig of every omega depend on tc only: one pass per
+    # tc serves its m rows, and one QR call per (tc, m) row of omegas keeps
+    # the working set to one row
     live = tcs[tcs > tc_floor]
     shape = (live.size, ms.size, omegas.size)
     ssr, ok = np.empty(shape), np.empty(shape, dtype=bool)
     row = _design(y, omegas.shape)
-    for i, j in np.ndindex(shape[:2]):
-        ssr[i, j], ok[i, j], _, _ = _profile(times, y, live[i], ms[j], omegas, row)
+    for i, tc in enumerate(live):
+        tail = tc - times
+        phase = omegas[:, None] * np.log(tail)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for j, m in enumerate(ms):
+            _fill(row, tail**m, cos, sin)
+            ssr[i, j], ok[i, j], _, _ = _gate(row)
     keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
     order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)
     if not order.size:
         raise FitFailureError("every grid node had a degenerate design matrix")
     candidates = [tuple(key[k] for key in keys) for k in order]
     evals, degenerate = ssr.size, int(ssr.size - ok.sum())
-
-    node = _design(y, ())
-
-    def objective(theta):
-        tc, m, omega = theta
-        if tc <= tc_floor or not 0.0 < m < 1.0 or omega <= 0.0:
-            return np.inf
-        ssr, ok, _, _ = _profile(times, y, tc, m, omega, node)
-        return float(ssr) if ok else np.inf
-
     best = candidates[0]
     converged = False
-    nm_bounds = [(tc_floor, tc_bounds[1]), search.m_bounds, search.omega_bounds]
-    for _, tc0, m0, omega0 in candidates[: search.refine_top_k]:
+    if search.refine_top_k:
+
+        def objective(theta):
+            tc, m, omega = theta.T
+            ssr, ok, _, _ = _profile(times, y, tc, m, omega)
+            ok &= tc > tc_floor  # clipping can put tc on its floor; m and omega stay valid
+            return np.where(ok, ssr, np.inf)
+
         res = minimize(
             objective,
-            np.array([tc0, m0, omega0]),
-            method="Nelder-Mead",
-            bounds=nm_bounds,
-            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-12},
+            np.array([c[1:] for c in candidates[: search.refine_top_k]]),
+            bounds=[(tc_floor, tc_bounds[1]), search.m_bounds, search.omega_bounds],
         )
         evals += res.nfev
-        if not np.isfinite(res.fun):
-            continue
-        converged = converged or bool(res.success)
-        # res.fun is the objective at res.x, a node the gate accepted
-        if (res.fun, *res.x) < best:
-            best = (res.fun, *res.x)
+        for fun, x, success in zip(res.fun, res.x, res.success):
+            if not np.isfinite(fun):
+                continue
+            converged = converged or bool(success)
+            # fun is the objective at x, a node the gate accepted
+            if (fun, *x) < best:
+                best = (fun, *x)
 
     ssr, tc, m, omega = best
     *beta, _ = solve_linear_params(tc, m, omega, series)

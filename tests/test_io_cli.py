@@ -706,7 +706,10 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     [(["--sample-every", "0"], "sample_every must be >= 1"),
      (["--t-start", "-5"], "t_start must be an integer >= 0, got -5"),
      (["--dt", "-1"], "dt must be positive, got -1.0"),
-     (["--n", "0"], "n must be a positive integer, got 0")],
+     (["--n", "0"], "n must be a positive integer, got 0"),
+     # a ramp that starts at or past the path's end would ignore its end flag
+     (["--t-start", "50"], "t_start must lie in [0, n), got 50 with n = 50"),
+     (["--t-start", "500"], "t_start must lie in [0, n), got 500 with n = 50")],
 )
 def test_cli_simulate_refuses_bad_sample_every_and_t_start(tmp_path, capsys, kind, flag,
                                                            message):
@@ -885,18 +888,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _fresh_python(code).split() == ["False"]
 
 
-def test_scipy_loads_only_when_fit_lppl_refines():
+def test_fit_lppl_and_its_cli_never_import_scipy(tmp_path):
+    csv_path = str(tmp_path / "x.csv")
+    t = np.arange(60.0)
+    write_price_csv([pc.PriceSeries(t, 0.01 * np.sin(t) + 0.001 * t, "X")], csv_path)
     code = (
         "import sys, numpy as np, phasecrash as pc\n"
+        "from phasecrash.cli import cli_dispatch\n"
         "t = np.arange(60.0)\n"
         "s = pc.PriceSeries(t, 0.01 * np.sin(t) + 0.001 * t, 'x')\n"
+        "fit = pc.fit_lppl(s, pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=2))\n"
+        "assert fit.grid_evals > 27\n"  # Nelder-Mead ran
         "print('scipy' in sys.modules)\n"
-        "pc.fit_lppl(s, pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=0))\n"
-        "print('scipy' in sys.modules)\n"
-        "pc.fit_lppl(s, pc.SearchConfig(n_tc=3, n_m=3, n_omega=3, refine_top_k=1))\n"
-        "print('scipy' in sys.modules)\n"
+        f"rc = cli_dispatch(['fit-lppl', '--input', {csv_path!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
     )
-    assert _fresh_python(code).split() == ["False", "False", "True"]
+    assert _fresh_python(code).split() == ["False", "0", "False"]
+    assert os.path.exists(tmp_path / "fit.json")
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import phasecrash as pc
 from phasecrash.errors import DegenerateDesignError
 from phasecrash.io import derive_seed
-from phasecrash.lppl import _profile
+from phasecrash.lppl import _profile, minimize
 
 import lppl_reference as ref
 
@@ -322,6 +323,38 @@ def test_grid_matches_reference_oracle(kind, n):
     assert np.allclose(ssr[ok], expected[ok], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("kind", ["bubble", "walk"])
+@pytest.mark.parametrize("n", [30, 250, 1000])
+def test_grid_trig_pass_per_tc_matches_per_row_profiles_exactly(kind, n):
+    series = _oracle_series(kind, n, 71)
+    fit = pc.fit_lppl(series, pc.SearchConfig(refine_top_k=0))
+    times, y = series.times, series.log_prices
+    omegas = np.linspace(2.0, 25.0, 12)
+    nodes, degenerate = [], 0
+    for tc in np.linspace(*pc.lppl._default_tc_bounds(times), 20):
+        for m in np.linspace(0.1, 0.9, 9):
+            ssr, ok, _, _ = _profile(times, y, tc, m, omegas)
+            degenerate += int((~ok).sum())
+            nodes += [(s, tc, m, omega) for s, omega in zip(ssr[ok], omegas[ok])]
+    assert (fit.ssr, fit.params.tc, fit.params.m, fit.params.omega) == min(nodes)
+    assert fit.degenerate_nodes == degenerate
+
+
+def test_profile_of_a_batch_matches_per_node_calls_exactly():
+    # the lockstep refinement profiles each node in batches of changing
+    # size, so a node's residual must not depend on its batch; m = 0.5 is
+    # the default grid's middle value and a common refinement start
+    series = _oracle_series("bubble", 250, 76)
+    rng = np.random.default_rng(76)
+    tc = 250.0 + rng.uniform(1.0, 125.0, 7)
+    m, omega = rng.uniform(0.1, 0.9, 7), rng.uniform(2.0, 25.0, 7)
+    m[[0, 3]] = 0.5
+    batch = _profile(series.times, series.log_prices, tc, m, omega)
+    for i in range(7):
+        node = _profile(series.times, series.log_prices, tc[i], m[i], omega[i])
+        assert batch[1][i] == node[1] and np.array_equal(batch[3][i], node[3])
+
+
 @pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 250), ("walk", 1000)])
 def test_gate_matches_reference_on_stress_grid(kind, n):
     # m and omega down to where the power and log-periodic columns collapse
@@ -404,3 +437,61 @@ def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, mes
     series = _synthetic_series(_params(), n=100)
     with pytest.raises(ValueError, match=message):
         pc.fit_lppl(series, pc.SearchConfig(**bounds))
+
+
+# ------------------------------------------------------------- Nelder-Mead
+
+
+def _rosenbrock(p):
+    return (100.0 * (p[:, 1:] - p[:, :-1] ** 2) ** 2 + (1.0 - p[:, :-1]) ** 2).sum(axis=1)
+
+
+def _edge_quadratic(p):
+    # the unconstrained minimum (2, -1, 0.5) lies past the first upper bound
+    return ((p - [2.0, -1.0, 0.5]) ** 2 * [1.0, 3.0, 10.0]).sum(axis=1)
+
+
+def _terraced(p):
+    # plateaus in a tilted bowl: tied values, failed contractions, shrinks
+    return np.floor(4.0 * ((p - [0.4, -0.3, 0.2]) ** 2 * [1.0, 2.0, 3.0]).sum(axis=1))
+
+
+def _walled(p):
+    # +inf on the part of the box where x0 + x1 > 1
+    q = ((p - [0.8, 0.6, -0.2]) ** 2).sum(axis=1)
+    return np.where(p[:, 0] + p[:, 1] > 1.0, np.inf, q)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # scipy's inf - inf
+@pytest.mark.parametrize(
+    "objective, maxiter",
+    [(_rosenbrock, 120), (_edge_quadratic, 120), (_terraced, 30), (_walled, 400)],
+)
+def test_minimize_matches_scipy_nelder_mead_per_start(objective, maxiter):
+    bounds = [(-2.0, 1.5), (-1.5, 2.0), (-1.0, 1.0)]
+    # the first start sits on every upper bound, so its initial simplex is
+    # reflected back into the box; the second has zero coordinates
+    starts = np.array([[1.5, 2.0, 1.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 0.5],
+                       [0.3, -0.7, -0.9], [1.0, 1.0, 1.0]])
+    calls = []
+
+    def batched(points):
+        calls.append(len(points))
+        return objective(points)
+
+    res = minimize(batched, starts, bounds, maxiter=maxiter)
+    for i, x0 in enumerate(starts):
+        ref = scipy_minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
+                             bounds=bounds,
+                             options={"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-12})
+        assert np.array_equal(res.x[i], ref.x)
+        assert res.fun[i] == ref.fun
+        assert res.start_nfev[i] == ref.nfev
+        assert res.success[i] == ref.success
+    assert res.nfev == sum(res.start_nfev)
+    # starts that stop early run beside starts cut at maxiter
+    assert res.success.any() and not res.success.all()
+    # lockstep: one call for the initial simplices, then at most one per phase
+    assert calls[0] == 4 * len(starts)
+    assert len(calls) <= 1 + 3 * (maxiter - 1)
+    assert max(calls[1:]) <= 3 * len(starts)
