@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+_MAX_ITER = 400  # Nelder-Mead iterations per start
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _default_tc_bounds(times):
 class SimplexResult:
     """Per-start outcome of :func:`minimize`, one row per start: the best
     vertex ``x``, its value ``fun``, ``success`` when the stop rule held
-    before ``maxiter``, and the evaluations ``start_nfev``. ``nfev`` sums
+    within 400 iterations, and the evaluations ``start_nfev``. ``nfev`` sums
     them."""
 
     x: np.ndarray
@@ -316,12 +317,12 @@ def _sorted(sim, fsim):
     return np.take_along_axis(sim, order[..., None], -2), np.take_along_axis(fsim, order, -1)
 
 
-def minimize(fun, x0, bounds, maxiter=400):
+def minimize(fun, x0, bounds):
     """Bounded Nelder-Mead from each row of ``x0``, all starts in lockstep.
 
     A numpy port of ``scipy.optimize.minimize(method="Nelder-Mead")`` with
-    ``bounds``, a sequence of (lo, hi) pairs, ``maxiter`` and the stop rule
-    ``xatol=1e-6``, ``fatol=1e-12``. It keeps scipy's coefficients
+    ``bounds``, a sequence of (lo, hi) pairs, ``maxiter=400`` and the stop
+    rule ``xatol=1e-6``, ``fatol=1e-12``. It keeps scipy's coefficients
     (reflect 1, expand 2, contract 1/2, shrink 1/2), its initial simplex
     (each coordinate times 1.05, reflected back under its upper bound) and
     its clipping of every vertex, so each start takes scipy's steps
@@ -343,7 +344,7 @@ def minimize(fun, x0, bounds, maxiter=400):
     iterations = np.ones(k, dtype=int)  # scipy counts from 1
     running = np.ones(k, dtype=bool)
     while True:
-        running &= iterations < maxiter
+        running &= iterations < _MAX_ITER
         s, f = sim[running], fsim[running]
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which never stops
             running[running] = ~(
@@ -389,7 +390,7 @@ def minimize(fun, x0, bounds, maxiter=400):
         iterations[live] += 1
         sim[live], fsim[live] = _sorted(s, f)
     return SimplexResult(
-        x=sim[:, 0], fun=fsim.min(axis=1), success=iterations < maxiter, start_nfev=nfev
+        x=sim[:, 0], fun=fsim.min(axis=1), success=iterations < _MAX_ITER, start_nfev=nfev
     )
 
 

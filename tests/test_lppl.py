@@ -443,17 +443,24 @@ def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, mes
 
 
 def _rosenbrock(p):
-    return (100.0 * (p[:, 1:] - p[:, :-1] ** 2) ** 2 + (1.0 - p[:, :-1]) ** 2).sum(axis=1)
+    # a valley 100 times steeper than the textbook one, slow enough that
+    # some starts are cut off at 400 iterations
+    return (1e4 * (p[:, 1:] - p[:, :-1] ** 2) ** 2 + (1.0 - p[:, :-1]) ** 2).sum(axis=1)
 
 
 def _edge_quadratic(p):
-    # the unconstrained minimum (2, -1, 0.5) lies past the first upper bound
-    return ((p - [2.0, -1.0, 0.5]) ** 2 * [1.0, 3.0, 10.0]).sum(axis=1)
+    # ill-conditioned and not axis-aligned; the unconstrained minimum
+    # (2, -1, 0.5) lies past the first upper bound, the bounded one is
+    # (1.5, -0.5, 0.5)
+    d = p - [2.0, -1.0, 0.5]
+    return d[:, 0] ** 2 + 1e3 * (d[:, 0] + d[:, 1]) ** 2 + 1e6 * d.sum(axis=1) ** 2
 
 
 def _terraced(p):
-    # plateaus in a tilted bowl: tied values, failed contractions, shrinks
-    return np.floor(4.0 * ((p - [0.4, -0.3, 0.2]) ** 2 * [1.0, 2.0, 3.0]).sum(axis=1))
+    # plateaus in a tilted bowl cut by a steep curved valley: tied values,
+    # failed contractions, shrinks before the end
+    bowl = ((p - [0.4, -0.3, 0.2]) ** 2 * [1.0, 2.0, 3.0]).sum(axis=1)
+    return np.floor(1e4 * (bowl + 1e5 * (p[:, 1] - p[:, 0] ** 2) ** 2))
 
 
 def _walled(p):
@@ -463,11 +470,10 @@ def _walled(p):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # scipy's inf - inf
-@pytest.mark.parametrize(
-    "objective, maxiter",
-    [(_rosenbrock, 120), (_edge_quadratic, 120), (_terraced, 30), (_walled, 400)],
-)
-def test_minimize_matches_scipy_nelder_mead_per_start(objective, maxiter):
+@pytest.mark.parametrize("objective", [_rosenbrock, _edge_quadratic, _terraced, _walled])
+def test_minimize_matches_scipy_nelder_mead_per_start(objective):
+    # exact agreement was checked against scipy 1.17, the floor of the test
+    # extra; older releases may build the initial simplex differently
     bounds = [(-2.0, 1.5), (-1.5, 2.0), (-1.0, 1.0)]
     # the first start sits on every upper bound, so its initial simplex is
     # reflected back into the box; the second has zero coordinates
@@ -479,11 +485,11 @@ def test_minimize_matches_scipy_nelder_mead_per_start(objective, maxiter):
         calls.append(len(points))
         return objective(points)
 
-    res = minimize(batched, starts, bounds, maxiter=maxiter)
+    res = minimize(batched, starts, bounds)
     for i, x0 in enumerate(starts):
         ref = scipy_minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
                              bounds=bounds,
-                             options={"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-12})
+                             options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-12})
         assert np.array_equal(res.x[i], ref.x)
         assert res.fun[i] == ref.fun
         assert res.start_nfev[i] == ref.nfev
@@ -493,5 +499,5 @@ def test_minimize_matches_scipy_nelder_mead_per_start(objective, maxiter):
     assert res.success.any() and not res.success.all()
     # lockstep: one call for the initial simplices, then at most one per phase
     assert calls[0] == 4 * len(starts)
-    assert len(calls) <= 1 + 3 * (maxiter - 1)
+    assert len(calls) <= 1 + 3 * (400 - 1)
     assert max(calls[1:]) <= 3 * len(starts)
