@@ -10,10 +10,11 @@ and CSVs). ``simulate`` draws a corpus kind through the builder that
 ``PARAM_DEFAULTS`` value, and a flag the kind does not read is refused.
 Only ``multi``, coupled critical-route assets, is built here, from the
 ``cpt`` row. The other commands' flags default to the ``SearchConfig``,
-``WindowConfig`` and ``StudyConfig`` fields they fill. Every run writes
-a ``manifest.json`` beside its outputs; all randomness flows from
-``--seed``. Exit codes: 0 success, 1 validation or usage error, 2
-computation failure. ``PHASECRASH_LOG`` sets the log level.
+``WindowConfig`` and ``StudyConfig`` fields they fill. A run writes a
+``manifest.json`` beside its outputs, after them and only when it exits
+0; all randomness flows from ``--seed``. Exit codes: 0 success, 1
+validation or usage error, 2 computation failure. ``PHASECRASH_LOG`` sets
+the log level.
 """
 
 import argparse
@@ -174,23 +175,14 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
-def _manifest(args, command, config, digest):
-    return RunManifest(
-        command=command, config=config, seed=args.seed, input_digest=digest
-    )
-
-
 def _cmd_synth(args):
     with open(args.spec, encoding="utf-8") as fh:
         spec_dict = json.load(fh)
     spec = CorpusSpec.from_dict(spec_dict)
     corpus = synth_corpus(spec, args.seed)
     write_price_csv(corpus, _outpath(args, "corpus.csv"))
-    _manifest(args, "synth", spec.to_dict(), RunManifest.digest_file(args.spec)).write(
-        _outpath(args, "manifest.json")
-    )
     log.info("wrote %d series to %s", len(corpus), args.out)
-    return 0
+    return spec.to_dict(), RunManifest.digest_file(args.spec)
 
 
 def _cmd_simulate(args):
@@ -228,10 +220,7 @@ def _cmd_simulate(args):
     write_price_csv(series, _outpath(args, "path.csv"))
     skip = ("command", "seed", "out", *_PARAM_KEYS)
     cfg = {key: v for key, v in vars(args).items() if key not in skip} | p
-    _manifest(args, "simulate", cfg, RunManifest.digest_config(cfg)).write(
-        _outpath(args, "manifest.json")
-    )
-    return 0
+    return cfg, RunManifest.digest_config(cfg)
 
 
 def _pick_series(series_list, ticker, path):
@@ -272,11 +261,8 @@ def _cmd_fit_lppl(args):
         "grid": [n_tc, n_m, n_omega],
         "top_k": args.top_k,
     }
-    _manifest(args, "fit-lppl", cfg, RunManifest.digest_file(args.input)).write(
-        _outpath(args, "manifest.json")
-    )
     log.info("fit %s: tc=%.3f ssr=%.4g", series.id, fit.params.tc, fit.ssr)
-    return 0
+    return cfg, RunManifest.digest_file(args.input)
 
 
 def _cmd_ews(args):
@@ -306,10 +292,7 @@ def _cmd_ews(args):
         "detrend": args.detrend,
         "calendar": calendar,
     }
-    _manifest(args, "ews", cfg_dict, RunManifest.digest_file(args.input)).write(
-        _outpath(args, "manifest.json")
-    )
-    return 0
+    return cfg_dict, RunManifest.digest_file(args.input)
 
 
 def _cmd_detect(args):
@@ -327,16 +310,13 @@ def _cmd_detect(args):
         "lookback": args.lookback,
         "recovery": args.recovery,
     }
-    _manifest(args, "detect-crashes", cfg_dict, RunManifest.digest_file(args.input)).write(
-        _outpath(args, "manifest.json")
-    )
     log.info(
         "%d events across %d series, %d skipped",
         len(events),
         len(series_list),
         len(skipped),
     )
-    return 0
+    return cfg_dict, RunManifest.digest_file(args.input)
 
 
 def _cmd_study(args):
@@ -361,7 +341,6 @@ def _cmd_study(args):
     write_report_json(report, _outpath(args, "report.json"))
     write_report_csv(report, _outpath(args, "report.csv"))
     write_segments_csv(report, _outpath(args, "segments.csv"))
-    _manifest(args, "study", cfg_dict, digest).write(_outpath(args, "manifest.json"))
     log.info(
         "study: %d assets (%d skipped), %d events, %d signals",
         report.n_assets,
@@ -369,9 +348,11 @@ def _cmd_study(args):
         report.n_events,
         len(report.signals),
     )
-    return 0
+    return cfg_dict, digest
 
 
+#: Each writes its outputs and returns the manifest's config and input
+#: digest; ``cli_dispatch`` writes the manifest after, so a failure leaves none.
 _COMMANDS = {
     "synth": _cmd_synth,
     "simulate": _cmd_simulate,
@@ -416,7 +397,10 @@ def cli_dispatch(argv):
         print("phasecrash: error: --seed must be an unsigned 64-bit int", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        config, digest = _COMMANDS[args.command](args)
+        manifest = RunManifest(args.command, config, args.seed, input_digest=digest)
+        manifest.write(_outpath(args, "manifest.json"))
+        return 0
     except _VALIDATION_ERRORS as exc:
         log.debug("validation failure", exc_info=True)
         print(f"phasecrash: error: {exc}", file=sys.stderr)

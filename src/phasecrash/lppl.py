@@ -409,6 +409,11 @@ def fit_lppl(series, search=None):
     times, y = series.times, series.log_prices
     tc_bounds = search.tc_bounds or _default_tc_bounds(times)
     tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))
+    if tc_bounds[1] <= tc_floor:  # no grid tc would lie past the data
+        raise ValueError(
+            f"tc_bounds {tuple(tc_bounds)} must reach past the last observation "
+            f"time {float(times[-1])}"
+        )
 
     tcs = np.linspace(tc_bounds[0], tc_bounds[1], search.n_tc)
     ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)

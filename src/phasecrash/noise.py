@@ -3,7 +3,9 @@
 Three families are provided:
 
 * Wiener increments: iid Gaussian, variance ``dt`` per step; every
-  Brownian path in the package is a scaled cumulative sum of them.
+  Brownian path in the package is a scaled cumulative sum of them. The
+  multivariate system's correlated increments are unit-variance draws
+  from :func:`sample_gaussian_increments`, mixed by a Cholesky factor.
 * Symmetric alpha-stable increments via the Chambers-Mallows-Stuck
   transform, with the stability index on a :class:`Ramp` schedule. The
   per-step scale is ``scale * dt ** (1 / alpha)``.
@@ -189,7 +191,6 @@ def _fgn_autocov(n_lags, h):
     )
 
 
-@lru_cache(maxsize=4)
 def _fgn_embedding_weights(h, n):
     """sqrt(eigenvalues / M) of the circulant embedding."""
     gamma = _fgn_autocov(n, h)

@@ -13,7 +13,9 @@ on pre-scaled noise increments ``w``:
   scheduled noise process (ramped Hurst exponent or stability index).
 
 The multivariate system runs the same step per asset, on Wiener
-increments correlated by ``cov(dW_i, dW_j) = D_ij * dt``.
+increments correlated by ``cov(dW_i, dW_j) = D_ij * dt``: unit-variance
+draws from :func:`~phasecrash.noise.sample_gaussian_increments`, mixed by
+the Cholesky factor of ``D`` and then scaled by ``sqrt(dt)``.
 
 All simulators are pure functions of (params, n, dt, seed). A non-finite
 state stays non-finite under the step, so a blow-up raises
@@ -250,9 +252,9 @@ def simulate_multivariate(params, n, dt, seed):
     except np.linalg.LinAlgError as exc:
         raise ValueError("coupling matrix is not positive semi-definite") from exc
     k = params.k
-    rng = np.random.default_rng(seed)
-    dw = (rng.standard_normal((n, k)) @ chol.T) * np.sqrt(dt)
-    w = dw * np.asarray(params.sigma, dtype=float)
+    w = sample_gaussian_increments(n * k, 1.0, seed).increments.reshape(n, k) @ chol.T
+    w *= np.sqrt(dt)  # after the mix; in place saves two n x k arrays
+    w *= np.asarray(params.sigma, dtype=float)
     mu = params.mu_schedule.values(n).tolist()
     p0 = (0.0,) * k if params.p0 is None else params.p0
     values = np.array([

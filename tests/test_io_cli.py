@@ -803,6 +803,19 @@ def test_cli_fit_lppl_warns_on_one_sided_tc_bound(tmp_path, caplog, given):
     assert json.load(open(os.path.join(out, "manifest.json")))["config"]["tc_bounds"] is None
 
 
+def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, capsys):
+    t = np.arange(60.0)
+    csv_path = str(tmp_path / "up.csv")
+    write_price_csv([pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")], csv_path)
+    out = tmp_path / "fit"
+    rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--tc-min", "10", "--tc-max", "50",
+                       "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "tc_bounds (10.0, 50.0)" in err and "last observation time 59.0" in err
+    assert not out.exists()
+
+
 def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 1, "colour": 1}]}))
@@ -971,6 +984,14 @@ def test_cli_exit_codes(tmp_path):
          "--out", str(tmp_path)]
     )
     assert rc == 2
+    out = tmp_path / "bad"
+    out.mkdir()
+    rc = cli_dispatch(["simulate", "--kind", "cpt", "--n", "50", "--t-start", "50",
+                       "--out", str(out)])
+    assert rc == 1
+    # only a command that exits 0 leaves a manifest
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_env_log_level(tmp_path, monkeypatch):

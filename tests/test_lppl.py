@@ -426,14 +426,19 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         ({"n_m": -2}, "n_m must be >= 1, got -2"),
         ({"n_omega": 0}, "n_omega must be >= 1, got 0"),
         ({"refine_top_k": -1}, "refine_top_k must be >= 0, got -1"),
+        # the series ends at t = 99, so no grid tc would lie past it
+        ({"tc_bounds": (10.0, 50.0)}, r"tc_bounds \(10.0, 50.0\) .* time 99.0"),
+        ({"tc_bounds": (30.0, 99.0)}, r"tc_bounds \(30.0, 99.0\) .* time 99.0"),
     ],
-    ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k"],
+    ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
+         "tc_before", "tc_at"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(pc.lppl, "_profile", no_profile)
+    monkeypatch.setattr(pc.lppl, "_gate", no_profile)
     series = _synthetic_series(_params(), n=100)
     with pytest.raises(ValueError, match=message):
         pc.fit_lppl(series, pc.SearchConfig(**bounds))

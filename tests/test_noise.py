@@ -171,7 +171,7 @@ def test_fbm_davies_harte_large_n():
 def test_fbm_davies_harte_eigenvalues_positive():
     # every circulant eigenvalue is positive (a weight is zero exactly when
     # its eigenvalue is not), so no H or length needs another method
-    weights = noise._fgn_embedding_weights.__wrapped__
+    weights = noise._fgn_embedding_weights
     for h in np.linspace(0.001, 0.999, 37):
         for n in (1, 2, 3, 5, 64, 1000, 2520, 4096, 4097, 20_000):
             w = weights(float(h), n)
@@ -183,10 +183,8 @@ def test_fbm_negative_embedding_raises(monkeypatch):
     # an autocovariance that is not positive definite cannot be embedded
     bad = lambda n_lags, h: np.r_[1.0, np.full(n_lags, 2.0)]
     monkeypatch.setattr(noise, "_fgn_autocov", bad)
-    noise._fgn_embedding_weights.cache_clear()
     with pytest.raises(GenerationError, match="eigenvalue"):
         pc.synth_fbm(64, pc.HurstSchedule(0.7), 1.0, 1)
-    noise._fgn_embedding_weights.cache_clear()
 
 
 def test_fbm_ramped_hurst_refused_above_limit():

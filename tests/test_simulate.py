@@ -345,6 +345,24 @@ def test_spt_matches_scalar_oracle_bitwise(r, lam, alpha_vol, p0):
     assert np.array_equal(pc.simulate_spt(params, 5000, 0.01, 31).values, expected)
 
 
+@pytest.mark.parametrize("k, dt, seed", [(2, 0.02, 17), (10, 0.37, 2**63 + 9),
+                                         (2, 0.37, 5), (10, 0.02, 2**64 - 1)])
+def test_multi_draw_matches_vector_oracle_bitwise(k, dt, seed):
+    # with r = lam = mu = 0 the Euler step adds only the noise, so the
+    # paths are equal exactly when the correlated draws are
+    params = pc.MultiParams(
+        r=(0.0,) * k,
+        lam=(0.0,) * k,
+        mu_schedule=_const_mu(0.0),
+        sigma=tuple(0.01 * (i + 1) for i in range(k)),
+        coupling=_coupling(k, 0.4),
+    )
+    expected, step = ref.multivariate(params, 2000, dt, seed)
+    assert step is None
+    paths = pc.simulate_multivariate(params, 2000, dt, seed)
+    assert np.array_equal(np.column_stack([p.values for p in paths]), expected)
+
+
 @pytest.mark.parametrize("p0", [None, (1.0, 0.9, -0.5)])
 def test_multi_matches_vector_oracle(p0):
     # the oracle cubes with numpy's x**3, the kernel with x*x*x: equal to rounding
