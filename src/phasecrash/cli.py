@@ -59,6 +59,7 @@ from .io import (
     write_segments_csv,
 )
 from .lppl import SearchConfig, fit_lppl
+from .noise import _check_seed
 from .simulate import CPT_LAM, MultiParams, MuSchedule, simulate_multivariate
 from .study import StudyConfig, detect_panel, run_study
 
@@ -67,8 +68,11 @@ log = logging.getLogger("phasecrash")
 #: The ``simulate`` flags named like corpus params; ``--t-start`` replaces ``onset``.
 _PARAM_KEYS = sorted({key for row in PARAM_DEFAULTS.values() for key in row} - {"onset"})
 
+#: ``multi``'s own flags, which every manifest records, with their defaults.
+_MULTI_FLAGS = {"k": 2, "coupling": 0.5}
+
 #: ``multi`` couples critical-route assets, so it reads the cpt row.
-_MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM}
+_MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM, **_MULTI_FLAGS}
 
 
 class _UsageError(Exception):
@@ -94,7 +98,7 @@ def _grid_counts(text):
 def build_parser():
     parser = _Parser(prog="phasecrash", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master RNG seed (u64)")
@@ -120,9 +124,9 @@ def build_parser():
     for key in _PARAM_KEYS:
         p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
                        help="default: the kind's PARAM_DEFAULTS value")
-    p.add_argument("--k", type=int, default=2, help="asset count (multi)")
+    p.add_argument("--k", type=int, default=None, help="asset count (multi; default 2)")
     p.add_argument(
-        "--coupling", type=float, default=0.5, help="off-diagonal D_ij (multi)"
+        "--coupling", type=float, default=None, help="off-diagonal D_ij (multi; default 0.5)"
     )
 
     p = sub.add_parser("fit-lppl", help="calibrate the bubble model")
@@ -194,15 +198,15 @@ def _cmd_simulate(args):
     kind = args.kind.replace("-", "_")
     row = _MULTI_DEFAULTS if kind == "multi" else PARAM_DEFAULTS[kind]
     given = {key: v for key, v in vars(args).items() if v is not None}
-    unread = [f"--{key.replace('_', '-')}" for key in _PARAM_KEYS
+    unread = [f"--{key.replace('_', '-')}" for key in (*_PARAM_KEYS, *_MULTI_FLAGS)
               if key in given and key not in row]
     if unread:
         raise ValueError(f"simulate --kind {args.kind} does not read {', '.join(unread)}")
     p = {key: given.get(key, v) for key, v in row.items() if key != "onset"}
     if kind == "multi":
-        k = args.k
+        k = p["k"]
         coupling = tuple(
-            tuple(1.0 if i == j else args.coupling for j in range(k)) for i in range(k)
+            tuple(1.0 if i == j else p["coupling"] for j in range(k)) for i in range(k)
         )
         params = MultiParams(
             **{key: (p[key],) * k for key in ("r", "lam", "sigma", "p0")},
@@ -218,8 +222,8 @@ def _cmd_simulate(args):
         lp = values[:: args.sample_every]
         series.append(PriceSeries(np.arange(lp.size, dtype=float), lp, f"SIM{i:03d}"))
     write_price_csv(series, _outpath(args, "path.csv"))
-    skip = ("command", "seed", "out", *_PARAM_KEYS)
-    cfg = {key: v for key, v in vars(args).items() if key not in skip} | p
+    skip = ("command", "seed", "out", *_PARAM_KEYS, *_MULTI_FLAGS)
+    cfg = {key: v for key, v in vars(args).items() if key not in skip} | _MULTI_FLAGS | p
     return cfg, RunManifest.digest_config(cfg)
 
 
@@ -390,13 +394,8 @@ def cli_dispatch(argv):
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"phasecrash: error: {exc}", file=sys.stderr)
         return 1
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
-    if not 0 <= args.seed < 2**64:
-        print("phasecrash: error: --seed must be an unsigned 64-bit int", file=sys.stderr)
-        return 1
     try:
+        _check_seed(args.seed)
         config, digest = _COMMANDS[args.command](args)
         manifest = RunManifest(args.command, config, args.seed, input_digest=digest)
         manifest.write(_outpath(args, "manifest.json"))

@@ -1,13 +1,14 @@
 """Rolling early-warning-signal estimators on log-price series.
 
 Moment statistics (volatility, skewness, lag-1 autocorrelation,
-cross-covariance) run on log-returns: a window of size ``w`` covers ``w``
-consecutive returns and is stamped with the time of the price that closes
-the window. Scaling statistics (the anomalous-dimension estimator, the
-generalized Hurst exponents, the conformality index) run on the log-price
-path itself: a window covers ``w`` consecutive prices and is stamped with
-the last one. Both families advance by ``stride`` observations, so stride
-``s`` output is exactly the stride-1 output subsampled every ``s`` windows.
+cross-covariance) run on log-returns, and scaling statistics (the
+anomalous-dimension estimator, the generalized Hurst exponents, the
+conformality index) on the log-price path itself; a window of size ``w``
+covers ``w`` consecutive values. The window starting at value ``start``
+is stamped ``times[start + w - 1 + lag]``, with ``lag = len(series) -
+len(values)``: the time of the price that closes it. Both families
+advance by ``stride`` observations, so stride ``s`` output is exactly the
+stride-1 output subsampled every ``s`` windows.
 
 Every estimator is a row-wise reduction over one kernel: the matrix whose
 rows are the selected windows, read from a sliding-window view of the
@@ -177,31 +178,22 @@ class EwsSeries:
         return ~np.isfinite(self.values)
 
 
-def _return_windows(series, cfg, min_window):
-    if cfg.window < min_window:
+def _windows(series, cfg, min_window=None):
+    """The values a signal rolls over, the start and the stamp of each
+    window: log-returns for a moment signal, which passes its
+    ``min_window``, and log-prices for a scaling signal."""
+    if min_window is None:
+        cfg.check_scaling()
+    elif cfg.window < min_window:
         raise ValueError(f"window must be >= {min_window}, got {cfg.window}")
-    if len(series) < cfg.window + 1:
+    values, lag = (series.log_prices, 0) if min_window is None else (series.returns(), 1)
+    if len(series) < cfg.window + lag:
         raise ValueError(
             f"series {series.id!r} has {len(series)} observations, "
-            f"needs at least window + 1 = {cfg.window + 1}"
+            f"needs at least window{' + 1' if lag else ''} = {cfg.window + lag}"
         )
-    r = series.returns()
-    starts = np.arange(0, r.size - cfg.window + 1, cfg.stride)
-    times = series.times[starts + cfg.window]
-    return r, starts, times
-
-
-def _price_windows(series, cfg):
-    cfg.check_scaling()
-    if len(series) < cfg.window:
-        raise ValueError(
-            f"series {series.id!r} has {len(series)} observations, "
-            f"needs at least window = {cfg.window}"
-        )
-    x = series.log_prices
-    starts = np.arange(0, x.size - cfg.window + 1, cfg.stride)
-    times = series.times[starts + cfg.window - 1]
-    return x, starts, times
+    starts = np.arange(0, values.size - cfg.window + 1, cfg.stride)
+    return values, starts, series.times[starts + cfg.window - 1 + lag]
 
 
 #: Most float64 values that one row block of a window matrix may hold.
@@ -234,7 +226,7 @@ def _centered(w):
 
 def rolling_volatility(series, cfg):
     """Sample standard deviation (ddof=1) of log-returns per window."""
-    r, starts, times = _return_windows(series, cfg, min_window=2)
+    r, starts, times = _windows(series, cfg, min_window=2)
     vals = _rowwise(r, starts, cfg.window, lambda w: w.std(axis=-1, ddof=1))
     return EwsSeries(times, vals, VOLATILITY, series.id)
 
@@ -251,7 +243,7 @@ def _skew_rows(w):
 
 def rolling_skewness(series, cfg):
     """Adjusted Fisher-Pearson skewness of log-returns per window."""
-    r, starts, times = _return_windows(series, cfg, min_window=3)
+    r, starts, times = _windows(series, cfg, min_window=3)
     vals = _rowwise(r, starts, cfg.window, _skew_rows)
     return EwsSeries(times, vals, SKEWNESS, series.id)
 
@@ -267,7 +259,7 @@ def _lag1_rows(w):
 
 def rolling_lag1_autocorr(series, cfg):
     """Pearson correlation of consecutive log-return pairs per window."""
-    r, starts, times = _return_windows(series, cfg, min_window=4)
+    r, starts, times = _windows(series, cfg, min_window=4)
     vals = _rowwise(r, starts, cfg.window, _lag1_rows)
     return EwsSeries(times, vals, LAG1_AUTOCORR, series.id)
 
@@ -280,7 +272,7 @@ def _log_structure(series, cfg, order):
     """Window end times and per-window ``log S_order(tau)``, one column
     per lag in ``cfg.tau_grid``; rows with a zero or non-finite structure
     function are all NaN."""
-    x, starts, times = _price_windows(series, cfg)
+    x, starts, times = _windows(series, cfg)
     w = cfg.window
     if cfg.detrend:
         # OLS slope on centred time; shifting each row by its first value
@@ -372,7 +364,7 @@ def cross_covariance(series_list, cfg):
         raise ValueError("cross_covariance needs at least 2 series")
     check_aligned(series_list)
     ref = series_list[0]
-    _, starts, times = _return_windows(ref, cfg, min_window=2)
+    _, starts, times = _windows(ref, cfg, min_window=2)
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]
 

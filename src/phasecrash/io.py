@@ -9,7 +9,11 @@ ulps so that the loader's ``np.log(float(close))`` reproduces the
 in-memory log-price bit-exactly for |log-price| >= 1, that is, for
 prices outside (1/e, e). Closer to 1.0 the log grid outruns the price
 grid, and the round trip is exact only to one representable price,
-under 3e-16. Write/load/write is byte-stable in all cases.
+under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
+nonempty, unpadded, free of carriage returns and unique, or they would
+not load back; the writer and ``synth_corpus`` refuse any other. Every
+other CSV writes a float cell with 17 significant digits, which parses
+back to the same double.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -28,9 +32,11 @@ import logging
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from io import StringIO
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from .simulate import (
     simulate_dpt,
     simulate_spt,
 )
-from .study import StudyConfig
+from .study import SegmentTrend, StudyConfig
 
 __all__ = [
     "load_price_csv",
@@ -96,11 +102,13 @@ def _atomic_write(path, text):
 
 def _write_csv(path, header, rows):
     """Write the comma-separated column names ``header``, then ``rows``;
-    only fields holding a comma, a quote or a line break get quoted."""
+    a float cell is written with 17 significant digits, and only fields
+    holding a comma, a quote or a line break get quoted."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header.split(","))
-    writer.writerows(rows)
+    cells = ([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+    writer.writerows(cells)
     _atomic_write(path, buf.getvalue())
 
 
@@ -211,20 +219,24 @@ def _closes(log_prices):
     return np.select(exact, cands, default=c)
 
 
-def write_price_csv(series_list, path):
-    """Serialise series back to ``date,ticker,close`` with 17-digit closes.
+def _check_ids(ids):
+    """Refuse ids that would not load back as distinct tickers: the loader
+    refuses an empty ticker, strips every field, ends a row at a carriage
+    return (csv leaves it unquoted) and merges the rows of one ticker."""
+    for what, bad in (
+        ("empty ids", [i for i in ids if not i]),
+        ("ids with leading or trailing whitespace", [i for i in ids if i != i.strip()]),
+        ("ids with a carriage return", [i for i in ids if "\r" in i]),
+        ("duplicate ids", [i for i, n in Counter(ids).items() if n > 1]),
+    ):
+        if bad:
+            raise ValueError(f"{what}: {bad!r}")
 
-    Ids with leading or trailing whitespace are refused: the loader strips
-    every field, so they would not come back unchanged. So are ids that
-    hold a carriage return, which the csv module leaves unquoted and the
-    loader reads as the end of a row.
-    """
-    padded = [s.id for s in series_list if s.id != s.id.strip()]
-    if padded:
-        raise ValueError(f"ids with leading or trailing whitespace: {padded!r}")
-    returns = [s.id for s in series_list if "\r" in s.id]
-    if returns:
-        raise ValueError(f"ids with a carriage return: {returns!r}")
+
+def write_price_csv(series_list, path):
+    """Serialise series back to ``date,ticker,close`` with 17-digit closes;
+    ids that break the id rule of :func:`_check_ids` are refused."""
+    _check_ids([s.id for s in series_list])
     n_synthetic = max((len(s) for s in series_list if s.dates is None), default=0)
     calendar = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(n_synthetic)]
     lines = ["date,ticker,close\n"]
@@ -241,10 +253,9 @@ def write_ews_csv(ews_list, path):
     missing_flag."""
     rows = []
     for e in ews_list:
-        for t, v in zip(e.times, e.values):
-            missing = not np.isfinite(v)
-            val = "" if missing else format(float(v), ".17g")
-            rows.append((e.id, e.signal, format(float(t), ".17g"), val, int(missing)))
+        for t, v in zip(e.times.tolist(), e.values.tolist()):
+            missing = not math.isfinite(v)
+            rows.append((e.id, e.signal, t, "" if missing else v, int(missing)))
     _write_csv(path, "asset_id,signal,window_end_time,value,missing_flag", rows)
 
 
@@ -265,21 +276,14 @@ def write_report_json(report, path):
 def write_report_csv(report, path):
     rows = []
     for name, st in report.signals.items():
-        p = format(st.p_value, ".17g")
-        rows.append((name, "pre", format(st.mean_tau_pre, ".17g"), st.n_pre, p))
-        rows.append((name, "normal", format(st.mean_tau_normal, ".17g"), st.n_normal, p))
+        rows.append((name, "pre", st.mean_tau_pre, st.n_pre, st.p_value))
+        rows.append((name, "normal", st.mean_tau_normal, st.n_normal, st.p_value))
     _write_csv(path, "signal,group,mean_tau,n,p_value", rows)
 
 
 def write_segments_csv(report, path):
-    header = "asset_id,signal,group,segment_index,start_time,end_time,n_windows,tau,p_value"
-    rows = [
-        (r.asset_id, r.signal, r.group, r.segment_index, format(r.start_time, ".17g"),
-         format(r.end_time, ".17g"), r.n_windows, format(r.tau, ".17g"),
-         format(r.p_value, ".17g"))
-        for r in report.segments
-    ]
-    _write_csv(path, header, rows)
+    names = [f.name for f in fields(SegmentTrend)]
+    _write_csv(path, ",".join(names), map(attrgetter(*names), report.segments))
 
 
 # --------------------------------------------------------------------- #
@@ -387,16 +391,20 @@ def simulate_asset(kind, p, n, dt, t_start, seed):
 def synth_corpus(spec, seed):
     """Deterministic synthetic panel; asset ``j`` overall uses the RNG
     stream derived from ``(seed, j)``, and ``onset`` starts a group's
-    ramp at step ``int(onset * n)``."""
+    ramp at step ``int(onset * n)``. Ids are checked before any draw."""
     if isinstance(spec, dict):
         spec = CorpusSpec.from_dict(spec)
-    out = []
-    asset_index = 0
+    ids = []
     for gi, group in enumerate(spec.groups):
         prefix = group.id_prefix if group.id_prefix is not None else f"{group.kind}{gi}_"
+        ids.append([f"{prefix}{i:03d}" for i in range(group.count)])
+    _check_ids([i for group_ids in ids for i in group_ids])
+    out = []
+    asset_index = 0
+    for group, group_ids in zip(spec.groups, ids):
         p = {**PARAM_DEFAULTS[group.kind], **group.params}
         t_start = int(p.get("onset", 0.0) * group.n)
-        for i in range(group.count):
+        for asset_id in group_ids:
             seed_i = derive_seed(seed, asset_index)
             values = simulate_asset(group.kind, p, group.n, group.dt, t_start, seed_i)
             values = values[:: group.sample_every]
@@ -405,13 +413,7 @@ def synth_corpus(spec, seed):
                 values = np.concatenate(
                     [values, values[-1] + math.log1p(-group.forced_drop) * steps]
                 )
-            out.append(
-                PriceSeries(
-                    np.arange(values.size, dtype=float),
-                    values,
-                    f"{prefix}{i:03d}",
-                )
-            )
+            out.append(PriceSeries(np.arange(values.size, dtype=float), values, asset_id))
             asset_index += 1
     return out
 

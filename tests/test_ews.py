@@ -6,7 +6,7 @@ from scipy.stats import wilcoxon
 
 import phasecrash as pc
 from phasecrash.errors import AlignmentError
-from phasecrash.ews import ghe_signal
+from phasecrash.ews import ghe_signal, signal_estimator
 from phasecrash.io import derive_seed
 
 import ews_reference as ref
@@ -333,6 +333,32 @@ def test_stride_is_subsampling():
         sub = fn(target, scfg3)
         assert np.array_equal(full.values[::3], sub.values, equal_nan=True)
         assert np.array_equal(full.times[::3], sub.times)
+
+
+@pytest.mark.parametrize(
+    "signal, lag",
+    [("volatility", 1), ("skewness", 1), ("lag1_autocorr", 1), ("cross_cov", 1),
+     ("anomalous_dim", 0), ("ghe1", 0), ("conformality", 0)],
+)
+def test_minimum_length_gives_one_window_stamped_at_the_last_time(signal, lag):
+    # moment signals roll over returns, one fewer than the prices
+    cfg = pc.WindowConfig(window=40, stride=3, tau_grid=(2, 4, 8))
+    needed = cfg.window + lag
+    rng = np.random.default_rng(8)
+
+    def estimate(n):
+        times = 3.0 + 0.5 * np.arange(n)
+        panel = [pc.PriceSeries(times, np.cumsum(rng.standard_normal(n)) * 0.01, i)
+                 for i in ("a", "b")]
+        if signal == "cross_cov":
+            return pc.cross_covariance(panel, cfg)
+        return signal_estimator(signal)(panel[0], cfg)
+
+    out = estimate(needed)
+    assert out.times.tolist() == [3.0 + 0.5 * (needed - 1)]
+    assert np.isfinite(out.values).all()
+    with pytest.raises(ValueError, match=f"has {needed - 1} observations, .* = {needed}$"):
+        estimate(needed - 1)
 
 
 def test_volatility_return_scaling_linear():

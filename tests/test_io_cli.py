@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 import phasecrash as pc
+import phasecrash.io as pc_io
 from phasecrash.cli import build_parser, cli_dispatch
 from phasecrash.errors import CsvParseError
 from phasecrash.io import (
@@ -24,8 +26,11 @@ from phasecrash.io import (
     synth_corpus,
     write_ews_csv,
     write_price_csv,
+    write_report_csv,
+    write_segments_csv,
 )
 from phasecrash.simulate import CptParams, MuSchedule, simulate_cpt
+from phasecrash.study import SegmentTrend, SignalTrend, TrendReport
 
 import io_reference
 from conftest import readme_json_blocks
@@ -353,7 +358,103 @@ def test_write_refuses_ids_with_a_carriage_return(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [(("A", ""), "empty ids: ['']"),  # the loader refuses an empty ticker
+     (("A", "B", "A"), "duplicate ids: ['A']")],  # one ticker's rows merge on load
+)
+def test_write_refuses_empty_and_duplicate_ids(tmp_path, ids, message):
+    t = np.arange(3.0)
+    series = [pc.PriceSeries(t, 4.0 + t, i) for i in ids]
+    path = tmp_path / "ids.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_price_csv(series, str(path))
+    assert not path.exists()
+
+
+def _assert_csv_cells(path, header, rows):
+    """``path`` holds ``header`` and ``rows``; a float cell must parse back
+    to the value in memory, and a NaN is written as ``nan``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == header
+    assert len(got) == len(rows) + 1
+    for cells, row in zip(got[1:], rows):
+        assert len(cells) == len(row)
+        for cell, v in zip(cells, row):
+            if isinstance(v, float) and math.isnan(v):
+                assert cell == "nan"
+            elif isinstance(v, float):
+                assert float(cell) == v
+            else:
+                assert cell == str(v)
+
+
+def test_study_and_signal_csvs_write_declared_columns_and_exact_floats(tmp_path):
+    floats = [0.1 + 0.2, 1 / 3, -2.5e-300, 2.0**60 + 2**8, *np.random.default_rng(3).random(6)]
+    nan = float("nan")
+    segments = [
+        SegmentTrend("BRK,A", "volatility", "pre", 0, 12.0, floats[0], 13, floats[1], floats[2]),
+        SegmentTrend("B", "ghe1", "normal", 4, floats[3], floats[4], 7, floats[5], nan),
+    ]
+    signals = {
+        "volatility": SignalTrend("volatility", floats[6:8], floats[8:], floats[3]),
+        "ghe1": SignalTrend("ghe1", [floats[1]], [], nan, "no normal segments"),
+    }
+    report = TrendReport(signals, segments, n_assets=2, n_events=1)
+    path = tmp_path / "segments.csv"
+    write_segments_csv(report, path)
+    _assert_csv_cells(path, [f.name for f in fields(SegmentTrend)],
+                      [astuple(r) for r in segments])
+    path = tmp_path / "report.csv"
+    write_report_csv(report, path)
+    _assert_csv_cells(path, ["signal", "group", "mean_tau", "n", "p_value"], [
+        row for name, st in signals.items()
+        for row in ((name, "pre", st.mean_tau_pre, st.n_pre, st.p_value),
+                    (name, "normal", st.mean_tau_normal, st.n_normal, st.p_value))
+    ])
+    values = np.array([floats[0], nan, floats[2], np.inf, floats[4]])
+    ews = pc.EwsSeries(np.array(floats[5:10]), values, "volatility", "X")
+    path = tmp_path / "signals.csv"
+    write_ews_csv([ews], path)
+    # a missing value is an empty cell with missing_flag 1
+    _assert_csv_cells(path, ["asset_id", "signal", "window_end_time", "value", "missing_flag"], [
+        ("X", "volatility", t, v if np.isfinite(v) else "", int(not np.isfinite(v)))
+        for t, v in zip(floats[5:10], values.tolist())
+    ])
+
+
 # ------------------------------------------------------------------ corpus
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [([("A", 2), ("A", 2)], "duplicate ids: ['A000', 'A001']"),
+     # {i:03d} grows a fourth digit at 1000, so A's 1000th id is A1's first
+     ([("A", 1001), ("A1", 1)], "duplicate ids: ['A1000']"),
+     ([("B", 1), (" A", 1)], "ids with leading or trailing whitespace: [' A000']")],
+)
+def test_synth_refuses_ids_that_would_not_load_back_before_any_draw(monkeypatch, groups,
+                                                                   message):
+    def no_draw(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(pc_io, "simulate_asset", no_draw)
+    spec = {"groups": [{"kind": "bm", "count": count, "n": 1, "id_prefix": prefix}
+                       for prefix, count in groups]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synth_corpus(spec, 1)
+
+
+@pytest.mark.parametrize("command", ["synth", "study"])
+def test_cli_refuses_a_spec_whose_ids_collide(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    group = {"kind": "bm", "count": 2, "n": 300, "id_prefix": "A"}
+    spec.write_text(json.dumps({"groups": [group, group]}))
+    out = tmp_path / "out"
+    assert cli_dispatch([command, "--spec", str(spec), "--out", str(out)]) == 1
+    assert "duplicate ids: ['A000', 'A001']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_corpus_deterministic():
@@ -725,18 +826,27 @@ def test_cli_simulate_refuses_param_flags_the_kind_does_not_read(tmp_path, capsy
            else PARAM_DEFAULTS[kind.replace("-", "_")])
     unread = sorted({key for r in PARAM_DEFAULTS.values() for key in r} - {"onset"} - set(row))
     flags = [f"--{key.replace('_', '-')}" for key in unread]
+    # --k and --coupling shape the coupled panel, which only multi builds
+    multi = {"--k": "3", "--coupling": "0.25"}
+    flags += [] if kind == "multi" else list(multi)
+    values = {flag: multi.get(flag, "0.5") for flag in flags}
     out = tmp_path / "sim"
     base = ["simulate", "--kind", kind, "--n", "50", "--out", str(out)]
     for flag in flags:
-        assert cli_dispatch([*base, flag, "0.5"]) == 1
+        assert cli_dispatch([*base, flag, values[flag]]) == 1
         message = f"phasecrash: error: simulate --kind {kind} does not read {flag}\n"
         assert capsys.readouterr().err == message
-    assert cli_dispatch([*base, *(arg for flag in flags for arg in (flag, "0.5"))]) == 1
+    assert cli_dispatch([*base, *(arg for flag in flags for arg in (flag, values[flag]))]) == 1
     assert f"does not read {', '.join(flags)}\n" in capsys.readouterr().err
     assert not out.exists()
     read = [arg for key, v in row.items() if key != "onset"
             for arg in (f"--{key.replace('_', '-')}", str(v))]
+    read += [arg for item in multi.items() for arg in item] if kind == "multi" else []
     assert cli_dispatch([*base, *read]) == 0
+    if kind == "multi":
+        config = json.load(open(out / "manifest.json"))["config"]
+        assert (config["k"], config["coupling"]) == (3, 0.25)
+        assert len(load_price_csv(str(out / "path.csv"))) == 3
 
 
 def test_cli_simulate_negative_t_start_is_a_clear_error(tmp_path, capsys):
@@ -974,9 +1084,12 @@ def test_cli_study_requires_one_input(tmp_path):
     assert cli_dispatch(["study", "--out", str(tmp_path)]) == 1
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert cli_dispatch(["bogus"]) == 1
+    capsys.readouterr()
+    # a bare phasecrash is a usage error
     assert cli_dispatch([]) == 1
+    assert capsys.readouterr().err.startswith("usage: phasecrash")
     assert cli_dispatch(["ews", "--input", "/does/not/exist.csv"]) == 1
     # diverging simulation is a computation failure
     rc = cli_dispatch(
@@ -992,6 +1105,20 @@ def test_cli_exit_codes(tmp_path):
     # only a command that exits 0 leaves a manifest
     assert not (tmp_path / "manifest.json").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed, rc", [("-1", 1), (str(2**64), 1), (str(2**64 - 1), 0)])
+@pytest.mark.parametrize("command", ["simulate", "detect-crashes"])
+def test_cli_seed_must_be_an_unsigned_64_bit_int(tmp_path, capsys, seed, rc, command):
+    # detect-crashes draws nothing, so only the dispatcher checks its seed
+    prices = _write(tmp_path, "date,ticker,close\n2020-01-02,A,100\n")
+    out = tmp_path / "out"
+    args = {"simulate": ["simulate", "--kind", "bm", "--n", "50"],
+            "detect-crashes": ["detect-crashes", "--input", prices]}[command]
+    assert cli_dispatch([*args, "--seed", seed, "--out", str(out)]) == rc
+    if rc:
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_env_log_level(tmp_path, monkeypatch):
