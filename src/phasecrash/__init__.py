@@ -9,6 +9,7 @@ pre-crash versus normal-time trend comparison on price panels.
 
 from .errors import (
     AlignmentError,
+    ComputationError,
     CsvParseError,
     DegenerateDesignError,
     FitFailureError,
@@ -72,4 +73,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -12,9 +12,10 @@ Only ``multi``, coupled critical-route assets, is built here, from the
 ``cpt`` row. The other commands' flags default to the ``SearchConfig``,
 ``WindowConfig`` and ``StudyConfig`` fields they fill. A run writes a
 ``manifest.json`` beside its outputs, after them and only when it exits
-0; all randomness flows from ``--seed``. Exit codes: 0 success, 1
-validation or usage error, 2 computation failure. ``PHASECRASH_LOG`` sets
-the log level.
+0; all randomness flows from ``--seed``. Exit codes: 0 success, ``--help``
+or ``--version``; 1 a usage error, a ``ValueError`` or an ``OSError``; 2 a
+``ComputationError`` or ``ArithmeticError``. ``PHASECRASH_LOG`` sets the
+log level.
 """
 
 import argparse
@@ -26,15 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AlignmentError,
-    CsvParseError,
-    DegenerateDesignError,
-    FitFailureError,
-    GenerationError,
-    InsufficientDataError,
-    SimulationOverflowError,
-)
+from .errors import ComputationError
 from .ews import (
     CROSS_COV,
     PriceSeries,
@@ -75,15 +68,6 @@ _MULTI_FLAGS = {"k": 2, "coupling": 0.5}
 _MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM, **_MULTI_FLAGS}
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _int_list(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
@@ -96,7 +80,7 @@ def _grid_counts(text):
 
 
 def build_parser():
-    parser = _Parser(prog="phasecrash", description=__doc__)
+    parser = argparse.ArgumentParser(prog="phasecrash", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
@@ -239,12 +223,10 @@ def _pick_series(series_list, ticker, path):
 
 
 def _cmd_fit_lppl(args):
+    if (args.tc_min is None) != (args.tc_max is None):
+        raise ValueError("fit-lppl needs both --tc-min and --tc-max, or neither")
+    tc_bounds = None if args.tc_min is None else (args.tc_min, args.tc_max)
     series = _pick_series(load_price_csv(args.input), args.ticker, args.input)
-    tc_bounds = None
-    if args.tc_min is not None and args.tc_max is not None:
-        tc_bounds = (args.tc_min, args.tc_max)
-    elif args.tc_min is not None or args.tc_max is not None:
-        log.warning("--tc-min and --tc-max apply only together; ignoring the one given")
     n_tc, n_m, n_omega = args.grid
     search = SearchConfig(
         m_bounds=(args.m_min, args.m_max),
@@ -366,23 +348,6 @@ _COMMANDS = {
     "study": _cmd_study,
 }
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    CsvParseError,
-    AlignmentError,
-    InsufficientDataError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
-_COMPUTATION_ERRORS = (
-    FitFailureError,
-    GenerationError,
-    DegenerateDesignError,
-    SimulationOverflowError,
-    ArithmeticError,
-)
-
-
 def cli_dispatch(argv):
     """Run one command line; returns the exit code instead of exiting."""
     level = os.environ.get("PHASECRASH_LOG", "WARNING").upper()
@@ -390,21 +355,19 @@ def cli_dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        print(f"phasecrash: error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # argparse has printed the help, version or usage error
+        return 1 if exc.code else 0
     try:
         _check_seed(args.seed)
         config, digest = _COMMANDS[args.command](args)
         manifest = RunManifest(args.command, config, args.seed, input_digest=digest)
         manifest.write(_outpath(args, "manifest.json"))
         return 0
-    except _VALIDATION_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         log.debug("validation failure", exc_info=True)
         print(f"phasecrash: error: {exc}", file=sys.stderr)
         return 1
-    except _COMPUTATION_ERRORS as exc:
+    except (ComputationError, ArithmeticError) as exc:
         log.debug("computation failure", exc_info=True)
         print(f"phasecrash: computation failed: {exc}", file=sys.stderr)
         return 2

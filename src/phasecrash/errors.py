@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is used for simple argument validation; the classes
-here exist where callers need to distinguish failure modes or where the
-error must carry structured context (step index, offending ids, ...).
+Two families decide the command line's exit code. Bad input is a
+``ValueError``: plain ``ValueError`` for simple argument validation, and
+``CsvParseError``, ``AlignmentError`` and ``InsufficientDataError`` where
+callers need the failure mode or its context; with ``OSError`` it exits 1.
+A computation that fails on valid input is a :class:`ComputationError`
+(``GenerationError``, ``SimulationOverflowError``,
+``DegenerateDesignError``, ``FitFailureError``); with ``ArithmeticError``
+it exits 2.
 """
 
 
@@ -10,7 +15,11 @@ class PhasecrashError(Exception):
     """Base class for package-specific failures."""
 
 
-class GenerationError(PhasecrashError):
+class ComputationError(PhasecrashError):
+    """A computation failed on valid input."""
+
+
+class GenerationError(ComputationError):
     """Noise synthesis failed (e.g. covariance not positive definite)."""
 
     def __init__(self, message, schedule=None):
@@ -18,7 +27,7 @@ class GenerationError(PhasecrashError):
         self.schedule = schedule
 
 
-class SimulationOverflowError(PhasecrashError):
+class SimulationOverflowError(ComputationError):
     """Simulated state became non-finite; ``step`` is the failing index."""
 
     def __init__(self, message, step):
@@ -26,15 +35,15 @@ class SimulationOverflowError(PhasecrashError):
         self.step = step
 
 
-class DegenerateDesignError(PhasecrashError):
+class DegenerateDesignError(ComputationError):
     """Least-squares design matrix is rank deficient or ill conditioned."""
 
 
-class FitFailureError(PhasecrashError):
+class FitFailureError(ComputationError):
     """No usable node in the calibration search grid."""
 
 
-class AlignmentError(PhasecrashError):
+class AlignmentError(PhasecrashError, ValueError):
     """Series in a panel do not share timestamps; ``ids`` names offenders."""
 
     def __init__(self, message, ids=()):
@@ -42,11 +51,11 @@ class AlignmentError(PhasecrashError):
         self.ids = tuple(ids)
 
 
-class InsufficientDataError(PhasecrashError):
+class InsufficientDataError(PhasecrashError, ValueError):
     """Too few observations for the requested statistic."""
 
 
-class CsvParseError(PhasecrashError):
+class CsvParseError(PhasecrashError, ValueError):
     """Input CSV is malformed; ``line`` is the 1-based offending line."""
 
     def __init__(self, message, line=None):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AlignmentError
+from .errors import AlignmentError, InsufficientDataError
 
 __all__ = [
     "PriceSeries",
@@ -188,7 +188,7 @@ def _windows(series, cfg, min_window=None):
         raise ValueError(f"window must be >= {min_window}, got {cfg.window}")
     values, lag = (series.log_prices, 0) if min_window is None else (series.returns(), 1)
     if len(series) < cfg.window + lag:
-        raise ValueError(
+        raise InsufficientDataError(
             f"series {series.id!r} has {len(series)} observations, "
             f"needs at least window{' + 1' if lag else ''} = {cfg.window + lag}"
         )

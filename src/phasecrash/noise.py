@@ -121,16 +121,11 @@ class NoisePath:
     """A seeded realisation of a driving process, stored as increments."""
 
     increments: np.ndarray
-    dt: float
-    kind: str  # "wiener" | "fbm" | "alpha_stable"
-    schedule: object = None
 
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
         if self.increments.size < 1:
             raise ValueError("a noise path needs at least one increment")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
     def path(self):
         """Cumulative path X with X(0) = 0, length ``len(increments) + 1``."""
@@ -156,7 +151,7 @@ def sample_gaussian_increments(n, dt, seed):
     n, dt = _check_n_dt(n, dt)
     rng = np.random.default_rng(_check_seed(seed))
     z = rng.standard_normal(n)
-    return NoisePath(z * np.sqrt(dt), dt, "wiener")
+    return NoisePath(z * np.sqrt(dt))
 
 
 def sample_alpha_stable(n, schedule, dt, seed):
@@ -180,7 +175,7 @@ def sample_alpha_stable(n, schedule, dt, seed):
         np.cos((1.0 - alpha) * u) / e
     ) ** ((1.0 - alpha) / alpha)
     inc = schedule.scale * dt ** (1.0 / alpha) * x
-    return NoisePath(inc, dt, "alpha_stable", schedule)
+    return NoisePath(inc)
 
 
 def _fgn_autocov(n_lags, h):
@@ -252,4 +247,4 @@ def synth_fbm(n, schedule, dt, seed):
     else:
         path = _mbm_cholesky_factor(schedule, n, dt) @ rng.standard_normal(n)
         inc = np.diff(path, prepend=0.0)
-    return NoisePath(inc, dt, "fbm", schedule)
+    return NoisePath(inc)

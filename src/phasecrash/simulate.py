@@ -23,7 +23,7 @@ state stays non-finite under the step, so a blow-up raises
 non-finite step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .noise import (
     Ramp,
     StableSchedule,
     _check_n_dt,
-    _check_seed,
     sample_alpha_stable,
     sample_gaussian_increments,
     synth_fbm,
@@ -144,7 +143,6 @@ class SimPath:
 
     values: np.ndarray
     dt: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -186,7 +184,7 @@ def _euler(x, mu, r, lam, w, dt):
     return np.array(out)
 
 
-def _finish(values, kind, params, dt, seed, n):
+def _finish(values, kind, dt, n):
     """Raise at the first step with a non-finite state, else wrap ``values``
     (one row per asset when 2-D) into SimPaths."""
     finite = np.isfinite(values).reshape(-1, n + 1).all(axis=0)
@@ -195,45 +193,41 @@ def _finish(values, kind, params, dt, seed, n):
         raise SimulationOverflowError(
             f"{kind} simulation diverged at step {step}", step=step
         )
-    record = {"kind": kind, "params": params, "n": n, "dt": dt, "seed": seed}
     if values.ndim == 1:
-        return SimPath(values, dt, record)
-    return [SimPath(v, dt, dict(record, asset=i)) for i, v in enumerate(values)]
+        return SimPath(values, dt)
+    return [SimPath(v, dt) for v in values]
 
 
 def simulate_cpt(params, n, dt, seed):
     """Critical route: ``dp = (-mu(t) + r p - p^3) dt + sigma dW``."""
     if not isinstance(params, CptParams):
         raise ValueError("params must be CptParams")
-    seed = _check_seed(seed)
     w = params.sigma * sample_gaussian_increments(n, dt, seed).increments
     mu = params.mu_schedule.values(n).tolist()
     values = _euler(params.p0, mu, params.r, CPT_LAM, w.tolist(), dt)
-    return _finish(values, "cpt", params, dt, seed, n)
+    return _finish(values, "cpt", dt, n)
 
 
 def simulate_spt(params, n, dt, seed):
     """Stochastic route: double-well drift, volatility ``alpha_vol * t``."""
     if not isinstance(params, SptParams):
         raise ValueError("params must be SptParams")
-    seed = _check_seed(seed)
     dw = sample_gaussian_increments(n, dt, seed).increments
     w = (params.alpha_vol * np.arange(n) * dt) * dw
     values = _euler(params.p0, [0.0] * n, params.r, params.lam, w.tolist(), dt)
-    return _finish(values, "spt", params, dt, seed, n)
+    return _finish(values, "spt", dt, n)
 
 
 def simulate_dpt(params, n, dt, seed):
     """Dynamic route: ``p(t) = p0 + scale * X(t)`` for scheduled noise X."""
     if not isinstance(params, DptParams):
         raise ValueError("params must be DptParams")
-    seed = _check_seed(seed)
     if isinstance(params.noise_spec, HurstSchedule):
         noise = synth_fbm(n, params.noise_spec, dt, seed)
     else:
         noise = sample_alpha_stable(n, params.noise_spec, dt, seed)
     values = params.p0 + params.scale * noise.path()
-    return _finish(values, "dpt", params, dt, seed, n)
+    return _finish(values, "dpt", dt, n)
 
 
 def simulate_multivariate(params, n, dt, seed):
@@ -245,7 +239,6 @@ def simulate_multivariate(params, n, dt, seed):
     if not isinstance(params, MultiParams):
         raise ValueError("params must be MultiParams")
     _check_n_dt(n, dt)
-    seed = _check_seed(seed)
     d = params.coupling_matrix()
     try:
         chol = np.linalg.cholesky(d)
@@ -262,4 +255,4 @@ def simulate_multivariate(params, n, dt, seed):
                w[:, i].tolist(), dt)
         for i in range(k)
     ])
-    return _finish(values, "multi", params, dt, seed, n)
+    return _finish(values, "multi", dt, n)

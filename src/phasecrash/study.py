@@ -43,6 +43,7 @@ from .ews import (
     LAG1_AUTOCORR,
     SKEWNESS,
     VOLATILITY,
+    PriceSeries,
     WindowConfig,
     check_aligned,
     cross_covariance,
@@ -118,9 +119,16 @@ class StudyConfig:
             raise ValueError("recovery_fraction must lie in (0, 1)")
         if isinstance(self.signals, str):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
-        for name in self.signals:
-            if name != CROSS_COV:
-                signal_estimator(name)  # raises for an unknown name
+        # each estimator checks its own name and window needs: run every
+        # signal once on a constant series of window + 1 prices
+        n = max(self.ews_cfg.window, 0) + 1
+        probe = PriceSeries(np.arange(n, dtype=float), np.zeros(n))
+        with np.errstate(all="ignore"):
+            for name in self.signals:
+                if name == CROSS_COV:
+                    cross_covariance([probe, probe], self.ews_cfg)
+                else:
+                    signal_estimator(name)(probe, self.ews_cfg)
 
 
 @dataclass
@@ -420,17 +428,15 @@ def _mwu_lower_tail(m, n, k):
     return f[m].sum() / math.comb(m + n, m)
 
 
-def _trend_records(asset_id, signal, estimate, pre, normal, cfg):
+def _trend_records(asset_id, signal, estimate, pre, normal):
     """One :class:`SegmentTrend` per segment whose EWS ``estimate(seg)``
-    has a Kendall trend; segments shorter than ``window + 1``, with fewer
+    has a Kendall trend; segments too short for one window, with fewer
     than 10 trend points or with a NaN tau (a constant signal) are dropped."""
     records = []
     for group, segments in (("pre", pre), ("normal", normal)):
         for k, seg in enumerate(segments):
-            if len(seg) < cfg.ews_cfg.window + 1:
-                continue
-            ews = estimate(seg)
             try:
+                ews = estimate(seg)
                 tau, p = kendall_tau_trend(ews)
             except InsufficientDataError:
                 continue
@@ -472,7 +478,7 @@ def run_study(assets, cfg=None):
         pre, normal = segment_windows(asset, events, cfg)
         for signal in univariate:
             estimate = partial(signal_estimator(signal), cfg=cfg.ews_cfg)
-            records += _trend_records(asset.id, signal, estimate, pre, normal, cfg)
+            records += _trend_records(asset.id, signal, estimate, pre, normal)
         all_events += events
     if CROSS_COV in cfg.signals:
         # the aligned panel is segmented by the union of every asset's events
@@ -488,7 +494,7 @@ def run_study(assets, cfg=None):
             panel = [s.slice(lo, lo + len(seg)) for s in assets]
             return cross_covariance(panel, cfg.ews_cfg)
 
-        records += _trend_records("panel", CROSS_COV, panel_cross_cov, pre, normal, cfg)
+        records += _trend_records("panel", CROSS_COV, panel_cross_cov, pre, normal)
 
     report_signals = {}
     for signal in cfg.signals:

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import wilcoxon
 
 import phasecrash as pc
-from phasecrash.errors import AlignmentError
+from phasecrash.errors import AlignmentError, InsufficientDataError
 from phasecrash.ews import ghe_signal, signal_estimator
 from phasecrash.io import derive_seed
 
@@ -357,7 +357,8 @@ def test_minimum_length_gives_one_window_stamped_at_the_last_time(signal, lag):
     out = estimate(needed)
     assert out.times.tolist() == [3.0 + 0.5 * (needed - 1)]
     assert np.isfinite(out.values).all()
-    with pytest.raises(ValueError, match=f"has {needed - 1} observations, .* = {needed}$"):
+    with pytest.raises(InsufficientDataError,
+                       match=f"has {needed - 1} observations, .* = {needed}$"):
         estimate(needed - 1)
 
 

@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 import phasecrash as pc
+import phasecrash.cli as pc_cli
 import phasecrash.io as pc_io
 from phasecrash.cli import build_parser, cli_dispatch
-from phasecrash.errors import CsvParseError
+from phasecrash.errors import (
+    AlignmentError,
+    CsvParseError,
+    DegenerateDesignError,
+    FitFailureError,
+    GenerationError,
+    InsufficientDataError,
+    SimulationOverflowError,
+)
 from phasecrash.io import (
     PARAM_DEFAULTS,
     AssetGroupSpec,
@@ -899,18 +908,15 @@ def test_cli_fit_lppl_fixture(tmp_path):
 
 
 @pytest.mark.parametrize("given", [["--tc-min", "510"], ["--tc-max", "600"]])
-def test_cli_fit_lppl_warns_on_one_sided_tc_bound(tmp_path, caplog, given):
-    t = np.arange(200.0)
-    series = pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")
-    csv_path = str(tmp_path / "up.csv")
-    write_price_csv([series], csv_path)
-    out = str(tmp_path / "fit")
-    with caplog.at_level("WARNING", logger="phasecrash"):
-        rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--grid", "4,3,3",
-                           "--top-k", "1", "--out", out, *given])
-    assert rc == 0
-    assert any("--tc-min and --tc-max" in r.message for r in caplog.records)
-    assert json.load(open(os.path.join(out, "manifest.json")))["config"]["tc_bounds"] is None
+def test_cli_fit_lppl_refuses_a_one_sided_tc_range(tmp_path, capsys, given):
+    # refused before the input is read, so a missing input is never reported
+    out = tmp_path / "fit"
+    rc = cli_dispatch(["fit-lppl", "--input", str(tmp_path / "absent.csv"), "--out", str(out),
+                       *given])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "phasecrash: error: fit-lppl needs both --tc-min and --tc-max, or neither\n"
+    assert not out.exists()
 
 
 def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, capsys):
@@ -965,6 +971,32 @@ def test_cli_study_refuses_bad_signals_before_reading_the_panel(tmp_path, capsys
                        "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "signal, ews, message",
+    [("anomalous_dim", {"window": 30, "tau_grid": [2, 4, 8, 16]},
+      "window 30 must exceed 4 * max(tau_grid) = 64 for scaling estimators"),
+     ("lag1_autocorr", {"window": 3}, "window must be >= 4, got 3"),
+     ("conformality", {"tau_grid": [2, 4]},
+      "conformality index needs at least 3 lags in tau_grid")],
+)
+def test_cli_study_refuses_window_rules_before_synthesis(tmp_path, capsys, monkeypatch,
+                                                        signal, ews, message):
+    def no_synthesis(*_args):
+        raise AssertionError("synth_corpus ran before the config was checked")
+
+    monkeypatch.setattr(pc_cli, "synth_corpus", no_synthesis)
+    spec = tmp_path / "spec.json"
+    spec.write_text(readme_json_blocks()["spec.json"])
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"signals": [signal], "ews": ews}))
+    out = tmp_path / "o"
+    rc = cli_dispatch(["study", "--spec", str(spec), "--config", str(cfg_path),
+                       "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, capsys):
@@ -1119,6 +1151,65 @@ def test_cli_seed_must_be_an_unsigned_64_bit_int(tmp_path, capsys, seed, rc, com
     if rc:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["ews", "--help"]])
+def test_cli_help_and_version_return_zero(capsys, argv):
+    assert cli_dispatch(argv) == 0
+    out = capsys.readouterr().out
+    if argv == ["--version"]:
+        assert out == f"{pc.__version__}\n"
+    else:
+        assert out.startswith("usage: phasecrash ews")
+
+
+@pytest.mark.parametrize("case", ["input-is-a-directory", "out-under-a-file"])
+def test_cli_unreadable_input_or_unwritable_out_exits_1(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    argv = {"input-is-a-directory": ["ews", "--input", str(tmp_path),
+                                     "--out", str(tmp_path / "o")],
+            "out-under-a-file": ["simulate", "--kind", "bm", "--n", "50",
+                                 "--out", str(blocker / "sub")]}[case]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phasecrash: error:") and "Traceback" not in err
+
+
+def test_error_families():
+    for cls in (GenerationError, SimulationOverflowError, DegenerateDesignError,
+                FitFailureError):
+        assert issubclass(cls, pc.ComputationError) and not issubclass(cls, ValueError)
+    for cls in (CsvParseError, AlignmentError, InsufficientDataError):
+        assert issubclass(cls, ValueError) and not issubclass(cls, pc.ComputationError)
+
+
+@pytest.mark.parametrize(
+    "exc, rc",
+    [(GenerationError("no factor"), 2),
+     (SimulationOverflowError("diverged", step=3), 2),
+     (DegenerateDesignError("rank 2"), 2),
+     (FitFailureError("no node"), 2),
+     (ZeroDivisionError("division by zero"), 2),
+     (ValueError("bad value"), 1),
+     (CsvParseError("bad row", line=2), 1),
+     (AlignmentError("not aligned", ids=["B"]), 1),
+     (InsufficientDataError("too short"), 1),
+     (json.JSONDecodeError("bad json", "{", 1), 1),
+     (FileNotFoundError("absent"), 1),
+     (IsADirectoryError("a directory"), 1)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_cli_error_type_picks_the_exit_code(tmp_path, capsys, monkeypatch, exc, rc):
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(pc_cli._COMMANDS, "detect-crashes", command)
+    out = tmp_path / "o"
+    assert cli_dispatch(["detect-crashes", "--input", "x.csv", "--out", str(out)]) == rc
+    what = "error" if rc == 1 else "computation failed"
+    assert capsys.readouterr().err == f"phasecrash: {what}: {exc}\n"
+    assert not out.exists()
 
 
 def test_cli_env_log_level(tmp_path, monkeypatch):

@@ -379,4 +379,3 @@ def test_multi_matches_vector_oracle(p0):
     paths = pc.simulate_multivariate(params, 5000, 0.02, 17)
     got = np.column_stack([p.values for p in paths])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-    assert [p.params["asset"] for p in paths] == [0, 1, 2]

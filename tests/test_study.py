@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 
 import phasecrash as pc
 from phasecrash.errors import AlignmentError, InsufficientDataError
+from phasecrash.ews import signal_estimator
 from phasecrash.io import CorpusSpec, derive_seed, synth_corpus
 from phasecrash.study import SegmentTrend, _mannwhitney_p, _trend_records
 
@@ -83,9 +85,29 @@ def test_trend_records_need_ten_trend_points():
         return pc.EwsSeries(seg.times, values, "volatility")
 
     segments = [_prices(np.linspace(1.0, 2.0, n)) for n in (19, 20)]
-    records = _trend_records("x", "volatility", estimate, segments, segments, _cfg())
+    records = _trend_records("x", "volatility", estimate, segments, segments)
     assert [(r.group, r.segment_index, r.n_windows) for r in records] == [
         ("pre", 1, 10), ("normal", 1, 10)]
+
+
+@pytest.mark.parametrize("signal", ["volatility", "anomalous_dim"])
+def test_trend_records_drop_a_segment_exactly_one_window_long(signal):
+    # volatility needs window + 1 prices, anomalous_dim gets one window: the
+    # estimator and kendall_tau_trend refuse them, with no length check here
+    cfg = pc.WindowConfig(window=40, stride=1, tau_grid=(2, 4, 8))
+    rng = np.random.default_rng(21)
+    segments = [_prices(np.exp(np.cumsum(0.01 * rng.standard_normal(n)))) for n in (40, 60)]
+    estimate = partial(signal_estimator(signal), cfg=cfg)
+    records = _trend_records("x", signal, estimate, segments, segments)
+    assert [(r.group, r.segment_index) for r in records] == [("pre", 1), ("normal", 1)]
+
+
+def test_trend_records_let_other_value_errors_through():
+    def estimate(seg):
+        raise ValueError("not a data shortage")
+
+    with pytest.raises(ValueError, match="not a data shortage"):
+        _trend_records("x", "volatility", estimate, [_prices(np.linspace(1.0, 2.0, 30))], [])
 
 
 def _scipy_kendall(vals):
