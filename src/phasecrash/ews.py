@@ -143,11 +143,17 @@ class WindowConfig:
         object.__setattr__(self, "orders", tuple(int(q) for q in self.orders))
 
     def check_scaling(self):
-        """Lag-vs-window constraint, binding only where tau_grid is used.
+        """Lag rules, binding only where tau_grid is used: a log-log fit
+        needs two lags, and the window must exceed four times the largest.
 
-        Moment statistics never touch tau_grid, so a small window paired
-        with the default lags stays legal for them.
+        Moment statistics never touch tau_grid, so a small window or a
+        single lag stays legal for them.
         """
+        if len(self.tau_grid) < 2:
+            raise ValueError(
+                f"scaling estimators need at least 2 lags in tau_grid, "
+                f"got {self.tau_grid}"
+            )
         if self.window <= 4 * max(self.tau_grid):
             raise ValueError(
                 f"window {self.window} must exceed 4 * max(tau_grid) = "

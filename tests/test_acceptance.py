@@ -346,6 +346,7 @@ def test_criterion_8_crash_detector_fixtures():
     cfg = StudyConfig(
         lookback=126,
         pre_crash_window=64,
+        signals=("volatility", "skewness", "lag1_autocorr"),
         ews_cfg=pc.WindowConfig(window=16, tau_grid=(2,)),
     )
 

@@ -403,6 +403,21 @@ def test_window_config_validation():
         pc.WindowConfig(window=100, tau_grid=(2, 4), orders=(0,))
 
 
+def test_one_lag_is_refused_for_scaling_signals_only():
+    # a one-point log-log fit has no slope: every window would be missing
+    cfg = pc.WindowConfig(window=64, stride=8, tau_grid=(2,))
+    series = series_from_increments(np.random.default_rng(derive_seed(31, 0)).standard_normal(300))
+    for fn in (pc.anomalous_dimension, pc.generalized_hurst):
+        with pytest.raises(ValueError, match="at least 2 lags in tau_grid, got \\(2,\\)"):
+            fn(series, cfg)
+    with pytest.raises(ValueError, match="at least 2 lags"):
+        pc.StudyConfig(pre_crash_window=64, signals=("anomalous_dim",), ews_cfg=cfg)
+    pc.StudyConfig(pre_crash_window=64, signals=("volatility", "skewness"), ews_cfg=cfg)
+    assert len(pc.rolling_volatility(series, cfg)) == 30
+    two = pc.WindowConfig(window=64, stride=8, tau_grid=(2, 4))
+    assert np.isfinite(pc.anomalous_dimension(series, two).values).all()
+
+
 def test_price_series_validation():
     with pytest.raises(ValueError):
         pc.PriceSeries(np.array([0.0, 0.0, 1.0]), np.zeros(3), "x")

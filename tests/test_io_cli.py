@@ -545,6 +545,7 @@ def test_synth_corpus_forced_drop_triggers_event():
     }
     (series,) = synth_corpus(spec, 2)
     cfg = pc.StudyConfig(lookback=50, pre_crash_window=64,
+                         signals=("volatility", "skewness", "lag1_autocorr"),
                          ews_cfg=pc.WindowConfig(window=16, tau_grid=(2,)))
     events = pc.detect_crashes(series, cfg)
     assert len(events) == 1

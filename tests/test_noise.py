@@ -10,6 +10,7 @@ from phasecrash import noise
 from phasecrash.errors import GenerationError
 from phasecrash.io import derive_seed
 
+import noise_reference
 from conftest import series_from_increments
 
 
@@ -201,6 +202,74 @@ def test_fbm_ramped_hurst_refused_above_limit():
     assert peak < 8 * n  # refused before even one row of the n x n factor
     # the constant-H path has no such limit
     assert len(pc.synth_fbm(n, pc.HurstSchedule(0.9), 1.0, 1)) == n
+
+
+def test_mbm_cap_bounds_the_ramped_rows(monkeypatch):
+    # the cap counts (n - k) * n factor entries below a Brownian head of k
+    monkeypatch.setattr(noise, "MAX_MBM_STEPS", 40)
+    noise._mbm_cholesky_factor.cache_clear()  # a cached factor skips the cap
+    at_cap = pc.HurstSchedule(0.5, 0.9, t_start=84)  # 16 rows x 100 = 40**2
+    assert len(pc.synth_fbm(100, at_cap, 1.0, 1)) == 100
+    over = pc.HurstSchedule(0.5, 0.9, t_start=83)  # 17 rows x 100
+    with pytest.raises(GenerationError, match="limited") as exc:
+        pc.synth_fbm(100, over, 1.0, 1)
+    assert exc.value.schedule == over
+    # without a Brownian head every row is ramped
+    assert len(pc.synth_fbm(40, pc.HurstSchedule(0.6, 0.9), 1.0, 1)) == 40
+    with pytest.raises(GenerationError, match="limited"):
+        pc.synth_fbm(41, pc.HurstSchedule(0.6, 0.9), 1.0, 1)
+
+
+@pytest.mark.parametrize("t_start", [0, 512])
+def test_mbm_factor_is_built_in_place(t_start):
+    # the kernel rows, their exponents and one temporary: three blocks
+    n = 1024
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
+    noise._mbm_cholesky_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        l21, l22 = noise._mbm_cholesky_factor(sch, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        noise._mbm_cholesky_factor.cache_clear()
+    assert l21.shape == (n - t_start, t_start)
+    assert l22.shape == (n - t_start, n - t_start)
+    assert peak <= 3.1 * 8 * (n - t_start) * n
+
+
+_ORACLE_GRID = sorted(
+    {(n, t) for n in (1, 2, 64, 400, 2520) for t in (0, 1, n // 2, n - 1, n, n + 2)}
+)
+
+
+@pytest.mark.parametrize("n, t_start", _ORACLE_GRID)
+def test_mbm_matches_full_factor_oracle(n, t_start):
+    for dt in (0.25, 1.0, 2.0):
+        for h_start in (0.5, 0.6):
+            case = (dt, h_start)
+            sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
+            p = pc.synth_fbm(n, sch, dt, 5)
+            ref_path, z = noise_reference.mbm_path(sch, n, dt, 5)
+            k = min(t_start, n) if h_start == 0.5 else 0
+            if k == 0:
+                assert np.array_equal(p.increments, np.diff(ref_path, prepend=0.0)), case
+                continue
+            assert np.array_equal(p.increments[:k], np.sqrt(dt) * z[:k]), case
+            # two LAPACK orderings of the full factor itself (numpy's and
+            # scipy's) differ by up to 1.5e-9 * max|path| at n = 2520
+            err = np.abs(p.path()[1:] - ref_path).max()
+            assert err <= 1e-8 * np.abs(ref_path).max(), case
+
+
+def test_block_factor_refuses_what_the_full_factor_refuses():
+    # a jump of 0.4 in H over one step after a long Brownian head
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=254)
+    with pytest.raises(np.linalg.LinAlgError):
+        noise_reference.full_factor(sch, 256, 1.0)
+    with pytest.raises(GenerationError, match="smallest eigenvalue") as exc:
+        pc.synth_fbm(256, sch, 1.0, 1)
+    assert exc.value.schedule == sch
 
 
 def test_fbm_time_varying_determinism():

@@ -22,11 +22,13 @@ def _prices(levels, asset_id="x"):
 
 
 def _cfg(**kw):
+    # one lag is legal only for the moment signals
     base = dict(
         crash_threshold=0.20,
         lookback=10,
         pre_crash_window=20,
         exclusion_margin=5,
+        signals=("volatility", "skewness", "lag1_autocorr"),
         ews_cfg=pc.WindowConfig(window=10, stride=1, tau_grid=(2,)),
     )
     base.update(kw)
