@@ -23,6 +23,7 @@ Every CLI command emits a ``manifest.json`` recording the resolved
 configuration, seed, tool version, and a content hash of the inputs;
 re-running the command with the same manifest inputs reproduces outputs
 byte-identically. All files are written atomically (temp file + rename).
+JSON outputs are strict JSON: a non-finite float is written as ``null``.
 """
 
 import csv
@@ -113,7 +114,8 @@ def _write_csv(path, header, rows):
 
 
 def _dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _raise_first_bad_row(path, records):
@@ -307,7 +309,8 @@ class AssetGroupSpec:
     ``n`` counts simulation steps; the observed series keeps every
     ``sample_every``-th point. ``forced_drop``, when set, appends a
     ``drop_len``-observation linear decline of that total fraction so a
-    crash event is guaranteed at the end of the path.
+    crash event is guaranteed at the end of the path. ``dpt_hurst`` with H
+    0.5 -> 0.9 over 2520 steps raises GenerationError for ``onset`` > ~0.985.
     """
 
     kind: str

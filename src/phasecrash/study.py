@@ -14,8 +14,8 @@ are compared per signal with a two-sample Mann-Whitney test.
 Both statistics are computed here in numpy, to the rules of
 ``scipy.stats`` (which the tests use as their oracle), so the CLI never
 imports scipy for them. :func:`kendall_tau_trend` counts inversions by a
-bottom-up merge in O(n log^2 n) and takes the tie-corrected normal
-approximation (Kendall 1945, Biometrika 33:239). ``_mannwhitney_p``
+bottom-up merge in O(n log^2 n); it gives no p-value, as overlapping
+windows are not independent draws. ``_mannwhitney_p``
 follows scipy's ``auto`` rule: the exact null distribution by Mann and
 Whitney's recursion when the smaller sample has at most 8 values and
 there are no ties, else the tie- and continuity-corrected normal
@@ -119,6 +119,8 @@ class StudyConfig:
             raise ValueError("recovery_fraction must lie in (0, 1)")
         if isinstance(self.signals, str):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
+        if not self.signals:
+            raise ValueError("signals must name at least one signal")
         # each estimator checks its own name and window needs: run every
         # signal once on a constant series of window + 1 prices
         n = max(self.ews_cfg.window, 0) + 1
@@ -129,6 +131,10 @@ class StudyConfig:
                     cross_covariance([probe, probe], self.ews_cfg)
                 else:
                     signal_estimator(name)(probe, self.ews_cfg)
+        # a repeated name would count each of its taus twice
+        repeated = [s for s in dict.fromkeys(self.signals) if self.signals.count(s) > 1]
+        if repeated:
+            raise ValueError(f"signals repeats {', '.join(map(repr, repeated))}")
 
 
 @dataclass
@@ -143,7 +149,6 @@ class SegmentTrend:
     end_time: float
     n_windows: int
     tau: float
-    p_value: float
 
 
 @dataclass
@@ -364,10 +369,10 @@ def _inversions(ranks):
 def kendall_tau_trend(values, min_points=10):
     """Kendall's tau-b of an EWS series against window index.
 
-    Missing windows are skipped. Returns ``(tau, p_value)`` with the
-    normal-approximation p-value; fewer than ``min_points`` usable
-    windows raise :class:`InsufficientDataError`, and a constant series
-    gives ``(nan, nan)``.
+    Missing windows are skipped. Returns ``(tau, n)``, ``n`` the number
+    of windows ranked; fewer than ``min_points`` of them raise
+    :class:`InsufficientDataError`, and a constant series gives
+    ``(nan, n)``.
     """
     mask = np.isfinite(values.values)
     n = int(mask.sum())
@@ -379,13 +384,10 @@ def kendall_tau_trend(values, min_points=10):
     pairs = n * (n - 1) // 2
     tied = int((ties * (ties - 1) // 2).sum())
     if tied == pairs:
-        return float("nan"), float("nan")
+        return float("nan"), n
     # concordant minus discordant; the window index itself has no ties
     s = pairs - tied - 2 * _inversions(ranks)
-    tau = min(1.0, max(-1.0, s / math.sqrt(pairs) / math.sqrt(pairs - tied)))
-    tie_var = int((ties * (ties - 1.0) * (2 * ties + 5)).sum())
-    var = (n * (n - 1.0) * (2 * n + 5) - tie_var) / 18
-    return tau, math.erfc(abs(s / math.sqrt(var)) / math.sqrt(2.0))
+    return min(1.0, max(-1.0, s / math.sqrt(pairs) / math.sqrt(pairs - tied))), n
 
 
 def _mannwhitney_p(a, b):
@@ -436,8 +438,7 @@ def _trend_records(asset_id, signal, estimate, pre, normal):
     for group, segments in (("pre", pre), ("normal", normal)):
         for k, seg in enumerate(segments):
             try:
-                ews = estimate(seg)
-                tau, p = kendall_tau_trend(ews)
+                tau, n_windows = kendall_tau_trend(estimate(seg))
             except InsufficientDataError:
                 continue
             if not np.isfinite(tau):
@@ -450,9 +451,8 @@ def _trend_records(asset_id, signal, estimate, pre, normal):
                     segment_index=k,
                     start_time=float(seg.times[0]),
                     end_time=float(seg.times[-1]),
-                    n_windows=int(np.isfinite(ews.values).sum()),
+                    n_windows=n_windows,
                     tau=tau,
-                    p_value=p,
                 )
             )
     return records
@@ -502,15 +502,11 @@ def run_study(assets, cfg=None):
         for rec in records:
             if rec.signal == signal:
                 taus[rec.group].append(rec.tau)
-        p_value, reason = float("nan"), None
+        p_value, reason = float("nan"), "no segments"
         if taus["pre"] and taus["normal"]:
-            p_value = _mannwhitney_p(taus["pre"], taus["normal"])
-        elif taus["pre"]:
-            reason = "no normal segments"
-        elif taus["normal"]:
-            reason = "no pre segments"
-        else:
-            reason = "no segments"
+            p_value, reason = _mannwhitney_p(taus["pre"], taus["normal"]), None
+        elif taus["pre"] or taus["normal"]:
+            reason = f"no {'normal' if taus['pre'] else 'pre'} segments"
         report_signals[signal] = SignalTrend(
             signal=signal,
             taus_pre=taus["pre"],

@@ -1,7 +1,9 @@
-"""Each narrative demo runs to completion."""
+"""Each narrative demo, and the README's Python quick start, runs to completion."""
 
+import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,18 +13,31 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run_python(args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+        [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    _run_python([str(demo)], cwd=tmp_path)
+
+
+def test_readme_python_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    # the first print is the Kendall trend of the rising exponent
+    tau, n = ast.literal_eval(_run_python(["-c", block]).splitlines()[0])
+    assert 0.0 < tau <= 1.0 and n == 13

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple
 from datetime import date, timedelta
 
 import numpy as np
@@ -403,8 +403,8 @@ def test_study_and_signal_csvs_write_declared_columns_and_exact_floats(tmp_path)
     floats = [0.1 + 0.2, 1 / 3, -2.5e-300, 2.0**60 + 2**8, *np.random.default_rng(3).random(6)]
     nan = float("nan")
     segments = [
-        SegmentTrend("BRK,A", "volatility", "pre", 0, 12.0, floats[0], 13, floats[1], floats[2]),
-        SegmentTrend("B", "ghe1", "normal", 4, floats[3], floats[4], 7, floats[5], nan),
+        SegmentTrend("BRK,A", "volatility", "pre", 0, 12.0, floats[0], 13, floats[1]),
+        SegmentTrend("B", "ghe1", "normal", 4, floats[3], floats[4], 7, nan),
     ]
     signals = {
         "volatility": SignalTrend("volatility", floats[6:8], floats[8:], floats[3]),
@@ -413,8 +413,8 @@ def test_study_and_signal_csvs_write_declared_columns_and_exact_floats(tmp_path)
     report = TrendReport(signals, segments, n_assets=2, n_events=1)
     path = tmp_path / "segments.csv"
     write_segments_csv(report, path)
-    _assert_csv_cells(path, [f.name for f in fields(SegmentTrend)],
-                      [astuple(r) for r in segments])
+    _assert_csv_cells(path, ["asset_id", "signal", "group", "segment_index", "start_time",
+                             "end_time", "n_windows", "tau"], [astuple(r) for r in segments])
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     _assert_csv_cells(path, ["signal", "group", "mean_tau", "n", "p_value"], [
@@ -700,6 +700,42 @@ def test_cli_study_records_short_ticker_as_skip(tmp_path):
     assert volatility["inconclusive_reason"] is None
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_cli_inconclusive_report_is_strict_json(tmp_path):
+    # controls alone have no crash, so the pre group and the p-value are empty
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 3, "n": 2560,
+                                            "params": {"sigma": 0.001}, "id_prefix": "CTRL"}]}))
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"signals": ["volatility"]}))
+    out = tmp_path / "o"
+    rc = cli_dispatch(["study", "--spec", str(spec), "--config", str(cfg_path),
+                       "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    volatility = _strict_json(out / "report.json")["signals"]["volatility"]
+    assert volatility["inconclusive_reason"] == "no pre segments"
+    assert volatility["mean_tau_pre"] is None and volatility["p_value"] is None
+    assert volatility["n_normal"] > 0 and math.isfinite(volatility["mean_tau_normal"])
+    # report.csv keeps its nan cells
+    assert ",nan" in (out / "report.csv").read_text()
+
+
+def test_json_writer_writes_every_non_finite_float_as_null(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    doc = {"a": [inf, -inf, nan, 1.5, np.float64(nan)], "b": {"c": (nan, 2)}, "d": "nan"}
+    path = tmp_path / "x.json"
+    pc_io._atomic_write(path, pc_io._dump_json(doc))
+    assert _strict_json(path) == {"a": [None, None, None, 1.5, None], "b": {"c": [None, 2]},
+                                  "d": "nan"}
+
+
 def test_cli_simulate_byte_identical_reruns(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -962,7 +998,9 @@ def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, ca
 @pytest.mark.parametrize(
     "signals, message",
     [("volatility", "signals must be tuple, got str"),
-     (["volatility", "ghe0"], "unknown signal 'ghe0'")],
+     (["volatility", "ghe0"], "unknown signal 'ghe0'"),
+     ([], "signals must name at least one signal"),
+     (["volatility", "volatility"], "signals repeats 'volatility'")],
 )
 def test_cli_study_refuses_bad_signals_before_reading_the_panel(tmp_path, capsys, signals,
                                                                 message):

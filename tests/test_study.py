@@ -40,9 +40,9 @@ def _cfg(**kw):
 
 def test_kendall_strictly_increasing():
     e = pc.EwsSeries(np.arange(12.0), np.arange(12.0), "volatility")
-    tau, p = pc.kendall_tau_trend(e)
+    tau, n = pc.kendall_tau_trend(e)
     assert tau == pytest.approx(1.0, abs=1e-12)
-    assert p < 0.01
+    assert n == 12
 
 
 def test_kendall_strictly_decreasing():
@@ -54,9 +54,9 @@ def test_kendall_strictly_decreasing():
 def test_kendall_tie_oracle():
     # {1,2,2,3}: 5 concordant pairs, one y-tie -> tau-b = 5/sqrt(30)
     e = pc.EwsSeries(np.arange(4.0), np.array([1.0, 2.0, 2.0, 3.0]), "volatility")
-    tau, p = pc.kendall_tau_trend(e, min_points=4)
+    tau, n = pc.kendall_tau_trend(e, min_points=4)
     assert tau == pytest.approx(5.0 / math.sqrt(30.0), abs=1e-12)
-    assert 0.0 < p < 1.0
+    assert n == 4
 
 
 def test_kendall_monotone_transform_invariance():
@@ -114,9 +114,8 @@ def test_trend_records_let_other_value_errors_through():
 
 def _scipy_kendall(vals):
     keep = np.isfinite(vals)
-    res = stats.kendalltau(np.flatnonzero(keep).astype(float), vals[keep],
-                           variant="b", method="asymptotic")
-    return float(res.statistic), float(res.pvalue)
+    return float(stats.kendalltau(np.flatnonzero(keep).astype(float), vals[keep],
+                                  variant="b").statistic)
 
 
 @pytest.mark.parametrize("n", [10, 16, 17, 33, 64, 657, 2000])
@@ -129,19 +128,18 @@ def test_kendall_matches_scipy_oracle(n, kind):
             vals = np.round(vals * rng.integers(1, 4))
         elif kind == "missing":
             vals[rng.choice(n, n // 5, replace=False)] = np.nan
-        tau, p = pc.kendall_tau_trend(pc.EwsSeries(np.arange(float(n)), vals, "s"),
-                                      min_points=n // 2)
-        want_tau, want_p = _scipy_kendall(vals)
-        assert abs(tau - want_tau) <= 1e-15
-        assert p == pytest.approx(want_p, rel=1e-12, abs=0)
+        tau, ranked = pc.kendall_tau_trend(pc.EwsSeries(np.arange(float(n)), vals, "s"),
+                                           min_points=n // 2)
+        assert abs(tau - _scipy_kendall(vals)) <= 1e-15
+        assert ranked == int(np.isfinite(vals).sum())
 
 
 def test_kendall_constant_series_is_nan_like_scipy():
     vals = np.full(40, 0.3)
     vals[[4, 9]] = np.nan
-    tau, p = pc.kendall_tau_trend(pc.EwsSeries(np.arange(40.0), vals, "s"))
-    assert math.isnan(tau) and math.isnan(p)
-    assert all(math.isnan(x) for x in _scipy_kendall(vals))
+    tau, n = pc.kendall_tau_trend(pc.EwsSeries(np.arange(40.0), vals, "s"))
+    assert math.isnan(tau) and n == 38
+    assert math.isnan(_scipy_kendall(vals))
 
 
 # ----------------------------------------------------------- mann-whitney
@@ -591,7 +589,10 @@ def test_signal_trend_inconclusive_reason():
 @pytest.mark.parametrize(
     "signals, message",
     [("volatility", "signals must be a list of names, got 'volatility'"),
-     ("", "signals must be a list of names, got ''")]
+     ("", "signals must be a list of names, got ''"),
+     ((), "signals must name at least one signal"),
+     (("volatility", "volatility"), "signals repeats 'volatility'"),
+     (("ghe1", "skewness", "ghe1", "skewness", "ghe1"), "signals repeats 'ghe1', 'skewness'")]
     + [((name,), f"unknown signal '{name}'")
        for name in ("vol", "ghe0", "ghe-1", "ghe+1", "ghex", "ghe", "cross_covariance")],
 )
