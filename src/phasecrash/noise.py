@@ -120,8 +120,8 @@ class StableSchedule(Ramp):
     def __post_init__(self, ramp):
         super().__post_init__()
         _check_schedule(self, ramp, "stability index", "(0, 2]", lambda a: 0 < a <= 2)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Euler-Maruyama simulation of the three crash routes.
 
 The critical and stochastic routes and the multivariate system share one
-Euler step, ``x[k+1] = x[k] + (-mu[k] + r*x[k] - lam*x[k]**3) * dt + w[k]``,
-on pre-scaled noise increments ``w``:
+Euler step, ``x + (-mu + r*x - lam*x**3) * dt + w`` on noise increments
+``w``, run folded as ``x * (a - b*x*x) + c`` with ``a = 1 + r*dt``,
+``b = lam*dt`` and ``c = w - mu*dt`` (equal to rounding, not bitwise):
 
 * critical route: ``lam = 1``, a ramped ``mu(t)`` that destroys the
   upper equilibrium at the fold ``mu* = (2r/3) * sqrt(r/3)``, and
@@ -60,6 +61,14 @@ MuSchedule = Ramp
 CPT_LAM = 1.0
 
 
+def _check_finite(**fields):
+    """Refuse a NaN or infinite parameter by name; the Euler step would
+    carry it into the path and report a divergence instead."""
+    for name, value in fields.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CptParams:
     r: float
@@ -68,6 +77,8 @@ class CptParams:
     p0: float
 
     def __post_init__(self):
+        _check_finite(r=self.r, mu_start=self.mu_schedule.start,
+                      mu_end=self.mu_schedule.end, sigma=self.sigma, p0=self.p0)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
@@ -80,6 +91,7 @@ class SptParams:
     p0: float
 
     def __post_init__(self):
+        _check_finite(r=self.r, lam=self.lam, alpha_vol=self.alpha_vol, p0=self.p0)
         if self.lam <= 0:
             raise ValueError("lam must be positive (confining potential)")
         if self.alpha_vol < 0:
@@ -95,6 +107,7 @@ class DptParams:
     def __post_init__(self):
         if not isinstance(self.noise_spec, (HurstSchedule, StableSchedule)):
             raise ValueError("noise_spec must be a HurstSchedule or StableSchedule")
+        _check_finite(scale=self.scale, p0=self.p0)
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
 
@@ -120,12 +133,17 @@ class MultiParams:
         d = np.asarray(self.coupling, dtype=float)
         if d.shape != (k, k):
             raise ValueError(f"coupling must be {k}x{k}")
+        _check_finite(r=self.r, lam=self.lam, mu_start=self.mu_schedule.start,
+                      mu_end=self.mu_schedule.end, sigma=self.sigma,
+                      coupling=self.coupling, p0=self.p0)
         if not np.allclose(d, d.T):
             raise ValueError("coupling matrix must be symmetric")
         if not np.allclose(np.diag(d), 1.0):
             raise ValueError("coupling matrix must have unit diagonal")
         if any(s <= 0 for s in self.sigma):
             raise ValueError("sigma entries must be positive")
+        if any(v < 0 for v in self.lam):
+            raise ValueError("lam entries must be nonnegative (confining potential)")
         if self.p0 is not None and len(self.p0) != k:
             raise ValueError("p0 must have one entry per asset")
 
@@ -173,13 +191,14 @@ class SimPath:
         )
 
 
-def _euler(x, mu, r, lam, w, dt):
-    """All ``len(w) + 1`` states of the shared Euler step from ``x``, for
-    per-step lists ``mu`` and ``w``; Python floats beat numpy scalars here."""
+def _euler(x, a, b, c):
+    """All ``len(c) + 1`` states from ``x`` of the Euler step folded to
+    ``x * (a - b*x*x) + c[k]``, ``a = 1 + r*dt``, ``b = lam*dt``, ``c = w - mu*dt``."""
+    x, a, b = float(x), float(a), float(b)  # Python floats beat numpy scalars here
     out = [x]
     append = out.append
-    for m, wk in zip(mu, w):
-        x = x + (-m + r * x - lam * x * x * x) * dt + wk
+    for ck in c.tolist():
+        x = x * (a - b * x * x) + ck
         append(x)
     return np.array(out)
 
@@ -202,9 +221,9 @@ def simulate_cpt(params, n, dt, seed):
     """Critical route: ``dp = (-mu(t) + r p - p^3) dt + sigma dW``."""
     if not isinstance(params, CptParams):
         raise ValueError("params must be CptParams")
-    w = params.sigma * sample_gaussian_increments(n, dt, seed).increments
-    mu = params.mu_schedule.values(n).tolist()
-    values = _euler(params.p0, mu, params.r, CPT_LAM, w.tolist(), dt)
+    dw = sample_gaussian_increments(n, dt, seed).increments
+    c = params.sigma * dw - params.mu_schedule.values(n) * dt
+    values = _euler(params.p0, 1 + params.r * dt, CPT_LAM * dt, c)
     return _finish(values, "cpt", dt, n)
 
 
@@ -214,7 +233,7 @@ def simulate_spt(params, n, dt, seed):
         raise ValueError("params must be SptParams")
     dw = sample_gaussian_increments(n, dt, seed).increments
     w = (params.alpha_vol * np.arange(n) * dt) * dw
-    values = _euler(params.p0, [0.0] * n, params.r, params.lam, w.tolist(), dt)
+    values = _euler(params.p0, 1 + params.r * dt, params.lam * dt, w)
     return _finish(values, "spt", dt, n)
 
 
@@ -248,11 +267,10 @@ def simulate_multivariate(params, n, dt, seed):
     w = sample_gaussian_increments(n * k, 1.0, seed).increments.reshape(n, k) @ chol.T
     w *= np.sqrt(dt)  # after the mix; in place saves two n x k arrays
     w *= np.asarray(params.sigma, dtype=float)
-    mu = params.mu_schedule.values(n).tolist()
+    w -= (params.mu_schedule.values(n) * dt)[:, None]
     p0 = (0.0,) * k if params.p0 is None else params.p0
     values = np.array([
-        _euler(float(p0[i]), mu, float(params.r[i]), float(params.lam[i]),
-               w[:, i].tolist(), dt)
+        _euler(p0[i], 1 + params.r[i] * dt, params.lam[i] * dt, w[:, i])
         for i in range(k)
     ])
     return _finish(values, "multi", dt, n)

@@ -6,8 +6,9 @@ and stop at the first non-finite state; the multivariate oracle steps
 the whole asset vector with numpy per time step. Each returns
 ``(values, step)``: the state path and ``None``, or ``None`` and the
 index of the first non-finite state. Noise comes from the package's own
-samplers with the same seeds, so the fast simulators must reproduce the
-scalar oracles bitwise and the vector oracle to rounding.
+samplers with the same seeds. The simulators run the step folded to
+``x * (a - b*x*x) + c``, so they reproduce the oracles to rounding; with
+``r = lam = mu = 0`` the fold is ``x + w`` and they match bitwise.
 """
 
 import math

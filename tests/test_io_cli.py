@@ -1178,6 +1178,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("kind, flag, value", [("cpt", "--sigma", "nan"),
+                                               ("cpt", "--p0", "inf"),
+                                               ("spt", "--lam", "nan"),
+                                               ("dpt-hurst", "--scale", "nan"),
+                                               ("multi", "--mu-start", "nan"),
+                                               ("multi", "--lam", "-1")])
+def test_cli_simulate_bad_param_is_a_usage_error(tmp_path, capsys, kind, flag, value):
+    # refused before any draw, so it exits 1 naming the field, not 2 as a divergence
+    out = tmp_path / "o"
+    rc = cli_dispatch(["simulate", "--kind", kind, "--n", "50", flag, value,
+                       "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phasecrash: error: ")
+    assert flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed, rc", [("-1", 1), (str(2**64), 1), (str(2**64 - 1), 0)])
 @pytest.mark.parametrize("command", ["simulate", "detect-crashes"])
 def test_cli_seed_must_be_an_unsigned_64_bit_int(tmp_path, capsys, seed, rc, command):

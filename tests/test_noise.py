@@ -75,8 +75,9 @@ def test_stable_schedule_validation():
         pc.StableSchedule(0.0)
     with pytest.raises(ValueError):
         pc.StableSchedule(2.2)
-    with pytest.raises(ValueError):
-        pc.StableSchedule(1.5, scale=0.0)
+    for scale in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale"):
+            pc.StableSchedule(1.5, scale=scale)
     with pytest.raises(ValueError):
         pc.sample_alpha_stable(10, pc.HurstSchedule(0.5), 1.0, 1)
 

@@ -259,6 +259,15 @@ def test_multi_not_psd_rejected():
         pc.simulate_multivariate(params, 10, 0.01, 1)
 
 
+def test_multi_refuses_negative_lam():
+    # lam = 0 is the noise-only case; below it the cubic drives paths out
+    kw = dict(r=(1.0, 1.0), mu_schedule=_const_mu(0.0), sigma=(0.1, 0.1),
+              coupling=_coupling(2, 0.3))
+    with pytest.raises(ValueError, match="lam"):
+        pc.MultiParams(lam=(1.0, -1.0), **kw)
+    pc.MultiParams(lam=(0.0, 0.0), **kw)
+
+
 def test_multi_coupling_validation():
     with pytest.raises(ValueError):
         pc.MultiParams(
@@ -327,22 +336,28 @@ def test_sample_every_observation_grid():
 _MU_RAMPS = [(0.0, 0.36), (0.2, None), (-0.1, 0.45)]
 
 
+def _assert_matches_oracle(got, expected):
+    # the kernel runs the step folded to x * (a - b*x*x) + c, the scalar
+    # oracle unfolded: the same map, equal to rounding (worst seen 3.2e-14)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("mu", _MU_RAMPS)
 @pytest.mark.parametrize("seed", [1, 2**63 + 5])
-def test_cpt_matches_scalar_oracle_bitwise(mu, seed):
+def test_cpt_matches_scalar_oracle(mu, seed):
     params = pc.CptParams(r=1.0, mu_schedule=pc.MuSchedule(*mu), sigma=0.05, p0=1.0)
     expected, step = ref.cpt(params, 5000, 0.02, seed)
     assert step is None
-    assert np.array_equal(pc.simulate_cpt(params, 5000, 0.02, seed).values, expected)
+    _assert_matches_oracle(pc.simulate_cpt(params, 5000, 0.02, seed).values, expected)
 
 
 @pytest.mark.parametrize("r, lam, alpha_vol, p0", [(1.0, 1.0, 0.008, 1.0),
                                                    (1.3, 2.5, 0.05, 0.4)])
-def test_spt_matches_scalar_oracle_bitwise(r, lam, alpha_vol, p0):
+def test_spt_matches_scalar_oracle(r, lam, alpha_vol, p0):
     params = pc.SptParams(r=r, lam=lam, alpha_vol=alpha_vol, p0=p0)
     expected, step = ref.spt(params, 5000, 0.01, 31)
     assert step is None
-    assert np.array_equal(pc.simulate_spt(params, 5000, 0.01, 31).values, expected)
+    _assert_matches_oracle(pc.simulate_spt(params, 5000, 0.01, 31).values, expected)
 
 
 @pytest.mark.parametrize("k, dt, seed", [(2, 0.02, 17), (10, 0.37, 2**63 + 9),
@@ -365,7 +380,7 @@ def test_multi_draw_matches_vector_oracle_bitwise(k, dt, seed):
 
 @pytest.mark.parametrize("p0", [None, (1.0, 0.9, -0.5)])
 def test_multi_matches_vector_oracle(p0):
-    # the oracle cubes with numpy's x**3, the kernel with x*x*x: equal to rounding
+    # the oracle steps unfolded with numpy's x**3, the kernel folded: equal to rounding
     params = pc.MultiParams(
         r=(1.0, 0.8, 1.2),
         lam=(1.0, 0.5, 2.0),
@@ -379,3 +394,42 @@ def test_multi_matches_vector_oracle(p0):
     paths = pc.simulate_multivariate(params, 5000, 0.02, 17)
     got = np.column_stack([p.values for p in paths])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------------------- parameter checks
+
+
+_VALID = {
+    "cpt": (pc.CptParams, dict(r=1.0, mu_schedule=pc.MuSchedule(0.0, 0.36), sigma=0.03,
+                               p0=1.0)),
+    "spt": (pc.SptParams, dict(r=1.0, lam=1.0, alpha_vol=0.01, p0=1.0)),
+    "dpt": (pc.DptParams, dict(noise_spec=pc.HurstSchedule(0.5, 0.9), scale=0.01, p0=0.0)),
+    "multi": (pc.MultiParams, dict(r=(1.0, 1.0), lam=(1.0, 1.0),
+                                   mu_schedule=pc.MuSchedule(0.0, 0.36), sigma=(0.1, 0.1),
+                                   coupling=_coupling(2, 0.3), p0=(1.0, 1.0))),
+}
+
+_FIELDS = {
+    "cpt": ("r", "mu_start", "mu_end", "sigma", "p0"),
+    "spt": ("r", "lam", "alpha_vol", "p0"),
+    "dpt": ("scale", "p0"),
+    "multi": ("r", "lam", "mu_start", "mu_end", "sigma", "coupling", "p0"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route, field",
+                         [(route, f) for route, fields in _FIELDS.items() for f in fields])
+def test_params_refuse_non_finite_fields(route, field, bad):
+    # a non-finite parameter is a bad input, not a diverging path
+    cls, kw = _VALID[route]
+    cls(**kw)
+    if field in ("mu_start", "mu_end"):
+        ends = (bad, 0.36) if field == "mu_start" else (0.0, bad)
+        kw = {**kw, "mu_schedule": pc.MuSchedule(*ends)}
+    elif field == "coupling":
+        kw = {**kw, "coupling": ((1.0, bad), (bad, 1.0))}
+    else:
+        kw = {**kw, field: (1.0, bad) if route == "multi" else bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**kw)
