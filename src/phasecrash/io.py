@@ -11,9 +11,11 @@ prices outside (1/e, e). Closer to 1.0 the log grid outruns the price
 grid, and the round trip is exact only to one representable price,
 under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
 nonempty, unpadded, free of carriage returns and unique, or they would
-not load back; the writer and ``synth_corpus`` refuse any other. Every
-other CSV writes a float cell with 17 significant digits, which parses
-back to the same double.
+not load back; the writer and ``synth_corpus`` refuse any other. The
+loader parses ``_CHUNK_ROWS`` records at a time and keeps three numbers
+a row (ticker code, date ordinal, close), and the writer streams one
+series at a time. Every other CSV writes a float cell with 17
+significant digits, which parses back to the same double.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -34,9 +36,11 @@ import math
 import os
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from io import StringIO
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -50,6 +54,7 @@ from .simulate import (
     DptParams,
     MuSchedule,
     SptParams,
+    _check_finite,
     simulate_cpt,
     simulate_dpt,
     simulate_spt,
@@ -88,17 +93,25 @@ def derive_seed(master, *indices):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _atomic_write(path, text):
+@contextmanager
+def _atomic_file(path):
+    """A text handle on a temp file that replaces ``path`` when the block
+    exits normally, and is removed when it raises."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, text):
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path, header, rows):
@@ -118,35 +131,73 @@ def _dump_json(obj):
     return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _raise_first_bad_row(path, records):
-    """Raise the CsvParseError of the first bad row of the data ``records``
-    (file lines 2, 3, ...); a row is checked in the order below."""
+def _raise_first_bad_row(path):
+    """Raise the CsvParseError of the first bad data row of the price file
+    at ``path`` (file lines 2, 3, ...); a row is checked in the order below."""
     seen = set()
-    for lineno, row in enumerate(records, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != 3:
-            raise CsvParseError(f"{where}: expected 3 fields", line=lineno)
-        raw_date, ticker, raw_close = (f.strip() for f in row)
-        try:
-            day = date.fromisoformat(raw_date)
-        except ValueError as exc:
-            msg = f"bad date {raw_date!r}: {exc}"
-            raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
-        if not ticker:
-            raise CsvParseError(f"{where}: empty ticker", line=lineno)
-        try:
-            close = float(raw_close)
-        except ValueError as exc:
-            raise CsvParseError(f"{where}: bad close {raw_close!r}", line=lineno) from exc
-        if not close > 0 or not math.isfinite(close):
-            msg = f"close must be positive and finite, got {raw_close}"
-            raise CsvParseError(f"{where}: {msg}", line=lineno)
-        if (ticker, day) in seen:
-            msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
-            raise CsvParseError(f"{where}: {msg}", line=lineno)
-        seen.add((ticker, day))
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = csv.reader(fh)
+        next(records, None)  # the header
+        for lineno, row in enumerate(records, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != 3:
+                raise CsvParseError(f"{where}: expected 3 fields", line=lineno)
+            raw_date, ticker, raw_close = (f.strip() for f in row)
+            try:
+                day = date.fromisoformat(raw_date)
+            except ValueError as exc:
+                msg = f"bad date {raw_date!r}: {exc}"
+                raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
+            if not ticker:
+                raise CsvParseError(f"{where}: empty ticker", line=lineno)
+            try:
+                close = float(raw_close)
+            except ValueError as exc:
+                msg = f"bad close {raw_close!r}"
+                raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
+            if not close > 0 or not math.isfinite(close):
+                msg = f"close must be positive and finite, got {raw_close}"
+                raise CsvParseError(f"{where}: {msg}", line=lineno)
+            if (ticker, day) in seen:
+                msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
+                raise CsvParseError(f"{where}: {msg}", line=lineno)
+            seen.add((ticker, day))
+
+
+#: Records parsed at a time by load_price_csv: only one chunk's row lists
+#: are alive, a few MB of Python objects.
+_CHUNK_ROWS = 1 << 14
+
+
+def _chunk_columns(reader, rank, code, ordinal):
+    """Ticker codes, date ordinals and closes of the next ``_CHUNK_ROWS``
+    records of ``reader``; None once it is exhausted, and ``()`` if a
+    data row fails a check. ``rank`` (stripped ticker -> rank of its
+    first appearance), ``code`` (raw ticker -> rank) and ``ordinal`` (raw
+    date -> ordinal) carry over from chunk to chunk."""
+    records = list(islice(reader, _CHUNK_ROWS))
+    if not records:
+        return None
+    rows = [row for row in records if len(row) > 1 or (row and row[0].strip())]
+    if any(len(row) != 3 for row in rows):
+        return ()
+    raw_dates, raw_tickers, raw_closes = ([row[k] for row in rows] for k in range(3))
+    for t in dict.fromkeys(raw_tickers):
+        if t not in code:
+            code[t] = rank.setdefault(t.strip(), len(rank))
+    try:
+        for s in set(raw_dates).difference(ordinal):
+            ordinal[s] = date.fromisoformat(s.strip()).toordinal()
+        closes = np.array(raw_closes, dtype=float)  # parses as float() does
+    except ValueError:
+        return ()
+    if "" in rank or not np.all((closes > 0) & np.isfinite(closes)):
+        return ()
+    tick = np.array([code[t] for t in raw_tickers], dtype=np.int64)
+    day = np.array([ordinal[s] for s in raw_dates], dtype=np.int64)
+    return tick, day, closes
 
 
 def load_price_csv(path, calendar="as_is"):
@@ -158,36 +209,27 @@ def load_price_csv(path, calendar="as_is"):
     """
     if calendar not in ("as_is", "intersect"):
         raise ValueError(f"unknown calendar mode {calendar!r}")
+    rank, code, ordinal, parts = {}, {}, {}, []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
             msg = f"expected header 'date,ticker,close', got {header}"
             raise CsvParseError(f"{path}: {msg}", line=1)
-        records = list(reader)
-    # Each check runs once per column or per distinct value; when one
-    # fails, the records are walked to report the first bad row.
-    rows = [row for row in records if len(row) > 1 or (row and row[0].strip())]
-    if not rows:
+        # Each check runs once per column or per distinct value; when one
+        # fails, the file is read again to report its first bad row.
+        while part := _chunk_columns(reader, rank, code, ordinal):
+            parts.append(part)
+    if part is not None:  # a row failed a check
+        _raise_first_bad_row(path)
+    if not rank:
         return []
-    if any(len(row) != 3 for row in rows):
-        _raise_first_bad_row(path, records)
-    raw_dates, raw_tickers, raw_closes = ([row[k] for row in rows] for k in range(3))
-    rank = {}  # stripped ticker -> rank of its first appearance
-    code = {t: rank.setdefault(t.strip(), len(rank)) for t in dict.fromkeys(raw_tickers)}
-    try:
-        ordinal = {s: date.fromisoformat(s.strip()).toordinal() for s in set(raw_dates)}
-        closes = np.array(raw_closes, dtype=float)  # parses as float() does
-    except ValueError:
-        closes = None
-    if closes is None or "" in rank or not np.all((closes > 0) & np.isfinite(closes)):
-        _raise_first_bad_row(path, records)
-    tick = np.array([code[t] for t in raw_tickers])
-    day = np.array([ordinal[s] for s in raw_dates])
+    tick, day, closes = map(np.concatenate, zip(*parts))
+    del parts
     order = np.lexsort((day, tick))
     tick, day, lp = tick[order], day[order], np.log(closes)[order]
     if np.any((tick[1:] == tick[:-1]) & (day[1:] == day[:-1])):
-        _raise_first_bad_row(path, records)
+        _raise_first_bad_row(path)
     if calendar == "intersect":
         _, inverse, per_day = np.unique(day, return_inverse=True, return_counts=True)
         common = per_day[inverse] == len(rank)
@@ -241,13 +283,13 @@ def write_price_csv(series_list, path):
     _check_ids([s.id for s in series_list])
     n_synthetic = max((len(s) for s in series_list if s.dates is None), default=0)
     calendar = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(n_synthetic)]
-    lines = ["date,ticker,close\n"]
-    for s in series_list:
-        ticker = _csv_field(s.id)
-        dates = calendar[: len(s)] if s.dates is None else s.dates
-        closes = _closes(s.log_prices).tolist()
-        lines.extend(f"{d},{ticker},{c:.17g}\n" for d, c in zip(dates, closes))
-    _atomic_write(path, "".join(lines))
+    with _atomic_file(path) as fh:
+        fh.write("date,ticker,close\n")
+        for s in series_list:
+            row = "%s," + _csv_field(s.id).replace("%", "%%") + ",%.17g\n"
+            dates = calendar[: len(s)] if s.dates is None else s.dates
+            closes = _closes(s.log_prices).tolist()
+            fh.write(row * len(s) % tuple(chain.from_iterable(zip(dates, closes))))
 
 
 def write_ews_csv(ews_list, path):
@@ -342,8 +384,8 @@ class AssetGroupSpec:
             value = getattr(self, name)
             if value < lo:
                 raise ValueError(f"asset group: {name} must be >= {lo}, got {value!r}")
-        if not self.dt > 0:
-            raise ValueError(f"asset group: dt must be > 0, got {self.dt!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"asset group: dt must be finite and > 0, got {self.dt!r}")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:
             raise ValueError("forced_drop must lie in (0, 1)")
 
@@ -372,6 +414,7 @@ def simulate_asset(kind, p, n, dt, t_start, seed):
     if t_start < 0:
         raise ValueError(f"t_start must be an integer >= 0, got {t_start!r}")
     if kind == "bm":
+        _check_finite(sigma=p["sigma"], p0=p["p0"])
         noise = sample_gaussian_increments(n, dt, seed)
         return p["p0"] + p["sigma"] * noise.path()
     if kind == "cpt":

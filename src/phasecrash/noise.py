@@ -20,9 +20,11 @@ Three families are provided:
   ``t_start``: there the kernel is ``min(s, t)`` and its factor is a
   scaled cumulative sum, so only the ``n - t_start`` ramped rows of the
   factor are built, an O((n - t_start) * n)-memory block refused above
-  ``MAX_MBM_STEPS**2`` entries. The head increments are plain Wiener
-  increments, and a seed draws the same path as the full factor up to
-  rounding. A block that is not positive definite raises
+  ``MAX_MBM_STEPS**2`` entries. The kernel is built in row blocks up to
+  its diagonal, so building the factor peaks at twice the factor it
+  keeps (the kernel and its Cholesky copy). The head increments are
+  plain Wiener increments, and a seed draws the same path as the full
+  factor up to rounding. A block that is not positive definite raises
   ``GenerationError`` naming its smallest eigenvalue.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
@@ -52,7 +54,8 @@ MAX_SEED = 2**64 - 1
 #: Cap on a ramped-Hurst factor: synth_fbm refuses a path whose ramped
 #: rows span more than MAX_MBM_STEPS**2 kernel entries. The cached factor
 #: takes 8 bytes an entry (512 MB at the cap), and building it peaks at
-#: 3.0 times that (measured at n = 1024 and 2520 under tracemalloc).
+#: 2.0 times that, the kernel and its Cholesky copy (measured at n = 1024,
+#: 2048 and 2520 under tracemalloc).
 MAX_MBM_STEPS = 8192
 
 def _check_seed(seed):
@@ -149,8 +152,8 @@ class NoisePath:
 def _check_n_dt(n, dt):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     return int(n), float(dt)
 
 
@@ -215,6 +218,49 @@ def _fgn_constant(h, n, rng):
     return np.fft.fft(spec).real[:n]
 
 
+#: Kernel entries built at a time by _mbm_blocks (1 MB a temporary).
+_MBM_BLOCK = 1 << 17
+
+
+def _mbm_blocks(schedule, n, dt, k):
+    """``L21`` and the lower triangle of ``R22 - L21 L21^T`` for the
+    ramped rows ``k..n-1`` of the kernel.
+
+    Rows are built in blocks of about ``_MBM_BLOCK`` entries, each only
+    up to its last diagonal entry, because ``np.linalg.cholesky`` and
+    ``eigvalsh`` read the lower triangle alone; the block temporaries are
+    gone when this returns.
+    """
+    h = schedule.values(n)
+    t = np.arange(1, n + 1) * dt
+    l21 = np.empty((n - k, k))
+    r22 = np.zeros((n - k, n - k))
+    step = max(1, _MBM_BLOCK // n)
+    for i in range(k, n, step):
+        j = min(i + step, n)  # rows i..j-1, columns 0..j-1
+        s, tt = t[i:j, None], t[None, :j]
+        hs = h[i:j, None] + h[None, :j]
+        # R = (s**hs + tt**hs - |tt - s|**hs) / 2, built in place
+        cov = np.power(s, hs)
+        tmp = np.power(tt, hs)
+        cov += tmp
+        np.subtract(tt, s, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.power(tmp, hs, out=tmp)
+        cov -= tmp
+        cov *= 0.5
+        if k:  # the head columns, differenced as np.diff(prepend=0) does
+            rows = l21[i - k : j - k]
+            rows[:, 0] = cov[:, 0]
+            np.subtract(cov[:, 1:k], cov[:, : k - 1], out=rows[:, 1:])
+            rows /= np.sqrt(dt)
+        r22[i - k : j - k, : j - k] = cov[:, k:]
+        del hs, cov, tmp  # before the next block or the product below
+    if k:
+        r22 -= l21 @ l21.T
+    return l21, r22
+
+
 @lru_cache(maxsize=1)  # one factor is up to 8 * MAX_MBM_STEPS**2 bytes
 def _mbm_cholesky_factor(schedule, n, dt):
     """Rows ``[L21 | L22]`` of the kernel's Cholesky factor below its
@@ -232,25 +278,7 @@ def _mbm_cholesky_factor(schedule, n, dt):
             f"entries, got {n - k} ramped rows of {n} steps",
             schedule=schedule,
         )
-    h = schedule.values(n)
-    t = np.arange(1, n + 1) * dt
-    s, tt = t[k:, None], t[None, :]
-    hs = h[k:, None] + h[None, :]
-    # R = (s**hs + tt**hs - |tt - s|**hs) / 2, built in place
-    cov = np.power(s, hs)
-    tmp = np.power(tt, hs)
-    cov += tmp
-    np.subtract(tt, s, out=tmp)
-    np.abs(tmp, out=tmp)
-    np.power(tmp, hs, out=tmp)
-    cov -= tmp
-    cov *= 0.5
-    del hs, tmp
-    l21 = np.diff(cov[:, :k], axis=1, prepend=0.0)
-    l21 /= np.sqrt(dt)
-    r22 = cov[:, k:]
-    if k:
-        r22 -= l21 @ l21.T
+    l21, r22 = _mbm_blocks(schedule, n, dt, k)
     try:
         return l21, np.linalg.cholesky(r22)
     except np.linalg.LinAlgError:

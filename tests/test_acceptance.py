@@ -11,6 +11,7 @@ run is deterministic.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ def test_criterion_7_study_pipeline(tmp_path):
     f1, f2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     write_report_json(rep_a, f1)
     write_report_json(rep_a2, f2)
-    assert open(f1, "rb").read() == open(f2, "rb").read()
+    assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
     _report(
         7,

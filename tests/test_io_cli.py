@@ -1,12 +1,16 @@
 import csv
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import astuple
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,10 @@ from phasecrash.study import SegmentTrend, SignalTrend, TrendReport
 
 import io_reference
 from conftest import readme_json_blocks
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -225,6 +233,123 @@ def test_load_bad_close_deep_in_a_large_file_matches_reference(tmp_path):
     assert str(got.value) == f"{path}:50001: bad close 'ten'"
 
 
+# A file read a few records at a time: blank records fall on chunk
+# boundaries, every ticker's rows span chunks, 2020-01-07 is first seen
+# in a late chunk, one row is padded, and the quoted ids hold ",", '"'
+# and "%".
+_CHUNKED = (
+    "date,ticker,close\n"
+    '2020-01-03,"BRK,A",101.5\n'
+    "\n"
+    "   \n"
+    '2020-01-02,"say ""hi""",3\n'
+    "2020-01-02,50%,7.25\n"
+    '2020-01-02,"BRK,A",100\n'
+    "\n"
+    "2020-01-02,%s,9.5\n"
+    "2020-01-06,50%,7.5\n"
+    '2020-01-06,"say ""hi""",3.5\n'
+    " 2020-01-03 , 50% , 1_000 \n"
+    '2020-01-06,"BRK,A",1e2\n'
+    "2020-01-07,%s,9\n"
+    '2020-01-07,"say ""hi""",4\n'
+    "2020-01-07,50%,8\n"
+    '2020-01-07,"BRK,A",102\n'
+    "\n"
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_load_across_chunk_boundaries_matches_reference(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", chunk)
+    path = _write(tmp_path, _CHUNKED)
+    for calendar in ("as_is", "intersect"):
+        got = load_price_csv(path, calendar)
+        _assert_same_series(got, io_reference.load_price_csv(path, calendar))
+        assert [s.id for s in got] == ["BRK,A", 'say "hi"', "50%", "%s"]
+    assert got[0].dates == ("2020-01-02", "2020-01-07")
+
+
+def _good_rows(count):
+    day0 = date(2000, 1, 3).toordinal()
+    return "".join(f"{date.fromordinal(day0 + i).isoformat()},T{i % 3},{100 + i}\n"
+                   for i in range(count))
+
+
+_LATE_FAILURES = {
+    "close": (_good_rows(20) + "2000-01-05,T1,ten\n", 22, "bad close 'ten'"),
+    "arity": (_good_rows(20) + "\n2000-02-01,T1\n", 23, "expected 3 fields"),
+    "duplicate": (_good_rows(20) + "2000-01-04,T1,5\n", 22,
+                  "duplicate (ticker, date) = (T1, 2000-01-04)"),
+    # the first bad row is reported, not the first bad chunk's kind of failure
+    "close-then-arity": (_good_rows(9) + "2000-01-03,T0,0\n" + _good_rows(5) + "x,T1\n", 11,
+                         "close must be positive and finite, got 0"),
+    "duplicate-then-date": (_good_rows(9) + "2000-01-03,T0,1\n" + _good_rows(5) + "x,T1,1\n",
+                            11, "duplicate (ticker, date) = (T0, 2000-01-03)"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("body, line, message", _LATE_FAILURES.values(), ids=_LATE_FAILURES)
+def test_load_errors_across_chunk_boundaries_match_reference(tmp_path, monkeypatch, chunk,
+                                                             body, line, message):
+    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", chunk)
+    path = _write(tmp_path, "date,ticker,close\n" + body)
+    with pytest.raises(CsvParseError) as got:
+        load_price_csv(path)
+    with pytest.raises(CsvParseError) as want:
+        io_reference.load_price_csv(path)
+    assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+    assert str(got.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("failure", ["header", *_LATE_FAILURES])
+def test_failed_load_leaves_no_open_file(tmp_path, monkeypatch, failure):
+    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", 2)
+    if failure == "header":
+        path = _write(tmp_path, "time,ticker,close\n" + _good_rows(3))
+    else:
+        path = _write(tmp_path, "date,ticker,close\n" + _LATE_FAILURES[failure][0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CsvParseError):
+            load_price_csv(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_write_matches_reference_bytes_for_quoted_ids(tmp_path):
+    # a close of 1 everywhere: numpy's log and math.log can pick different
+    # closes for the same log-price elsewhere (see the README round trip)
+    ids = ["BRK,A", 'say "hi"', "50%", "%s", "%%d", "plain"]
+    t = np.arange(40.0)
+    series = [pc.PriceSeries(t, np.zeros(40), i) for i in ids]
+    dates = tuple((date(2020, 1, 1) + timedelta(days=i)).isoformat() for i in range(40))
+    series[2] = pc.PriceSeries(t, series[2].log_prices, "50%", dates)
+    new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
+    write_price_csv(series, new)
+    io_reference.write_price_csv(series, ref)
+    assert Path(new).read_bytes() == Path(ref).read_bytes()
+    assert [s.id for s in load_price_csv(new)] == ids
+
+
+def test_price_csv_peak_memory_on_the_readme_corpus(tmp_path):
+    # measured 0.47 MB (writer) and 7.56 MB (loader) for the 3.8 MB file;
+    # whole-file buffers peaked at 17.3 and 37.9 MB
+    corpus = synth_corpus(json.loads(readme_json_blocks()["spec.json"]), 7)
+    path = str(tmp_path / "corpus.csv")
+    peaks = []
+    for run in (lambda: write_price_csv(corpus, path), lambda: load_price_csv(path)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.6 * 2**20
+    assert peaks[1] <= 8.0 * 2**20
+
+
 # --------------------------------------------------------------- roundtrip
 
 
@@ -268,7 +393,7 @@ def test_roundtrip_idempotent_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_price_csv(corpus, p1)
     write_price_csv(load_price_csv(p1), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_roundtrip_ids_with_comma_and_quote(tmp_path):
@@ -282,7 +407,7 @@ def test_roundtrip_ids_with_comma_and_quote(tmp_path):
     assert [s.id for s in loaded] == ids
     for a, b in zip(series, loaded):
         assert np.array_equal(a.log_prices, b.log_prices)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert ',"BRK,A",' in text and ',"say ""hi""",' in text and ",plain," in text
 
     cfg = pc.WindowConfig(window=3, stride=1, tau_grid=(2,))
@@ -311,7 +436,7 @@ def test_readme_corpus_round_trip_matches_reference(tmp_path):
         _assert_same_series(got, io_reference.load_price_csv(new, calendar))
     # the two writers differ in close digits only, and never in exactness
     # where the oracle's close reloads exactly
-    new_lines, ref_lines = open(new).read().splitlines(), open(ref).read().splitlines()
+    new_lines, ref_lines = (Path(p).read_text(encoding="utf-8").splitlines() for p in (new, ref))
     assert [r.rsplit(",", 1)[0] for r in new_lines] == [r.rsplit(",", 1)[0] for r in ref_lines]
     ref_exact = np.log(_closes_in(ref)) == lp
     assert np.all((np.log(_closes_in(new)) == lp)[ref_exact])
@@ -341,7 +466,7 @@ def test_roundtrip_bound_on_random_log_prices(tmp_path, low, high, exact):
     else:
         assert np.all(np.abs(loaded - lp) <= np.spacing(closes) / closes)
     write_price_csv(reloaded, again)
-    assert open(path, "rb").read() == open(again, "rb").read()
+    assert Path(path).read_bytes() == Path(again).read_bytes()
     io_reference.write_price_csv(series, ref)
     ref_exact = np.log(_closes_in(ref)) == lp
     assert np.all((loaded == lp)[ref_exact])
@@ -557,8 +682,10 @@ def test_asset_group_spec_validation():
         AssetGroupSpec(kind="lppl", count=1)
     with pytest.raises(ValueError):
         AssetGroupSpec(kind="bm", count=1, forced_drop=1.5)
-    for key, value, rule in [("count", -1, ">= 0"), ("n", 0, ">= 1"), ("dt", 0.0, "> 0"),
-                             ("dt", -1.0, "> 0"), ("sample_every", 0, ">= 1"),
+    for key, value, rule in [("count", -1, ">= 0"), ("n", 0, ">= 1"),
+                             ("dt", 0.0, "finite and > 0"), ("dt", -1.0, "finite and > 0"),
+                             ("dt", math.inf, "finite and > 0"),
+                             ("dt", math.nan, "finite and > 0"), ("sample_every", 0, ">= 1"),
                              ("drop_len", 0, ">= 1"), ("drop_len", -3, ">= 1")]:
         kw = {"kind": "bm", "count": 1, "forced_drop": 0.25, key: value}
         message = f"asset group: {key} must be {rule}, got {value!r}"
@@ -650,14 +777,14 @@ def test_cli_synth_and_detect(tmp_path):
     assert cli_dispatch(["synth", "--spec", spec, "--seed", "7", "--out", out]) == 0
     corpus_csv = os.path.join(out, "corpus.csv")
     assert os.path.exists(corpus_csv)
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 7
     assert manifest["input_digest"] == RunManifest.digest_file(spec)
 
     out2 = str(tmp_path / "o2")
     assert cli_dispatch(["detect-crashes", "--input", corpus_csv, "--out", out2]) == 0
-    events = json.load(open(os.path.join(out2, "events.json")))["events"]
+    events = _read_json(os.path.join(out2, "events.json"))["events"]
     assert len(events) == 3
     assert all(e["drawdown"] >= 0.20 for e in events)
 
@@ -665,7 +792,7 @@ def test_cli_synth_and_detect(tmp_path):
 def _panel_with_short_ticker(tmp_path):
     # 3 crash and 3 control assets of the CLI spec plus a ticker of
     # exactly `lookback` (126) rows, too short to scan for crashes
-    corpus = synth_corpus(json.load(open(_spec_file(tmp_path))), 7)
+    corpus = synth_corpus(_read_json(_spec_file(tmp_path)), 7)
     short = pc.PriceSeries(np.arange(126.0), np.linspace(4.6, 4.7, 126), "SHORT")
     path = str(tmp_path / "panel.csv")
     write_price_csv(corpus + [short], path)
@@ -676,7 +803,7 @@ def test_cli_detect_records_short_ticker_as_skip(tmp_path):
     panel = _panel_with_short_ticker(tmp_path)
     out = str(tmp_path / "ev")
     assert cli_dispatch(["detect-crashes", "--input", panel, "--out", out]) == 0
-    doc = json.load(open(os.path.join(out, "events.json")))
+    doc = _read_json(os.path.join(out, "events.json"))
     assert len(doc["events"]) == 3
     assert doc["skipped"] == [
         {"asset_id": "SHORT", "reason": "126 observations, needs more than lookback = 126"}
@@ -691,7 +818,7 @@ def test_cli_study_records_short_ticker_as_skip(tmp_path):
     out = str(tmp_path / "st")
     rc = cli_dispatch(["study", "--input", panel, "--config", str(cfg_path), "--out", out])
     assert rc == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _read_json(os.path.join(out, "report.json"))
     assert report["n_assets"] == 7 and report["n_skipped"] == 1
     assert [s["asset_id"] for s in report["skipped"]] == ["SHORT"]
     assert report["n_events"] == 3
@@ -745,7 +872,7 @@ def test_cli_simulate_byte_identical_reruns(tmp_path):
              "--n", "300", "--dt", "1", "--scale", "0.01", "--seed", "7", "--out", out]
         )
         assert rc == 0
-        outs.append(open(os.path.join(out, "path.csv"), "rb").read())
+        outs.append(Path(os.path.join(out, "path.csv")).read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -796,8 +923,8 @@ def test_cli_simulate_draws_what_a_one_asset_synth_group_draws(tmp_path, kind):
                        "--dt", "0.01", "--sample-every", "2", *flags,
                        "--seed", str(derive_seed(5, 0)), "--out", sim_out])
     assert rc == 0
-    corpus = open(os.path.join(synth_out, "corpus.csv"), "rb").read()
-    assert open(os.path.join(sim_out, "path.csv"), "rb").read() == corpus
+    corpus = Path(os.path.join(synth_out, "corpus.csv")).read_bytes()
+    assert Path(os.path.join(sim_out, "path.csv")).read_bytes() == corpus
 
 
 @pytest.mark.parametrize("kind", sorted(PARAM_DEFAULTS))
@@ -812,9 +939,9 @@ def test_cli_simulate_without_param_flags_draws_a_default_synth_group(tmp_path, 
     rc = cli_dispatch(["simulate", "--kind", kind.replace("_", "-"), "--n", "400",
                        "--dt", "0.01", "--seed", str(derive_seed(5, 0)), "--out", sim_out])
     assert rc == 0
-    corpus = open(os.path.join(synth_out, "corpus.csv"), "rb").read()
-    assert open(os.path.join(sim_out, "path.csv"), "rb").read() == corpus
-    config = json.load(open(os.path.join(sim_out, "manifest.json")))["config"]
+    corpus = Path(os.path.join(synth_out, "corpus.csv")).read_bytes()
+    assert Path(os.path.join(sim_out, "path.csv")).read_bytes() == corpus
+    config = _read_json(os.path.join(sim_out, "manifest.json"))["config"]
     row = {key: v for key, v in PARAM_DEFAULTS[kind].items() if key != "onset"}
     assert config == {"kind": kind.replace("_", "-"), "n": 400, "dt": 0.01,
                       "sample_every": 1, "t_start": 0, "k": 2, "coupling": 0.5, **row}
@@ -841,7 +968,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     # multi couples critical-route assets: the cpt row, with the route's lam = 1
     out = str(tmp_path / "multi")
     assert cli_dispatch(["simulate", "--kind", "multi", "--n", "50", "--out", out]) == 0
-    config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+    config = _read_json(os.path.join(out, "manifest.json"))["config"]
     assert config == {"kind": "multi", "n": 50, "dt": 0.01, "sample_every": 1,
                       "t_start": 0, "k": 2, "coupling": 0.5, **PARAM_DEFAULTS["cpt"],
                       "lam": 1.0}
@@ -852,7 +979,8 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     "flag, message",
     [(["--sample-every", "0"], "sample_every must be >= 1"),
      (["--t-start", "-5"], "t_start must be an integer >= 0, got -5"),
-     (["--dt", "-1"], "dt must be positive, got -1.0"),
+     (["--dt", "-1"], "dt must be positive and finite, got -1.0"),
+     (["--dt", "inf"], "dt must be positive and finite, got inf"),
      (["--n", "0"], "n must be a positive integer, got 0"),
      # a ramp that starts at or past the path's end would ignore its end flag
      (["--t-start", "50"], "t_start must lie in [0, n), got 50 with n = 50"),
@@ -890,7 +1018,7 @@ def test_cli_simulate_refuses_param_flags_the_kind_does_not_read(tmp_path, capsy
     read += [arg for item in multi.items() for arg in item] if kind == "multi" else []
     assert cli_dispatch([*base, *read]) == 0
     if kind == "multi":
-        config = json.load(open(out / "manifest.json"))["config"]
+        config = _read_json(out / "manifest.json")["config"]
         assert (config["k"], config["coupling"]) == (3, 0.25)
         assert len(load_price_csv(str(out / "path.csv"))) == 3
 
@@ -912,7 +1040,7 @@ def test_cli_ews_schema(tmp_path):
          "volatility,anomalous_dim,ghe1", "--out", out]
     )
     assert rc == 0
-    lines = open(os.path.join(out, "signals.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "signals.csv")).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "asset_id,signal,window_end_time,value,missing_flag"
     signals = {ln.split(",")[1] for ln in lines[1:]}
     assert signals == {"volatility", "anomalous_dim", "ghe1"}
@@ -926,7 +1054,7 @@ def test_cli_ews_has_no_orders_flag(tmp_path):
     corpus = os.path.join(out, "corpus.csv")
     assert cli_dispatch(["ews", "--input", corpus, "--orders", "1", "--out", out]) == 1
     assert cli_dispatch(["ews", "--input", corpus, "--signals", "ghe1", "--out", out]) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(os.path.join(out, "manifest.json"))
     assert "orders" not in manifest["config"]
 
 
@@ -938,7 +1066,7 @@ def test_cli_fit_lppl_fixture(tmp_path):
     write_price_csv([series], csv_path)
     out = str(tmp_path / "fit")
     assert cli_dispatch(["fit-lppl", "--input", csv_path, "--out", out]) == 0
-    fit = json.load(open(os.path.join(out, "fit.json")))
+    fit = _read_json(os.path.join(out, "fit.json"))
     assert abs(fit["tc"] - 550.0) <= 1.0
     assert abs(fit["m"] - 0.5) <= 0.02
     assert abs(fit["omega"] - 8.0) <= 0.1
@@ -1052,7 +1180,10 @@ def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, cap
      ("dpt_stable", {"onset": 1.0}, "dpt_stable params: onset must lie in [0, 1), got 1.0"),
      ("dpt_stable", {"onset": -0.1}, "dpt_stable params: onset must lie in [0, 1), got -0.1"),
      ("bm", {"sigma": "0.001"}, "bm params: sigma must be float, got str"),
-     ("bm", {"sigma": True}, "bm params: sigma must be float, got bool")],
+     ("bm", {"sigma": True}, "bm params: sigma must be float, got bool"),
+     # refused before the draw, not when the writer meets a NaN log-price
+     ("bm", {"sigma": math.nan}, "sigma must be finite, got nan"),
+     ("bm", {"p0": -math.inf}, "p0 must be finite, got -inf")],
 )
 def test_cli_synth_refuses_bad_param_values(tmp_path, capsys, kind, params, message):
     spec = tmp_path / "spec.json"
@@ -1061,6 +1192,18 @@ def test_cli_synth_refuses_bad_param_values(tmp_path, capsys, kind, params, mess
     rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert f"phasecrash: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])
+def test_cli_synth_refuses_a_dt_that_is_not_finite_and_positive(tmp_path, capsys, dt):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 1, "n": 200, "dt": dt}]}))
+    rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    message = f"asset group: dt must be finite and > 0, got {dt!r}"
+    assert f"phasecrash: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_ews_refuses_unknown_signal_before_reading_input(tmp_path, capsys):
@@ -1141,7 +1284,7 @@ def test_cli_study_replay_byte_identical(tmp_path):
         assert rc == 0
         blobs.append(
             tuple(
-                open(os.path.join(out, f), "rb").read()
+                Path(os.path.join(out, f)).read_bytes()
                 for f in ("report.json", "report.csv", "segments.csv", "manifest.json")
             )
         )
@@ -1183,7 +1326,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                                                ("spt", "--lam", "nan"),
                                                ("dpt-hurst", "--scale", "nan"),
                                                ("multi", "--mu-start", "nan"),
-                                               ("multi", "--lam", "-1")])
+                                               ("multi", "--lam", "-1"),
+                                               ("bm", "--sigma", "nan"),
+                                               ("bm", "--p0", "inf"),
+                                               ("cpt", "--dt", "inf"),
+                                               ("multi", "--dt", "inf")])
 def test_cli_simulate_bad_param_is_a_usage_error(tmp_path, capsys, kind, flag, value):
     # refused before any draw, so it exits 1 naming the field, not 2 as a divergence
     out = tmp_path / "o"
@@ -1280,14 +1427,14 @@ def test_cli_env_log_level(tmp_path, monkeypatch):
 
 def test_no_command_mutates_inputs(tmp_path):
     spec = _spec_file(tmp_path, n_crash=1, n_bm=1)
-    before = open(spec, "rb").read()
+    before = Path(spec).read_bytes()
     out = str(tmp_path / "o")
     cli_dispatch(["synth", "--spec", spec, "--seed", "1", "--out", out])
     corpus = os.path.join(out, "corpus.csv")
-    raw = open(corpus, "rb").read()
+    raw = Path(corpus).read_bytes()
     cli_dispatch(["detect-crashes", "--input", corpus, "--out", str(tmp_path / "o2")])
-    assert open(spec, "rb").read() == before
-    assert open(corpus, "rb").read() == raw
+    assert Path(spec).read_bytes() == before
+    assert Path(corpus).read_bytes() == raw
 
 
 def test_cli_simulate_multi_writes_panel(tmp_path):
@@ -1312,6 +1459,6 @@ def test_cli_ews_cross_cov_intersect(tmp_path):
          "intersect", "--out", out]
     )
     assert rc == 0
-    lines = open(os.path.join(out, "signals.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "signals.csv")).read_text(encoding="utf-8").splitlines()
     assert all(ln.split(",")[1] == "cross_cov" for ln in lines[1:])
     assert len(lines) > 10

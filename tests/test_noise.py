@@ -223,7 +223,7 @@ def test_mbm_cap_bounds_the_ramped_rows(monkeypatch):
 
 @pytest.mark.parametrize("t_start", [0, 512])
 def test_mbm_factor_is_built_in_place(t_start):
-    # the kernel rows, their exponents and one temporary: three blocks
+    # the kernel rows and their Cholesky copy: twice the factor kept
     n = 1024
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
     noise._mbm_cholesky_factor.cache_clear()
@@ -236,7 +236,53 @@ def test_mbm_factor_is_built_in_place(t_start):
         noise._mbm_cholesky_factor.cache_clear()
     assert l21.shape == (n - t_start, t_start)
     assert l22.shape == (n - t_start, n - t_start)
-    assert peak <= 3.1 * 8 * (n - t_start) * n
+    assert peak <= 2.01 * 8 * (n - t_start) * n
+
+
+@pytest.mark.parametrize(
+    "n, schedule, peak_mb",
+    [(2048, pc.HurstSchedule(0.6, 0.9), 64.1),  # no Brownian head: 32 MB kept
+     # the README crash asset: onset 0.7 of 2520 steps, 14.5 MB kept
+     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 19.1)],
+)
+def test_mbm_factor_build_peak(n, schedule, peak_mb):
+    # measured 64.00 and 18.94 MB; the whole-row build peaked at 96.2 and 43.8
+    tracemalloc.start()
+    try:
+        noise._mbm_cholesky_factor.__wrapped__(schedule, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_mb * 2**20
+
+
+_BLOCK_GRID = sorted(
+    {(n, t) for n in (1, 2, 64, 400, 1000) for t in (0, 1, n // 2, int(0.7 * n), n - 1, n)}
+)
+
+
+@pytest.mark.parametrize("n, t_start", _BLOCK_GRID)
+def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
+    # one block holds 2**17 entries, so n = 400 and 1000 span several
+    # blocks of rows; 256 entries make a block of 4 rows at n = 64 and
+    # of one row above n = 128
+    for block in (noise._MBM_BLOCK, 256):
+        monkeypatch.setattr(noise, "_MBM_BLOCK", block)
+        for dt in (0.25, 1.0, 2.0):
+            for h_start in (0.5, 0.6):
+                sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
+                l21, l22 = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
+                ref21, ref22 = noise_reference.block_factor(sch, n, dt)
+                case = (block, dt, h_start)
+                assert np.array_equal(l21, ref21) and l21.shape == ref21.shape, case
+                assert np.array_equal(l22, ref22) and l22.shape == ref22.shape, case
+
+
+def test_mbm_blocks_match_block_factor_oracle_on_the_readme_schedule():
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=1764)
+    got = noise._mbm_cholesky_factor.__wrapped__(sch, 2520, 1.0)
+    for g, w in zip(got, noise_reference.block_factor(sch, 2520, 1.0)):
+        assert np.array_equal(g, w)
 
 
 _ORACLE_GRID = sorted(
