@@ -139,7 +139,6 @@ def build_parser():
     p.add_argument("--window", type=int, default=WindowConfig.window)
     p.add_argument("--stride", type=int, default=WindowConfig.stride)
     p.add_argument("--tau-grid", type=_int_list, default=WindowConfig.tau_grid)
-    p.add_argument("--detrend", action="store_true")
     p.add_argument("--calendar", choices=["as-is", "intersect"], default="as-is")
 
     p = sub.add_parser("detect-crashes", help="drawdown event detection")
@@ -147,7 +146,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--threshold", type=float, default=StudyConfig.crash_threshold)
     p.add_argument("--lookback", type=int, default=StudyConfig.lookback)
-    p.add_argument("--recovery", type=float, default=StudyConfig.recovery_fraction)
 
     p = sub.add_parser("study", help="pre-crash vs normal-time trend study")
     common(p)
@@ -260,7 +258,6 @@ def _cmd_ews(args):
         window=args.window,
         stride=args.stride,
         tau_grid=args.tau_grid,
-        detrend=args.detrend,
     )
     series_list = load_price_csv(args.input, calendar)
     out = []
@@ -275,7 +272,6 @@ def _cmd_ews(args):
         "window": args.window,
         "stride": args.stride,
         "tau_grid": list(args.tau_grid),
-        "detrend": args.detrend,
         "calendar": calendar,
     }
     return cfg_dict, RunManifest.digest_file(args.input)
@@ -286,7 +282,6 @@ def _cmd_detect(args):
     cfg = StudyConfig(
         crash_threshold=args.threshold,
         lookback=args.lookback,
-        recovery_fraction=args.recovery,
     )
     scanned, skipped = detect_panel(series_list, cfg)
     events = [ev for _, found in scanned for ev in found]
@@ -294,7 +289,6 @@ def _cmd_detect(args):
     cfg_dict = {
         "threshold": args.threshold,
         "lookback": args.lookback,
-        "recovery": args.recovery,
     }
     log.info(
         "%d events across %d series, %d skipped",

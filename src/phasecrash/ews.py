@@ -25,8 +25,8 @@ with ``log S_q`` regressed on ``log tau``; the reported exponent is
 ``slope / q``. The lagged differences ``x(t+tau) - x(t)`` are taken once
 per lag for the whole series, and ``S_q`` of a window is the mean of
 ``|d|**q`` over its ``w - tau`` differences. Demeaning a window leaves
-its differences unchanged; linear detrending subtracts the window's OLS
-slope times ``tau`` from each of them. The regression on the fixed
+its differences unchanged, and windows are not detrended: a linear drift
+adds ``drift * tau`` to each difference. The regression on the fixed
 ``log tau_grid`` is one fixed projection vector. Second order
 (``q = 2``) is the anomalous-dimension estimate, where self-similar
 scaling with exponent ``D`` gives slope ``2 D``; additive constants are
@@ -116,16 +116,14 @@ class WindowConfig:
 
     ``window`` counts returns for moment statistics and prices for
     scaling statistics; ``tau_grid`` holds the structure-function lags
-    and ``orders`` the generalized-Hurst orders. ``detrend`` switches the
-    scaling windows from demeaning to linear detrending (drifts bias
-    structure functions at large lags).
+    and ``orders`` the generalized-Hurst orders. Scaling windows are read
+    as they are: a drift adds ``drift * tau`` to every lagged difference.
     """
 
     window: int = 252
     stride: int = 5
     tau_grid: tuple = (2, 4, 8, 16, 32)
     orders: tuple = (1, 2)
-    detrend: bool = False
 
     def __post_init__(self):
         if self.stride < 1:
@@ -209,20 +207,18 @@ def _windows(series, cfg, min_window=None):
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _rowwise(v, starts, length, reduce, *row_args):
+def _rowwise(v, starts, length, reduce):
     """Per-window values of ``reduce`` over the windows of ``v``.
 
     Row ``j`` of the window matrix is ``v[..., starts[j] : starts[j] +
     length]``; ``reduce`` maps a block of rows, shaped ``(..., rows,
-    length)``, to one value per row. Arrays in ``row_args`` hold one entry
-    per window and reach ``reduce`` sliced to the same block. Each row is
-    reduced on its own, so the result does not depend on the blocking.
+    length)``, to one value per row. Each row is reduced on its own, so
+    the result does not depend on the blocking.
     """
     view = sliding_window_view(v, length, axis=-1)
     step = max(1, _BLOCK_ELEMENTS // (length * (v.size // v.shape[-1])))
-    blocks = [slice(lo, lo + step) for lo in range(0, starts.size, step)]
     return np.concatenate(
-        [reduce(view[..., starts[b], :], *(a[b] for a in row_args)) for b in blocks]
+        [reduce(view[..., starts[lo : lo + step], :]) for lo in range(0, starts.size, step)]
     )
 
 
@@ -279,29 +275,12 @@ def _log_structure(series, cfg, order):
     per lag in ``cfg.tau_grid``; rows with a zero or non-finite structure
     function are all NaN."""
     x, starts, times = _windows(series, cfg)
-    w = cfg.window
-    if cfg.detrend:
-        # OLS slope on centred time; shifting each row by its first value
-        # keeps the slope of a constant window exactly zero
-        t = np.arange(w) - (w - 1) / 2.0
-        slopes = _rowwise(
-            x, starts, w, lambda m: ((m - m[:, :1]) * t).sum(axis=-1)
-        ) / (t * t).sum()
-
-        def detrended_moment(m, trend):
-            return np.mean(np.abs(m - trend[:, None]) ** order, axis=-1)
-
-    cols = []
     # overflowing or vanishing moments become missing windows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for tau in cfg.tau_grid:
-            d = x[tau:] - x[:-tau]
-            if cfg.detrend:
-                s = _rowwise(d, starts, w - tau, detrended_moment, slopes * tau)
-            else:
-                s = _rowwise(np.abs(d) ** order, starts, w - tau, _row_mean)
-            cols.append(s)
-        logs = np.log(np.column_stack(cols))
+        logs = np.log(np.column_stack([
+            _rowwise(np.abs(x[tau:] - x[:-tau]) ** order, starts, cfg.window - tau, _row_mean)
+            for tau in cfg.tau_grid
+        ]))
     logs[~np.isfinite(logs).all(axis=1)] = np.nan
     return times, logs
 

@@ -96,12 +96,16 @@ def derive_seed(master, *indices):
 @contextmanager
 def _atomic_file(path):
     """A text handle on a temp file that replaces ``path`` when the block
-    exits normally, and is removed when it raises."""
+    exits normally, and is removed when it raises. The file gets the mode
+    ``open`` would give it under the umask, not mkstemp's 0600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        umask = os.umask(0)  # the only way to read it; the package runs no threads
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -133,8 +137,9 @@ def _dump_json(obj):
 
 def _raise_first_bad_row(path):
     """Raise the CsvParseError of the first bad data row of the price file
-    at ``path`` (file lines 2, 3, ...); a row is checked in the order below."""
-    seen = set()
+    at ``path`` (file lines 2, 3, ...); a row is checked in the order below.
+    A (ticker, date) pair is remembered as one int, ``code << 32 | ordinal``."""
+    code, seen = {}, set()
     with open(path, encoding="utf-8", newline="") as fh:
         records = csv.reader(fh)
         next(records, None)  # the header
@@ -160,10 +165,11 @@ def _raise_first_bad_row(path):
             if not close > 0 or not math.isfinite(close):
                 msg = f"close must be positive and finite, got {raw_close}"
                 raise CsvParseError(f"{where}: {msg}", line=lineno)
-            if (ticker, day) in seen:
+            key = code.setdefault(ticker, len(code)) << 32 | day.toordinal()
+            if key in seen:
                 msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
                 raise CsvParseError(f"{where}: {msg}", line=lineno)
-            seen.add((ticker, day))
+            seen.add(key)
 
 
 #: Records parsed at a time by load_price_csv: only one chunk's row lists

@@ -68,6 +68,9 @@ __all__ = [
 # log/exp round trip in the drawdown computation.
 _BOUNDARY_EPS = 1e-12
 
+#: After an event, a new one waits until price is back within this of its peak.
+_RECOVERY_FRACTION = 0.05
+
 log = logging.getLogger("phasecrash")
 
 
@@ -104,7 +107,6 @@ class StudyConfig:
     exclusion_margin: int = 63
     signals: tuple = (VOLATILITY, SKEWNESS, LAG1_AUTOCORR, ANOMALOUS_DIM)
     ews_cfg: WindowConfig = field(default_factory=_default_ews_cfg)
-    recovery_fraction: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.crash_threshold < 1.0:
@@ -115,8 +117,6 @@ class StudyConfig:
             raise ValueError("exclusion_margin must be nonnegative")
         if self.pre_crash_window < self.ews_cfg.window:
             raise ValueError("pre_crash_window must be >= ews_cfg.window")
-        if not 0.0 < self.recovery_fraction < 1.0:
-            raise ValueError("recovery_fraction must lie in (0, 1)")
         if isinstance(self.signals, str):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
         if not self.signals:
@@ -223,8 +223,8 @@ def detect_crashes(series, cfg):
 
     The peak at step i is the earliest maximum of the last ``lookback``
     log-prices up to i. After an event no new one starts until a step
-    regains the peak to within ``recovery_fraction``; that step itself
-    is not scanned.
+    regains the peak to within 5% (``_RECOVERY_FRACTION``, fixed); that
+    step itself is not scanned.
     """
     reason = _too_short(series, cfg)
     if reason:
@@ -233,7 +233,7 @@ def detect_crashes(series, cfg):
     times = series.times
     lookback = cfg.lookback
     thresh = cfg.crash_threshold - _BOUNDARY_EPS
-    recovery_gap = np.log1p(-cfg.recovery_fraction)
+    recovery_gap = np.log1p(-_RECOVERY_FRACTION)
 
     peak_lp = np.concatenate([
         np.maximum.accumulate(lp[: lookback - 1]),

@@ -1,11 +1,11 @@
 """Slow per-window reference oracles for the rolling EWS estimators.
 
 Each oracle walks the windows one at a time with the textbook formula:
-demean or linearly detrend the window, build the structure functions lag
-by lag, and fit ``log S_q`` on ``log tau`` with ``np.polyfit``. The fast
-estimators in ``phasecrash.ews`` must agree with these values to a fixed
-tolerance and be missing in exactly the same windows. Every oracle
-returns the value array only; window times are checked separately.
+demean the window, build the structure functions lag by lag, and fit
+``log S_q`` on ``log tau`` with ``np.polyfit``. The fast estimators in
+``phasecrash.ews`` must agree with these values to a fixed tolerance and
+be missing in exactly the same windows. Every oracle returns the value
+array only; window times are checked separately.
 """
 
 import numpy as np
@@ -58,11 +58,7 @@ def lag1_autocorr(series, cfg):
     )
 
 
-def _prepare_window(x, detrend):
-    if detrend:
-        t = np.arange(x.size, dtype=float)
-        slope, intercept = np.polyfit(t, x, 1)
-        return x - (slope * t + intercept)
+def _demeaned(x):
     return x - x.mean()
 
 
@@ -85,7 +81,7 @@ def scaling_exponent(series, cfg, order):
     starts = _price_starts(series, cfg)
     vals = np.full(starts.size, np.nan)
     for j, s in enumerate(starts):
-        w = _prepare_window(x[s : s + cfg.window], cfg.detrend)
+        w = _demeaned(x[s : s + cfg.window])
         fit, _ = _structure_fit(w, cfg.tau_grid, order)
         if fit is not None:
             vals[j] = fit[0] / order
@@ -98,7 +94,7 @@ def conformality(series, cfg):
     log_tau = np.log(np.asarray(cfg.tau_grid, dtype=float))
     vals = np.full(starts.size, np.nan)
     for j, s in enumerate(starts):
-        w = _prepare_window(x[s : s + cfg.window], cfg.detrend)
+        w = _demeaned(x[s : s + cfg.window])
         fit, svals = _structure_fit(w, cfg.tau_grid, order=2)
         if fit is None:
             continue

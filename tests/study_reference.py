@@ -24,7 +24,7 @@ def detect_crashes(series, cfg):
     lp = series.log_prices
     times = series.times
     thresh = cfg.crash_threshold - _BOUNDARY_EPS
-    recovery_gap = np.log1p(-cfg.recovery_fraction)
+    recovery_gap = np.log1p(-0.05)  # the study's fixed 5% recovery rule
 
     events = []
     window = []  # indices with decreasing log-price, rolling max front

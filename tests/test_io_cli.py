@@ -37,6 +37,7 @@ from phasecrash.io import (
     load_price_csv,
     study_config_from_dict,
     synth_corpus,
+    window_config_from_dict,
     write_ews_csv,
     write_price_csv,
     write_report_csv,
@@ -348,6 +349,32 @@ def test_price_csv_peak_memory_on_the_readme_corpus(tmp_path):
             tracemalloc.stop()
     assert peaks[0] <= 0.6 * 2**20
     assert peaks[1] <= 8.0 * 2**20
+
+
+@pytest.mark.parametrize(
+    "bad_row, message, bound_mb",
+    [
+        # measured 12.64 and 10.98 MB; (ticker, date) tuples in the seen set
+        # peaked at 22.35 and 20.69 MB
+        (lambda first: first, "duplicate (ticker, date) = (CRASH000, 2000-01-03)", 13.0),
+        (lambda first: "2099-01-03,CRASH000,ten", "bad close 'ten'", 11.5),
+    ],
+    ids=["duplicate", "bad-close"],
+)
+def test_failed_load_peak_memory_on_the_readme_corpus(tmp_path, bad_row, message, bound_mb):
+    path = tmp_path / "corpus.csv"
+    write_price_csv(synth_corpus(json.loads(readme_json_blocks()["spec.json"]), 7), str(path))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + bad_row(text.splitlines()[1]) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CsvParseError) as exc:
+            load_price_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}:102442: {message}"
+    assert peak <= bound_mb * 2**20
 
 
 # --------------------------------------------------------------- roundtrip
@@ -716,6 +743,8 @@ def test_study_config_from_dict():
         ({"ews": {"windw": 63}}, "windw"),
         ({"ews_cfg": {"window": 63}}, "ews_cfg"),
         ({"min_trend_points": 10}, "min_trend_points"),  # a fixed 10 since 0.9.0
+        ({"recovery_fraction": 0.05}, "recovery_fraction"),  # a fixed 5% since 0.14.0
+        ({"ews": {"detrend": False}}, "detrend"),  # no detrending since 0.14.0
     ],
 )
 def test_study_config_refuses_unknown_keys(d, name):
@@ -738,6 +767,29 @@ def test_study_config_refuses_unknown_keys(d, name):
 def test_corpus_spec_refuses_unknown_keys(spec, message):
     with pytest.raises(ValueError, match=message):
         CorpusSpec.from_dict(spec)
+
+
+def test_window_config_from_dict():
+    cfg = window_config_from_dict({"window": 126, "stride": 10, "tau_grid": [2, 4, 8, 16]})
+    assert cfg == pc.WindowConfig(window=126, stride=10, tau_grid=(2, 4, 8, 16))
+    assert window_config_from_dict({}) == pc.WindowConfig()
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"detrend": True}, "window config: unknown keys ['detrend']; known: "
+                            "['orders', 'stride', 'tau_grid', 'window']"),
+        ({"window": 126.0}, "window config: window must be int, got float"),
+        ([126], "window config must be a JSON object, got list"),
+        ({"stride": 0}, "stride must be >= 1"),
+    ],
+    ids=["detrend", "float-window", "not-an-object", "zero-stride"],
+)
+def test_window_config_from_dict_refusals(d, message):
+    with pytest.raises(ValueError) as exc:
+        window_config_from_dict(d)
+    assert str(exc.value) == message
 
 
 def test_readme_configs_parse_under_strict_readers():
@@ -863,6 +915,20 @@ def test_json_writer_writes_every_non_finite_float_as_null(tmp_path):
                                   "d": "nan"}
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        pc_io._atomic_write(tmp_path / "x.json", "{}\n")
+        write_price_csv([pc.PriceSeries([0.0, 1.0], [1.0, 2.0], "A")], str(tmp_path / "p.csv"))
+    finally:
+        os.umask(old)
+    assert [(f.name, f.stat().st_mode & 0o777) for f in sorted(tmp_path.iterdir())] == [
+        ("p.csv", mode), ("x.json", mode)
+    ]
+
+
 def test_cli_simulate_byte_identical_reruns(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -959,11 +1025,9 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     detect = parser.parse_args(["detect-crashes", "--input", "x.csv"])
     assert detect.threshold == study.crash_threshold
     assert detect.lookback == study.lookback
-    assert detect.recovery == study.recovery_fraction
     ews = parser.parse_args(["ews", "--input", "x.csv"])
     assert tuple(ews.signals.split(",")) == study.signals
-    assert (ews.window, ews.stride, ews.detrend) == (window.window, window.stride,
-                                                     window.detrend)
+    assert (ews.window, ews.stride) == (window.window, window.stride)
     assert tuple(ews.tau_grid) == window.tau_grid
     # multi couples critical-route assets: the cpt row, with the route's lam = 1
     out = str(tmp_path / "multi")
@@ -1056,6 +1120,68 @@ def test_cli_ews_has_no_orders_flag(tmp_path):
     assert cli_dispatch(["ews", "--input", corpus, "--signals", "ghe1", "--out", out]) == 0
     manifest = _read_json(os.path.join(out, "manifest.json"))
     assert "orders" not in manifest["config"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["ews", "--detrend"], None, "unrecognized arguments: --detrend"),
+        (["detect-crashes", "--recovery", "0.05"], None,
+         "unrecognized arguments: --recovery 0.05"),
+        (["study"], {"recovery_fraction": 0.05},
+         "study config: unknown keys ['recovery_fraction']"),
+        (["study"], {"ews": {"detrend": True}}, "ews: unknown keys ['detrend']"),
+    ],
+    ids=["ews-detrend", "detect-recovery", "study-recovery-key", "study-detrend-key"],
+)
+def test_cli_refuses_the_retired_detrend_and_recovery_settings(tmp_path, capsys, argv, config,
+                                                               message):
+    # refused before the input is read, so a missing input is never reported
+    if config is not None:
+        (tmp_path / "study.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "study.json")]
+    out = tmp_path / "o"
+    rc = cli_dispatch([*argv, "--input", str(tmp_path / "absent.csv"), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _two_tickers(tmp_path):
+    t = np.arange(200.0)
+    params = pc.LpplParams(A=7.0, B=-0.5, C1=0.05, C2=0.05, m=0.5, omega=8.0, tc=220.0)
+    series = [pc.PriceSeries(t, 5.0 + 0.001 * t, "FLAT"),
+              pc.PriceSeries(t, pc.lppl_log_price(params, t), "BUBBLE")]
+    path = str(tmp_path / "two.csv")
+    write_price_csv(series, path)
+    return path
+
+
+@pytest.mark.parametrize("ticker", [None, "FLAT", "BUBBLE"])
+def test_cli_fit_lppl_picks_the_named_ticker(tmp_path, ticker):
+    path = _two_tickers(tmp_path)
+    out = str(tmp_path / "fit")
+    given = [] if ticker is None else ["--ticker", ticker]
+    assert cli_dispatch(["fit-lppl", "--input", path, "--grid", "4,3,3", *given,
+                         "--out", out]) == 0
+    manifest = _read_json(os.path.join(out, "manifest.json"))
+    assert manifest["config"]["ticker"] == (ticker or "FLAT")
+
+
+@pytest.mark.parametrize(
+    "body, ticker, message",
+    [("", None, "no series loaded"),
+     ("", "FLAT", "no series loaded"),
+     (None, "ABSENT", "ticker 'ABSENT' not found"),
+     (None, "flat", "ticker 'flat' not found")],
+)
+def test_cli_fit_lppl_refuses_a_missing_ticker(tmp_path, capsys, body, ticker, message):
+    path = _two_tickers(tmp_path) if body is None else _write(tmp_path, "date,ticker,close\n")
+    out = tmp_path / "fit"
+    given = [] if ticker is None else ["--ticker", ticker]
+    assert cli_dispatch(["fit-lppl", "--input", path, *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_fit_lppl_fixture(tmp_path):

@@ -268,23 +268,26 @@ def test_multi_refuses_negative_lam():
     pc.MultiParams(lam=(0.0, 0.0), **kw)
 
 
-def test_multi_coupling_validation():
-    with pytest.raises(ValueError):
-        pc.MultiParams(
-            r=(1.0,),
-            lam=(1.0,),
-            mu_schedule=_const_mu(0.0),
-            sigma=(0.1,),
-            coupling=((1.0,),),
-        )
-    with pytest.raises(ValueError):
-        pc.MultiParams(
-            r=(1.0, 1.0),
-            lam=(1.0, 1.0),
-            mu_schedule=_const_mu(0.0),
-            sigma=(0.1, 0.1),
-            coupling=((1.0, 0.2), (0.3, 1.0)),
-        )
+@pytest.mark.parametrize(
+    "kw, message",
+    [(dict(r=(1.0,), lam=(1.0,), sigma=(0.1,), coupling=((1.0,),)),
+      "multivariate system needs k >= 2 assets"),
+     (dict(lam=(1.0, 1.0, 1.0)), "r, lam, sigma must have equal length"),
+     (dict(sigma=(0.1,)), "r, lam, sigma must have equal length"),
+     (dict(coupling=_coupling(3, 0.3)), "coupling must be 2x2"),
+     (dict(coupling=(1.0, 0.3)), "coupling must be 2x2"),
+     (dict(coupling=((1.0, 0.2), (0.3, 1.0))), "coupling matrix must be symmetric"),
+     (dict(coupling=((2.0, 0.3), (0.3, 2.0))), "coupling matrix must have unit diagonal"),
+     (dict(sigma=(0.1, 0.0)), "sigma entries must be positive"),
+     (dict(sigma=(-0.1, 0.1)), "sigma entries must be positive"),
+     (dict(p0=(1.0,)), "p0 must have one entry per asset"),
+     (dict(p0=(1.0, 1.0, 1.0)), "p0 must have one entry per asset")],
+)
+def test_multi_coupling_validation(kw, message):
+    cls, valid = _VALID["multi"]
+    with pytest.raises(ValueError) as exc:
+        cls(**{**valid, **kw})
+    assert str(exc.value) == message
 
 
 def test_multi_cross_covariance_trend_toward_fold():

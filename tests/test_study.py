@@ -295,8 +295,7 @@ def test_detect_matches_reference_random_walks():
         if k % 5 == 0:
             lp = np.round(lp, 1)  # tied peaks
         series = pc.PriceSeries(np.arange(float(n)), lp, f"W{k}")
-        cfg = _cfg(lookback=lookback, recovery_fraction=float(rng.uniform(0.01, 0.5)))
-        n_events += len(_same_events(series, cfg))
+        n_events += len(_same_events(series, _cfg(lookback=lookback)))
     assert n_events > 200
 
 
@@ -562,6 +561,20 @@ def test_run_study_records_short_ticker_as_skip():
         pc.detect_crashes(short, _mini_cfg())
 
 
+def test_run_study_refuses_an_empty_panel():
+    with pytest.raises(ValueError) as exc:
+        pc.run_study([])
+    assert str(exc.value) == "need at least one asset"
+
+
+def test_run_study_without_a_config_uses_the_default():
+    corpus = _mini_corpus()
+    report = pc.run_study(corpus)
+    assert report.to_dict() == pc.run_study(corpus, pc.StudyConfig()).to_dict()
+    assert tuple(report.signals) == pc.StudyConfig.signals
+    assert report.n_assets == 12 and report.n_events == 6
+
+
 def test_run_study_only_short_tickers_is_inconclusive():
     report = pc.run_study([_prices([100.0] * 10, "A"), _prices([100.0] * 5, "B")], _cfg())
     assert report.n_assets == 2 and report.n_events == 0
@@ -599,6 +612,21 @@ def test_signal_trend_inconclusive_reason():
 def test_study_config_refuses_bad_signals_at_construction(signals, message):
     with pytest.raises(ValueError) as err:
         pc.StudyConfig(signals=signals)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"crash_threshold": 0.0}, "crash_threshold must lie in (0, 1)"),
+     ({"crash_threshold": 1.0}, "crash_threshold must lie in (0, 1)"),
+     ({"crash_threshold": math.nan}, "crash_threshold must lie in (0, 1)"),
+     ({"lookback": 0}, "lookback must be positive"),
+     ({"exclusion_margin": -1}, "exclusion_margin must be nonnegative"),
+     ({"pre_crash_window": 62}, "pre_crash_window must be >= ews_cfg.window")],
+)
+def test_study_config_refuses_bad_fields(kw, message):
+    with pytest.raises(ValueError) as err:
+        pc.StudyConfig(**kw)
     assert str(err.value) == message
 
 
