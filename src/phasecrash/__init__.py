@@ -73,4 +73,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

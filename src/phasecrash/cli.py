@@ -309,8 +309,7 @@ def _cmd_study(args):
     else:
         cfg_dict, cfg = {}, StudyConfig()
     if args.input is not None:
-        calendar = "intersect" if CROSS_COV in cfg.signals else "as_is"
-        assets = load_price_csv(args.input, calendar)
+        assets = load_price_csv(args.input)
         digest = RunManifest.digest_file(args.input)
     else:
         with open(args.spec, encoding="utf-8") as fh:

@@ -128,17 +128,19 @@ class WindowConfig:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        taus = tuple(int(t) for t in self.tau_grid)
-        if len(taus) == 0:
+        for key in ("tau_grid", "orders"):
+            values = tuple(getattr(self, key))
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"{key} must hold integers, got {v!r}")
+            object.__setattr__(self, key, tuple(map(int, values)))
+        taus = self.tau_grid
+        if not taus:
             raise ValueError("tau_grid must be nonempty")
-        if any(t < 2 for t in taus) or any(
-            b <= a for a, b in zip(taus, taus[1:])
-        ):
+        if any(t < 2 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
             raise ValueError("tau_grid must be strictly increasing with entries >= 2")
-        if any(int(q) < 1 for q in self.orders):
+        if any(q < 1 for q in self.orders):
             raise ValueError("orders must be positive integers")
-        object.__setattr__(self, "tau_grid", taus)
-        object.__setattr__(self, "orders", tuple(int(q) for q in self.orders))
 
     def check_scaling(self):
         """Lag rules, binding only where tau_grid is used: a log-log fit
@@ -334,21 +336,16 @@ def conformality_index(series, cfg):
     return EwsSeries(times, vals, CONFORMALITY, series.id)
 
 
-def check_aligned(series_list):
-    """Raise :class:`AlignmentError` naming every series whose timestamps
-    differ from those of the first."""
+def cross_covariance(series_list, cfg):
+    """Mean pairwise covariance of log-returns across an aligned panel;
+    :class:`AlignmentError` names every series whose timestamps differ
+    from those of the first."""
+    if len(series_list) < 2:
+        raise ValueError("cross_covariance needs at least 2 series")
     ref = series_list[0]
     bad = [s.id for s in series_list[1:] if not np.array_equal(s.times, ref.times)]
     if bad:
         raise AlignmentError(f"series not aligned with {ref.id!r}: {bad}", ids=bad)
-
-
-def cross_covariance(series_list, cfg):
-    """Mean pairwise covariance of log-returns across an aligned panel."""
-    if len(series_list) < 2:
-        raise ValueError("cross_covariance needs at least 2 series")
-    check_aligned(series_list)
-    ref = series_list[0]
     _, starts, times = _windows(ref, cfg, min_window=2)
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]
@@ -367,7 +364,8 @@ def cross_covariance(series_list, cfg):
 def signal_estimator(name):
     """The estimator ``f(series, cfg) -> EwsSeries`` of the univariate
     signal ``name``; ``ghe<n>`` is the generalized Hurst exponent of order
-    ``n >= 1``. Any other name, ``cross_cov`` included, raises ValueError."""
+    ``n >= 1``; these are the study's signals. Any other name raises
+    ValueError, even ``cross_cov``, which :func:`cross_covariance` computes."""
     # built per call from the module globals, so a wrapper bound to one of
     # these names (the benchmark's tracer) sees every call
     table = {

@@ -135,16 +135,20 @@ def _dump_json(obj):
     return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _raise_first_bad_row(path):
+def _raise_first_bad_row(path, duplicate=-1):
     """Raise the CsvParseError of the first bad data row of the price file
     at ``path`` (file lines 2, 3, ...); a row is checked in the order below.
-    A (ticker, date) pair is remembered as one int, ``code << 32 | ordinal``."""
+    A (ticker, date) pair is remembered as one int, ``code << 32 | ordinal``.
+    ``duplicate``, when given, is the index among the data rows of the
+    first to repeat a pair: every row before it passed, so none is kept."""
     code, seen = {}, set()
     with open(path, encoding="utf-8", newline="") as fh:
         records = csv.reader(fh)
         next(records, None)  # the header
-        for lineno, row in enumerate(records, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        numbered = enumerate(records, start=2)
+        data = ((n, row) for n, row in numbered if len(row) > 1 or (row and row[0].strip()))
+        for index, (lineno, row) in enumerate(data):
+            if index < duplicate:
                 continue
             where = f"{path}:{lineno}"
             if len(row) != 3:
@@ -166,7 +170,7 @@ def _raise_first_bad_row(path):
                 msg = f"close must be positive and finite, got {raw_close}"
                 raise CsvParseError(f"{where}: {msg}", line=lineno)
             key = code.setdefault(ticker, len(code)) << 32 | day.toordinal()
-            if key in seen:
+            if key in seen or index == duplicate:
                 msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
                 raise CsvParseError(f"{where}: {msg}", line=lineno)
             seen.add(key)
@@ -234,8 +238,9 @@ def load_price_csv(path, calendar="as_is"):
     del parts
     order = np.lexsort((day, tick))
     tick, day, lp = tick[order], day[order], np.log(closes)[order]
-    if np.any((tick[1:] == tick[:-1]) & (day[1:] == day[:-1])):
-        _raise_first_bad_row(path)
+    dup = (tick[1:] == tick[:-1]) & (day[1:] == day[:-1])
+    if dup.any():  # the stable sort puts a pair's later rows after its first
+        _raise_first_bad_row(path, int(order[1:][dup].min()))
     if calendar == "intersect":
         _, inverse, per_day = np.unique(day, return_inverse=True, return_counts=True)
         common = per_day[inverse] == len(rank)
@@ -539,10 +544,7 @@ def _from_dict(cls, d, what):
         elif isinstance(value, list):
             value = tuple(value)
         kw[f.name] = value
-    try:
-        return cls(**kw)
-    except TypeError as exc:  # an element of the wrong JSON type
-        raise ValueError(f"{what}: {exc}") from exc
+    return cls(**kw)
 
 
 def window_config_from_dict(d):

@@ -7,7 +7,8 @@ the peak. For every event the ``pre_crash_window`` observations ending
 at the peak form a pre-crash segment; stretches at least
 ``exclusion_margin`` observations away from every peak-to-trough
 interval form the normal-time segments. Each configured early-warning
-signal is computed per segment, its monotone trend is summarised by
+signal (a univariate one: the panel signal ``cross_cov`` is not) is
+computed per segment of one asset, its monotone trend is summarised by
 Kendall's tau-b against window index, and the pre and normal tau samples
 are compared per signal with a two-sample Mann-Whitney test.
 
@@ -39,14 +40,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InsufficientDataError
 from .ews import (
     ANOMALOUS_DIM,
-    CROSS_COV,
     LAG1_AUTOCORR,
     SKEWNESS,
     VOLATILITY,
     PriceSeries,
     WindowConfig,
-    check_aligned,
-    cross_covariance,
     signal_estimator,
 )
 from .ews import rolling_volatility  # noqa: F401  perfbench's tracer test reads it here
@@ -117,7 +115,7 @@ class StudyConfig:
             raise ValueError("exclusion_margin must be nonnegative")
         if self.pre_crash_window < self.ews_cfg.window:
             raise ValueError("pre_crash_window must be >= ews_cfg.window")
-        if isinstance(self.signals, str):
+        if isinstance(self.signals, str) or not all(isinstance(s, str) for s in self.signals):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
         if not self.signals:
             raise ValueError("signals must name at least one signal")
@@ -127,10 +125,7 @@ class StudyConfig:
         probe = PriceSeries(np.arange(n, dtype=float), np.zeros(n))
         with np.errstate(all="ignore"):
             for name in self.signals:
-                if name == CROSS_COV:
-                    cross_covariance([probe, probe], self.ews_cfg)
-                else:
-                    signal_estimator(name)(probe, self.ews_cfg)
+                signal_estimator(name)(probe, self.ews_cfg)
         # a repeated name would count each of its taus twice
         repeated = [s for s in dict.fromkeys(self.signals) if self.signals.count(s) > 1]
         if repeated:
@@ -461,7 +456,8 @@ def _trend_records(asset_id, signal, estimate, pre, normal):
 def run_study(assets, cfg=None):
     """Detect, segment, and compare trends across a panel of assets.
 
-    Per-signal pre and normal tau samples are pooled across assets and
+    Each asset is segmented by its own events, and per-signal pre and
+    normal tau samples of its segments are pooled across assets and
     compared with a two-sided Mann-Whitney test; a signal with an empty
     group is flagged inconclusive rather than failing, and an asset too
     short to scan is skipped and recorded in ``TrendReport.skipped``.
@@ -470,31 +466,15 @@ def run_study(assets, cfg=None):
         raise ValueError("need at least one asset")
     if cfg is None:
         cfg = StudyConfig()
-    univariate = [s for s in cfg.signals if s != CROSS_COV]
 
     scanned, skipped = detect_panel(assets, cfg)
-    all_events, records = [], []
+    n_events, records = 0, []
     for asset, events in scanned:
         pre, normal = segment_windows(asset, events, cfg)
-        for signal in univariate:
+        for signal in cfg.signals:
             estimate = partial(signal_estimator(signal), cfg=cfg.ews_cfg)
             records += _trend_records(asset.id, signal, estimate, pre, normal)
-        all_events += events
-    if CROSS_COV in cfg.signals:
-        # the aligned panel is segmented by the union of every asset's events
-        if len(assets) < 2:
-            raise ValueError("cross_cov signal needs at least 2 assets")
-        check_aligned(assets)
-        ref = assets[0]
-        merged = sorted(all_events, key=lambda e: (e.peak_index, e.trough_index))
-        pre, normal = segment_windows(ref, merged, cfg)
-
-        def panel_cross_cov(seg):
-            lo = int(np.searchsorted(ref.times, seg.times[0]))
-            panel = [s.slice(lo, lo + len(seg)) for s in assets]
-            return cross_covariance(panel, cfg.ews_cfg)
-
-        records += _trend_records("panel", CROSS_COV, panel_cross_cov, pre, normal)
+        n_events += len(events)
 
     report_signals = {}
     for signal in cfg.signals:
@@ -518,6 +498,6 @@ def run_study(assets, cfg=None):
         signals=report_signals,
         segments=records,
         n_assets=len(assets),
-        n_events=len(all_events),
+        n_events=n_events,
         skipped=skipped,
     )

@@ -300,6 +300,28 @@ def test_cross_cov_misaligned_raises():
     assert "weird" in exc.value.ids
 
 
+@pytest.mark.parametrize("shift", ["length", "times"])
+def test_cross_cov_names_every_misaligned_series(shift):
+    panel = [series_from_increments(np.ones(60), f"A{i}") for i in range(4)]
+    if shift == "length":
+        panel[2] = series_from_increments(np.ones(61), "A2")
+    else:
+        for i in (1, 3):
+            panel[i] = pc.PriceSeries(panel[i].times + 0.5, panel[i].log_prices, f"A{i}")
+    bad = ["A2"] if shift == "length" else ["A1", "A3"]
+    with pytest.raises(AlignmentError) as exc:
+        pc.cross_covariance(panel, _cfg(window=10))
+    assert exc.value.ids == tuple(bad)
+    assert str(exc.value) == f"series not aligned with 'A0': {bad}"
+
+
+def test_cross_cov_refuses_a_single_series():
+    a = series_from_increments(np.ones(50), "a")
+    with pytest.raises(ValueError) as exc:
+        pc.cross_covariance([a], _cfg(window=10))
+    assert str(exc.value) == "cross_covariance needs at least 2 series"
+
+
 def test_cross_cov_scaling_quadratic():
     rng = np.random.default_rng(3)
     i1, i2 = rng.standard_normal(300), rng.standard_normal(300)
@@ -403,6 +425,37 @@ def test_window_config_validation():
         pc.WindowConfig(window=100, tau_grid=(2, 4), orders=(0,))
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [(dict(tau_grid=(2, 4, 8.9)), "tau_grid must hold integers, got 8.9"),
+     (dict(tau_grid=(2, 4, 8.0)), "tau_grid must hold integers, got 8.0"),
+     (dict(tau_grid=(2, "4")), "tau_grid must hold integers, got '4'"),
+     (dict(tau_grid=(True, 4)), "tau_grid must hold integers, got True"),
+     (dict(tau_grid=(2, None)), "tau_grid must hold integers, got None"),
+     (dict(orders=(1.5, 2)), "orders must hold integers, got 1.5"),
+     (dict(orders=(True,)), "orders must hold integers, got True"),
+     (dict(orders=("1",)), "orders must hold integers, got '1'")],
+)
+def test_window_config_refuses_elements_that_are_not_integers(kw, message):
+    # int() would silently run 8.9 as lag 8 and True as order 1
+    with pytest.raises(ValueError) as exc:
+        pc.WindowConfig(**{"window": 100, **kw})
+    assert str(exc.value) == message
+
+
+def test_window_config_keeps_numpy_integers_as_ints():
+    cfg = pc.WindowConfig(tau_grid=np.array([2, 4, 8]), orders=(np.int64(1),))
+    assert cfg.tau_grid == (2, 4, 8) and cfg.orders == (1,)
+    assert all(type(v) is int for v in cfg.tau_grid + cfg.orders)
+
+
+def test_generalized_hurst_refuses_an_empty_orders():
+    series = series_from_increments(np.random.default_rng(derive_seed(31, 1)).standard_normal(300))
+    with pytest.raises(ValueError) as exc:
+        pc.generalized_hurst(series, _cfg(window=64, tau_grid=(2, 4), orders=()))
+    assert str(exc.value) == "cfg.orders must be nonempty"
+
+
 def test_one_lag_is_refused_for_scaling_signals_only():
     # a one-point log-log fit has no slope: every window would be missing
     cfg = pc.WindowConfig(window=64, stride=8, tau_grid=(2,))
@@ -416,6 +469,12 @@ def test_one_lag_is_refused_for_scaling_signals_only():
     assert len(pc.rolling_volatility(series, cfg)) == 30
     two = pc.WindowConfig(window=64, stride=8, tau_grid=(2, 4))
     assert np.isfinite(pc.anomalous_dimension(series, two).values).all()
+
+
+def test_ews_series_refuses_times_and_values_of_unequal_length():
+    with pytest.raises(ValueError) as exc:
+        pc.EwsSeries(np.arange(3.0), np.zeros(4), "volatility")
+    assert str(exc.value) == "times and values must have equal length"
 
 
 def test_price_series_validation():

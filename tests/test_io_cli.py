@@ -127,6 +127,27 @@ def test_load_malformed_rows(tmp_path, body, line):
     assert exc.value.line == line
 
 
+def test_load_refuses_an_unknown_calendar(tmp_path):
+    path = _write(tmp_path, "date,ticker,close\n2020-01-02,A,100\n")
+    with pytest.raises(ValueError) as exc:
+        load_price_csv(path, "union")
+    assert str(exc.value) == "unknown calendar mode 'union'"
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_atomic_file_that_raises_leaves_no_temp_file_and_the_old_target(tmp_path, exists):
+    path = tmp_path / "out.json"
+    if exists:
+        path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="disk gone"):
+        with pc_io._atomic_file(str(path)) as fh:
+            fh.write("new\n")
+            raise RuntimeError("disk gone")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.json"] if exists else [])
+    if exists:
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+
 def test_load_bad_header(tmp_path):
     path = _write(tmp_path, "time,symbol,price\n2020-01-02,A,100\n")
     with pytest.raises(CsvParseError) as exc:
@@ -207,6 +228,9 @@ def test_load_matches_reference_on_a_mixed_file(tmp_path):
         ("2020-01-02,A,100\n2020-01-03,,x\n", 3),  # empty ticker is checked before close
         ("2020-01-02,A,100\n2020-01-03,A,0\n2020-01-04,B\n", 3),  # earlier row wins
         ("2020-01-03,A,100\n2020-01-02,A,1\nbad,B,1\n2020-01-03,A,5\n", 4),
+        # B's repeat comes first in the file, A's first in (ticker, date) order
+        ("2020-01-02,A,1\n2020-01-03,B,1\n\n2020-01-03,B,2\n2020-01-02,A,3\n", 5),
+        ("2020-01-02,A,1\n2020-01-02,A,2\n2020-01-02,A,3\n", 3),
     ],
 )
 def test_load_errors_match_reference(tmp_path, body, line):
@@ -354,9 +378,10 @@ def test_price_csv_peak_memory_on_the_readme_corpus(tmp_path):
 @pytest.mark.parametrize(
     "bad_row, message, bound_mb",
     [
-        # measured 12.64 and 10.98 MB; (ticker, date) tuples in the seen set
-        # peaked at 22.35 and 20.69 MB
-        (lambda first: first, "duplicate (ticker, date) = (CRASH000, 2000-01-03)", 13.0),
+        # measured 7.56 MB (the clean load's peak) and 10.98 MB; a walk that
+        # kept every row before the duplicate in a set peaked at 12.64 MB, and
+        # sets of (ticker, date) tuples at 22.35 and 20.69 MB
+        (lambda first: first, "duplicate (ticker, date) = (CRASH000, 2000-01-03)", 8.0),
         (lambda first: "2099-01-03,CRASH000,ten", "bad close 'ten'", 11.5),
     ],
     ids=["duplicate", "bad-close"],
@@ -783,8 +808,15 @@ def test_window_config_from_dict():
         ({"window": 126.0}, "window config: window must be int, got float"),
         ([126], "window config must be a JSON object, got list"),
         ({"stride": 0}, "stride must be >= 1"),
+        # int() would have run these as lags (2, 4, 8, 16) and order 1
+        ({"tau_grid": [2, 4, 8.9, "16"]}, "tau_grid must hold integers, got 8.9"),
+        ({"tau_grid": [2, "4"]}, "tau_grid must hold integers, got '4'"),
+        ({"tau_grid": [2, None]}, "tau_grid must hold integers, got None"),
+        ({"orders": [True]}, "orders must hold integers, got True"),
+        ({"orders": [1.5, 2]}, "orders must hold integers, got 1.5"),
     ],
-    ids=["detrend", "float-window", "not-an-object", "zero-stride"],
+    ids=["detrend", "float-window", "not-an-object", "zero-stride", "float-lag", "string-lag",
+         "null-lag", "bool-order", "float-order"],
 )
 def test_window_config_from_dict_refusals(d, message):
     with pytest.raises(ValueError) as exc:
@@ -1237,6 +1269,8 @@ def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
         ({"crash_threshold": "0.3"}, "study config: crash_threshold must be float, got str"),
         ({"lookback": "126"}, "study config: lookback must be int, got str"),
         ({"ews": {"window": "126"}}, "ews: window must be int, got str"),
+        ({"ews": {"tau_grid": [2, 4, 8.9, "16"]}}, "tau_grid must hold integers, got 8.9"),
+        ({"ews": {"orders": [1, True]}}, "orders must hold integers, got True"),
     ],
 )
 def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, capsys, cfg):
@@ -1254,7 +1288,11 @@ def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, ca
     [("volatility", "signals must be tuple, got str"),
      (["volatility", "ghe0"], "unknown signal 'ghe0'"),
      ([], "signals must name at least one signal"),
-     (["volatility", "volatility"], "signals repeats 'volatility'")],
+     (["volatility", "volatility"], "signals repeats 'volatility'"),
+     ([1], "signals must be a list of names, got (1,)"),
+     (["volatility", ["ghe1"]], "signals must be a list of names, got ('volatility', ['ghe1'])"),
+     # since 0.15.0 cross_cov is an ews signal only
+     (["volatility", "cross_cov"], "unknown signal 'cross_cov'")],
 )
 def test_cli_study_refuses_bad_signals_before_reading_the_panel(tmp_path, capsys, signals,
                                                                 message):

@@ -80,6 +80,20 @@ def test_params_validation():
         pc.HazardParams(alpha_h=0.0, beta_h=0.5, m=0.5, omega=6.0, phi=0.0, tc=10.0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [(dict(m=0.0), "m must lie in (0, 1), got 0.0"),
+     (dict(m=1.0), "m must lie in (0, 1), got 1.0"),
+     (dict(omega=0.0), "omega must be positive"),
+     (dict(omega=-6.0), "omega must be positive")],
+)
+def test_hazard_params_refuse_m_and_omega_outside_the_model(kw, message):
+    base = dict(alpha_h=1.0, beta_h=0.5, m=0.5, omega=6.0, phi=0.0, tc=10.0)
+    with pytest.raises(ValueError) as exc:
+        pc.HazardParams(**{**base, **kw})
+    assert str(exc.value) == message
+
+
 def test_phase_identity():
     # C1*cos + C2*sin == C*cos(theta - phi) with C = hypot(C1, C2) and
     # phi = atan2(C2, C1)
@@ -272,6 +286,15 @@ def test_fit_preconditions():
         pc.fit_lppl(series)
 
 
+def test_fit_with_every_grid_node_degenerate_raises():
+    # m near zero collapses the power basis into the intercept at every node
+    series = _synthetic_series(_params(), n=100)
+    search = pc.SearchConfig(m_bounds=(1e-12, 2e-12), n_tc=2, n_m=2, n_omega=2)
+    with pytest.raises(pc.FitFailureError) as exc:
+        pc.fit_lppl(series, search)
+    assert str(exc.value) == "every grid node had a degenerate design matrix"
+
+
 def test_fit_to_dict_schema():
     fit = pc.fit_lppl(_synthetic_series(_params(A=7.0, B=-0.5)))
     d = fit.to_dict()
@@ -406,6 +429,14 @@ def test_fit_matches_reference_oracle(kind, n):
     assert fit.degenerate_nodes == oracle.degenerate_nodes
 
 
+@pytest.mark.parametrize("tc", [98.0, 99.0])
+def test_power_law_ssr_refuses_a_tc_inside_the_data(tc):
+    series = _synthetic_series(_params(), n=100)  # ends at t = 99
+    with pytest.raises(ValueError) as exc:
+        pc.power_law_ssr(series, tc, 0.5)
+    assert str(exc.value) == f"tc = {tc} must exceed every observation time"
+
+
 @pytest.mark.parametrize("kind", ["bubble", "walk"])
 def test_power_law_ssr_matches_reference_oracle(kind):
     series = _oracle_series(kind, 500, 75)
@@ -429,9 +460,11 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         # the series ends at t = 99, so no grid tc would lie past it
         ({"tc_bounds": (10.0, 50.0)}, r"tc_bounds \(10.0, 50.0\) .* time 99.0"),
         ({"tc_bounds": (30.0, 99.0)}, r"tc_bounds \(30.0, 99.0\) .* time 99.0"),
+        ({"tc_bounds": (150.0, 120.0)}, "^tc_bounds must satisfy lo < hi$"),
+        ({"tc_bounds": (150.0, 150.0)}, "^tc_bounds must satisfy lo < hi$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
-         "tc_before", "tc_at"],
+         "tc_before", "tc_at", "tc_reversed", "tc_equal"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):

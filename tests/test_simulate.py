@@ -436,3 +436,46 @@ def test_params_refuse_non_finite_fields(route, field, bad):
         kw = {**kw, field: (1.0, bad) if route == "multi" else bad}
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         cls(**kw)
+
+
+@pytest.mark.parametrize(
+    "route, kw, message",
+    [("cpt", dict(sigma=-0.03), "sigma must be nonnegative"),
+     ("spt", dict(alpha_vol=-0.01), "alpha_vol must be nonnegative"),
+     ("dpt", dict(scale=-0.01), "scale must be nonnegative"),
+     ("dpt", dict(noise_spec=0.7), "noise_spec must be a HurstSchedule or StableSchedule")],
+)
+def test_params_refuse_out_of_range_fields(route, kw, message):
+    cls, valid = _VALID[route]
+    with pytest.raises(ValueError) as exc:
+        cls(**{**valid, **kw})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "simulate, route, expected",
+    [(pc.simulate_cpt, "spt", "CptParams"),
+     (pc.simulate_spt, "cpt", "SptParams"),
+     (pc.simulate_dpt, "multi", "DptParams"),
+     (pc.simulate_multivariate, "dpt", "MultiParams")],
+)
+def test_simulators_refuse_another_routes_params(simulate, route, expected):
+    cls, kw = _VALID[route]
+    with pytest.raises(ValueError) as exc:
+        simulate(cls(**kw), 10, 0.01, 1)
+    assert str(exc.value) == f"params must be {expected}"
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_sim_path_refuses_a_nonpositive_dt(dt):
+    with pytest.raises(ValueError) as exc:
+        pc.SimPath(np.zeros(3), dt)
+    assert str(exc.value) == "dt must be positive"
+
+
+@pytest.mark.parametrize("sample_every", [0, -1])
+def test_to_price_series_refuses_sample_every_below_one(sample_every):
+    path = pc.SimPath(np.zeros(3), 0.01)
+    with pytest.raises(ValueError) as exc:
+        path.to_price_series("x", sample_every=sample_every)
+    assert str(exc.value) == "sample_every must be >= 1"

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import phasecrash as pc
-from phasecrash.errors import AlignmentError, InsufficientDataError
+from phasecrash.errors import InsufficientDataError
 from phasecrash.ews import signal_estimator
 from phasecrash.io import CorpusSpec, derive_seed, synth_corpus
 from phasecrash.study import SegmentTrend, _mannwhitney_p, _trend_records
@@ -315,6 +315,14 @@ def _event(series, peak_idx, trough_idx):
     )
 
 
+@pytest.mark.parametrize("trough_idx", [50, 49])
+def test_crash_event_refuses_a_trough_not_after_its_peak(trough_idx):
+    series = _prices(np.linspace(100, 120, 60))
+    with pytest.raises(ValueError) as err:
+        _event(series, 50, trough_idx)
+    assert str(err.value) == "peak_time must precede trough_time"
+
+
 def test_segment_no_events():
     series = _prices(np.linspace(100, 120, 60))
     pre, normal = pc.segment_windows(series, [], _cfg())
@@ -477,31 +485,6 @@ def test_run_study_no_events_inconclusive():
         assert math.isnan(st.p_value)
 
 
-def test_run_study_cross_cov_signal():
-    corpus = _mini_corpus()
-    # align lengths: crash assets end up 1280 long (1260 + 20 drop), controls 1281
-    corpus = [s.slice(0, 1280) for s in corpus]
-    cfg = _mini_cfg(signals=("volatility", "cross_cov"))
-    report = pc.run_study(corpus, cfg)
-    st = report.signals["cross_cov"]
-    assert (st.n_pre + st.n_normal) == len(
-        [r for r in report.segments if r.signal == "cross_cov"]
-    )
-    assert not math.isnan(st.mean_tau_normal)
-
-
-@pytest.mark.parametrize("shift", ["length", "times"])
-def test_run_study_cross_cov_misaligned_panel_raises(shift):
-    panel = [_prices(np.linspace(100, 120, 60), f"A{i}") for i in range(3)]
-    if shift == "length":
-        panel[2] = _prices(np.linspace(100, 120, 61), "A2")
-    else:
-        panel[1] = pc.PriceSeries(panel[1].times + 0.5, panel[1].log_prices, "A1")
-    with pytest.raises(AlignmentError) as exc:
-        pc.run_study(panel, _cfg(signals=("volatility", "cross_cov")))
-    assert exc.value.ids == (("A2",) if shift == "length" else ("A1",))
-
-
 def test_run_study_handles_insufficient_segments():
     # series shorter than window+1 segments are skipped, not fatal
     series = _prices(np.linspace(100, 130, 140))
@@ -605,7 +588,11 @@ def test_signal_trend_inconclusive_reason():
      ("", "signals must be a list of names, got ''"),
      ((), "signals must name at least one signal"),
      (("volatility", "volatility"), "signals repeats 'volatility'"),
-     (("ghe1", "skewness", "ghe1", "skewness", "ghe1"), "signals repeats 'ghe1', 'skewness'")]
+     (("ghe1", "skewness", "ghe1", "skewness", "ghe1"), "signals repeats 'ghe1', 'skewness'"),
+     ((1,), "signals must be a list of names, got (1,)"),
+     (("volatility", None), "signals must be a list of names, got ('volatility', None)"),
+     # a panel signal has no per-asset segments; since 0.15.0 only ews computes it
+     (("volatility", "cross_cov"), "unknown signal 'cross_cov'")]
     + [((name,), f"unknown signal '{name}'")
        for name in ("vol", "ghe0", "ghe-1", "ghe+1", "ghex", "ghe", "cross_covariance")],
 )
@@ -632,5 +619,5 @@ def test_study_config_refuses_bad_fields(kw, message):
 
 def test_study_config_accepts_every_signal_name():
     names = ("volatility", "skewness", "lag1_autocorr", "anomalous_dim", "conformality",
-             "ghe1", "ghe12", "cross_cov")
+             "ghe1", "ghe12")
     assert pc.StudyConfig(signals=names).signals == names
