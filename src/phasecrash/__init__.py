@@ -8,7 +8,6 @@ pre-crash versus normal-time trend comparison on price panels.
 """
 
 from .errors import (
-    AlignmentError,
     ComputationError,
     CsvParseError,
     DegenerateDesignError,
@@ -73,4 +72,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

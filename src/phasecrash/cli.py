@@ -39,6 +39,7 @@ from .io import (
     PARAM_DEFAULTS,
     CorpusSpec,
     RunManifest,
+    _to_dict,
     load_price_csv,
     simulate_asset,
     study_config_from_dict,
@@ -139,7 +140,6 @@ def build_parser():
     p.add_argument("--window", type=int, default=WindowConfig.window)
     p.add_argument("--stride", type=int, default=WindowConfig.stride)
     p.add_argument("--tau-grid", type=_int_list, default=WindowConfig.tau_grid)
-    p.add_argument("--calendar", choices=["as-is", "intersect"], default="as-is")
 
     p = sub.add_parser("detect-crashes", help="drawdown event detection")
     common(p)
@@ -250,16 +250,11 @@ def _cmd_fit_lppl(args):
 
 
 def _cmd_ews(args):
-    calendar = "intersect" if args.calendar == "intersect" else "as_is"
     signals = tuple(s.strip() for s in args.signals.split(",") if s.strip())
     # resolve every name before the panel is read; None marks cross_cov
     estimators = [None if s == CROSS_COV else signal_estimator(s) for s in signals]
-    cfg = WindowConfig(
-        window=args.window,
-        stride=args.stride,
-        tau_grid=args.tau_grid,
-    )
-    series_list = load_price_csv(args.input, calendar)
+    cfg = WindowConfig(window=args.window, stride=args.stride, tau_grid=args.tau_grid)
+    series_list = load_price_csv(args.input)
     out = []
     for estimator in estimators:
         if estimator is None:
@@ -272,7 +267,6 @@ def _cmd_ews(args):
         "window": args.window,
         "stride": args.stride,
         "tau_grid": list(args.tau_grid),
-        "calendar": calendar,
     }
     return cfg_dict, RunManifest.digest_file(args.input)
 
@@ -304,10 +298,9 @@ def _cmd_study(args):
         raise ValueError("study needs exactly one of --input or --spec")
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            cfg_dict = json.load(fh)
-        cfg = study_config_from_dict(cfg_dict)
+            cfg = study_config_from_dict(json.load(fh))
     else:
-        cfg_dict, cfg = {}, StudyConfig()
+        cfg = StudyConfig()
     if args.input is not None:
         assets = load_price_csv(args.input)
         digest = RunManifest.digest_file(args.input)
@@ -327,7 +320,7 @@ def _cmd_study(args):
         report.n_events,
         len(report.signals),
     )
-    return cfg_dict, digest
+    return _to_dict(cfg), digest
 
 
 #: Each writes its outputs and returns the manifest's config and input

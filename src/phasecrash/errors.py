@@ -2,8 +2,8 @@
 
 Two families decide the command line's exit code. Bad input is a
 ``ValueError``: plain ``ValueError`` for simple argument validation, and
-``CsvParseError``, ``AlignmentError`` and ``InsufficientDataError`` where
-callers need the failure mode or its context; with ``OSError`` it exits 1.
+``CsvParseError`` and ``InsufficientDataError`` where callers need the
+failure mode or its context; with ``OSError`` it exits 1.
 A computation that fails on valid input is a :class:`ComputationError`
 (``GenerationError``, ``SimulationOverflowError``,
 ``DegenerateDesignError``, ``FitFailureError``); with ``ArithmeticError``
@@ -41,14 +41,6 @@ class DegenerateDesignError(ComputationError):
 
 class FitFailureError(ComputationError):
     """No usable node in the calibration search grid."""
-
-
-class AlignmentError(PhasecrashError, ValueError):
-    """Series in a panel do not share timestamps; ``ids`` names offenders."""
-
-    def __init__(self, message, ids=()):
-        super().__init__(message)
-        self.ids = tuple(ids)
 
 
 class InsufficientDataError(PhasecrashError, ValueError):

@@ -16,8 +16,9 @@ series in row blocks of bounded size. Each row is reduced on its own, so
 a window's value does not depend on the stride or on the blocking.
 Moments are two-pass (window mean first, then centred sums), as in the
 textbook formulas, so they avoid the cancellation of one-pass power
-sums. The cross-covariance is the mean
-pairwise covariance ``(Var(sum_i r_i) - sum_i Var(r_i)) / (k (k - 1))``.
+sums. The cross-covariance, the only code that aligns a panel, is the
+mean pairwise covariance ``(Var(sum_i r_i) - sum_i Var(r_i)) / (k (k - 1))``
+over the dates that all its series share.
 
 The scaling exponent of a window is estimated from structure functions:
 ``S_q(tau) = mean_t |x(t+tau) - x(t)|**q`` over the lags in ``tau_grid``,
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AlignmentError, InsufficientDataError
+from .errors import InsufficientDataError
 
 __all__ = [
     "PriceSeries",
@@ -198,7 +199,7 @@ def _windows(series, cfg, min_window=None):
             f"series {series.id!r} has {len(series)} observations, "
             f"needs at least window{' + 1' if lag else ''} = {cfg.window + lag}"
         )
-    starts = np.arange(0, values.size - cfg.window + 1, cfg.stride)
+    starts = np.arange(values.size - cfg.window + 1)[:: cfg.stride]
     return values, starts, series.times[starts + cfg.window - 1 + lag]
 
 
@@ -337,16 +338,25 @@ def conformality_index(series, cfg):
 
 
 def cross_covariance(series_list, cfg):
-    """Mean pairwise covariance of log-returns across an aligned panel;
-    :class:`AlignmentError` names every series whose timestamps differ
-    from those of the first."""
+    """Mean pairwise covariance of log-returns across a panel, over the keys
+    that all its series share: dates, or times for a series without dates,
+    so a dated and an undated series share none. Returns run between shared
+    keys, and windows are stamped with the first series' times."""
     if len(series_list) < 2:
         raise ValueError("cross_covariance needs at least 2 series")
-    ref = series_list[0]
-    bad = [s.id for s in series_list[1:] if not np.array_equal(s.times, ref.times)]
-    if bad:
-        raise AlignmentError(f"series not aligned with {ref.id!r}: {bad}", ids=bad)
-    _, starts, times = _windows(ref, cfg, min_window=2)
+    ref, *rest = series_list
+    if any(s.dates != ref.dates or not np.array_equal(s.times, ref.times) for s in rest):
+        keys = [s.times.tolist() if s.dates is None else s.dates for s in series_list]
+        shared = set(keys[0]).intersection(*keys[1:])
+        if len(shared) < cfg.window + 1:
+            raise InsufficientDataError(
+                f"the panel shares {len(shared)} dates, needs at least window + 1 = "
+                f"{cfg.window + 1}"
+            )
+        keep = (np.fromiter(map(shared.__contains__, key), bool, len(key)) for key in keys)
+        series_list = [PriceSeries(s.times[m], s.log_prices[m], s.id)
+                       for s, m in zip(series_list, keep)]
+    _, starts, times = _windows(series_list[0], cfg, min_window=2)
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]
 

@@ -2,8 +2,8 @@
 
 Price files use the fixed schema ``date,ticker,close`` (ISO dates, UTF-8,
 header required). Dates load as ``YYYY-MM-DD`` however they are spelt,
-and sort, match and intersect in that form. Timestamps become integer
-observation indices per ticker; calendar gaps are not interpolated. On
+and sort and match in that form. Timestamps become integer observation
+indices per ticker, each on its own dates; gaps are not interpolated. On
 write, closes carry 17 significant digits and are nudged within a few
 ulps so that the loader's ``np.log(float(close))`` reproduces the
 in-memory log-price bit-exactly for |log-price| >= 1, that is, for
@@ -31,7 +31,6 @@ JSON outputs are strict JSON: a non-finite float is written as ``null``.
 import csv
 import hashlib
 import json
-import logging
 import math
 import os
 import tempfile
@@ -80,8 +79,6 @@ __all__ = [
     "study_config_from_dict",
     "window_config_from_dict",
 ]
-
-log = logging.getLogger("phasecrash")
 
 _BASE_DATE = date(2000, 1, 3)  # synthetic calendars start here
 
@@ -210,15 +207,9 @@ def _chunk_columns(reader, rank, code, ordinal):
     return tick, day, closes
 
 
-def load_price_csv(path, calendar="as_is"):
+def load_price_csv(path):
     """Read ``date,ticker,close`` rows into one PriceSeries per ticker, in
-    first-appearance order, each sorted by its ``YYYY-MM-DD`` dates.
-
-    ``calendar="intersect"`` restricts every series to the common date
-    set, which aligns the panel for cross-covariance work.
-    """
-    if calendar not in ("as_is", "intersect"):
-        raise ValueError(f"unknown calendar mode {calendar!r}")
+    first-appearance order, each sorted by its ``YYYY-MM-DD`` dates."""
     rank, code, ordinal, parts = {}, {}, {}, []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -241,13 +232,6 @@ def load_price_csv(path, calendar="as_is"):
     dup = (tick[1:] == tick[:-1]) & (day[1:] == day[:-1])
     if dup.any():  # the stable sort puts a pair's later rows after its first
         _raise_first_bad_row(path, int(order[1:][dup].min()))
-    if calendar == "intersect":
-        _, inverse, per_day = np.unique(day, return_inverse=True, return_counts=True)
-        common = per_day[inverse] == len(rank)
-        if not common.any():
-            log.warning("%s: no common dates across tickers; empty result", path)
-            return []
-        tick, day, lp = tick[common], day[common], lp[common]
     cuts = np.flatnonzero(np.diff(tick)) + 1
     iso = {o: date.fromordinal(o).isoformat() for o in np.unique(day).tolist()}
     return [
@@ -545,6 +529,11 @@ def _from_dict(cls, d, what):
             value = tuple(value)
         kw[f.name] = value
     return cls(**kw)
+
+
+def _to_dict(obj):
+    """Dataclass ``obj`` keyed as :func:`_from_dict` reads it."""
+    return {_JSON_KEYS.get(k, k): v for k, v in asdict(obj).items()}
 
 
 def window_config_from_dict(d):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import wilcoxon
 
 import phasecrash as pc
-from phasecrash.errors import AlignmentError, InsufficientDataError
+from phasecrash.errors import InsufficientDataError
 from phasecrash.ews import ghe_signal, signal_estimator
 from phasecrash.io import derive_seed
 
@@ -292,27 +292,49 @@ def test_cross_cov_independent_null_band():
     assert np.mean(np.abs(cc.values) < bound) >= 0.95
 
 
-def test_cross_cov_misaligned_raises():
-    a = series_from_increments(np.ones(50), "a")
-    b = pc.PriceSeries(np.arange(51.0) * 2.0, np.zeros(51), "weird")
-    with pytest.raises(AlignmentError) as exc:
-        pc.cross_covariance([a, b], _cfg(window=10))
-    assert "weird" in exc.value.ids
+def _random_panel(n, k=4, seed=21):
+    rng = np.random.default_rng(seed)
+    return [series_from_increments(0.01 * rng.standard_normal(n), f"A{i}") for i in range(k)]
 
 
 @pytest.mark.parametrize("shift", ["length", "times"])
-def test_cross_cov_names_every_misaligned_series(shift):
-    panel = [series_from_increments(np.ones(60), f"A{i}") for i in range(4)]
+def test_cross_cov_misaligned_panel_runs_on_the_shared_times(shift):
+    # the panel restricted by hand to the times every series has is aligned
+    panel = _random_panel(60)
     if shift == "length":
-        panel[2] = series_from_increments(np.ones(61), "A2")
+        panel[2] = _random_panel(61, seed=22)[2]
+        by_hand = [*panel[:2], panel[2].slice(0, 61), panel[3]]
     else:
         for i in (1, 3):
-            panel[i] = pc.PriceSeries(panel[i].times + 0.5, panel[i].log_prices, f"A{i}")
-    bad = ["A2"] if shift == "length" else ["A1", "A3"]
-    with pytest.raises(AlignmentError) as exc:
-        pc.cross_covariance(panel, _cfg(window=10))
-    assert exc.value.ids == tuple(bad)
-    assert str(exc.value) == f"series not aligned with 'A0': {bad}"
+            panel[i] = pc.PriceSeries(panel[i].times + 5.0, panel[i].log_prices, f"A{i}")
+        by_hand = [s.slice(5, 61) if i in (0, 2) else s.slice(0, 56)
+                   for i, s in enumerate(panel)]
+    cfg = _cfg(window=10, stride=3)
+    got, want = pc.cross_covariance(panel, cfg), pc.cross_covariance(by_hand, cfg)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.times, want.times)  # the first series' times
+    assert got.id == want.id == "A0|A1|A2|A3"
+
+
+def test_cross_cov_panel_with_too_few_shared_times_names_the_count():
+    a, b = _random_panel(60, k=2)
+    b = pc.PriceSeries(b.times + 55.0, b.log_prices, "b")  # shares times 55..60
+    with pytest.raises(InsufficientDataError) as exc:
+        pc.cross_covariance([a, b], _cfg(window=10))
+    assert str(exc.value) == "the panel shares 6 dates, needs at least window + 1 = 11"
+
+
+@pytest.mark.parametrize("case", ["disjoint", "dated-and-undated"])
+def test_cross_cov_refuses_a_panel_that_shares_no_dates(case):
+    a, b = _random_panel(60, k=2)
+    if case == "disjoint":
+        b = pc.PriceSeries(b.times + 0.5, b.log_prices, "b")
+    else:  # equal times, but only one series knows its dates
+        dates = tuple(f"2000-{m:02d}-{d:02d}" for m in (1, 2, 3) for d in range(1, 21))
+        b = pc.PriceSeries(b.times, b.log_prices, "b", dates + ("2000-04-01",))
+    with pytest.raises(InsufficientDataError) as exc:
+        pc.cross_covariance([a, b], _cfg(window=10))
+    assert str(exc.value) == "the panel shares 0 dates, needs at least window + 1 = 11"
 
 
 def test_cross_cov_refuses_a_single_series():
@@ -382,6 +404,20 @@ def test_minimum_length_gives_one_window_stamped_at_the_last_time(signal, lag):
     with pytest.raises(InsufficientDataError,
                        match=f"has {needed - 1} observations, .* = {needed}$"):
         estimate(needed - 1)
+
+
+@pytest.mark.parametrize("signal", ["volatility", "skewness", "lag1_autocorr", "cross_cov",
+                                    "anomalous_dim", "ghe1", "conformality"])
+def test_a_stride_past_the_int64_range_gives_the_first_window(signal):
+    cfg = pc.WindowConfig(window=40, stride=2**63, tau_grid=(2, 4, 8))
+    panel = _random_panel(100, k=2)
+    if signal == "cross_cov":
+        out = pc.cross_covariance(panel, cfg)
+    else:
+        out = signal_estimator(signal)(panel[0], cfg)
+    lag = 1 if signal in ("volatility", "skewness", "lag1_autocorr", "cross_cov") else 0
+    assert out.times.tolist() == [cfg.window - 1.0 + lag]
+    assert np.isfinite(out.values).all()
 
 
 def test_volatility_return_scaling_linear():

@@ -20,7 +20,6 @@ import phasecrash.cli as pc_cli
 import phasecrash.io as pc_io
 from phasecrash.cli import build_parser, cli_dispatch
 from phasecrash.errors import (
-    AlignmentError,
     CsvParseError,
     DegenerateDesignError,
     FitFailureError,
@@ -81,26 +80,39 @@ def test_load_sorts_by_date(tmp_path):
     assert s.log_prices[0] == math.log(100)
 
 
-def test_load_intersect_disjoint_warns_empty(tmp_path, caplog):
+def _cross_cov_against_the_intersect_oracle(path, cfg):
+    """cross_cov of the panel at ``path`` as it loads, checked against the
+    oracle loader's panel restricted to the dates every ticker has."""
+    got = pc.cross_covariance(load_price_csv(path), cfg)
+    want = pc.cross_covariance(io_reference.load_price_csv(path, "intersect"), cfg)
+    assert np.array_equal(got.values, want.values)
+    assert (got.signal, got.id) == (want.signal, want.id)
+    return got, want
+
+
+def test_cross_cov_refuses_a_loaded_panel_with_no_common_dates(tmp_path):
     text = "date,ticker,close\n2020-01-02,A,100\n2020-01-03,B,50\n"
     path = _write(tmp_path, text)
-    with caplog.at_level("WARNING", logger="phasecrash"):
-        out = load_price_csv(path, calendar="intersect")
-    assert out == []
-    assert any("no common dates" in r.message for r in caplog.records)
+    assert [s.dates for s in load_price_csv(path)] == [("2020-01-02",), ("2020-01-03",)]
+    assert io_reference.load_price_csv(path, "intersect") == []
+    with pytest.raises(InsufficientDataError) as exc:
+        pc.cross_covariance(load_price_csv(path), pc.WindowConfig(window=2))
+    assert str(exc.value) == "the panel shares 0 dates, needs at least window + 1 = 3"
 
 
-def test_load_intersect_aligns(tmp_path):
+def test_cross_cov_pairs_a_loaded_panel_on_its_common_dates(tmp_path):
     text = (
         "date,ticker,close\n"
-        "2020-01-02,A,100\n2020-01-03,A,101\n2020-01-06,A,102\n"
-        "2020-01-03,B,50\n2020-01-06,B,51\n"
+        "2020-01-02,A,100\n2020-01-03,A,101\n2020-01-06,A,102\n2020-01-07,A,104\n"
+        "2020-01-03,B,50\n2020-01-06,B,51\n2020-01-07,B,53\n"
     )
-    out = load_price_csv(_write(tmp_path, text), calendar="intersect")
-    assert {s.id for s in out} == {"A", "B"}
-    for s in out:
-        assert s.dates == ("2020-01-03", "2020-01-06")
-        assert np.array_equal(s.times, [0.0, 1.0])
+    path = _write(tmp_path, text)
+    a, b = load_price_csv(path)
+    assert (len(a), len(b)) == (4, 3)  # each ticker keeps its own dates
+    got, want = _cross_cov_against_the_intersect_oracle(path, pc.WindowConfig(window=2))
+    assert got.values.size == 1
+    # stamped with A's index of 2020-01-07, where the oracle renumbers
+    assert (got.times.tolist(), want.times.tolist()) == ([3.0], [2.0])
 
 
 def test_load_nonpositive_close_names_line(tmp_path):
@@ -127,11 +139,11 @@ def test_load_malformed_rows(tmp_path, body, line):
     assert exc.value.line == line
 
 
-def test_load_refuses_an_unknown_calendar(tmp_path):
+def test_load_takes_no_calendar(tmp_path):
     path = _write(tmp_path, "date,ticker,close\n2020-01-02,A,100\n")
-    with pytest.raises(ValueError) as exc:
-        load_price_csv(path, "union")
-    assert str(exc.value) == "unknown calendar mode 'union'"
+    with pytest.raises(TypeError) as exc:
+        load_price_csv(path, "intersect")
+    assert str(exc.value) == "load_price_csv() takes 1 positional argument but 2 were given"
 
 
 @pytest.mark.parametrize("exists", [True, False])
@@ -171,20 +183,21 @@ def test_load_same_date_in_three_spellings_is_a_duplicate(tmp_path):
 
 
 @needs_311
-def test_load_mixed_date_spellings_sort_and_intersect_in_calendar_order(tmp_path):
+def test_load_mixed_date_spellings_sort_and_pair_in_calendar_order(tmp_path):
     text = (
         "date,ticker,close\n"
         "2000-01-04,A,101\n20000106,A,103\n2000-W01-1,A,100\n2000-01-05,A,102\n"
-        "2000-01-03,B,50\n2000-W01-4,B,53\n"
+        "2000-01-03,B,50\n2000-W01-4,B,53\n2000-W01-3,B,52\n"
     )
     path = _write(tmp_path, text)
     a, b = load_price_csv(path)
     assert a.dates == ("2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06")
     assert np.array_equal(a.log_prices, np.log([100.0, 101.0, 102.0, 103.0]))
-    assert b.dates == ("2000-01-03", "2000-01-06")
-    out = load_price_csv(path, calendar="intersect")
-    assert [s.dates for s in out] == [("2000-01-03", "2000-01-06")] * 2
-    assert np.array_equal(out[0].log_prices, np.log([100.0, 103.0]))
+    assert b.dates == ("2000-01-03", "2000-01-05", "2000-01-06")
+    got, _ = _cross_cov_against_the_intersect_oracle(path, pc.WindowConfig(window=2))
+    r = np.diff(np.log([[100.0, 102.0, 103.0], [50.0, 52.0, 53.0]]))
+    assert got.values[0] == pytest.approx(np.cov(r)[0, 1], rel=1e-12)
+    assert got.times.tolist() == [3.0]
 
 
 def _assert_same_series(got, want):
@@ -211,10 +224,14 @@ def test_load_matches_reference_on_a_mixed_file(tmp_path):
         '2020-01-06,"BRK,A",1e2\n'
     )
     path = _write(tmp_path, text)
-    for calendar in ("as_is", "intersect"):
-        got = load_price_csv(path, calendar)
-        _assert_same_series(got, io_reference.load_price_csv(path, calendar))
+    got = load_price_csv(path)
+    _assert_same_series(got, io_reference.load_price_csv(path))
     assert [s.id for s in got] == ["BRK,A", "plain", 'say "hi"']
+    # the tickers share 2020-01-02 and 2020-01-06, one return: too few
+    assert [len(s) for s in io_reference.load_price_csv(path, "intersect")] == [2, 2, 2]
+    with pytest.raises(InsufficientDataError) as exc:
+        pc.cross_covariance(got, pc.WindowConfig(window=2))
+    assert str(exc.value) == "the panel shares 2 dates, needs at least window + 1 = 3"
 
 
 @pytest.mark.parametrize(
@@ -260,8 +277,8 @@ def test_load_bad_close_deep_in_a_large_file_matches_reference(tmp_path):
 
 # A file read a few records at a time: blank records fall on chunk
 # boundaries, every ticker's rows span chunks, 2020-01-07 is first seen
-# in a late chunk, one row is padded, and the quoted ids hold ",", '"'
-# and "%".
+# in a late chunk, one row is padded, the quoted ids hold ",", '"' and
+# "%", and the four tickers share three dates.
 _CHUNKED = (
     "date,ticker,close\n"
     '2020-01-03,"BRK,A",101.5\n'
@@ -276,6 +293,7 @@ _CHUNKED = (
     '2020-01-06,"say ""hi""",3.5\n'
     " 2020-01-03 , 50% , 1_000 \n"
     '2020-01-06,"BRK,A",1e2\n'
+    "2020-01-06,%s,9.25\n"
     "2020-01-07,%s,9\n"
     '2020-01-07,"say ""hi""",4\n'
     "2020-01-07,50%,8\n"
@@ -288,11 +306,12 @@ _CHUNKED = (
 def test_load_across_chunk_boundaries_matches_reference(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(pc_io, "_CHUNK_ROWS", chunk)
     path = _write(tmp_path, _CHUNKED)
-    for calendar in ("as_is", "intersect"):
-        got = load_price_csv(path, calendar)
-        _assert_same_series(got, io_reference.load_price_csv(path, calendar))
-        assert [s.id for s in got] == ["BRK,A", 'say "hi"', "50%", "%s"]
-    assert got[0].dates == ("2020-01-02", "2020-01-07")
+    got = load_price_csv(path)
+    _assert_same_series(got, io_reference.load_price_csv(path))
+    assert [s.id for s in got] == ["BRK,A", 'say "hi"', "50%", "%s"]
+    assert got[0].dates == ("2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07")
+    cc, _ = _cross_cov_against_the_intersect_oracle(path, pc.WindowConfig(window=2))
+    assert cc.times.tolist() == [3.0]  # "BRK,A"'s index of 2020-01-07
 
 
 def _good_rows(count):
@@ -483,9 +502,9 @@ def test_readme_corpus_round_trip_matches_reference(tmp_path):
     new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
     write_price_csv(corpus, new)
     io_reference.write_price_csv(corpus, ref)
-    for calendar in ("as_is", "intersect"):
-        got = load_price_csv(new, calendar)
-        _assert_same_series(got, io_reference.load_price_csv(new, calendar))
+    _assert_same_series(load_price_csv(new), io_reference.load_price_csv(new))
+    got, want = _cross_cov_against_the_intersect_oracle(new, pc.WindowConfig())
+    assert np.array_equal(got.times, want.times)  # an aligned panel
     # the two writers differ in close digits only, and never in exactness
     # where the oracle's close reloads exactly
     new_lines, ref_lines = (Path(p).read_text(encoding="utf-8").splitlines() for p in (new, ref))
@@ -1458,6 +1477,24 @@ def test_cli_study_replay_byte_identical(tmp_path):
     assert "anomalous_dim" in report["signals"]
 
 
+@pytest.mark.parametrize("with_config", [False, True])
+def test_cli_study_manifest_records_the_resolved_config(tmp_path, with_config):
+    spec = _spec_file(tmp_path, n_crash=1, n_bm=1)
+    argv = ["study", "--spec", spec, "--seed", "3", "--out", str(tmp_path / "o")]
+    cfg = pc.StudyConfig()
+    if with_config:  # a partial config: the rest takes the defaults
+        partial = {"signals": ["volatility", "ghe1"], "ews": {"window": 126, "tau_grid": [2, 4, 8]}}
+        (tmp_path / "study.json").write_text(json.dumps(partial))
+        argv += ["--config", str(tmp_path / "study.json")]
+        cfg = study_config_from_dict(partial)
+    assert cli_dispatch(argv) == 0
+    recorded = _read_json(tmp_path / "o" / "manifest.json")["config"]
+    assert sorted(recorded) == ["crash_threshold", "ews", "exclusion_margin", "lookback",
+                                "pre_crash_window", "signals"]
+    assert sorted(recorded["ews"]) == ["orders", "stride", "tau_grid", "window"]
+    assert study_config_from_dict(recorded) == cfg
+
+
 def test_cli_study_requires_one_input(tmp_path):
     assert cli_dispatch(["study", "--out", str(tmp_path)]) == 1
 
@@ -1548,7 +1585,7 @@ def test_error_families():
     for cls in (GenerationError, SimulationOverflowError, DegenerateDesignError,
                 FitFailureError):
         assert issubclass(cls, pc.ComputationError) and not issubclass(cls, ValueError)
-    for cls in (CsvParseError, AlignmentError, InsufficientDataError):
+    for cls in (CsvParseError, InsufficientDataError):
         assert issubclass(cls, ValueError) and not issubclass(cls, pc.ComputationError)
 
 
@@ -1561,7 +1598,6 @@ def test_error_families():
      (ZeroDivisionError("division by zero"), 2),
      (ValueError("bad value"), 1),
      (CsvParseError("bad row", line=2), 1),
-     (AlignmentError("not aligned", ids=["B"]), 1),
      (InsufficientDataError("too short"), 1),
      (json.JSONDecodeError("bad json", "{", 1), 1),
      (FileNotFoundError("absent"), 1),
@@ -1613,16 +1649,65 @@ def test_cli_simulate_multi_writes_panel(tmp_path):
     assert all(len(s) == 201 for s in loaded)
 
 
-def test_cli_ews_cross_cov_intersect(tmp_path):
+def test_cli_ews_cross_cov(tmp_path):
     spec = _spec_file(tmp_path, n_crash=0, n_bm=3)
     out = str(tmp_path / "cc")
     cli_dispatch(["synth", "--spec", spec, "--seed", "5", "--out", out])
     rc = cli_dispatch(
         ["ews", "--input", os.path.join(out, "corpus.csv"), "--signals", "cross_cov",
-         "--window", "126", "--stride", "21", "--tau-grid", "2,4,8", "--calendar",
-         "intersect", "--out", out]
+         "--window", "126", "--stride", "21", "--tau-grid", "2,4,8", "--out", out]
     )
     assert rc == 0
     lines = Path(os.path.join(out, "signals.csv")).read_text(encoding="utf-8").splitlines()
     assert all(ln.split(",")[1] == "cross_cov" for ln in lines[1:])
     assert len(lines) > 10
+
+
+def test_cli_ews_cross_cov_pairs_tickers_by_date(tmp_path):
+    # two 300-day tickers 200 days apart: only 100 dates pair up
+    rng = np.random.default_rng(derive_seed(22, 0))
+    day0 = date(2020, 1, 1)
+    panel = [
+        pc.PriceSeries(np.arange(300.0), 4.6 + np.cumsum(0.01 * rng.standard_normal(300)),
+                       ticker, tuple((day0 + timedelta(days=offset + i)).isoformat()
+                                     for i in range(300)))
+        for ticker, offset in (("A", 0), ("B", 200))
+    ]
+    path = str(tmp_path / "panel.csv")
+    write_price_csv(panel, path)
+    out = tmp_path / "o"
+    argv = ["ews", "--input", path, "--signals", "cross_cov", "--window", "63"]
+    assert cli_dispatch([*argv, "--out", str(out)]) == 0
+    with open(out / "signals.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = pc.WindowConfig(window=63)
+    want = pc.cross_covariance(io_reference.load_price_csv(path, "intersect"), cfg)
+    assert [float(r["value"]) for r in rows] == want.values.tolist()
+    # stamped with A's own index: the shared dates start at its day 200
+    assert [float(r["window_end_time"]) for r in rows] == (200.0 + want.times).tolist()
+    assert "calendar" not in _read_json(out / "manifest.json")["config"]
+
+
+def test_cli_ews_has_no_calendar_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["ews", "--input", str(tmp_path / "absent.csv"), "--calendar", "intersect"]
+    assert cli_dispatch([*argv, "--out", str(out)]) == 1
+    assert "unrecognized arguments: --calendar intersect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_ews_stride_past_the_int64_range_gives_one_window(tmp_path):
+    spec = _spec_file(tmp_path, n_crash=1, n_bm=2)
+    out = str(tmp_path / "o")
+    cli_dispatch(["synth", "--spec", spec, "--seed", "5", "--out", out])
+    rc = cli_dispatch(
+        ["ews", "--input", os.path.join(out, "corpus.csv"), "--signals",
+         "volatility,anomalous_dim,cross_cov", "--window", "126", "--tau-grid", "2,4,8",
+         "--stride", str(2**63), "--out", out]
+    )
+    assert rc == 0
+    with open(os.path.join(out, "signals.csv"), newline="", encoding="utf-8") as fh:
+        rows = [(r["asset_id"], r["signal"]) for r in csv.DictReader(fh)]
+    ids = ["H000", "B000", "B001"]
+    assert rows == [*((i, "volatility") for i in ids), *((i, "anomalous_dim") for i in ids),
+                    ("H000|B000|B001", "cross_cov")]
