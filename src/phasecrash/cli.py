@@ -55,7 +55,7 @@ from .io import (
 from .lppl import SearchConfig, fit_lppl
 from .noise import _check_seed
 from .simulate import CPT_LAM, MultiParams, MuSchedule, simulate_multivariate
-from .study import StudyConfig, detect_panel, run_study
+from .study import StudyConfig, _check_signal_list, detect_panel, run_study
 
 log = logging.getLogger("phasecrash")
 
@@ -253,6 +253,7 @@ def _cmd_ews(args):
     signals = tuple(s.strip() for s in args.signals.split(",") if s.strip())
     # resolve every name before the panel is read; None marks cross_cov
     estimators = [None if s == CROSS_COV else signal_estimator(s) for s in signals]
+    _check_signal_list(signals)
     cfg = WindowConfig(window=args.window, stride=args.stride, tau_grid=args.tau_grid)
     series_list = load_price_csv(args.input)
     out = []

@@ -25,11 +25,12 @@ noise-amplified coefficients.
 The search factorises a coarse grid one (tc, m) row of omegas at a time.
 ``ln(tc - t)`` and the cosine and sine of every omega depend on tc only,
 so one trig pass per tc serves all of its m rows. Then :func:`minimize`,
-a numpy port of scipy's bounded Nelder-Mead (Nelder & Mead 1965), refines
-the best nodes in lockstep: each phase of a step (reflect; expand or
-contract; shrink) profiles the trial points of every live start in one
-batched call. Ties in the residual are broken by lexicographic
-(tc, m, omega), so the fit does not depend on the order of the grid.
+a port of scipy's bounded Nelder-Mead (Nelder & Mead 1965), refines the
+best nodes in lockstep. Each start's simplex bookkeeping runs in Python
+floats, and each phase of a step (reflect; expand or contract; shrink)
+profiles the trial points of every live start in one batched residual
+call. Ties in the residual are broken by lexicographic (tc, m, omega), so
+the fit does not depend on the order of the grid.
 
 Fitting arbitrary data always yields *some* finite-residual parameters;
 when a series has no log-periodic structure the improvement over a pure
@@ -40,6 +41,8 @@ parameters fit almost anything.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -150,7 +153,7 @@ class SearchConfig:
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
-    best grid node.
+    best grid node. The four counts must be integers; a bool is refused.
     """
 
     m_bounds: tuple = (0.1, 0.9)
@@ -172,6 +175,8 @@ class SearchConfig:
             raise ValueError("tc_bounds must satisfy lo < hi")
         for name, lo in (("n_tc", 1), ("n_m", 1), ("n_omega", 1), ("refine_top_k", 0)):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {value!r}")
 
@@ -312,24 +317,55 @@ class SimplexResult:
         return int(self.start_nfev.sum())
 
 
-def _sorted(sim, fsim):
-    order = np.argsort(fsim, axis=-1)
-    return np.take_along_axis(sim, order[..., None], -2), np.take_along_axis(fsim, order, -1)
+def _clip(point, box):
+    """``np.clip`` with array bounds, on Python floats: a value tied with a
+    bound becomes the bound (so a signed zero takes the bound's sign) and
+    NaN passes through."""
+    out = []
+    for v, (lo, hi) in zip(point, box):
+        v = lo if v <= lo else v
+        out.append(hi if v >= hi else v)
+    return out
+
+
+def _values(fun, points):
+    """``fun`` on a list of points, as Python floats."""
+    return np.asarray(fun(np.array(points)), dtype=float).tolist()
+
+
+def _sort(sims, fsims, starts):
+    """Order each listed start's vertices by value, with one ``np.argsort``
+    so that ties keep their order and inf and NaN go last."""
+    orders = np.argsort(np.array([fsims[i] for i in starts]), axis=-1).tolist()
+    for i, order in zip(starts, orders):
+        sims[i] = [sims[i][j] for j in order]
+        fsims[i] = [fsims[i][j] for j in order]
+
+
+def _stopped(sim, fsim):
+    # scipy's rule; a NaN spread (inf - inf) compares False, so it never stops
+    return all(abs(fsim[0] - f) <= 1e-12 for f in fsim[1:]) and all(
+        abs(v - b) <= 1e-6 for vertex in sim[1:] for v, b in zip(vertex, sim[0])
+    )
 
 
 def minimize(fun, x0, bounds):
     """Bounded Nelder-Mead from each row of ``x0``, all starts in lockstep.
 
-    A numpy port of ``scipy.optimize.minimize(method="Nelder-Mead")`` with
+    A port of ``scipy.optimize.minimize(method="Nelder-Mead")`` with
     ``bounds``, a sequence of (lo, hi) pairs, ``maxiter=400`` and the stop
     rule ``xatol=1e-6``, ``fatol=1e-12``. It keeps scipy's coefficients
     (reflect 1, expand 2, contract 1/2, shrink 1/2), its initial simplex
-    (each coordinate times 1.05, reflected back under its upper bound) and
-    its clipping of every vertex, so each start takes scipy's steps
-    exactly. ``fun`` maps a (p, d) array of points to their p values. Each
-    phase of a step (reflect; expand or contract; shrink) calls it once on
-    the trial points of every live start; a start that stops is masked
-    out. Returns a :class:`SimplexResult`.
+    (each coordinate times 1.05, reflected back under its upper bound), its
+    arithmetic term by term and its clipping of every vertex, so each start
+    takes scipy's steps exactly. ``fun`` maps a (p, d) array of points to
+    their p values. Each start's simplex, stop test and choice of step run
+    on Python floats, which at a few starts costs far less than numpy calls
+    on arrays of a few dozen entries; that cost grows linearly with the
+    number of starts. The objective stays batched: each phase (initial
+    simplex; reflect; expand or contract; shrink) calls ``fun`` once on the
+    points of every live start, and a start that stops drops out. Returns
+    a :class:`SimplexResult`.
     """
     lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -338,59 +374,80 @@ def minimize(fun, x0, bounds):
     diag = np.arange(d)
     sim[:, diag + 1, diag] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.asarray(fun(sim.reshape(-1, d)), dtype=float).reshape(k, d + 1)
-    sim, fsim = _sorted(sim, fsim)
-    nfev = np.full(k, d + 1)
-    iterations = np.ones(k, dtype=int)  # scipy counts from 1
-    running = np.ones(k, dtype=bool)
+    sims = sim.tolist()
+    fsims = np.asarray(fun(sim.reshape(-1, d)), dtype=float).reshape(k, d + 1).tolist()
+    _sort(sims, fsims, range(k))
+    box = list(zip(lo.tolist(), hi.tolist()))
+    nfev = [d + 1] * k
+    iterations = [1] * k  # scipy counts from 1
+    live = range(k)
     while True:
-        running &= iterations < _MAX_ITER
-        s, f = sim[running], fsim[running]
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which never stops
-            running[running] = ~(
-                (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2), initial=0.0) <= 1e-6)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1, initial=0.0) <= 1e-12)
-            )
-        live = np.flatnonzero(running)
-        if not live.size:
+        live = [
+            i for i in live if iterations[i] < _MAX_ITER and not _stopped(sims[i], fsims[i])
+        ]
+        if not live:
             break
-        s, f = sim[live], fsim[live]
-        worst = s[:, -1]
-        xbar = np.add.reduce(s[:, :-1], 1) / d
-        xr = np.clip(2 * xbar - worst, lo, hi)
-        fxr = np.asarray(fun(xr), dtype=float)
+        xbars, reflected = [], []
+        for i in live:
+            *rest, worst = sims[i]
+            # summed in vertex order, as numpy reduces the vertex axis
+            xbar = [reduce(add, column) / d for column in zip(*rest)]
+            xbars.append(xbar)
+            reflected.append(_clip([2 * a - w for a, w in zip(xbar, worst)], box))
+        fxr = _values(fun, reflected)
         # scipy's branches: expand, keep xr, contract outside or inside
-        expand = fxr < f[:, 0]
-        keep = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~keep & (fxr < f[:, -1])
-        inside = ~expand & ~keep & ~outside
-        trial = np.where(
-            expand[:, None],
-            3 * xbar - 2 * worst,
-            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
-        )
-        trial = np.clip(trial, lo, hi)
-        ftrial = np.full(live.size, np.nan)
-        if not keep.all():
-            ftrial[~keep] = fun(trial[~keep])
-        take = (
-            (expand & (ftrial < fxr))
-            | (outside & (ftrial <= fxr))
-            | (inside & (ftrial < f[:, -1]))
-        )
-        shrink = (outside | inside) & ~take
-        swap = ~shrink
-        s[swap, -1] = np.where(take[:, None], trial, xr)[swap]
-        f[swap, -1] = np.where(take, ftrial, fxr)[swap]
-        if shrink.any():
-            best = s[shrink, :1]
-            s[shrink, 1:] = np.clip(best + 0.5 * (s[shrink, 1:] - best), lo, hi)
-            f[shrink, 1:] = np.reshape(fun(s[shrink, 1:].reshape(-1, d)), (-1, d))
-        nfev[live] += 1 + ~keep + d * shrink
-        iterations[live] += 1
-        sim[live], fsim[live] = _sorted(s, f)
+        steps, trials = [], []
+        for i, xbar, fr in zip(live, xbars, fxr):
+            f, worst = fsims[i], sims[i][-1]
+            if fr < f[0]:
+                step, trial = "expand", [3 * a - 2 * w for a, w in zip(xbar, worst)]
+            elif fr < f[-2]:
+                step, trial = "keep", None
+            elif fr < f[-1]:
+                step, trial = "outside", [1.5 * a - 0.5 * w for a, w in zip(xbar, worst)]
+            else:
+                step, trial = "inside", [0.5 * a + 0.5 * w for a, w in zip(xbar, worst)]
+            steps.append(step)
+            if trial is not None:
+                trials.append(_clip(trial, box))
+        ftrials = iter(_values(fun, trials) if trials else ())
+        trials = iter(trials)
+        shrunk, points = [], []
+        for i, step, xr, fr in zip(live, steps, reflected, fxr):
+            s, f = sims[i], fsims[i]
+            nfev[i] += 1
+            iterations[i] += 1
+            if step == "keep":
+                s[-1], f[-1] = xr, fr
+                continue
+            trial, ft = next(trials), next(ftrials)
+            nfev[i] += 1
+            if step == "expand":
+                take = ft < fr
+            elif step == "outside":
+                take = ft <= fr
+            else:
+                take = ft < f[-1]
+            if take:
+                s[-1], f[-1] = trial, ft
+            elif step == "expand":
+                s[-1], f[-1] = xr, fr
+            else:
+                best = s[0]
+                s[1:] = [_clip([b + 0.5 * (v - b) for v, b in zip(x, best)], box) for x in s[1:]]
+                shrunk.append(i)
+                points += s[1:]
+                nfev[i] += d
+        if shrunk:
+            values = _values(fun, points)
+            for n, i in enumerate(shrunk):
+                fsims[i][1:] = values[n * d : (n + 1) * d]
+        _sort(sims, fsims, live)
     return SimplexResult(
-        x=sim[:, 0], fun=fsim.min(axis=1), success=iterations < _MAX_ITER, start_nfev=nfev
+        x=np.array([s[0] for s in sims]).reshape(k, d),
+        fun=np.array(fsims).reshape(k, d + 1).min(axis=1),
+        success=np.array(iterations) < _MAX_ITER,
+        start_nfev=np.array(nfev, dtype=int),
     )
 
 

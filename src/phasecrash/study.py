@@ -97,6 +97,16 @@ def _default_ews_cfg():
     return WindowConfig(window=63, stride=5, tau_grid=(2, 4, 8), orders=(1, 2))
 
 
+def _check_signal_list(signals):
+    """Refuse an empty tuple of signal names, or one that names a signal
+    twice: a repeated name would count each of its taus twice."""
+    if not signals:
+        raise ValueError("signals must name at least one signal")
+    repeated = [s for s in dict.fromkeys(signals) if signals.count(s) > 1]
+    if repeated:
+        raise ValueError(f"signals repeats {', '.join(map(repr, repeated))}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     crash_threshold: float = 0.20
@@ -117,8 +127,6 @@ class StudyConfig:
             raise ValueError("pre_crash_window must be >= ews_cfg.window")
         if isinstance(self.signals, str) or not all(isinstance(s, str) for s in self.signals):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
-        if not self.signals:
-            raise ValueError("signals must name at least one signal")
         # each estimator checks its own name and window needs: run every
         # signal once on a constant series of window + 1 prices
         n = max(self.ews_cfg.window, 0) + 1
@@ -126,10 +134,7 @@ class StudyConfig:
         with np.errstate(all="ignore"):
             for name in self.signals:
                 signal_estimator(name)(probe, self.ews_cfg)
-        # a repeated name would count each of its taus twice
-        repeated = [s for s in dict.fromkeys(self.signals) if self.signals.count(s) > 1]
-        if repeated:
-            raise ValueError(f"signals repeats {', '.join(map(repr, repeated))}")
+        _check_signal_list(self.signals)
 
 
 @dataclass

@@ -8,6 +8,11 @@ node, sorts the survivors by ``(ssr, tc, m, omega)`` and refines the best
 with Nelder-Mead on the same solve. The batched QR kernel in
 ``phasecrash.lppl`` must choose the same grid node, refuse the same nodes
 and agree on the residuals to a fixed tolerance.
+
+:func:`lockstep_minimize` is the numpy form of ``phasecrash.lppl.minimize``
+that keeps every start's simplex in one (k, d + 1, d) array and masks the
+starts that stop. ``minimize`` bookkeeps each simplex in Python floats
+instead, and must return exactly its results.
 """
 
 import numpy as np
@@ -15,7 +20,7 @@ from scipy.optimize import minimize
 
 import phasecrash as pc
 from phasecrash.errors import DegenerateDesignError, FitFailureError
-from phasecrash.lppl import _default_tc_bounds
+from phasecrash.lppl import _MAX_ITER, SimplexResult, _default_tc_bounds
 
 MAX_CONDITION = 1e12
 
@@ -36,6 +41,78 @@ def solve_linear(times, y, tc, m, omega):
         raise DegenerateDesignError(f"degenerate at ({tc}, {m}, {omega})")
     resid = y - x @ beta
     return beta, float(resid @ resid), cond
+
+
+def _sorted(sim, fsim):
+    order = np.argsort(fsim, axis=-1)
+    return np.take_along_axis(sim, order[..., None], -2), np.take_along_axis(fsim, order, -1)
+
+
+def lockstep_minimize(fun, x0, bounds):
+    """Bounded Nelder-Mead from each row of ``x0``, in numpy arrays: the
+    contract of ``phasecrash.lppl.minimize``, one batched ``fun`` call per
+    phase, with every start's simplex in one array."""
+    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    k, d = x0.shape
+    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
+    diag = np.arange(d)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.asarray(fun(sim.reshape(-1, d)), dtype=float).reshape(k, d + 1)
+    sim, fsim = _sorted(sim, fsim)
+    nfev = np.full(k, d + 1)
+    iterations = np.ones(k, dtype=int)  # scipy counts from 1
+    running = np.ones(k, dtype=bool)
+    while True:
+        running &= iterations < _MAX_ITER
+        s, f = sim[running], fsim[running]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which never stops
+            running[running] = ~(
+                (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2), initial=0.0) <= 1e-6)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1, initial=0.0) <= 1e-12)
+            )
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        s, f = sim[live], fsim[live]
+        worst = s[:, -1]
+        xbar = np.add.reduce(s[:, :-1], 1) / d
+        xr = np.clip(2 * xbar - worst, lo, hi)
+        fxr = np.asarray(fun(xr), dtype=float)
+        # scipy's branches: expand, keep xr, contract outside or inside
+        expand = fxr < f[:, 0]
+        keep = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~keep & (fxr < f[:, -1])
+        inside = ~expand & ~keep & ~outside
+        trial = np.where(
+            expand[:, None],
+            3 * xbar - 2 * worst,
+            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
+        )
+        trial = np.clip(trial, lo, hi)
+        ftrial = np.full(live.size, np.nan)
+        if not keep.all():
+            ftrial[~keep] = fun(trial[~keep])
+        take = (
+            (expand & (ftrial < fxr))
+            | (outside & (ftrial <= fxr))
+            | (inside & (ftrial < f[:, -1]))
+        )
+        shrink = (outside | inside) & ~take
+        swap = ~shrink
+        s[swap, -1] = np.where(take[:, None], trial, xr)[swap]
+        f[swap, -1] = np.where(take, ftrial, fxr)[swap]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = np.clip(best + 0.5 * (s[shrink, 1:] - best), lo, hi)
+            f[shrink, 1:] = np.reshape(fun(s[shrink, 1:].reshape(-1, d)), (-1, d))
+        nfev[live] += 1 + ~keep + d * shrink
+        iterations[live] += 1
+        sim[live], fsim[live] = _sorted(s, f)
+    return SimplexResult(
+        x=sim[:, 0], fun=fsim.min(axis=1), success=iterations < _MAX_ITER, start_nfev=nfev
+    )
 
 
 def power_law_ssr(series, tc, m):

@@ -1396,6 +1396,21 @@ def test_cli_ews_refuses_unknown_signal_before_reading_input(tmp_path, capsys):
     assert "phasecrash: error: unknown signal 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "signals, message",
+    [("volatility,volatility", "signals repeats 'volatility'"),
+     ("cross_cov,ghe1,cross_cov,ghe1", "signals repeats 'cross_cov', 'ghe1'"),
+     (",", "signals must name at least one signal"),
+     ("", "signals must name at least one signal")],
+)
+def test_cli_ews_refuses_an_empty_or_repeated_signal_list(tmp_path, capsys, signals, message):
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "absent.csv"),
+                       "--signals", signals, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _fresh_python(code):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -457,6 +457,11 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         ({"n_m": -2}, "n_m must be >= 1, got -2"),
         ({"n_omega": 0}, "n_omega must be >= 1, got 0"),
         ({"refine_top_k": -1}, "refine_top_k must be >= 0, got -1"),
+        ({"n_tc": 2.5}, r"^n_tc must be an integer, got 2.5$"),
+        ({"n_m": True}, r"^n_m must be an integer, got True$"),
+        ({"n_omega": 12.0}, r"^n_omega must be an integer, got 12.0$"),
+        ({"refine_top_k": 1.5}, r"^refine_top_k must be an integer, got 1.5$"),
+        ({"refine_top_k": False}, r"^refine_top_k must be an integer, got False$"),
         # the series ends at t = 99, so no grid tc would lie past it
         ({"tc_bounds": (10.0, 50.0)}, r"tc_bounds \(10.0, 50.0\) .* time 99.0"),
         ({"tc_bounds": (30.0, 99.0)}, r"tc_bounds \(30.0, 99.0\) .* time 99.0"),
@@ -464,6 +469,7 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         ({"tc_bounds": (150.0, 150.0)}, "^tc_bounds must satisfy lo < hi$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
+         "n_tc_float", "n_m_bool", "n_omega_float", "top_k_float", "top_k_bool",
          "tc_before", "tc_at", "tc_reversed", "tc_equal"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
@@ -475,6 +481,15 @@ def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, mes
     series = _synthetic_series(_params(), n=100)
     with pytest.raises(ValueError, match=message):
         pc.fit_lppl(series, pc.SearchConfig(**bounds))
+
+
+def test_search_config_takes_numpy_integers():
+    series = _synthetic_series(_params(), n=100)
+    counts = dict(n_tc=np.int64(3), n_m=np.int32(2), n_omega=np.int64(2),
+                  refine_top_k=np.int64(1))
+    fit = pc.fit_lppl(series, pc.SearchConfig(**counts))
+    plain = pc.fit_lppl(series, pc.SearchConfig(n_tc=3, n_m=2, n_omega=2, refine_top_k=1))
+    assert fit == plain
 
 
 # ------------------------------------------------------------- Nelder-Mead
@@ -539,3 +554,65 @@ def test_minimize_matches_scipy_nelder_mead_per_start(objective):
     assert calls[0] == 4 * len(starts)
     assert len(calls) <= 1 + 3 * (400 - 1)
     assert max(calls[1:]) <= 3 * len(starts)
+
+
+def _recorded(objective, calls):
+    def batched(points):
+        calls.append(points.copy())
+        return objective(points)
+
+    return batched
+
+
+def _assert_same_result(res, oracle):
+    for name in ("x", "fun", "success", "start_nfev"):
+        got, want = getattr(res, name), getattr(oracle, name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+        # == holds for -0.0 against 0.0; the sign must match too
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("objective", [_rosenbrock, _edge_quadratic, _terraced, _walled])
+def test_minimize_matches_the_lockstep_oracle(objective, k):
+    # starts inside and past the box; the first sits on every upper bound and
+    # the second, when there is one, at the origin
+    bounds = [(-2.0, 1.5), (-1.5, 2.0), (-1.0, 1.0)]
+    rng = np.random.default_rng(derive_seed(77, k))
+    starts = np.column_stack([rng.uniform(lo - 0.3, hi + 0.3, k) for lo, hi in bounds])
+    starts[0] = [1.5, 2.0, 1.0]
+    starts[1:2] = 0.0
+    calls, oracle_calls = [], []
+    res = minimize(_recorded(objective, calls), starts, bounds)
+    oracle = ref.lockstep_minimize(_recorded(objective, oracle_calls), starts, bounds)
+    _assert_same_result(res, oracle)
+    # the same batches in the same order: one call per phase
+    assert len(calls) == len(oracle_calls)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
+
+
+def test_minimize_clips_a_signed_zero_to_the_bound_as_numpy_does():
+    # a trial point equal to a bound takes the bound's bits, as np.clip does
+    # with array bounds: -0.0 clipped under a 0.0 floor is 0.0
+    bounds = [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0)]
+    target = np.array([-0.5, -0.0, 0.0, 0.5])
+
+    def objective(p):
+        return ((p - target) ** 2).sum(axis=1)
+
+    starts = np.array([[0.0, -0.0, 0.0, -0.0], [0.5, 0.5, -0.5, -0.5], [1.0, 1e-300, -1.0, 0.0]])
+    res = minimize(objective, starts, bounds)
+    _assert_same_result(res, ref.lockstep_minimize(objective, starts, bounds))
+
+
+@pytest.mark.parametrize("top_k", [5, 20])
+@pytest.mark.parametrize("n", [250, 500, 1000])
+@pytest.mark.parametrize("kind", ["bubble", "walk"])
+def test_fit_matches_the_lockstep_oracle_exactly(monkeypatch, kind, n, top_k):
+    series = _oracle_series(kind, n, 78)
+    search = pc.SearchConfig(refine_top_k=top_k)
+    fit = pc.fit_lppl(series, search)
+    monkeypatch.setattr(pc.lppl, "minimize", ref.lockstep_minimize)
+    oracle = pc.fit_lppl(series, search)
+    assert fit == oracle
