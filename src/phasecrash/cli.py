@@ -70,7 +70,10 @@ _MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM, **_MULTI_FLAGS}
 
 
 def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    items = text.split(",")
+    if not all(x.strip() for x in items):  # "3,,4" or "3,4," is a typo, not (3, 4)
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+    return tuple(int(x) for x in items)
 
 
 def _grid_counts(text):

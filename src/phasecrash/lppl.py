@@ -20,11 +20,15 @@ numerical rank below 4 or a condition number above 1e12 makes it
 degenerate. The grid skips such nodes, Nelder-Mead sees an infinite
 residual there and :func:`solve_linear_params` raises
 :class:`~phasecrash.errors.DegenerateDesignError` instead of returning
-noise-amplified coefficients.
+noise-amplified coefficients. The power column is built as
+``f = exp(m * ln(tc - t))``, so each node takes one log, shared with the
+phase. QR runs in numpy's ``raw`` mode, and a constant upper-triangular
+mask cuts R out of its result with the bits of mode ``"r"``.
 
 The search factorises a coarse grid one (tc, m) row of omegas at a time.
 ``ln(tc - t)`` and the cosine and sine of every omega depend on tc only,
-so one trig pass per tc serves all of its m rows. Then :func:`minimize`,
+so one trig pass per tc serves all of its m rows. The rows keep their R
+factors, and one batched SVD call gates every grid node. Then :func:`minimize`,
 a port of scipy's bounded Nelder-Mead (Nelder & Mead 1965), refines the
 best nodes in lockstep. Each start's simplex bookkeeping runs in Python
 floats, and each phase of a step (reflect; expand or contract; shrink)
@@ -47,6 +51,7 @@ from operator import add
 import numpy as np
 
 from .errors import DegenerateDesignError, FitFailureError
+from .simulate import _check_finite
 
 __all__ = [
     "LpplParams",
@@ -77,6 +82,7 @@ class LpplParams:
     tc: float
 
     def __post_init__(self):
+        _check_finite(**vars(self))
         if not 0.0 < self.m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {self.m}")
         if self.omega <= 0.0:
@@ -103,6 +109,7 @@ class HazardParams:
     tc: float
 
     def __post_init__(self):
+        _check_finite(**vars(self))
         if self.alpha_h <= 0.0:
             raise ValueError("alpha_h must be positive")
         if abs(self.beta_h) > 1.0:
@@ -148,8 +155,10 @@ class SearchConfig:
     The coarse grid holds ``n_tc``, ``n_m`` and ``n_omega`` evenly spaced
     values over ``tc_bounds``, ``m_bounds`` and ``omega_bounds``, ends
     included. ``tc_bounds`` defaults to (last time + spacing, last time +
-    0.5 * n * spacing). The grid computes the trig columns once per tc and
-    factorises one (tc, m) row of omegas per QR call. Nelder-Mead then
+    0.5 * n * spacing). The grid computes ``ln(tc - t)`` and the trig
+    columns once per tc, builds each power column as ``exp(m * ln(tc -
+    t))``, factorises one (tc, m) row of omegas per raw-mode QR call and
+    gates every node with one SVD call at the end. Nelder-Mead then
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
@@ -235,32 +244,63 @@ def _fill(a, f, cos, sin):
     np.multiply(sin, f, out=a[..., 3, :])
 
 
-def _gate(a):
-    """QR-factorise the filled designs ``a``. Returns ``(ssr, ok, sv, r)``:
-    the residual, the gate (rank 4 at rcond = eps * max(n, 4) and
-    condition at most 1e12), the design's singular values and the R factor
-    of the augmented design."""
+_UPPER = np.triu(np.ones((5, 5), dtype=bool))
+
+
+def _factor(a):
+    """The R factors of the filled designs ``a``, as ``np.linalg.qr`` gives
+    them in mode ``"r"``. Mode ``"raw"`` skips the ``triu`` that mode
+    ``"r"`` builds on every call; a constant mask takes its place."""
     # rows hold the columns, so each swapped matrix is Fortran-ordered for LAPACK
-    r = np.linalg.qr(a.swapaxes(-1, -2), mode="r")
+    h, _ = np.linalg.qr(a.swapaxes(-1, -2), mode="raw")
+    return np.where(_UPPER, h[..., :5].swapaxes(-1, -2), 0.0)
+
+
+def _gate(r, n):
+    """Judge the R factors ``r`` of designs with ``n`` observations, a batch
+    of any shape in one SVD call. Returns ``(ssr, ok, sv)``: the residual,
+    the gate (rank 4 at rcond = eps * max(n, 4) and condition at most
+    1e12) and the design's singular values."""
     sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
-    rcond = np.finfo(float).eps * max(a.shape[-1], 4)
+    rcond = np.finfo(float).eps * max(n, 4)
     ok = (lo > rcond * hi) & (hi <= _MAX_CONDITION * lo)
-    return r[..., 4, 4] ** 2, ok, sv, r
+    return r[..., 4, 4] ** 2, ok, sv
 
 
 def _profile(times, y, tc, m, omega):
     """Profile (A, B, C1, C2) out at (tc, m, omega), which broadcast: a
-    batch of nodes is one call. Returns :func:`_gate`'s ``(ssr, ok, sv, r)``."""
-    tail = np.asarray(tc)[..., None] - times
-    m = np.asarray(m)[..., None]
-    # numpy's power takes sqrt for one broadcast exponent of 0.5 but pow for
-    # an array of them; sqrt in both keeps a node's residual batch-independent
-    f = np.where(m == 0.5, np.sqrt(tail), tail**m)
-    phase = np.asarray(omega)[..., None] * np.log(tail)
+    batch of nodes is one call. Returns :func:`_gate`'s ``(ssr, ok, sv)``
+    and the R factor of the augmented design."""
+    log_tail = np.log(np.asarray(tc)[..., None] - times)
+    # (tc - t)**m from the phase's log; exp works element by element, so a
+    # node gets the same bits whatever batch it is profiled in
+    f = np.exp(np.asarray(m)[..., None] * log_tail)
+    phase = np.asarray(omega)[..., None] * log_tail
     a = _design(y, np.broadcast_shapes(f.shape, phase.shape)[:-1])
     _fill(a, f, np.cos(phase), np.sin(phase))
-    return _gate(a)
+    r = _factor(a)
+    return (*_gate(r, times.size), r)
+
+
+def _grid(times, y, tcs, ms, omegas):
+    """:func:`_gate`'s ``(ssr, ok, sv)`` at every node of the grid ``tcs``
+    x ``ms`` x ``omegas``, each of shape (tc, m, omega).
+
+    ``ln(tc - t)`` and the trig of every omega depend on tc only: one pass
+    per tc serves its m rows. One QR call per (tc, m) row of omegas keeps
+    the working set to one row; the R factors of all rows, 25 floats a
+    node, are gated in one call at the end."""
+    r = np.empty((tcs.size, ms.size, omegas.size, 5, 5))
+    row = _design(y, omegas.shape)
+    for i, tc in enumerate(tcs):
+        log_tail = np.log(tc - times)
+        phase = omegas[:, None] * log_tail
+        cos, sin = np.cos(phase), np.sin(phase)
+        for j, m in enumerate(ms):
+            _fill(row, np.exp(m * log_tail), cos, sin)
+            r[i, j] = _factor(row)
+    return _gate(r, times.size)
 
 
 def solve_linear_params(tc, m, omega, series):
@@ -476,20 +516,8 @@ def fit_lppl(series, search=None):
     ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
     omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
-    # ln(tc - t) and the trig of every omega depend on tc only: one pass per
-    # tc serves its m rows, and one QR call per (tc, m) row of omegas keeps
-    # the working set to one row
     live = tcs[tcs > tc_floor]
-    shape = (live.size, ms.size, omegas.size)
-    ssr, ok = np.empty(shape), np.empty(shape, dtype=bool)
-    row = _design(y, omegas.shape)
-    for i, tc in enumerate(live):
-        tail = tc - times
-        phase = omegas[:, None] * np.log(tail)
-        cos, sin = np.cos(phase), np.sin(phase)
-        for j, m in enumerate(ms):
-            _fill(row, tail**m, cos, sin)
-            ssr[i, j], ok[i, j], _, _ = _gate(row)
+    ssr, ok, _ = _grid(times, y, live, ms, omegas)
     keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
     order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)
     if not order.size:

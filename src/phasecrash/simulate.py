@@ -63,7 +63,8 @@ CPT_LAM = 1.0
 
 def _check_finite(**fields):
     """Refuse a NaN or infinite parameter by name; the Euler step would
-    carry it into the path and report a divergence instead."""
+    carry it into the path and report a divergence instead, and the LPPL
+    model would return NaN."""
     for name, value in fields.items():
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")

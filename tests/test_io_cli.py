@@ -1445,10 +1445,13 @@ def test_fit_lppl_and_its_cli_never_import_scipy(tmp_path):
 @pytest.mark.parametrize(
     "grid, top_k, message",
     [("5", "0", "usage:"), ("5,6,7,8", "0", "usage:"), ("4,x,3", "0", "usage:"),
+     # an empty item is a typo, not a shorter list
+     ("3,,4,5", "0", "argument --grid: empty item in '3,,4,5'"),
+     ("3,4,", "0", "argument --grid: empty item in '3,4,'"),
      # SearchConfig refuses counts that cannot form a search
      ("0,9,12", "0", "error: n_tc must be >= 1, got 0"),
      ("4,3,3", "-1", "error: refine_top_k must be >= 0, got -1")],
-    ids=["5", "5,6,7,8", "4,x,3", "0,9,12", "top-k"],
+    ids=["5", "5,6,7,8", "4,x,3", "3,,4,5", "3,4,", "0,9,12", "top-k"],
 )
 def test_cli_fit_lppl_grid_takes_three_positive_counts(tmp_path, capsys, grid, top_k,
                                                        message):
@@ -1460,6 +1463,17 @@ def test_cli_fit_lppl_grid_takes_three_positive_counts(tmp_path, capsys, grid, t
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "fit")
+
+
+@pytest.mark.parametrize("tau_grid", ["2,,4,8", "2,4,8,", ""])
+def test_cli_ews_refuses_an_empty_tau_grid_item(tmp_path, capsys, tau_grid):
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "absent.csv"),
+                       "--tau-grid", tau_grid, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"error: argument --tau-grid: empty item in {tau_grid!r}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_study_replay_byte_identical(tmp_path):

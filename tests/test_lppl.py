@@ -94,6 +94,25 @@ def test_hazard_params_refuse_m_and_omega_outside_the_model(kw, message):
     assert str(exc.value) == message
 
 
+_LPPL_FIELDS = dict(A=1.0, B=-0.5, C1=0.05, C2=0.05, m=0.5, omega=8.0, tc=550.0)
+_HAZARD_FIELDS = dict(alpha_h=1.0, beta_h=0.5, m=0.5, omega=6.0, phi=0.0, tc=10.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, base, name",
+    [(pc.LpplParams, _LPPL_FIELDS, name) for name in _LPPL_FIELDS]
+    + [(pc.HazardParams, _HAZARD_FIELDS, name) for name in _HAZARD_FIELDS],
+    ids=[f"lppl-{name}" for name in _LPPL_FIELDS]
+    + [f"hazard-{name}" for name in _HAZARD_FIELDS],
+)
+def test_params_refuse_a_field_that_is_not_finite(cls, base, name, value):
+    # otherwise the model returns NaN without an error
+    with pytest.raises(ValueError) as exc:
+        cls(**{**base, name: value})
+    assert str(exc.value) == f"{name} must be finite, got {value!r}"
+
+
 def test_phase_identity():
     # C1*cos + C2*sin == C*cos(theta - phi) with C = hypot(C1, C2) and
     # phi = atan2(C2, C1)
@@ -408,6 +427,79 @@ def test_grid_memory_is_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 86e6 / 20
+
+
+def _default_and_stress_grids(series):
+    # the default search's grid, and the stress grid of
+    # test_gate_matches_reference_on_stress_grid
+    last = series.times[-1]
+    default = (np.linspace(*pc.lppl._default_tc_bounds(series.times), 20),
+               np.linspace(0.1, 0.9, 9), np.linspace(2.0, 25.0, 12))
+    stress = (last + np.array([1e-6, 1e-3, 1.0, 10.0, 1e3]),
+              np.array([1e-14, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9]),
+              np.array([1e-12, 1e-8, 1e-4, 1e-2, 1.0, 8.0, 25.0]))
+    return default, stress
+
+
+def _recorded_designs(monkeypatch, run):
+    # the designs that run() hands to the QR kernel, one (omega, 5, n) row each
+    designs, factor = [], pc.lppl._factor
+
+    def record(a):
+        designs.append(a.copy())
+        return factor(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pc.lppl, "_factor", record)
+        out = run()
+    return designs, out
+
+
+@pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 1000)])
+def test_raw_qr_gives_the_bits_of_mode_r(monkeypatch, kind, n):
+    series = _oracle_series(kind, n, 72)
+    for tcs, ms, omegas in _default_and_stress_grids(series):
+        designs, _ = _recorded_designs(monkeypatch, lambda: pc.lppl._grid(
+            series.times, series.log_prices, tcs, ms, omegas))
+        a = np.array(designs)
+        got = pc.lppl._factor(a)
+        want = np.linalg.qr(a.swapaxes(-1, -2), mode="r")
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 1000)])
+def test_grid_gate_in_one_call_matches_a_gate_call_per_row(monkeypatch, kind, n):
+    series = _oracle_series(kind, n, 72)
+    for tcs, ms, omegas in _default_and_stress_grids(series):
+        designs, (ssr, ok, sv) = _recorded_designs(monkeypatch, lambda: pc.lppl._grid(
+            series.times, series.log_prices, tcs, ms, omegas))
+        assert len(designs) == tcs.size * ms.size
+        rows = [pc.lppl._gate(pc.lppl._factor(a), n) for a in designs]
+        shape = (tcs.size, ms.size, omegas.size)
+        for got, want in zip((ssr, ok, sv), zip(*rows)):
+            want = np.array(want)
+            assert np.array_equal(got, want.reshape(shape + want.shape[2:]))
+
+
+@pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 1000)])
+def test_exp_power_column_matches_the_power(monkeypatch, kind, n):
+    # the grid and the refinement build (tc - t)**m as exp(m * ln(tc - t))
+    series = _oracle_series(kind, n, 72)
+    times, y = series.times, series.log_prices
+    for tcs, ms, omegas in _default_and_stress_grids(series):
+        grid, _ = _recorded_designs(monkeypatch, lambda: pc.lppl._grid(
+            times, y, tcs, ms, omegas))
+        # a scalar tc, m down the rows and omega along them, as the refinement
+        # batches broadcast
+        profiles, _ = _recorded_designs(monkeypatch, lambda: [
+            _profile(times, y, tc, ms[:, None], omegas) for tc in tcs])
+        shape = (tcs.size, ms.size, omegas.size, n)
+        expected = np.broadcast_to(((tcs[:, None, None] - times) ** ms[:, None])[:, :, None],
+                                   shape)
+        for designs in (grid, profiles):
+            got = np.array(designs).reshape(shape[:-1] + (5, n))[..., 1, :]
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 250), ("bubble", 500),
