@@ -132,6 +132,17 @@ def _dump_json(obj):
     return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _records(path, fh):
+    """The csv records of ``fh``; one the csv module cannot read, such as a
+    field over ``csv.field_size_limit()``, raises CsvParseError at its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        line = reader.line_num
+        raise CsvParseError(f"{path}:{line}: {exc}", line=line) from exc
+
+
 def _raise_first_bad_row(path, duplicate=-1):
     """Raise the CsvParseError of the first bad data row of the price file
     at ``path`` (file lines 2, 3, ...); a row is checked in the order below.
@@ -140,7 +151,7 @@ def _raise_first_bad_row(path, duplicate=-1):
     first to repeat a pair: every row before it passed, so none is kept."""
     code, seen = {}, set()
     with open(path, encoding="utf-8", newline="") as fh:
-        records = csv.reader(fh)
+        records = _records(path, fh)
         next(records, None)  # the header
         numbered = enumerate(records, start=2)
         data = ((n, row) for n, row in numbered if len(row) > 1 or (row and row[0].strip()))
@@ -213,14 +224,18 @@ def load_price_csv(path):
     rank, code, ordinal, parts = {}, {}, {}, []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
-            msg = f"expected header 'date,ticker,close', got {header}"
-            raise CsvParseError(f"{path}: {msg}", line=1)
         # Each check runs once per column or per distinct value; when one
-        # fails, the file is read again to report its first bad row.
-        while part := _chunk_columns(reader, rank, code, ordinal):
-            parts.append(part)
+        # fails, or the csv module cannot read a record, the file is read
+        # again to report its first bad row.
+        try:
+            header = next(reader, None)
+            if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
+                msg = f"expected header 'date,ticker,close', got {header}"
+                raise CsvParseError(f"{path}: {msg}", line=1)
+            while part := _chunk_columns(reader, rank, code, ordinal):
+                parts.append(part)
+        except csv.Error:
+            part = ()
     if part is not None:  # a row failed a check
         _raise_first_bad_row(path)
     if not rank:

@@ -155,10 +155,12 @@ class SearchConfig:
     The coarse grid holds ``n_tc``, ``n_m`` and ``n_omega`` evenly spaced
     values over ``tc_bounds``, ``m_bounds`` and ``omega_bounds``, ends
     included. ``tc_bounds`` defaults to (last time + spacing, last time +
-    0.5 * n * spacing). The grid computes ``ln(tc - t)`` and the trig
-    columns once per tc, builds each power column as ``exp(m * ln(tc -
-    t))``, factorises one (tc, m) row of omegas per raw-mode QR call and
-    gates every node with one SVD call at the end. Nelder-Mead then
+    0.5 * n * spacing); a grid with no tc past the last time raises
+    ValueError (``n_tc = 1`` places its one tc at the lower bound). The
+    grid computes ``ln(tc - t)`` and the trig columns once per tc, builds
+    each power column as ``exp(m * ln(tc - t))``, factorises one (tc, m)
+    row of omegas per raw-mode QR call and gates every node with one SVD
+    call at the end. Nelder-Mead then
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
@@ -506,17 +508,16 @@ def fit_lppl(series, search=None):
     times, y = series.times, series.log_prices
     tc_bounds = search.tc_bounds or _default_tc_bounds(times)
     tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))
-    if tc_bounds[1] <= tc_floor:  # no grid tc would lie past the data
-        raise ValueError(
-            f"tc_bounds {tuple(tc_bounds)} must reach past the last observation "
-            f"time {float(times[-1])}"
-        )
-
     tcs = np.linspace(tc_bounds[0], tc_bounds[1], search.n_tc)
+    live = tcs[tcs > tc_floor]
+    if not live.size:
+        raise ValueError(
+            f"tc_bounds {tuple(tc_bounds)} with n_tc = {search.n_tc} put no grid tc "
+            f"past the last observation time {float(times[-1])}"
+        )
     ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
     omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
-    live = tcs[tcs > tc_floor]
     ssr, ok, _ = _grid(times, y, live, ms, omegas)
     keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
     order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)

@@ -162,7 +162,8 @@ def sample_gaussian_increments(n, dt, seed):
     n, dt = _check_n_dt(n, dt)
     rng = np.random.default_rng(_check_seed(seed))
     z = rng.standard_normal(n)
-    return NoisePath(z * np.sqrt(dt))
+    z *= np.sqrt(dt)
+    return NoisePath(z)
 
 
 def sample_alpha_stable(n, schedule, dt, seed):

@@ -18,6 +18,12 @@ increments correlated by ``cov(dW_i, dW_j) = D_ij * dt``: unit-variance
 draws from :func:`~phasecrash.noise.sample_gaussian_increments`, mixed by
 the Cholesky factor of ``D`` and then scaled by ``sqrt(dt)``.
 
+One kernel runs every Euler chain: each chain is a generator of states
+on Python floats, and the chains of a call run one after the other into
+one ``np.fromiter``, so no per-step list and no copy of a path is made,
+and only the running chain's row of ``c`` is alive as a list. The paths
+are bit-identical to those of 0.17.0, which appended each state to a list.
+
 All simulators are pure functions of (params, n, dt, seed). A non-finite
 state stays non-finite under the step, so a blow-up raises
 :class:`~phasecrash.errors.SimulationOverflowError` naming the first
@@ -25,6 +31,7 @@ non-finite step.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,16 +199,32 @@ class SimPath:
         )
 
 
-def _euler(x, a, b, c):
-    """All ``len(c) + 1`` states from ``x`` of the Euler step folded to
-    ``x * (a - b*x*x) + c[k]``, ``a = 1 + r*dt``, ``b = lam*dt``, ``c = w - mu*dt``."""
-    x, a, b = float(x), float(a), float(b)  # Python floats beat numpy scalars here
-    out = [x]
-    append = out.append
-    for ck in c.tolist():
+def _states(x, a, b, c):
+    """``x``, then each state of the folded Euler step ``x * (a - b*x*x) + ck``
+    over the list ``c``; Python floats beat numpy scalars here."""
+    yield x
+    for ck in c:
         x = x * (a - b * x * x) + ck
-        append(x)
-    return np.array(out)
+        yield x
+
+
+def _euler(x, a, b, c):
+    """All ``n + 1`` states from ``x`` of the Euler step folded to
+    ``x * (a - b*x*x) + c[k]``, ``a = 1 + r*dt``, ``b = lam*dt``, ``c = w - mu*dt``.
+
+    ``c`` is ``(n,)`` for one chain or ``(k, n)`` for ``k`` chains, and
+    ``x``, ``a`` and ``b`` are scalars or one value per chain. Each chain is
+    one :func:`_states` generator; the ``k`` generators run one after the
+    other into one ``np.fromiter``, so no per-step list and no copy of a
+    chain is made, and a row of ``c`` becomes a list only when its chain
+    starts. The result has the shape of ``c`` with ``n + 1`` in its last axis.
+    """
+    rows = c.reshape(-1, c.shape[-1])
+    k, n = rows.shape
+    x, a, b = (np.broadcast_to(np.asarray(v, dtype=float), k).tolist() for v in (x, a, b))
+    chains = map(_states, x, a, b, map(np.ndarray.tolist, rows))
+    values = np.fromiter(chain.from_iterable(chains), float, k * (n + 1))
+    return values.reshape(*c.shape[:-1], n + 1)
 
 
 def _finish(values, kind, dt, n):
@@ -269,9 +292,7 @@ def simulate_multivariate(params, n, dt, seed):
     w *= np.sqrt(dt)  # after the mix; in place saves two n x k arrays
     w *= np.asarray(params.sigma, dtype=float)
     w -= (params.mu_schedule.values(n) * dt)[:, None]
-    p0 = (0.0,) * k if params.p0 is None else params.p0
-    values = np.array([
-        _euler(p0[i], 1 + params.r[i] * dt, params.lam[i] * dt, w[:, i])
-        for i in range(k)
-    ])
+    p0 = 0.0 if params.p0 is None else params.p0
+    r, lam = np.asarray(params.r, dtype=float), np.asarray(params.lam, dtype=float)
+    values = _euler(p0, 1 + r * dt, lam * dt, w.T)
     return _finish(values, "multi", dt, n)

@@ -9,6 +9,12 @@ index of the first non-finite state. Noise comes from the package's own
 samplers with the same seeds. The simulators run the step folded to
 ``x * (a - b*x*x) + c``, so they reproduce the oracles to rounding; with
 ``r = lam = mu = 0`` the fold is ``x + w`` and they match bitwise.
+
+:func:`euler` is the folded kernel of phasecrash 0.17.0, one chain per
+call, each state appended to a list that is then copied into an array;
+``folded_cpt``, ``folded_spt`` and ``folded_multivariate`` are that
+version's simulators around it, drawing their noise as its sampler did.
+The package must reproduce them bitwise, divergent paths included.
 """
 
 import math
@@ -16,6 +22,7 @@ import math
 import numpy as np
 
 import phasecrash as pc
+from phasecrash.simulate import CPT_LAM
 
 
 def cpt(params, n, dt, seed):
@@ -65,3 +72,47 @@ def multivariate(params, n, dt, seed):
                 return None, step + 1
             out[step + 1] = x
     return out, None
+
+
+def euler(x, a, b, c):
+    """All ``len(c) + 1`` states from ``x`` of the Euler step folded to
+    ``x * (a - b*x*x) + c[k]``, ``a = 1 + r*dt``, ``b = lam*dt``, ``c = w - mu*dt``."""
+    x, a, b = float(x), float(a), float(b)  # Python floats beat numpy scalars here
+    out = [x]
+    append = out.append
+    for ck in c.tolist():
+        x = x * (a - b * x * x) + ck
+        append(x)
+    return np.array(out)
+
+
+def _gaussian_increments(n, dt, seed):
+    z = np.random.default_rng(seed).standard_normal(n)
+    return z * np.sqrt(dt)
+
+
+def folded_cpt(params, n, dt, seed):
+    dw = _gaussian_increments(n, dt, seed)
+    c = params.sigma * dw - params.mu_schedule.values(n) * dt
+    return euler(params.p0, 1 + params.r * dt, CPT_LAM * dt, c)
+
+
+def folded_spt(params, n, dt, seed):
+    dw = _gaussian_increments(n, dt, seed)
+    w = (params.alpha_vol * np.arange(n) * dt) * dw
+    return euler(params.p0, 1 + params.r * dt, params.lam * dt, w)
+
+
+def folded_multivariate(params, n, dt, seed):
+    """Values have one row per asset."""
+    chol = np.linalg.cholesky(params.coupling_matrix())
+    k = params.k
+    w = _gaussian_increments(n * k, 1.0, seed).reshape(n, k) @ chol.T
+    w *= np.sqrt(dt)
+    w *= np.asarray(params.sigma, dtype=float)
+    w -= (params.mu_schedule.values(n) * dt)[:, None]
+    p0 = (0.0,) * k if params.p0 is None else params.p0
+    return np.array([
+        euler(p0[i], 1 + params.r[i] * dt, params.lam[i] * dt, w[:, i])
+        for i in range(k)
+    ])

@@ -139,6 +139,37 @@ def test_load_malformed_rows(tmp_path, body, line):
     assert exc.value.line == line
 
 
+_HUGE = "X" * 200_000  # one field over csv.field_size_limit(), 131072 by default
+_HUGE_ROW = "date,ticker,close\n2020-01-02,A,100\n2020-01-03," + _HUGE + ",101\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [(_HUGE_ROW, 3, "field larger than field limit"),
+     # a bad row before the unreadable one is the first bad row
+     (_HUGE_ROW.replace("A,100", "A,ten"), 2, "bad close 'ten'"),
+     ("date," + _HUGE + ",close\n2020-01-02,A,100\n", 1, "field larger than field limit")],
+    ids=["row", "earlier_bad_row", "header"],
+)
+def test_load_a_field_over_the_csv_limit_names_its_line(tmp_path, text, line, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(CsvParseError) as exc:
+        load_price_csv(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_cli_study_reports_an_unreadable_csv_record_without_a_traceback(tmp_path, capsys):
+    path = _write(tmp_path, _HUGE_ROW)
+    out = tmp_path / "study"
+    rc = cli_dispatch(["study", "--input", path, "--out", str(out)])
+    assert rc == 1
+    limit = csv.field_size_limit()
+    err = capsys.readouterr().err
+    assert err == f"phasecrash: error: {path}:3: field larger than field limit ({limit})\n"
+    assert not out.exists()
+
+
 def test_load_takes_no_calendar(tmp_path):
     path = _write(tmp_path, "date,ticker,close\n2020-01-02,A,100\n")
     with pytest.raises(TypeError) as exc:
@@ -1261,16 +1292,24 @@ def test_cli_fit_lppl_refuses_a_one_sided_tc_range(tmp_path, capsys, given):
     assert not out.exists()
 
 
-def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, bounds",
+    [(["--tc-min", "10", "--tc-max", "50"], "tc_bounds (10.0, 50.0)"),
+     # a one-node tc grid sits at --tc-min, before the data end
+     (["--tc-min", "50", "--tc-max", "200", "--grid", "1,9,12"],
+      "tc_bounds (50.0, 200.0) with n_tc = 1")],
+    ids=["range", "one_node"],
+)
+def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, capsys, flags,
+                                                                     bounds):
     t = np.arange(60.0)
     csv_path = str(tmp_path / "up.csv")
     write_price_csv([pc.PriceSeries(t, 5.0 + 0.001 * t, "UP")], csv_path)
     out = tmp_path / "fit"
-    rc = cli_dispatch(["fit-lppl", "--input", csv_path, "--tc-min", "10", "--tc-max", "50",
-                       "--out", str(out)])
+    rc = cli_dispatch(["fit-lppl", "--input", csv_path, *flags, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "tc_bounds (10.0, 50.0)" in err and "last observation time 59.0" in err
+    assert bounds in err and "last observation time 59.0" in err
     assert not out.exists()
 
 

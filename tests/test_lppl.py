@@ -557,12 +557,16 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         # the series ends at t = 99, so no grid tc would lie past it
         ({"tc_bounds": (10.0, 50.0)}, r"tc_bounds \(10.0, 50.0\) .* time 99.0"),
         ({"tc_bounds": (30.0, 99.0)}, r"tc_bounds \(30.0, 99.0\) .* time 99.0"),
+        # one grid tc sits at the lower bound, before the data end, so no node is profiled
+        ({"tc_bounds": (50.0, 200.0), "n_tc": 1},
+         r"^tc_bounds \(50.0, 200.0\) with n_tc = 1 put no grid tc past the last "
+         r"observation time 99.0$"),
         ({"tc_bounds": (150.0, 120.0)}, "^tc_bounds must satisfy lo < hi$"),
         ({"tc_bounds": (150.0, 150.0)}, "^tc_bounds must satisfy lo < hi$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
          "n_tc_float", "n_m_bool", "n_omega_float", "top_k_float", "top_k_bool",
-         "tc_before", "tc_at", "tc_reversed", "tc_equal"],
+         "tc_before", "tc_at", "tc_one_node", "tc_reversed", "tc_equal"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):

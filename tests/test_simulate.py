@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -6,6 +8,7 @@ from scipy.stats import ks_2samp, kurtosis, wilcoxon
 import phasecrash as pc
 from phasecrash.errors import SimulationOverflowError
 from phasecrash.io import derive_seed
+from phasecrash.simulate import _euler
 
 import simulate_reference as ref
 
@@ -397,6 +400,112 @@ def test_multi_matches_vector_oracle(p0):
     paths = pc.simulate_multivariate(params, 5000, 0.02, 17)
     got = np.column_stack([p.values for p in paths])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------ streamed kernel vs the list kernel
+
+
+def _same_bits(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+_SEEDS = [5, 2**63 + 11]
+
+_ONE_CHAIN = {
+    "cpt": (pc.simulate_cpt, ref.folded_cpt,
+            pc.CptParams(r=1.0, mu_schedule=pc.MuSchedule(0.0, 0.36), sigma=0.03, p0=1.0)),
+    "spt": (pc.simulate_spt, ref.folded_spt,
+            pc.SptParams(r=1.0, lam=1.3, alpha_vol=0.01, p0=0.7)),
+}
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("route", sorted(_ONE_CHAIN))
+def test_one_chain_routes_match_the_list_kernel_bitwise(route, seed):
+    simulate, oracle, params = _ONE_CHAIN[route]
+    got = simulate(params, 4000, 0.01, seed).values
+    assert _same_bits(got, oracle(params, 4000, 0.01, seed))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("p0", [None, 0.9])
+@pytest.mark.parametrize("k", [2, 10])
+def test_multi_matches_the_list_kernel_bitwise(k, p0, seed):
+    params = pc.MultiParams(
+        r=tuple(1.0 + 0.05 * i for i in range(k)),
+        lam=(0.0,) + tuple(1.0 + 0.1 * i for i in range(1, k)),  # asset 0 is linear
+        mu_schedule=pc.MuSchedule(0.0, 0.36),
+        sigma=tuple(0.02 + 0.005 * i for i in range(k)),
+        coupling=_coupling(k, 0.4),
+        p0=None if p0 is None else tuple(p0 - 0.1 * i for i in range(k)),
+    )
+    got = np.array([p.values for p in pc.simulate_multivariate(params, 3000, 0.02, seed)])
+    assert _same_bits(got, ref.folded_multivariate(params, 3000, 0.02, seed))
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_euler_over_k_rows_equals_k_one_chain_calls(k):
+    rng = np.random.default_rng(k)
+    c = 0.05 * rng.standard_normal((500, k)).T  # strided rows, as simulate_multivariate passes
+    x = rng.uniform(-1.0, 1.0, k)
+    a = 1.0 + 0.02 * rng.uniform(0.0, 2.0, k)
+    b = 0.02 * rng.uniform(0.0, 2.0, k)
+    b[0] = 0.0
+    got = _euler(x, a, b, c)
+    assert got.shape == (k, 501)
+    for i in range(k):
+        one = _euler(x[i], a[i], b[i], c[i])
+        assert one.shape == (501,)
+        assert _same_bits(got[i], one)
+        assert _same_bits(one, ref.euler(x[i], a[i], b[i], c[i]))
+    # scalar x, a and b are shared by every chain
+    shared = _euler(0.5, a[0], b[1], c)
+    assert all(_same_bits(shared[i], ref.euler(0.5, a[0], b[1], c[i])) for i in range(k))
+
+
+_DIVERGING_FOLDED = {
+    "cpt": (pc.simulate_cpt, ref.folded_cpt,
+            pc.CptParams(r=1.0, mu_schedule=_const_mu(0.0), sigma=50.0, p0=0.0)),
+    "multi": (pc.simulate_multivariate, ref.folded_multivariate,
+              pc.MultiParams(r=(1.0, 1.0), lam=(0.0, 1.0), mu_schedule=_const_mu(0.0),
+                             sigma=(0.1, 5.0), coupling=_coupling(2, 0.3))),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 2**63 + 11])
+@pytest.mark.parametrize("route", sorted(_DIVERGING_FOLDED))
+def test_divergence_step_matches_the_list_kernel(route, seed):
+    simulate, oracle, params = _DIVERGING_FOLDED[route]
+    finite = np.isfinite(oracle(params, 2000, 0.5, seed)).reshape(-1, 2001).all(axis=0)
+    step = int(np.argmin(finite))
+    assert step > 0
+    with pytest.raises(SimulationOverflowError) as exc:
+        simulate(params, 2000, 0.5, seed)
+    assert exc.value.step == step
+
+
+@pytest.mark.parametrize("route, n, bound_mib", [("multi", 20_000, 4.0), ("cpt", 40_000, 2.5)])
+def test_simulator_peak_memory(route, n, bound_mib):
+    # the route_ensemble benchmark's parameters. The states stream into one
+    # array and a noise row is a list only while its chain runs: about 3.67
+    # and 2.14 MiB. A list per chain plus a stacking copy peaks at 4.58 and
+    # 3.08 MiB, and converting every row up front at 9.16 MiB for multi
+    if route == "multi":
+        simulate = pc.simulate_multivariate
+        params = pc.MultiParams(
+            r=(1.0,) * 10, lam=(1.0,) * 10, mu_schedule=pc.MuSchedule(0.0, 0.36),
+            sigma=(0.03,) * 10, coupling=_coupling(10, 0.5), p0=(1.0,) * 10)
+    else:
+        simulate = pc.simulate_cpt
+        params = pc.CptParams(r=1.0, mu_schedule=pc.MuSchedule(0.0, 0.36), sigma=0.03, p0=1.0)
+    simulate(params, 100, 0.02, 1)
+    tracemalloc.start()
+    try:
+        simulate(params, n, 0.02, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 # ------------------------------------------------------- parameter checks
