@@ -103,13 +103,6 @@ class PriceSeries:
     def returns(self):
         return np.diff(self.log_prices)
 
-    def slice(self, start, stop):
-        """Sub-series over observation indices [start, stop)."""
-        dates = None if self.dates is None else tuple(self.dates[start:stop])
-        return PriceSeries(
-            self.times[start:stop], self.log_prices[start:stop], self.id, dates
-        )
-
 
 @dataclass(frozen=True)
 class WindowConfig:

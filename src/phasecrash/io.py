@@ -133,11 +133,14 @@ def _dump_json(obj):
 
 
 def _records(path, fh):
-    """The csv records of ``fh``; one the csv module cannot read, such as a
-    field over ``csv.field_size_limit()``, raises CsvParseError at its line."""
-    reader = csv.reader(fh)
+    """``(first line, record)`` per csv record of ``fh``; one the csv module
+    cannot read, such as a field over ``csv.field_size_limit()``, raises
+    CsvParseError at its line."""
+    reader, start = csv.reader(fh), 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         line = reader.line_num
         raise CsvParseError(f"{path}:{line}: {exc}", line=line) from exc
@@ -145,16 +148,16 @@ def _records(path, fh):
 
 def _raise_first_bad_row(path, duplicate=-1):
     """Raise the CsvParseError of the first bad data row of the price file
-    at ``path`` (file lines 2, 3, ...); a row is checked in the order below.
-    A (ticker, date) pair is remembered as one int, ``code << 32 | ordinal``.
-    ``duplicate``, when given, is the index among the data rows of the
-    first to repeat a pair: every row before it passed, so none is kept."""
+    at ``path``, named by its first file line; a row is checked in the
+    order below. A (ticker, date) pair is remembered as one int, ``code
+    << 32 | ordinal``. ``duplicate``, when given, is the index among the
+    data rows of the first to repeat a pair: every row before it passed,
+    so none is kept."""
     code, seen = {}, set()
     with open(path, encoding="utf-8", newline="") as fh:
         records = _records(path, fh)
         next(records, None)  # the header
-        numbered = enumerate(records, start=2)
-        data = ((n, row) for n, row in numbered if len(row) > 1 or (row and row[0].strip()))
+        data = ((n, row) for n, row in records if len(row) > 1 or (row and row[0].strip()))
         for index, (lineno, row) in enumerate(data):
             if index < duplicate:
                 continue

@@ -6,11 +6,13 @@ event, with new events suppressed until price recovers to within 5% of
 the peak. For every event the ``pre_crash_window`` observations ending
 at the peak form a pre-crash segment; stretches at least
 ``exclusion_margin`` observations away from every peak-to-trough
-interval form the normal-time segments. Each configured early-warning
-signal (a univariate one: the panel signal ``cross_cov`` is not) is
-computed per segment of one asset, its monotone trend is summarised by
-Kendall's tau-b against window index, and the pre and normal tau samples
-are compared per signal with a two-sample Mann-Whitney test.
+interval form the normal-time segments, each a ``(start, stop)`` index
+range. Each configured early-warning signal (a univariate one: the panel
+signal ``cross_cov`` is not) is estimated once per asset, on one window
+grid anchored at step 0; a segment takes the windows wholly inside it,
+their monotone trend is summarised by Kendall's tau-b against window
+index, and the pre and normal tau samples are compared per signal with a
+two-sample Mann-Whitney test.
 
 Both statistics are computed here in numpy, to the rules of
 ``scipy.stats`` (which the tests use as their oracle), so the CLI never
@@ -32,7 +34,6 @@ segmentation, or aggregation, and per-asset work reduces in input order.
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +44,7 @@ from .ews import (
     LAG1_AUTOCORR,
     SKEWNESS,
     VOLATILITY,
+    EwsSeries,
     PriceSeries,
     WindowConfig,
     signal_estimator,
@@ -287,14 +289,16 @@ def detect_panel(assets, cfg):
 
 
 def segment_windows(series, events, cfg):
-    """Pre-crash and normal-time sub-series for one asset.
+    """Pre-crash and normal-time segments of one asset, as ``(start, stop)``
+    ranges of observation indices.
 
     Pre segments hold the ``pre_crash_window`` observations ending at
     each event's peak, truncated at the previous event's trough plus the
     exclusion margin and dropped when shorter than the EWS window.
     Normal segments are the maximal runs at least ``exclusion_margin``
     observations away from every peak-to-trough interval, kept when they
-    can hold at least one EWS window.
+    can hold at least one EWS window. A segment takes its windows from
+    the asset's one grid, anchored at step 0: those wholly inside it.
     """
     n = len(series)
     events = sorted(events, key=lambda e: e.peak_time)
@@ -309,7 +313,7 @@ def segment_windows(series, events, cfg):
         start = max(start, 0)
         stop = ev.peak_index + 1
         if stop - start >= min_len:
-            pre.append(series.slice(start, stop))
+            pre.append((start, stop))
         prev_trough = ev.trough_index
 
     keep = np.ones(n, dtype=bool)
@@ -319,10 +323,8 @@ def segment_windows(series, events, cfg):
         keep[lo:hi] = False
 
     # each run of kept steps starts where keep rises and stops where it falls
-    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    normal = [
-        series.slice(i, j) for i, j in zip(edges[::2], edges[1::2]) if j - i >= min_len
-    ]
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False)).tolist()
+    normal = [(i, j) for i, j in zip(edges[::2], edges[1::2]) if j - i >= min_len]
     return pre, normal
 
 
@@ -430,31 +432,31 @@ def _mwu_lower_tail(m, n, k):
     return f[m].sum() / math.comb(m + n, m)
 
 
-def _trend_records(asset_id, signal, estimate, pre, normal):
-    """One :class:`SegmentTrend` per segment whose EWS ``estimate(seg)``
-    has a Kendall trend; segments too short for one window, with fewer
-    than 10 trend points or with a NaN tau (a constant signal) are dropped."""
+def _trend_records(asset, signal, cfg, pre, normal):
+    """One :class:`SegmentTrend` per segment ``(start, stop)`` of ``asset``
+    whose windows of ``signal`` have a Kendall trend. The signal is
+    estimated once over the asset (no records if it is too short for one
+    window); a segment ranks the windows that open at or after ``start``
+    and close before ``stop``, and is dropped with fewer than 10 of them
+    or a NaN tau (a constant signal)."""
+    try:
+        ews = signal_estimator(signal)(asset, cfg.ews_cfg)
+    except InsufficientDataError:
+        return []
+    close = np.searchsorted(asset.times, ews.times)
+    first = close - close[0]  # the grid's first window opens at step 0
     records = []
     for group, segments in (("pre", pre), ("normal", normal)):
-        for k, seg in enumerate(segments):
+        for k, (start, stop) in enumerate(segments):
+            inside = (first >= start) & (close < stop)
+            held = EwsSeries(ews.times[inside], ews.values[inside], signal, asset.id)
             try:
-                tau, n_windows = kendall_tau_trend(estimate(seg))
+                tau, n_windows = kendall_tau_trend(held)
             except InsufficientDataError:
                 continue
-            if not np.isfinite(tau):
-                continue
-            records.append(
-                SegmentTrend(
-                    asset_id=asset_id,
-                    signal=signal,
-                    group=group,
-                    segment_index=k,
-                    start_time=float(seg.times[0]),
-                    end_time=float(seg.times[-1]),
-                    n_windows=n_windows,
-                    tau=tau,
-                )
-            )
+            if np.isfinite(tau):
+                span = asset.times[[start, stop - 1]].tolist()
+                records.append(SegmentTrend(asset.id, signal, group, k, *span, n_windows, tau))
     return records
 
 
@@ -477,8 +479,7 @@ def run_study(assets, cfg=None):
     for asset, events in scanned:
         pre, normal = segment_windows(asset, events, cfg)
         for signal in cfg.signals:
-            estimate = partial(signal_estimator(signal), cfg=cfg.ews_cfg)
-            records += _trend_records(asset.id, signal, estimate, pre, normal)
+            records += _trend_records(asset, signal, cfg, pre, normal)
         n_events += len(events)
 
     report_signals = {}

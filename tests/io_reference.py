@@ -65,7 +65,9 @@ def load_price_csv(path, calendar="as_is"):
             raise CsvParseError(
                 f"{path}: expected header 'date,ticker,close', got {header}", line=1
             )
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # a record is named by its first line
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:

@@ -9,12 +9,22 @@ event. Both must return the same events, field for field.
 exclusion margin, then walks the mask one step at a time, collecting
 each maximal run of kept steps that can hold one EWS window.
 ``phasecrash.study`` finds the same runs from the boundaries of the
-mask; both must return the same segments.
+mask; both must return the same ``(start, stop)`` ranges.
+
+``segment_ews`` estimates a signal per segment, on the sub-series that
+starts at the first step of the asset's window grid (anchored at step 0,
+advancing by the stride) inside the segment; ``trend_records`` ranks
+those windows as the study does. ``phasecrash.study`` estimates each
+signal once per asset and gives a segment the windows wholly inside it;
+both must give every segment the same windows, times and values bit for
+bit, and the same records.
 """
 
 import numpy as np
 
-from phasecrash.study import _BOUNDARY_EPS, CrashEvent
+from phasecrash.errors import InsufficientDataError
+from phasecrash.ews import EwsSeries, PriceSeries, signal_estimator
+from phasecrash.study import _BOUNDARY_EPS, CrashEvent, SegmentTrend, kendall_tau_trend
 
 
 def detect_crashes(series, cfg):
@@ -78,6 +88,33 @@ def normal_segments(series, events, cfg):
         while j < n and keep[j]:
             j += 1
         if j - i >= cfg.ews_cfg.window:
-            normal.append(series.slice(i, j))
+            normal.append((i, j))
         i = j
     return normal
+
+
+def segment_ews(asset, signal, cfg, segment):
+    start, stop = segment
+    stride = cfg.ews_cfg.stride
+    anchor = -(-start // stride) * stride  # the first grid step >= start
+    sub = PriceSeries(asset.times[anchor:stop], asset.log_prices[anchor:stop], asset.id)
+    try:
+        return signal_estimator(signal)(sub, cfg.ews_cfg)
+    except InsufficientDataError:
+        return EwsSeries([], [], signal, asset.id)
+
+
+def trend_records(asset, signal, cfg, pre, normal):
+    records = []
+    for group, segments in (("pre", pre), ("normal", normal)):
+        for k, seg in enumerate(segments):
+            try:
+                tau, n_windows = kendall_tau_trend(segment_ews(asset, signal, cfg, seg))
+            except InsufficientDataError:
+                continue
+            if np.isfinite(tau):
+                records.append(SegmentTrend(
+                    asset.id, signal, group, k, float(asset.times[seg[0]]),
+                    float(asset.times[seg[1] - 1]), n_windows, tau,
+                ))
+    return records

@@ -292,6 +292,11 @@ def test_cross_cov_independent_null_band():
     assert np.mean(np.abs(cc.values) < bound) >= 0.95
 
 
+def _sub(series, start, stop):
+    """``series`` over observation indices [start, stop)."""
+    return pc.PriceSeries(series.times[start:stop], series.log_prices[start:stop], series.id)
+
+
 def _random_panel(n, k=4, seed=21):
     rng = np.random.default_rng(seed)
     return [series_from_increments(0.01 * rng.standard_normal(n), f"A{i}") for i in range(k)]
@@ -303,11 +308,11 @@ def test_cross_cov_misaligned_panel_runs_on_the_shared_times(shift):
     panel = _random_panel(60)
     if shift == "length":
         panel[2] = _random_panel(61, seed=22)[2]
-        by_hand = [*panel[:2], panel[2].slice(0, 61), panel[3]]
+        by_hand = [*panel[:2], _sub(panel[2], 0, 61), panel[3]]
     else:
         for i in (1, 3):
             panel[i] = pc.PriceSeries(panel[i].times + 5.0, panel[i].log_prices, f"A{i}")
-        by_hand = [s.slice(5, 61) if i in (0, 2) else s.slice(0, 56)
+        by_hand = [_sub(s, 5, 61) if i in (0, 2) else _sub(s, 0, 56)
                    for i, s in enumerate(panel)]
     cfg = _cfg(window=10, stride=3)
     got, want = pc.cross_covariance(panel, cfg), pc.cross_covariance(by_hand, cfg)
@@ -593,6 +598,6 @@ def test_row_blocks_bound_memory_and_are_seamless():
     # the whole float64 window matrix would take about 200 MB
     assert peak < n_windows * cfg.window * 8 / 10
     half = n_windows // 2
-    first = pc.anomalous_dimension(series.slice(0, half + cfg.window - 1), cfg)
-    second = pc.anomalous_dimension(series.slice(half, len(series)), cfg)
+    first = pc.anomalous_dimension(_sub(series, 0, half + cfg.window - 1), cfg)
+    second = pc.anomalous_dimension(_sub(series, half, len(series)), cfg)
     assert np.array_equal(full, np.concatenate([first.values, second.values]))

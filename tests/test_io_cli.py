@@ -279,6 +279,11 @@ def test_load_matches_reference_on_a_mixed_file(tmp_path):
         # B's repeat comes first in the file, A's first in (ticker, date) order
         ("2020-01-02,A,1\n2020-01-03,B,1\n\n2020-01-03,B,2\n2020-01-02,A,3\n", 5),
         ("2020-01-02,A,1\n2020-01-02,A,2\n2020-01-02,A,3\n", 3),
+        # a row is named by the line it starts on, after a quoted line break
+        ('2020-01-02,"A\nB",100\n2020-01-03,C,ten\n', 4),
+        ('2020-01-02,"A\nB",100\n2020-01-03,C,1\n2020-01-03,C,2\n', 5),
+        ('2020-01-02,"A\n\nB",100\n\n2020-01-03,"C",1\n2020-01-03,C,2\n', 7),
+        ('2020-01-02,A,1\n2020-01-03,A,"1\n2"\n', 3),
     ],
 )
 def test_load_errors_match_reference(tmp_path, body, line):

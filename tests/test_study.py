@@ -1,6 +1,7 @@
 import json
 import math
-from functools import partial
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy import stats
 
 import phasecrash as pc
 from phasecrash.errors import InsufficientDataError
-from phasecrash.ews import signal_estimator
-from phasecrash.io import CorpusSpec, derive_seed, synth_corpus
+from phasecrash import study
+from phasecrash.io import CorpusSpec, derive_seed, study_config_from_dict, synth_corpus
 from phasecrash.study import SegmentTrend, _mannwhitney_p, _trend_records
 
 import study_reference
@@ -79,15 +80,16 @@ def test_kendall_skips_missing_and_requires_points():
         pc.kendall_tau_trend(short)
 
 
-def test_trend_records_need_ten_trend_points():
-    # the study keeps a segment only with kendall_tau_trend's default of 10
-    def estimate(seg):
-        values = np.arange(float(len(seg)))
-        values[:10] = np.nan  # a window of 10 leaves len - 10 points
-        return pc.EwsSeries(seg.times, values, "volatility")
+def _walk(n, seed=21, asset_id="x"):
+    rng = np.random.default_rng(seed)
+    return _prices(np.exp(np.cumsum(0.01 * rng.standard_normal(n))), asset_id)
 
-    segments = [_prices(np.linspace(1.0, 2.0, n)) for n in (19, 20)]
-    records = _trend_records("x", "volatility", estimate, segments, segments)
+
+def test_trend_records_need_ten_trend_points():
+    # the study keeps a segment only with kendall_tau_trend's default of 10:
+    # at window 10 and stride 1 a segment of 10 + k prices holds k windows
+    segments = [(0, 19), (20, 40)]
+    records = _trend_records(_walk(60), "volatility", _cfg(), segments, segments)
     assert [(r.group, r.segment_index, r.n_windows) for r in records] == [
         ("pre", 1, 10), ("normal", 1, 10)]
 
@@ -95,21 +97,26 @@ def test_trend_records_need_ten_trend_points():
 @pytest.mark.parametrize("signal", ["volatility", "anomalous_dim"])
 def test_trend_records_drop_a_segment_exactly_one_window_long(signal):
     # volatility needs window + 1 prices, anomalous_dim gets one window: the
-    # estimator and kendall_tau_trend refuse them, with no length check here
-    cfg = pc.WindowConfig(window=40, stride=1, tau_grid=(2, 4, 8))
-    rng = np.random.default_rng(21)
-    segments = [_prices(np.exp(np.cumsum(0.01 * rng.standard_normal(n)))) for n in (40, 60)]
-    estimate = partial(signal_estimator(signal), cfg=cfg)
-    records = _trend_records("x", signal, estimate, segments, segments)
+    # segment holds too few windows for kendall_tau_trend, with no length check here
+    cfg = _cfg(pre_crash_window=40, signals=(signal,),
+               ews_cfg=pc.WindowConfig(window=40, stride=1, tau_grid=(2, 4, 8)))
+    segments = [(0, 40), (40, 100)]
+    records = _trend_records(_walk(120), signal, cfg, segments, segments)
     assert [(r.group, r.segment_index) for r in records] == [("pre", 1), ("normal", 1)]
 
 
-def test_trend_records_let_other_value_errors_through():
-    def estimate(seg):
+def test_trend_records_let_other_value_errors_through(monkeypatch):
+    def estimate(series, cfg):
         raise ValueError("not a data shortage")
 
+    monkeypatch.setattr(pc.ews, "rolling_volatility", estimate)
     with pytest.raises(ValueError, match="not a data shortage"):
-        _trend_records("x", "volatility", estimate, [_prices(np.linspace(1.0, 2.0, 30))], [])
+        _trend_records(_walk(30), "volatility", _cfg(), [(0, 30)], [])
+
+
+def test_trend_records_of_an_asset_shorter_than_one_window_are_empty():
+    records = _trend_records(_walk(10), "volatility", _cfg(), [(0, 10)], [(0, 10)])
+    assert records == []
 
 
 def _scipy_kendall(vals):
@@ -327,8 +334,7 @@ def test_segment_no_events():
     series = _prices(np.linspace(100, 120, 60))
     pre, normal = pc.segment_windows(series, [], _cfg())
     assert pre == []
-    assert len(normal) == 1
-    assert len(normal[0]) == 60
+    assert normal == [(0, 60)]
 
 
 def test_segment_single_event():
@@ -336,12 +342,10 @@ def test_segment_single_event():
     cfg = _cfg()
     ev = _event(series, 50, 55)
     pre, normal = pc.segment_windows(series, [ev], cfg)
-    assert len(pre) == 1
-    assert pre[0].times[-1] == series.times[50]  # ends exactly at the peak
-    assert len(pre[0]) == cfg.pre_crash_window
-    assert len(normal) == 2
-    assert normal[0].times[-1] < series.times[50 - cfg.exclusion_margin]
-    assert normal[1].times[0] > series.times[55 + cfg.exclusion_margin]
+    # the pre segment ends exactly at the peak and holds pre_crash_window steps
+    assert pre == [(50 - cfg.pre_crash_window + 1, 51)]
+    # the normal runs stop short of peak - margin and start after trough + margin
+    assert normal == [(0, 50 - cfg.exclusion_margin), (55 + cfg.exclusion_margin + 1, 100)]
 
 
 def test_segment_two_close_events_truncation():
@@ -352,13 +356,11 @@ def test_segment_two_close_events_truncation():
     e1 = _event(series, 40, 45)
     e2 = _event(series, 70, 75)
     pre, _ = pc.segment_windows(series, [e1, e2], cfg)
-    assert len(pre) == 2
-    assert pre[1].times[0] == series.times[45 + 5]
-    assert pre[1].times[-1] == series.times[70]
+    assert pre == [(11, 41), (45 + 5, 71)]
     # squeeze harder: remaining stretch shorter than the EWS window drops it
     cfg2 = _cfg(pre_crash_window=30, exclusion_margin=18)
     pre2, _ = pc.segment_windows(series, [e1, e2], cfg2)
-    assert len(pre2) == 1
+    assert pre2 == [(11, 41)]
 
 
 def test_segment_exclusion_invariant_random_events():
@@ -368,24 +370,19 @@ def test_segment_exclusion_invariant_random_events():
     idx = np.sort(rng.choice(np.arange(30, 470, dtype=int), size=4, replace=False))
     events = [_event(series, int(i), int(i) + 8) for i in idx]
     pre, normal = pc.segment_windows(series, events, cfg)
-    for seg in pre:
-        assert any(seg.times[-1] == series.times[e.peak_index] for e in events)
-    for seg in normal:
+    assert pre
+    for start, stop in pre:
+        assert any(stop - 1 == e.peak_index for e in events)
+    for start, stop in normal:
         for e in events:
-            lo = series.times[max(0, e.peak_index - cfg.exclusion_margin)]
-            hi_idx = min(len(series) - 1, e.trough_index + cfg.exclusion_margin)
-            hi = series.times[hi_idx]
-            assert seg.times[-1] < lo or seg.times[0] > hi
+            lo = max(0, e.peak_index - cfg.exclusion_margin)
+            hi = min(len(series) - 1, e.trough_index + cfg.exclusion_margin)
+            assert stop - 1 < lo or start > hi
 
 
 def _assert_normal_matches_reference(series, events, cfg):
     _, normal = pc.segment_windows(series, events, cfg)
-    expected = study_reference.normal_segments(series, events, cfg)
-    assert [(s.times[0], len(s)) for s in normal] == [
-        (s.times[0], len(s)) for s in expected
-    ]
-    for got, want in zip(normal, expected):
-        assert np.array_equal(got.log_prices, want.log_prices)
+    assert normal == study_reference.normal_segments(series, events, cfg)
 
 
 @pytest.mark.parametrize(
@@ -564,6 +561,125 @@ def test_run_study_only_short_tickers_is_inconclusive():
     assert [s["asset_id"] for s in report.skipped] == ["A", "B"]
     for st in report.signals.values():
         assert st.inconclusive_reason == "no segments"
+
+
+_ALL_SIGNALS = ("volatility", "skewness", "lag1_autocorr", "anomalous_dim", "conformality",
+                "ghe1", "ghe2")
+
+
+def _readme_study_cfg():
+    return study_config_from_dict(json.loads(readme_json_blocks()["study.json"]))
+
+
+def _ranked_windows(monkeypatch, assets, cfg):
+    """run_study's report and the windows it hands kendall_tau_trend, one
+    EwsSeries per (asset, signal, segment), in the study's order."""
+    ranked = []
+
+    def spy(ews):
+        ranked.append(ews)
+        return kendall(ews)
+
+    kendall = study.kendall_tau_trend
+    with monkeypatch.context() as m:
+        m.setattr(study, "kendall_tau_trend", spy)
+        report = pc.run_study(assets, cfg)
+    return report, ranked
+
+
+def _assert_windows_match_per_segment_oracle(monkeypatch, assets, cfg):
+    """Every window a segment takes from its asset's one estimate is the
+    window of the per-segment estimate anchored at the segment's first
+    grid step, times and values bit for bit; so are the records."""
+    report, ranked = _ranked_windows(monkeypatch, assets, cfg)
+    scanned, _ = pc.detect_panel(assets, cfg)
+    want_windows, want_records = [], []
+    for asset, events in scanned:
+        assert len(asset) > cfg.ews_cfg.window  # every asset has one estimate
+        pre, normal = pc.segment_windows(asset, events, cfg)
+        for signal in cfg.signals:
+            want_windows += [study_reference.segment_ews(asset, signal, cfg, seg)
+                             for seg in pre + normal]
+            want_records += study_reference.trend_records(asset, signal, cfg, pre, normal)
+    assert len(ranked) == len(want_windows)
+    for got, want in zip(ranked, want_windows):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert [vars(r) for r in report.segments] == [vars(r) for r in want_records]
+    return ranked
+
+
+def test_segment_windows_match_the_per_segment_oracle_on_the_readme_panel(monkeypatch):
+    cfg = replace(_readme_study_cfg(), signals=_ALL_SIGNALS)
+    ranked = _assert_windows_match_per_segment_oracle(monkeypatch, _readme_corpus(), cfg)
+    assert sum(map(len, ranked)) > 0
+
+
+def _edge_path(peaks, n):
+    """A rising path with a 40% V-shaped dip after each peak: each dip is
+    one event, its trough two steps after the peak."""
+    t = np.arange(n, dtype=float)
+    lp = 0.002 * t + 0.001 * np.sin(0.7 * t)
+    dip = np.log(0.6) * np.array([1, 2, 3, 2, 1]) / 3
+    for p in peaks:
+        k = min(5, n - p - 1)
+        lp[p + 1 : p + 1 + k] += dip[:k]
+    return pc.PriceSeries(t, lp, "EDGE")
+
+
+def test_segment_windows_match_the_per_segment_oracle_on_edge_cases(monkeypatch):
+    # normal runs of 10, 11, 17 and 18 steps between events; the first
+    # event's pre segment is cut by the series start, most others by the
+    # previous trough, and the last event's trough is the last step
+    series = _edge_path((12, 35, 59, 89, 120, 163), 166)
+    scaling = dict(tau_grid=(2, 3, 4), orders=(1, 2))
+    cfgs = [
+        _cfg(),
+        _cfg(ews_cfg=pc.WindowConfig(window=10, stride=3, tau_grid=(2,))),
+        _cfg(signals=_ALL_SIGNALS, ews_cfg=pc.WindowConfig(window=17, stride=1, **scaling)),
+        _cfg(signals=_ALL_SIGNALS, ews_cfg=pc.WindowConfig(window=17, stride=4, **scaling)),
+        _cfg(signals=_ALL_SIGNALS, pre_crash_window=40,
+             ews_cfg=pc.WindowConfig(window=17, stride=2, **scaling)),
+    ]
+    seen = set()
+    for cfg in cfgs:
+        events = pc.detect_crashes(series, cfg)
+        assert [(e.peak_index, e.trough_index) for e in events][::5] == [(12, 14), (163, 165)]
+        pre, _ = pc.segment_windows(series, events, cfg)
+        if pre[0][0] == 0:
+            seen.add("cut by the series start")
+        if any(b[0] == a.trough_index + cfg.exclusion_margin for a, b in zip(events, pre[1:])):
+            seen.add("cut by the previous trough")
+        ranked = _assert_windows_match_per_segment_oracle(monkeypatch, [series], cfg)
+        if any(len(ews) == 1 for ews in ranked):
+            seen.add("one window")
+        if any(len(ews) >= 10 for ews in ranked):
+            seen.add("ranked")
+    assert seen == {"cut by the series start", "cut by the previous trough", "one window",
+                    "ranked"}
+
+
+def test_run_study_estimates_each_signal_once_per_scanned_asset(monkeypatch):
+    corpus = _readme_corpus()
+    short = _prices(np.linspace(100, 90, 100), "SHORT")  # at most lookback = 126 rows
+    cfg = _readme_study_cfg()
+    calls = Counter()
+
+    def counting(name):
+        estimate = real(name)
+
+        def run(series, ews_cfg):
+            calls[series.id, name] += 1
+            return estimate(series, ews_cfg)
+
+        return run
+
+    real = study.signal_estimator
+    monkeypatch.setattr(study, "signal_estimator", counting)
+    report = pc.run_study(corpus + [short], cfg)
+    assert report.skipped[0]["asset_id"] == "SHORT"
+    assert calls == Counter({(a.id, s): 1 for a in corpus for s in cfg.signals})
+    assert sum(calls.values()) == 200
 
 
 def test_signal_trend_inconclusive_reason():
