@@ -164,10 +164,18 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
+def _load_json(path):
+    """The JSON document in the file ``path``; one that cannot be parsed
+    raises a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_synth(args):
-    with open(args.spec, encoding="utf-8") as fh:
-        spec_dict = json.load(fh)
-    spec = CorpusSpec.from_dict(spec_dict)
+    spec = CorpusSpec.from_dict(_load_json(args.spec))
     corpus = synth_corpus(spec, args.seed)
     write_price_csv(corpus, _outpath(args, "corpus.csv"))
     log.info("wrote %d series to %s", len(corpus), args.out)
@@ -300,18 +308,14 @@ def _cmd_detect(args):
 def _cmd_study(args):
     if (args.input is None) == (args.spec is None):
         raise ValueError("study needs exactly one of --input or --spec")
+    cfg = StudyConfig()
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = study_config_from_dict(json.load(fh))
-    else:
-        cfg = StudyConfig()
+        cfg = study_config_from_dict(_load_json(args.config))
     if args.input is not None:
         assets = load_price_csv(args.input)
         digest = RunManifest.digest_file(args.input)
     else:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = CorpusSpec.from_dict(json.load(fh))
-        assets = synth_corpus(spec, args.seed)
+        assets = synth_corpus(CorpusSpec.from_dict(_load_json(args.spec)), args.seed)
         digest = RunManifest.digest_file(args.spec)
     report = run_study(assets, cfg)
     write_report_json(report, _outpath(args, "report.json"))

@@ -13,9 +13,9 @@ under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
 nonempty, unpadded, free of carriage returns and unique, or they would
 not load back; the writer and ``synth_corpus`` refuse any other. The
 loader parses ``_CHUNK_ROWS`` records at a time and keeps three numbers
-a row (ticker code, date ordinal, close), and the writer streams one
-series at a time. Every other CSV writes a float cell with 17
-significant digits, which parses back to the same double.
+a row (ticker code, date ordinal, close). Every CSV streams into its
+atomic file, the price CSV a series at a time; the others write floats
+with 17 significant digits, which parse back to the same doubles.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -116,15 +116,13 @@ def _atomic_write(path, text):
 
 
 def _write_csv(path, header, rows):
-    """Write the comma-separated column names ``header``, then ``rows``;
-    a float cell is written with 17 significant digits, and only fields
-    holding a comma, a quote or a line break get quoted."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    cells = ([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
-    writer.writerows(cells)
-    _atomic_write(path, buf.getvalue())
+    """Stream the column names ``header``, then ``rows``, into the atomic
+    file at ``path``; a float cell is written with 17 significant digits,
+    and only fields holding a comma, a quote or a line break get quoted."""
+    with _atomic_file(path) as fh:
+        fh.write(header + "\n")
+        cells = ([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+        csv.writer(fh, lineterminator="\n").writerows(cells)
 
 
 def _dump_json(obj):
@@ -133,17 +131,26 @@ def _dump_json(obj):
 
 
 def _records(path, fh):
-    """``(first line, record)`` per csv record of ``fh``; one the csv module
+    """``(first line, record)`` per csv record of ``fh``, a handle that
+    decodes with ``errors="surrogateescape"``. A record the csv module
     cannot read, such as a field over ``csv.field_size_limit()``, raises
-    CsvParseError at its line."""
+    CsvParseError at its line, and one holding a byte that is not UTF-8
+    at the line of that byte."""
     reader, start = csv.reader(fh), 1
     try:
         for row in reader:
+            text = ",".join(row)
+            text.encode("utf-8")  # an escaped byte is a lone surrogate, which does not encode
             yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
         line = reader.line_num
         raise CsvParseError(f"{path}:{line}: {exc}", line=line) from exc
+    except UnicodeEncodeError as exc:
+        head = text[: exc.start]  # only a quoted field holds line breaks, kept as read
+        line = start + head.count("\n") + head.count("\r") - head.count("\r\n")
+        msg = f"cannot decode byte 0x{ord(text[exc.start]) - 0xDC00:02x} as UTF-8"
+        raise CsvParseError(f"{path}:{line}: {msg}", line=line) from None
 
 
 def _raise_first_bad_row(path, duplicate=-1):
@@ -154,7 +161,9 @@ def _raise_first_bad_row(path, duplicate=-1):
     data rows of the first to repeat a pair: every row before it passed,
     so none is kept."""
     code, seen = {}, set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    # the text reader decodes 8 KB ahead: a strict one could fail before
+    # the rows ahead of a bad byte were checked
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         records = _records(path, fh)
         next(records, None)  # the header
         data = ((n, row) for n, row in records if len(row) > 1 or (row and row[0].strip()))
@@ -228,7 +237,7 @@ def load_price_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         # Each check runs once per column or per distinct value; when one
-        # fails, or the csv module cannot read a record, the file is read
+        # fails, or a record cannot be decoded or read, the file is read
         # again to report its first bad row.
         try:
             header = next(reader, None)
@@ -237,7 +246,7 @@ def load_price_csv(path):
                 raise CsvParseError(f"{path}: {msg}", line=1)
             while part := _chunk_columns(reader, rank, code, ordinal):
                 parts.append(part)
-        except csv.Error:
+        except (csv.Error, UnicodeDecodeError):
             part = ()
     if part is not None:  # a row failed a check
         _raise_first_bad_row(path)
@@ -308,11 +317,11 @@ def write_price_csv(series_list, path):
 def write_ews_csv(ews_list, path):
     """Long-format signal CSV: asset_id, signal, window_end_time, value,
     missing_flag."""
-    rows = []
-    for e in ews_list:
-        for t, v in zip(e.times.tolist(), e.values.tolist()):
-            missing = not math.isfinite(v)
-            rows.append((e.id, e.signal, t, "" if missing else v, int(missing)))
+    rows = (
+        (e.id, e.signal, t, "" if gap else v, int(gap))
+        for e in ews_list
+        for t, v, gap in zip(e.times.tolist(), e.values.tolist(), e.missing.tolist())
+    )
     _write_csv(path, "asset_id,signal,window_end_time,value,missing_flag", rows)
 
 
@@ -331,11 +340,12 @@ def write_report_json(report, path):
 
 
 def write_report_csv(report, path):
-    rows = []
-    for name, st in report.signals.items():
-        rows.append((name, "pre", st.mean_tau_pre, st.n_pre, st.p_value))
-        rows.append((name, "normal", st.mean_tau_normal, st.n_normal, st.p_value))
-    _write_csv(path, "signal,group,mean_tau,n,p_value", rows)
+    def rows():
+        for name, st in report.signals.items():
+            yield name, "pre", st.mean_tau_pre, st.n_pre, st.p_value
+            yield name, "normal", st.mean_tau_normal, st.n_normal, st.p_value
+
+    _write_csv(path, "signal,group,mean_tau,n,p_value", rows())
 
 
 def write_segments_csv(report, path):

@@ -164,7 +164,8 @@ class SearchConfig:
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
-    best grid node. The four counts must be integers; a bool is refused.
+    best grid node. Every bound must be finite, and the four counts must
+    be integers; a bool is refused.
     """
 
     m_bounds: tuple = (0.1, 0.9)
@@ -176,6 +177,8 @@ class SearchConfig:
     refine_top_k: int = 5
 
     def __post_init__(self):
+        _check_finite(m_bounds=self.m_bounds, omega_bounds=self.omega_bounds,
+                      tc_bounds=self.tc_bounds)
         if not 0.0 < self.m_bounds[0] < self.m_bounds[1] < 1.0:
             raise ValueError(f"m_bounds must satisfy 0 < lo < hi < 1: {self.m_bounds}")
         if not 0.0 < self.omega_bounds[0] < self.omega_bounds[1]:
@@ -307,6 +310,7 @@ def _grid(times, y, tcs, ms, omegas):
 
 def solve_linear_params(tc, m, omega, series):
     """Exact least-squares (A, B, C1, C2, ssr) at fixed (tc, m, omega)."""
+    _check_finite(tc=tc, m=m, omega=omega)
     times, y = series.times, series.log_prices
     if len(series) < 8:
         raise ValueError("need at least 8 observations for the linear subproblem")
@@ -328,6 +332,7 @@ def power_law_ssr(series, tc, m):
     Comparing this with a full fit's ``ssr`` measures how much of the fit
     quality the log-periodic terms actually contribute.
     """
+    _check_finite(tc=tc, m=m)
     tail = tc - series.times
     if np.any(tail <= 0):
         raise ValueError(f"tc = {tc} must exceed every observation time")
@@ -542,8 +547,6 @@ def fit_lppl(series, search=None):
         )
         evals += res.nfev
         for fun, x, success in zip(res.fun, res.x, res.success):
-            if not np.isfinite(fun):
-                continue
             converged = converged or bool(success)
             # fun is the objective at x, a node the gate accepted
             if (fun, *x) < best:

@@ -398,6 +398,45 @@ def test_failed_load_leaves_no_open_file(tmp_path, monkeypatch, failure):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+_DECODE = "cannot decode byte 0xe9 as UTF-8"
+
+
+@pytest.mark.parametrize(
+    "data, line, message",
+    [(b"date,ticker,close\n2020-01-02,A,100\n2020-01-03,Caf\xe9,101\n", 3, _DECODE),
+     # a bad row before the byte is the first bad row, though the reader decodes ahead
+     (b"date,ticker,close\n2020-01-02,A,ten\n2020-01-03,Caf\xe9,101\n", 2, "bad close 'ten'"),
+     (b"date,ticker,clos\xe9\n2020-01-02,A,100\n", 1, _DECODE),
+     # the byte's own line, after a quoted line break or a carriage return
+     (b'date,ticker,close\n2020-01-02,"A\r\nB\xe9",100\n', 3, _DECODE),
+     (b"date,ticker,close\r2020-01-02,A,100\r2020-01-03,\xe9,101\r", 3, _DECODE),
+     # a UTF-8 encoded surrogate is not UTF-8 either
+     (b"date,ticker,close\n2020-01-02,A\xed\xa0\x80,100\n", 2,
+      "cannot decode byte 0xed as UTF-8"),
+     # far past the first 8 KB the text reader decodes at once
+     (b"date,ticker,close\n" + _good_rows(5000).encode() + b"2020-01-02,\xe9,1\n", 5002,
+      _DECODE)],
+    ids=["row", "earlier_bad_row", "header", "quoted_break", "carriage_returns", "surrogate",
+         "deep"],
+)
+def test_load_a_byte_that_is_not_utf8_names_its_line(tmp_path, data, line, message):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    with pytest.raises(CsvParseError) as exc:
+        load_price_csv(str(path))
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_cli_detect_reports_a_byte_that_is_not_utf8_by_line(tmp_path, capsys):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"date,ticker,close\n2020-01-02,A,100\n2020-01-03,Caf\xe9,101\n")
+    out = tmp_path / "events"
+    assert cli_dispatch(["detect-crashes", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {path}:3: {_DECODE}\n"
+    assert not out.exists()
+
+
 def test_write_matches_reference_bytes_for_quoted_ids(tmp_path):
     # a close of 1 everywhere: numpy's log and math.log can pick different
     # closes for the same log-price elsewhere (see the README round trip)
@@ -428,6 +467,25 @@ def test_price_csv_peak_memory_on_the_readme_corpus(tmp_path):
             tracemalloc.stop()
     assert peaks[0] <= 0.6 * 2**20
     assert peaks[1] <= 8.0 * 2**20
+
+
+def test_signal_csv_peak_memory_streams_its_rows(tmp_path):
+    # 20 series of 10,000 windows, an 8.3 MB file: measured 0.85 MB; a list of
+    # row tuples and a StringIO copy of the file peaked at 43.4 MB
+    t = np.arange(10_000.0)
+    values = np.random.default_rng(5).random(t.size)
+    values[::97] = np.nan
+    ews = [pc.EwsSeries(t, values, "volatility", f"T{i:02d}") for i in range(20)]
+    path = tmp_path / "signals.csv"
+    tracemalloc.start()
+    try:
+        write_ews_csv(ews, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2**20
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 20 * t.size
 
 
 @pytest.mark.parametrize(
@@ -1197,6 +1255,23 @@ def test_cli_ews_schema(tmp_path):
     assert signals == {"volatility", "anomalous_dim", "ghe1"}
 
 
+def test_cli_ews_estimates_every_signal_before_it_writes(tmp_path, capsys):
+    # the writer streams its rows, so a signal estimated inside it would
+    # fail after the output directory was made
+    t = np.arange(300.0)
+    path = str(tmp_path / "prices.csv")
+    write_price_csv([pc.PriceSeries(t, 0.001 * t, "LONG"),
+                     pc.PriceSeries(t[:50], np.zeros(50), "SHORT")], path)
+    out = tmp_path / "signals"
+    rc = cli_dispatch(["ews", "--input", path, "--signals", "volatility,anomalous_dim",
+                       "--window", "126", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("phasecrash: error: series 'SHORT' has 50 observations, "
+                   "needs at least window + 1 = 127\n")
+    assert not out.exists()
+
+
 def test_cli_ews_has_no_orders_flag(tmp_path):
     # a ghe<n> name fixes its own order, so --orders would select nothing
     spec = _spec_file(tmp_path, n_crash=0, n_bm=1)
@@ -1315,6 +1390,48 @@ def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, c
     assert rc == 1
     err = capsys.readouterr().err
     assert bounds in err and "last observation time 59.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--omega-max", "inf"], "omega_bounds must be finite, got (2.0, inf)"),
+     (["--tc-min", "400", "--tc-max", "inf"], "tc_bounds must be finite, got (400.0, inf)"),
+     (["--m-min", "nan"], "m_bounds must be finite, got (nan, 0.9)")],
+    ids=["omega", "tc", "m"],
+)
+def test_cli_fit_lppl_refuses_a_bound_that_is_not_finite(tmp_path, capsys, flags, message):
+    path = _two_tickers(tmp_path)
+    out = tmp_path / "fit"
+    assert cli_dispatch(["fit-lppl", "--input", path, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
+    assert not out.exists()
+
+
+_NOT_OBJECT = "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, message",
+    [("synth", "--spec", b"{\n", _NOT_OBJECT),
+     ("study", "--spec", b"{\n", _NOT_OBJECT),
+     ("study", "--config", b'{"signals": }', "Expecting value: line 1 column 13 (char 12)"),
+     ("synth", "--spec", b'{"groups": [\xe9]}',
+      "'utf-8' codec can't decode byte 0xe9 in position 12: invalid continuation byte")],
+    ids=["synth", "study_spec", "study_config", "not_utf8"],
+)
+def test_cli_names_a_json_file_that_cannot_be_parsed(tmp_path, capsys, command, flag, data,
+                                                     message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    argv = [command, flag, str(bad)]
+    if flag == "--config":  # the study also needs a panel
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 1, "n": 300}]}))
+        argv += ["--spec", str(spec)]
+    out = tmp_path / "out"
+    assert cli_dispatch([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {bad}: {message}\n"
     assert not out.exists()
 
 

@@ -219,6 +219,16 @@ def test_solve_linear_preconditions():
         pc.solve_linear_params(50.0, 0.5, 8.0, series)
 
 
+@pytest.mark.parametrize("name", ["tc", "m", "omega"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_solve_linear_refuses_a_parameter_that_is_not_finite(name, bad):
+    series = _synthetic_series(_params(), n=100)
+    point = dict(tc=550.0, m=0.5, omega=8.0) | {name: bad}
+    with pytest.raises(ValueError) as exc:
+        pc.solve_linear_params(**point, series=series)
+    assert str(exc.value) == f"{name} must be finite, got {bad!r}"
+
+
 # ------------------------------------------------------------------- fit
 
 
@@ -521,6 +531,16 @@ def test_fit_matches_reference_oracle(kind, n):
     assert fit.degenerate_nodes == oracle.degenerate_nodes
 
 
+@pytest.mark.parametrize("name", ["tc", "m"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_power_law_ssr_refuses_a_parameter_that_is_not_finite(name, bad):
+    series = _synthetic_series(_params(), n=100)
+    point = dict(tc=550.0, m=0.5) | {name: bad}
+    with pytest.raises(ValueError) as exc:
+        pc.power_law_ssr(series, **point)
+    assert str(exc.value) == f"{name} must be finite, got {bad!r}"
+
+
 @pytest.mark.parametrize("tc", [98.0, 99.0])
 def test_power_law_ssr_refuses_a_tc_inside_the_data(tc):
     series = _synthetic_series(_params(), n=100)  # ends at t = 99
@@ -563,10 +583,15 @@ def test_power_law_ssr_matches_reference_oracle(kind):
          r"observation time 99.0$"),
         ({"tc_bounds": (150.0, 120.0)}, "^tc_bounds must satisfy lo < hi$"),
         ({"tc_bounds": (150.0, 150.0)}, "^tc_bounds must satisfy lo < hi$"),
+        # a bound that is not finite would put an infinite or NaN node in the grid
+        ({"omega_bounds": (2.0, math.inf)}, r"^omega_bounds must be finite, got \(2.0, inf\)$"),
+        ({"tc_bounds": (400.0, math.inf)}, r"^tc_bounds must be finite, got \(400.0, inf\)$"),
+        ({"m_bounds": (math.nan, 0.5)}, r"^m_bounds must be finite, got \(nan, 0.5\)$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
          "n_tc_float", "n_m_bool", "n_omega_float", "top_k_float", "top_k_bool",
-         "tc_before", "tc_at", "tc_one_node", "tc_reversed", "tc_equal"],
+         "tc_before", "tc_at", "tc_one_node", "tc_reversed", "tc_equal",
+         "omega_inf", "tc_inf", "m_nan"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):
