@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ComputationError
+from .errors import ComputationError, check_int
 from .ews import (
     CROSS_COV,
     PriceSeries,
@@ -53,9 +53,9 @@ from .io import (
     write_segments_csv,
 )
 from .lppl import SearchConfig, fit_lppl
-from .noise import _check_seed
+from .noise import MAX_SEED
 from .simulate import CPT_LAM, MultiParams, MuSchedule, simulate_multivariate
-from .study import StudyConfig, _check_signal_list, detect_panel, run_study
+from .study import StudyConfig, _check_signal_list, _check_window, detect_panel, run_study
 
 log = logging.getLogger("phasecrash")
 
@@ -183,8 +183,7 @@ def _cmd_synth(args):
 
 
 def _cmd_simulate(args):
-    if args.sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    check_int("sample_every", args.sample_every, 1)
     n, dt, seed = args.n, args.dt, args.seed
     if 0 < n <= args.t_start:  # the ramp would never start
         raise ValueError(f"t_start must lie in [0, n), got {args.t_start} with n = {n}")
@@ -262,16 +261,18 @@ def _cmd_fit_lppl(args):
 
 def _cmd_ews(args):
     signals = tuple(s.strip() for s in args.signals.split(",") if s.strip())
-    # resolve every name before the panel is read; None marks cross_cov
-    estimators = [None if s == CROSS_COV else signal_estimator(s) for s in signals]
-    _check_signal_list(signals)
     cfg = WindowConfig(window=args.window, stride=args.stride, tau_grid=args.tau_grid)
+    # every name and window is checked before the panel is read, but cross_cov's
+    # window rule reads the panel's shared dates
+    _check_window([s for s in signals if s != CROSS_COV], cfg)
+    _check_signal_list(signals)
     series_list = load_price_csv(args.input)
     out = []
-    for estimator in estimators:
-        if estimator is None:
+    for name in signals:
+        if name == CROSS_COV:
             out.append(cross_covariance(series_list, cfg))
         else:
+            estimator = signal_estimator(name)
             out.extend(estimator(s, cfg) for s in series_list)
     write_ews_csv(out, _outpath(args, "signals.csv"))
     cfg_dict = {
@@ -352,7 +353,7 @@ def cli_dispatch(argv):
     except SystemExit as exc:  # argparse has printed the help, version or usage error
         return 1 if exc.code else 0
     try:
-        _check_seed(args.seed)
+        check_int("seed", args.seed, 0, MAX_SEED)
         config, digest = _COMMANDS[args.command](args)
         manifest = RunManifest(args.command, config, args.seed, input_digest=digest)
         manifest.write(_outpath(args, "manifest.json"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and parameter checks shared across the package.
 
 Two families decide the command line's exit code. Bad input is a
 ``ValueError``: plain ``ValueError`` for simple argument validation, and
@@ -8,7 +8,14 @@ A computation that fails on valid input is a :class:`ComputationError`
 (``GenerationError``, ``SimulationOverflowError``,
 ``DegenerateDesignError``, ``FitFailureError``); with ``ArithmeticError``
 it exits 2.
+
+:func:`check_int` (every count, size, index and seed) and :func:`check_finite`
+refuse a bad parameter by name where it is given, not inside a computation.
 """
+
+from numbers import Integral
+
+import numpy as np
 
 
 class PhasecrashError(Exception):
@@ -53,3 +60,26 @@ class CsvParseError(PhasecrashError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def check_int(name, value, lo, hi=None):
+    """``value`` as an int; a bool, a non-integer (``numbers.Integral``
+    admits numpy's integers and refuses ``np.bool_``) and a value outside
+    ``[lo, hi]`` raise a ValueError that names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = int(value)
+    if hi is not None and not lo <= n <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    if n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    return n
+
+
+def check_finite(**fields):
+    """Refuse a NaN or infinite parameter by name; the Euler step would
+    carry it into the path and report a divergence instead, and the LPPL
+    model would return NaN."""
+    for name, value in fields.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")

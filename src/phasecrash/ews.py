@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_int
 
 __all__ = [
     "PriceSeries",
@@ -120,21 +120,16 @@ class WindowConfig:
     orders: tuple = (1, 2)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        for key in ("tau_grid", "orders"):
-            values = tuple(getattr(self, key))
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                    raise ValueError(f"{key} must hold integers, got {v!r}")
-            object.__setattr__(self, key, tuple(map(int, values)))
+        check_int("window", self.window, 1)
+        check_int("stride", self.stride, 1)
+        for key, lo in (("tau_grid", 2), ("orders", 1)):
+            ints = (check_int(f"{key}[{i}]", v, lo) for i, v in enumerate(getattr(self, key)))
+            object.__setattr__(self, key, tuple(ints))
         taus = self.tau_grid
         if not taus:
             raise ValueError("tau_grid must be nonempty")
-        if any(t < 2 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ValueError("tau_grid must be strictly increasing with entries >= 2")
-        if any(q < 1 for q in self.orders):
-            raise ValueError("orders must be positive integers")
+        if any(b <= a for a, b in zip(taus, taus[1:])):
+            raise ValueError("tau_grid must be strictly increasing")
 
     def check_scaling(self):
         """Lag rules, binding only where tau_grid is used: a log-log fit

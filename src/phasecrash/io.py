@@ -15,7 +15,8 @@ not load back; the writer and ``synth_corpus`` refuse any other. The
 loader parses ``_CHUNK_ROWS`` records at a time and keeps three numbers
 a row (ticker code, date ordinal, close). Every CSV streams into its
 atomic file, the price CSV a series at a time; the others write floats
-with 17 significant digits, which parse back to the same doubles.
+with 17 significant digits, which parse back to the same doubles. The
+loader skips a leading UTF-8 byte-order mark, as spreadsheets write.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -45,7 +46,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .errors import CsvParseError
+from .errors import CsvParseError, check_finite, check_int
 from .ews import PriceSeries, WindowConfig
 from .noise import HurstSchedule, StableSchedule, sample_gaussian_increments
 from .simulate import (
@@ -53,7 +54,6 @@ from .simulate import (
     DptParams,
     MuSchedule,
     SptParams,
-    _check_finite,
     simulate_cpt,
     simulate_dpt,
     simulate_spt,
@@ -163,7 +163,7 @@ def _raise_first_bad_row(path, duplicate=-1):
     code, seen = {}, set()
     # the text reader decodes 8 KB ahead: a strict one could fail before
     # the rows ahead of a bad byte were checked
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         records = _records(path, fh)
         next(records, None)  # the header
         data = ((n, row) for n, row in records if len(row) > 1 or (row and row[0].strip()))
@@ -234,7 +234,7 @@ def load_price_csv(path):
     """Read ``date,ticker,close`` rows into one PriceSeries per ticker, in
     first-appearance order, each sorted by its ``YYYY-MM-DD`` dates."""
     rank, code, ordinal, parts = {}, {}, {}, []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         # Each check runs once per column or per distinct value; when one
         # fails, or a record cannot be decoded or read, the file is read
@@ -404,9 +404,7 @@ class AssetGroupSpec:
         if not 0.0 <= onset < 1.0:
             raise ValueError(f"{self.kind} params: onset must lie in [0, 1), got {onset!r}")
         for name, lo in (("count", 0), ("n", 1), ("sample_every", 1), ("drop_len", 1)):
-            value = getattr(self, name)
-            if value < lo:
-                raise ValueError(f"asset group: {name} must be >= {lo}, got {value!r}")
+            check_int(f"asset group: {name}", getattr(self, name), lo)
         if not 0 < self.dt < math.inf:
             raise ValueError(f"asset group: dt must be finite and > 0, got {self.dt!r}")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:
@@ -434,10 +432,9 @@ def simulate_asset(kind, p, n, dt, t_start, seed):
     :data:`PARAM_DEFAULTS`, from its params ``p`` with every key given
     (``onset`` is not read); the kind's mu, H or alpha ramp starts at
     step ``t_start``. ``synth`` and ``simulate`` both draw through here."""
-    if t_start < 0:
-        raise ValueError(f"t_start must be an integer >= 0, got {t_start!r}")
+    check_int("t_start", t_start, 0)
     if kind == "bm":
-        _check_finite(sigma=p["sigma"], p0=p["p0"])
+        check_finite(sigma=p["sigma"], p0=p["p0"])
         noise = sample_gaussian_increments(n, dt, seed)
         return p["p0"] + p["sigma"] * noise.path()
     if kind == "cpt":

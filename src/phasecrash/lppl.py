@@ -50,8 +50,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegenerateDesignError, FitFailureError
-from .simulate import _check_finite
+from .errors import DegenerateDesignError, FitFailureError, check_finite, check_int
 
 __all__ = [
     "LpplParams",
@@ -82,7 +81,7 @@ class LpplParams:
     tc: float
 
     def __post_init__(self):
-        _check_finite(**vars(self))
+        check_finite(**vars(self))
         if not 0.0 < self.m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {self.m}")
         if self.omega <= 0.0:
@@ -109,7 +108,7 @@ class HazardParams:
     tc: float
 
     def __post_init__(self):
-        _check_finite(**vars(self))
+        check_finite(**vars(self))
         if self.alpha_h <= 0.0:
             raise ValueError("alpha_h must be positive")
         if abs(self.beta_h) > 1.0:
@@ -177,8 +176,8 @@ class SearchConfig:
     refine_top_k: int = 5
 
     def __post_init__(self):
-        _check_finite(m_bounds=self.m_bounds, omega_bounds=self.omega_bounds,
-                      tc_bounds=self.tc_bounds)
+        check_finite(m_bounds=self.m_bounds, omega_bounds=self.omega_bounds,
+                     tc_bounds=self.tc_bounds)
         if not 0.0 < self.m_bounds[0] < self.m_bounds[1] < 1.0:
             raise ValueError(f"m_bounds must satisfy 0 < lo < hi < 1: {self.m_bounds}")
         if not 0.0 < self.omega_bounds[0] < self.omega_bounds[1]:
@@ -188,11 +187,7 @@ class SearchConfig:
         if self.tc_bounds is not None and not self.tc_bounds[0] < self.tc_bounds[1]:
             raise ValueError("tc_bounds must satisfy lo < hi")
         for name, lo in (("n_tc", 1), ("n_m", 1), ("n_omega", 1), ("refine_top_k", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < lo:
-                raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+            check_int(name, getattr(self, name), lo)
 
 
 def _tail(params, t):
@@ -310,7 +305,7 @@ def _grid(times, y, tcs, ms, omegas):
 
 def solve_linear_params(tc, m, omega, series):
     """Exact least-squares (A, B, C1, C2, ssr) at fixed (tc, m, omega)."""
-    _check_finite(tc=tc, m=m, omega=omega)
+    check_finite(tc=tc, m=m, omega=omega)
     times, y = series.times, series.log_prices
     if len(series) < 8:
         raise ValueError("need at least 8 observations for the linear subproblem")
@@ -332,7 +327,7 @@ def power_law_ssr(series, tc, m):
     Comparing this with a full fit's ``ssr`` measures how much of the fit
     quality the log-periodic terms actually contribute.
     """
-    _check_finite(tc=tc, m=m)
+    check_finite(tc=tc, m=m)
     tail = tc - series.times
     if np.any(tail <= 0):
         raise ValueError(f"tc = {tc} must exceed every observation time")

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, check_int
 
 __all__ = [
     "NoisePath",
@@ -58,11 +58,6 @@ MAX_SEED = 2**64 - 1
 #: 2048 and 2520 under tracemalloc).
 MAX_MBM_STEPS = 8192
 
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
-
 
 @dataclass(frozen=True)
 class Ramp:
@@ -75,8 +70,7 @@ class Ramp:
     t_start: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.t_start, (int, np.integer)) or self.t_start < 0:
-            raise ValueError(f"t_start must be an integer >= 0, got {self.t_start!r}")
+        check_int("t_start", self.t_start, 0)
 
     def values(self, n):
         """Per-step values for a path of ``n`` steps."""
@@ -150,17 +144,16 @@ class NoisePath:
 
 
 def _check_n_dt(n, dt):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = check_int("n", n, 1)
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    return int(n), float(dt)
+    return n, float(dt)
 
 
 def sample_gaussian_increments(n, dt, seed):
     """``n`` iid Gaussian increments with mean zero and variance ``dt``."""
     n, dt = _check_n_dt(n, dt)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_int("seed", seed, 0, MAX_SEED))
     z = rng.standard_normal(n)
     z *= np.sqrt(dt)
     return NoisePath(z)
@@ -179,7 +172,7 @@ def sample_alpha_stable(n, schedule, dt, seed):
     if not isinstance(schedule, StableSchedule):
         raise ValueError("schedule must be a StableSchedule")
     n, dt = _check_n_dt(n, dt)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_int("seed", seed, 0, MAX_SEED))
     alpha = schedule.values(n)
     u = (rng.random(n) - 0.5) * np.pi
     e = rng.standard_exponential(n)
@@ -303,7 +296,7 @@ def synth_fbm(n, schedule, dt, seed):
     if not isinstance(schedule, HurstSchedule):
         raise ValueError("schedule must be a HurstSchedule")
     n, dt = _check_n_dt(n, dt)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_int("seed", seed, 0, MAX_SEED))
     if schedule.is_constant():
         inc = _fgn_constant(schedule.start, n, rng) * dt**schedule.start
     else:

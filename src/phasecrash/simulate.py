@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SimulationOverflowError
+from .errors import SimulationOverflowError, check_finite, check_int
 from .noise import (
     HurstSchedule,
     Ramp,
@@ -68,15 +68,6 @@ MuSchedule = Ramp
 CPT_LAM = 1.0
 
 
-def _check_finite(**fields):
-    """Refuse a NaN or infinite parameter by name; the Euler step would
-    carry it into the path and report a divergence instead, and the LPPL
-    model would return NaN."""
-    for name, value in fields.items():
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CptParams:
     r: float
@@ -85,8 +76,8 @@ class CptParams:
     p0: float
 
     def __post_init__(self):
-        _check_finite(r=self.r, mu_start=self.mu_schedule.start,
-                      mu_end=self.mu_schedule.end, sigma=self.sigma, p0=self.p0)
+        check_finite(r=self.r, mu_start=self.mu_schedule.start,
+                     mu_end=self.mu_schedule.end, sigma=self.sigma, p0=self.p0)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
@@ -99,7 +90,7 @@ class SptParams:
     p0: float
 
     def __post_init__(self):
-        _check_finite(r=self.r, lam=self.lam, alpha_vol=self.alpha_vol, p0=self.p0)
+        check_finite(r=self.r, lam=self.lam, alpha_vol=self.alpha_vol, p0=self.p0)
         if self.lam <= 0:
             raise ValueError("lam must be positive (confining potential)")
         if self.alpha_vol < 0:
@@ -115,7 +106,7 @@ class DptParams:
     def __post_init__(self):
         if not isinstance(self.noise_spec, (HurstSchedule, StableSchedule)):
             raise ValueError("noise_spec must be a HurstSchedule or StableSchedule")
-        _check_finite(scale=self.scale, p0=self.p0)
+        check_finite(scale=self.scale, p0=self.p0)
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
 
@@ -141,9 +132,9 @@ class MultiParams:
         d = np.asarray(self.coupling, dtype=float)
         if d.shape != (k, k):
             raise ValueError(f"coupling must be {k}x{k}")
-        _check_finite(r=self.r, lam=self.lam, mu_start=self.mu_schedule.start,
-                      mu_end=self.mu_schedule.end, sigma=self.sigma,
-                      coupling=self.coupling, p0=self.p0)
+        check_finite(r=self.r, lam=self.lam, mu_start=self.mu_schedule.start,
+                     mu_end=self.mu_schedule.end, sigma=self.sigma,
+                     coupling=self.coupling, p0=self.p0)
         if not np.allclose(d, d.T):
             raise ValueError("coupling matrix must be symmetric")
         if not np.allclose(np.diag(d), 1.0):
@@ -172,8 +163,8 @@ class SimPath:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def times(self):
@@ -192,8 +183,7 @@ class SimPath:
         """
         from .ews import PriceSeries
 
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        sample_every = check_int("sample_every", sample_every, 1)
         return PriceSeries(
             self.times[::sample_every], self.values[::sample_every], asset_id
         )

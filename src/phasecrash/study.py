@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_int
 from .ews import (
     ANOMALOUS_DIM,
     LAG1_AUTOCORR,
@@ -109,6 +109,16 @@ def _check_signal_list(signals):
         raise ValueError(f"signals repeats {', '.join(map(repr, repeated))}")
 
 
+def _check_window(signals, cfg):
+    """Refuse an unknown signal, or a window ``cfg`` that one cannot use,
+    before any data is read: run each once on ``cfg.window + 1`` constant prices."""
+    n = cfg.window + 1
+    probe = PriceSeries(np.arange(n, dtype=float), np.zeros(n))
+    with np.errstate(all="ignore"):
+        for name in signals:
+            signal_estimator(name)(probe, cfg)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     crash_threshold: float = 0.20
@@ -121,21 +131,12 @@ class StudyConfig:
     def __post_init__(self):
         if not 0.0 < self.crash_threshold < 1.0:
             raise ValueError("crash_threshold must lie in (0, 1)")
-        if self.lookback < 1:
-            raise ValueError("lookback must be positive")
-        if self.exclusion_margin < 0:
-            raise ValueError("exclusion_margin must be nonnegative")
-        if self.pre_crash_window < self.ews_cfg.window:
-            raise ValueError("pre_crash_window must be >= ews_cfg.window")
+        check_int("lookback", self.lookback, 1)
+        check_int("exclusion_margin", self.exclusion_margin, 0)
+        check_int("pre_crash_window", self.pre_crash_window, self.ews_cfg.window)
         if isinstance(self.signals, str) or not all(isinstance(s, str) for s in self.signals):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
-        # each estimator checks its own name and window needs: run every
-        # signal once on a constant series of window + 1 prices
-        n = max(self.ews_cfg.window, 0) + 1
-        probe = PriceSeries(np.arange(n, dtype=float), np.zeros(n))
-        with np.errstate(all="ignore"):
-            for name in self.signals:
-                signal_estimator(name)(probe, self.ews_cfg)
+        _check_window(self.signals, self.ews_cfg)
         _check_signal_list(self.signals)
 
 

@@ -468,14 +468,14 @@ def test_window_config_validation():
 
 @pytest.mark.parametrize(
     "kw, message",
-    [(dict(tau_grid=(2, 4, 8.9)), "tau_grid must hold integers, got 8.9"),
-     (dict(tau_grid=(2, 4, 8.0)), "tau_grid must hold integers, got 8.0"),
-     (dict(tau_grid=(2, "4")), "tau_grid must hold integers, got '4'"),
-     (dict(tau_grid=(True, 4)), "tau_grid must hold integers, got True"),
-     (dict(tau_grid=(2, None)), "tau_grid must hold integers, got None"),
-     (dict(orders=(1.5, 2)), "orders must hold integers, got 1.5"),
-     (dict(orders=(True,)), "orders must hold integers, got True"),
-     (dict(orders=("1",)), "orders must hold integers, got '1'")],
+    [(dict(tau_grid=(2, 4, 8.9)), "tau_grid[2] must be an integer, got 8.9"),
+     (dict(tau_grid=(2, 4, 8.0)), "tau_grid[2] must be an integer, got 8.0"),
+     (dict(tau_grid=(2, "4")), "tau_grid[1] must be an integer, got '4'"),
+     (dict(tau_grid=(True, 4)), "tau_grid[0] must be an integer, got True"),
+     (dict(tau_grid=(2, None)), "tau_grid[1] must be an integer, got None"),
+     (dict(orders=(1.5, 2)), "orders[0] must be an integer, got 1.5"),
+     (dict(orders=(True,)), "orders[0] must be an integer, got True"),
+     (dict(orders=("1",)), "orders[0] must be an integer, got '1'")],
 )
 def test_window_config_refuses_elements_that_are_not_integers(kw, message):
     # int() would silently run 8.9 as lag 8 and True as order 1

@@ -437,6 +437,26 @@ def test_cli_detect_reports_a_byte_that_is_not_utf8_by_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [(b"2020-01-03,A,ten\n", "bad close 'ten'"), (b"2020-01-03,Caf\xe9,101\n", _DECODE)],
+    ids=["bad-close", "bad-byte"],
+)
+def test_load_a_price_csv_that_starts_with_a_byte_order_mark(tmp_path, bad_row, message):
+    # spreadsheet exports start a UTF-8 file with the mark EF BB BF
+    bom = b"\xef\xbb\xbf"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_price_csv(synth_corpus(json.loads(readme_json_blocks()["spec.json"]), 7), str(plain))
+    marked.write_bytes(bom + plain.read_bytes())
+    _assert_same_series(load_price_csv(str(marked)), load_price_csv(str(plain)))
+    # the mark takes no line: a bad row on line 3 is still named line 3
+    marked.write_bytes(bom + b"date,ticker,close\n2020-01-02,A,100\n" + bad_row)
+    with pytest.raises(CsvParseError) as exc:
+        load_price_csv(str(marked))
+    assert exc.value.line == 3
+    assert str(exc.value) == f"{marked}:3: {message}"
+
+
 def test_write_matches_reference_bytes_for_quoted_ids(tmp_path):
     # a close of 1 everywhere: numpy's log and math.log can pick different
     # closes for the same log-price elsewhere (see the README round trip)
@@ -920,13 +940,13 @@ def test_window_config_from_dict():
                             "['orders', 'stride', 'tau_grid', 'window']"),
         ({"window": 126.0}, "window config: window must be int, got float"),
         ([126], "window config must be a JSON object, got list"),
-        ({"stride": 0}, "stride must be >= 1"),
+        ({"stride": 0}, "stride must be >= 1, got 0"),
         # int() would have run these as lags (2, 4, 8, 16) and order 1
-        ({"tau_grid": [2, 4, 8.9, "16"]}, "tau_grid must hold integers, got 8.9"),
-        ({"tau_grid": [2, "4"]}, "tau_grid must hold integers, got '4'"),
-        ({"tau_grid": [2, None]}, "tau_grid must hold integers, got None"),
-        ({"orders": [True]}, "orders must hold integers, got True"),
-        ({"orders": [1.5, 2]}, "orders must hold integers, got 1.5"),
+        ({"tau_grid": [2, 4, 8.9, "16"]}, "tau_grid[2] must be an integer, got 8.9"),
+        ({"tau_grid": [2, "4"]}, "tau_grid[1] must be an integer, got '4'"),
+        ({"tau_grid": [2, None]}, "tau_grid[1] must be an integer, got None"),
+        ({"orders": [True]}, "orders[0] must be an integer, got True"),
+        ({"orders": [1.5, 2]}, "orders[0] must be an integer, got 1.5"),
     ],
     ids=["detrend", "float-window", "not-an-object", "zero-stride", "float-lag", "string-lag",
          "null-lag", "bool-order", "float-order"],
@@ -1186,11 +1206,11 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
 @pytest.mark.parametrize("kind", ["bm", "cpt", "spt", "dpt-hurst", "dpt-stable", "multi"])
 @pytest.mark.parametrize(
     "flag, message",
-    [(["--sample-every", "0"], "sample_every must be >= 1"),
-     (["--t-start", "-5"], "t_start must be an integer >= 0, got -5"),
+    [(["--sample-every", "0"], "sample_every must be >= 1, got 0"),
+     (["--t-start", "-5"], "t_start must be >= 0, got -5"),
      (["--dt", "-1"], "dt must be positive and finite, got -1.0"),
      (["--dt", "inf"], "dt must be positive and finite, got inf"),
-     (["--n", "0"], "n must be a positive integer, got 0"),
+     (["--n", "0"], "n must be >= 1, got 0"),
      # a ramp that starts at or past the path's end would ignore its end flag
      (["--t-start", "50"], "t_start must lie in [0, n), got 50 with n = 50"),
      (["--t-start", "500"], "t_start must lie in [0, n), got 500 with n = 50")],
@@ -1236,7 +1256,7 @@ def test_cli_simulate_negative_t_start_is_a_clear_error(tmp_path, capsys):
     rc = cli_dispatch(["simulate", "--kind", "dpt-hurst", "--h-end", "0.9", "--n", "50",
                        "--t-start", "-5", "--out", str(tmp_path)])
     assert rc == 1
-    assert "t_start must be an integer >= 0, got -5" in capsys.readouterr().err
+    assert "t_start must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_cli_ews_schema(tmp_path):
@@ -1263,8 +1283,9 @@ def test_cli_ews_estimates_every_signal_before_it_writes(tmp_path, capsys):
     write_price_csv([pc.PriceSeries(t, 0.001 * t, "LONG"),
                      pc.PriceSeries(t[:50], np.zeros(50), "SHORT")], path)
     out = tmp_path / "signals"
+    # a window both signals can use, which the command checks before it reads
     rc = cli_dispatch(["ews", "--input", path, "--signals", "volatility,anomalous_dim",
-                       "--window", "126", "--out", str(out)])
+                       "--window", "126", "--tau-grid", "2,4,8,16", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == ("phasecrash: error: series 'SHORT' has 50 observations, "
@@ -1449,8 +1470,8 @@ def test_cli_synth_unknown_group_key_is_a_validation_error(tmp_path, capsys):
         ({"crash_threshold": "0.3"}, "study config: crash_threshold must be float, got str"),
         ({"lookback": "126"}, "study config: lookback must be int, got str"),
         ({"ews": {"window": "126"}}, "ews: window must be int, got str"),
-        ({"ews": {"tau_grid": [2, 4, 8.9, "16"]}}, "tau_grid must hold integers, got 8.9"),
-        ({"ews": {"orders": [1, True]}}, "orders must hold integers, got True"),
+        ({"ews": {"tau_grid": [2, 4, 8.9, "16"]}}, "tau_grid[2] must be an integer, got 8.9"),
+        ({"ews": {"orders": [1, True]}}, "orders[1] must be an integer, got True"),
     ],
 )
 def test_cli_study_config_value_of_wrong_type_is_a_validation_error(tmp_path, capsys, cfg):
@@ -1508,6 +1529,35 @@ def test_cli_study_refuses_window_rules_before_synthesis(tmp_path, capsys, monke
     assert rc == 1
     assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--signals", "lag1_autocorr", "--window", "3"], "window must be >= 4, got 3"),
+     (["--signals", "volatility,anomalous_dim", "--window", "30", "--tau-grid", "2,4,8,16"],
+      "window 30 must exceed 4 * max(tau_grid) = 64 for scaling estimators"),
+     (["--signals", "conformality", "--tau-grid", "2,4"],
+      "conformality index needs at least 3 lags in tau_grid"),
+     (["--signals", "volatility", "--window", "0"], "window must be >= 1, got 0")],
+    ids=["moment-window", "scaling-window", "conformality-lags", "zero-window"],
+)
+def test_cli_ews_refuses_a_window_its_signals_cannot_use_before_reading_the_input(
+        tmp_path, capsys, flags, message):
+    out = tmp_path / "badwin"
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "missing.csv"), *flags,
+                       "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_ews_cross_cov_checks_its_window_once_the_panel_is_read(tmp_path, capsys):
+    # cross_cov's window rule reads the dates the panel shares, so a window
+    # it cannot use is refused only after the input is read
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "missing.csv"), "--signals",
+                       "cross_cov", "--window", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "missing.csv" in capsys.readouterr().err
 
 
 def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, capsys):

@@ -575,11 +575,11 @@ def test_simulators_refuse_another_routes_params(simulate, route, expected):
     assert str(exc.value) == f"params must be {expected}"
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01])
-def test_sim_path_refuses_a_nonpositive_dt(dt):
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_sim_path_refuses_a_dt_that_is_not_positive_and_finite(dt):
     with pytest.raises(ValueError) as exc:
         pc.SimPath(np.zeros(3), dt)
-    assert str(exc.value) == "dt must be positive"
+    assert str(exc.value) == f"dt must be positive and finite, got {dt!r}"
 
 
 @pytest.mark.parametrize("sample_every", [0, -1])
@@ -587,4 +587,4 @@ def test_to_price_series_refuses_sample_every_below_one(sample_every):
     path = pc.SimPath(np.zeros(3), 0.01)
     with pytest.raises(ValueError) as exc:
         path.to_price_series("x", sample_every=sample_every)
-    assert str(exc.value) == "sample_every must be >= 1"
+    assert str(exc.value) == f"sample_every must be >= 1, got {sample_every}"
