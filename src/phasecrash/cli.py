@@ -69,11 +69,15 @@ _MULTI_FLAGS = {"k": 2, "coupling": 0.5}
 _MULTI_DEFAULTS = {**PARAM_DEFAULTS["cpt"], "lam": CPT_LAM, **_MULTI_FLAGS}
 
 
-def _int_list(text):
-    items = text.split(",")
-    if not all(x.strip() for x in items):  # "3,,4" or "3,4," is a typo, not (3, 4)
+def _items(text):
+    items = tuple(x.strip() for x in text.split(","))
+    if not all(items):  # "3,,4" or "3,4," is a typo, not (3, 4)
         raise argparse.ArgumentTypeError(f"empty item in {text!r}")
-    return tuple(int(x) for x in items)
+    return items
+
+
+def _int_list(text):
+    return tuple(int(x) for x in _items(text))
 
 
 def _grid_counts(text):
@@ -136,7 +140,8 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument(
         "--signals",
-        default=",".join(StudyConfig.signals),
+        type=_items,
+        default=StudyConfig.signals,
         help="comma list (volatility, skewness, lag1_autocorr, anomalous_dim, "
         "conformality, ghe<n>, cross_cov)",
     )
@@ -260,15 +265,14 @@ def _cmd_fit_lppl(args):
 
 
 def _cmd_ews(args):
-    signals = tuple(s.strip() for s in args.signals.split(",") if s.strip())
     cfg = WindowConfig(window=args.window, stride=args.stride, tau_grid=args.tau_grid)
     # every name and window is checked before the panel is read, but cross_cov's
     # window rule reads the panel's shared dates
-    _check_window([s for s in signals if s != CROSS_COV], cfg)
-    _check_signal_list(signals)
+    _check_window([s for s in args.signals if s != CROSS_COV], cfg)
+    _check_signal_list(args.signals)
     series_list = load_price_csv(args.input)
     out = []
-    for name in signals:
+    for name in args.signals:
         if name == CROSS_COV:
             out.append(cross_covariance(series_list, cfg))
         else:
@@ -276,7 +280,7 @@ def _cmd_ews(args):
             out.extend(estimator(s, cfg) for s in series_list)
     write_ews_csv(out, _outpath(args, "signals.csv"))
     cfg_dict = {
-        "signals": list(signals),
+        "signals": list(args.signals),
         "window": args.window,
         "stride": args.stride,
         "tau_grid": list(args.tau_grid),

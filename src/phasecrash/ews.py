@@ -120,8 +120,8 @@ class WindowConfig:
     orders: tuple = (1, 2)
 
     def __post_init__(self):
-        check_int("window", self.window, 1)
-        check_int("stride", self.stride, 1)
+        for key in ("window", "stride"):
+            object.__setattr__(self, key, check_int(key, getattr(self, key), 1))
         for key, lo in (("tau_grid", 2), ("orders", 1)):
             ints = (check_int(f"{key}[{i}]", v, lo) for i, v in enumerate(getattr(self, key)))
             object.__setattr__(self, key, tuple(ints))

@@ -12,11 +12,12 @@ grid, and the round trip is exact only to one representable price,
 under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
 nonempty, unpadded, free of carriage returns and unique, or they would
 not load back; the writer and ``synth_corpus`` refuse any other. The
-loader parses ``_CHUNK_ROWS`` records at a time and keeps three numbers
-a row (ticker code, date ordinal, close). Every CSV streams into its
-atomic file, the price CSV a series at a time; the others write floats
-with 17 significant digits, which parse back to the same doubles. The
-loader skips a leading UTF-8 byte-order mark, as spreadsheets write.
+loader reads the file once, checks each row as it comes, and keeps four
+numbers a row (ticker rank, date-spelling index, close, first line).
+Every CSV streams into its atomic file, the price CSV a series at a time;
+the others write floats with 17 significant digits, which parse back to
+the same doubles. The loader skips a leading UTF-8 byte-order mark, as
+spreadsheets write.
 
 JSON configs and corpus specs are keyed by dataclass field names;
 unknown keys raise a ``ValueError`` that names them, and so does a
@@ -35,12 +36,13 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -130,137 +132,108 @@ def _dump_json(obj):
     return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _records(path, fh):
-    """``(first line, record)`` per csv record of ``fh``, a handle that
-    decodes with ``errors="surrogateescape"``. A record the csv module
-    cannot read, such as a field over ``csv.field_size_limit()``, raises
-    CsvParseError at its line, and one holding a byte that is not UTF-8
-    at the line of that byte."""
-    reader, start = csv.reader(fh), 1
+def _undecodable_byte(path, start, row):
+    """The CsvParseError naming the first byte of ``row`` that is not UTF-8,
+    at that byte's own line, or None if every byte decodes. ``row`` is a
+    record read with ``errors="surrogateescape"`` that starts on line
+    ``start``."""
+    text = ",".join(row)
     try:
-        for row in reader:
-            text = ",".join(row)
-            text.encode("utf-8")  # an escaped byte is a lone surrogate, which does not encode
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        line = reader.line_num
-        raise CsvParseError(f"{path}:{line}: {exc}", line=line) from exc
+        text.encode("utf-8")  # an escaped byte is a lone surrogate, which does not encode
     except UnicodeEncodeError as exc:
         head = text[: exc.start]  # only a quoted field holds line breaks, kept as read
         line = start + head.count("\n") + head.count("\r") - head.count("\r\n")
         msg = f"cannot decode byte 0x{ord(text[exc.start]) - 0xDC00:02x} as UTF-8"
-        raise CsvParseError(f"{path}:{line}: {msg}", line=line) from None
-
-
-def _raise_first_bad_row(path, duplicate=-1):
-    """Raise the CsvParseError of the first bad data row of the price file
-    at ``path``, named by its first file line; a row is checked in the
-    order below. A (ticker, date) pair is remembered as one int, ``code
-    << 32 | ordinal``. ``duplicate``, when given, is the index among the
-    data rows of the first to repeat a pair: every row before it passed,
-    so none is kept."""
-    code, seen = {}, set()
-    # the text reader decodes 8 KB ahead: a strict one could fail before
-    # the rows ahead of a bad byte were checked
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        records = _records(path, fh)
-        next(records, None)  # the header
-        data = ((n, row) for n, row in records if len(row) > 1 or (row and row[0].strip()))
-        for index, (lineno, row) in enumerate(data):
-            if index < duplicate:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != 3:
-                raise CsvParseError(f"{where}: expected 3 fields", line=lineno)
-            raw_date, ticker, raw_close = (f.strip() for f in row)
-            try:
-                day = date.fromisoformat(raw_date)
-            except ValueError as exc:
-                msg = f"bad date {raw_date!r}: {exc}"
-                raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
-            if not ticker:
-                raise CsvParseError(f"{where}: empty ticker", line=lineno)
-            try:
-                close = float(raw_close)
-            except ValueError as exc:
-                msg = f"bad close {raw_close!r}"
-                raise CsvParseError(f"{where}: {msg}", line=lineno) from exc
-            if not close > 0 or not math.isfinite(close):
-                msg = f"close must be positive and finite, got {raw_close}"
-                raise CsvParseError(f"{where}: {msg}", line=lineno)
-            key = code.setdefault(ticker, len(code)) << 32 | day.toordinal()
-            if key in seen or index == duplicate:
-                msg = f"duplicate (ticker, date) = ({ticker}, {raw_date})"
-                raise CsvParseError(f"{where}: {msg}", line=lineno)
-            seen.add(key)
-
-
-#: Records parsed at a time by load_price_csv: only one chunk's row lists
-#: are alive, a few MB of Python objects.
-_CHUNK_ROWS = 1 << 14
-
-
-def _chunk_columns(reader, rank, code, ordinal):
-    """Ticker codes, date ordinals and closes of the next ``_CHUNK_ROWS``
-    records of ``reader``; None once it is exhausted, and ``()`` if a
-    data row fails a check. ``rank`` (stripped ticker -> rank of its
-    first appearance), ``code`` (raw ticker -> rank) and ``ordinal`` (raw
-    date -> ordinal) carry over from chunk to chunk."""
-    records = list(islice(reader, _CHUNK_ROWS))
-    if not records:
-        return None
-    rows = [row for row in records if len(row) > 1 or (row and row[0].strip())]
-    if any(len(row) != 3 for row in rows):
-        return ()
-    raw_dates, raw_tickers, raw_closes = ([row[k] for row in rows] for k in range(3))
-    for t in dict.fromkeys(raw_tickers):
-        if t not in code:
-            code[t] = rank.setdefault(t.strip(), len(rank))
-    try:
-        for s in set(raw_dates).difference(ordinal):
-            ordinal[s] = date.fromisoformat(s.strip()).toordinal()
-        closes = np.array(raw_closes, dtype=float)  # parses as float() does
-    except ValueError:
-        return ()
-    if "" in rank or not np.all((closes > 0) & np.isfinite(closes)):
-        return ()
-    tick = np.array([code[t] for t in raw_tickers], dtype=np.int64)
-    day = np.array([ordinal[s] for s in raw_dates], dtype=np.int64)
-    return tick, day, closes
+        return CsvParseError(f"{path}:{line}: {msg}", line=line)
+    return None
 
 
 def load_price_csv(path):
     """Read ``date,ticker,close`` rows into one PriceSeries per ticker, in
-    first-appearance order, each sorted by its ``YYYY-MM-DD`` dates."""
-    rank, code, ordinal, parts = {}, {}, {}, []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    first-appearance order, each sorted by its ``YYYY-MM-DD`` dates.
+
+    One pass checks each row in turn: its field count, date, ticker and
+    close, and each distinct date spelling and raw ticker only on first
+    sight. A failing row is reported by its first line, or by the line of
+    a byte in it that is not UTF-8; a row that repeats an earlier row's
+    (ticker, date) pair is found by one stable sort, at the end or at the
+    first other failure, and is reported if it comes first."""
+    rank, code, spelling, ordinals = {}, {}, {}, []
+    # per data row: ticker rank, date-spelling index, close, first line
+    ticks, spells, closes, lines = array("i"), array("i"), array("d"), array("q")
+    error = None
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        # Each check runs once per column or per distinct value; when one
-        # fails, or a record cannot be decoded or read, the file is read
-        # again to report its first bad row.
         try:
             header = next(reader, None)
             if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
                 msg = f"expected header 'date,ticker,close', got {header}"
-                raise CsvParseError(f"{path}: {msg}", line=1)
-            while part := _chunk_columns(reader, rank, code, ordinal):
-                parts.append(part)
-        except (csv.Error, UnicodeDecodeError):
-            part = ()
-    if part is not None:  # a row failed a check
-        _raise_first_bad_row(path)
-    if not rank:
-        return []
-    tick, day, closes = map(np.concatenate, zip(*parts))
-    del parts
+                raise _undecodable_byte(path, 1, header or ()) or CsvParseError(
+                    f"{path}: {msg}", line=1
+                )
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if len(row) != 3:
+                    if len(row) > 1 or (row and row[0].strip()):
+                        msg = "expected 3 fields"
+                        break
+                    continue  # a blank row
+                raw_date, raw_ticker, raw_close = row
+                d = spelling.get(raw_date)
+                if d is None:
+                    try:
+                        ordinals.append(date.fromisoformat(raw_date.strip()).toordinal())
+                    except ValueError as exc:
+                        msg = f"bad date {raw_date.strip()!r}: {exc}"
+                        break
+                    d = spelling[raw_date] = len(spelling)
+                t = code.get(raw_ticker)
+                if t is None:
+                    ticker = raw_ticker.strip()
+                    # a bad byte fails a date's parse but not this check: look for it
+                    if not ticker or _undecodable_byte(path, lineno, row):
+                        msg = "empty ticker"
+                        break
+                    t = code[raw_ticker] = rank.setdefault(ticker, len(rank))
+                try:
+                    close = float(raw_close)  # float() strips as str.strip() does
+                except ValueError:
+                    msg = f"bad close {raw_close.strip()!r}"
+                    break
+                if not 0.0 < close < math.inf:
+                    msg = f"close must be positive and finite, got {raw_close.strip()}"
+                    break
+                ticks.append(t)
+                spells.append(d)
+                closes.append(close)
+                lines.append(lineno)
+            else:
+                row = None
+            if row is not None:  # the first failing row, checked for a bad byte first
+                error = _undecodable_byte(path, lineno, row) or CsvParseError(
+                    f"{path}:{lineno}: {msg}", line=lineno
+                )
+        except csv.Error as exc:
+            line = reader.line_num
+            error = CsvParseError(f"{path}:{line}: {exc}", line=line)
+    tick = np.frombuffer(ticks, dtype=np.int32)
+    day = np.array(ordinals, dtype=np.int32)[np.frombuffer(spells, dtype=np.int32)]
     order = np.lexsort((day, tick))
-    tick, day, lp = tick[order], day[order], np.log(closes)[order]
+    tick, day = tick[order], day[order]
     dup = (tick[1:] == tick[:-1]) & (day[1:] == day[:-1])
     if dup.any():  # the stable sort puts a pair's later rows after its first
-        _raise_first_bad_row(path, int(order[1:][dup].min()))
+        i = int(order[1:][dup].min())
+        lineno, ticker, raw_date = lines[i], list(rank)[ticks[i]], list(spelling)[spells[i]]
+        msg = f"duplicate (ticker, date) = ({ticker}, {raw_date.strip()})"
+        raise CsvParseError(f"{path}:{lineno}: {msg}", line=lineno)
+    if error is not None:
+        raise error
+    lp = np.frombuffer(closes)[order]
+    del ticks, spells, closes, lines, order  # the series built below set the peak
+    np.log(lp, out=lp)
     cuts = np.flatnonzero(np.diff(tick)) + 1
-    iso = {o: date.fromordinal(o).isoformat() for o in np.unique(day).tolist()}
+    iso = {o: date.fromordinal(o).isoformat() for o in ordinals}
     return [
         PriceSeries(np.arange(d.size, dtype=float), x, t, tuple(iso[o] for o in d.tolist()))
         for t, d, x in zip(rank, np.split(day, cuts), np.split(lp, cuts))
@@ -404,7 +377,7 @@ class AssetGroupSpec:
         if not 0.0 <= onset < 1.0:
             raise ValueError(f"{self.kind} params: onset must lie in [0, 1), got {onset!r}")
         for name, lo in (("count", 0), ("n", 1), ("sample_every", 1), ("drop_len", 1)):
-            check_int(f"asset group: {name}", getattr(self, name), lo)
+            setattr(self, name, check_int(f"asset group: {name}", getattr(self, name), lo))
         if not 0 < self.dt < math.inf:
             raise ValueError(f"asset group: dt must be finite and > 0, got {self.dt!r}")
         if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:

@@ -187,7 +187,7 @@ class SearchConfig:
         if self.tc_bounds is not None and not self.tc_bounds[0] < self.tc_bounds[1]:
             raise ValueError("tc_bounds must satisfy lo < hi")
         for name, lo in (("n_tc", 1), ("n_m", 1), ("n_omega", 1), ("refine_top_k", 0)):
-            check_int(name, getattr(self, name), lo)
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
 def _tail(params, t):

@@ -70,7 +70,7 @@ class Ramp:
     t_start: int = 0
 
     def __post_init__(self):
-        check_int("t_start", self.t_start, 0)
+        object.__setattr__(self, "t_start", check_int("t_start", self.t_start, 0))
 
     def values(self, n):
         """Per-step values for a path of ``n`` steps."""

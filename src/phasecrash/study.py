@@ -131,9 +131,9 @@ class StudyConfig:
     def __post_init__(self):
         if not 0.0 < self.crash_threshold < 1.0:
             raise ValueError("crash_threshold must lie in (0, 1)")
-        check_int("lookback", self.lookback, 1)
-        check_int("exclusion_margin", self.exclusion_margin, 0)
-        check_int("pre_crash_window", self.pre_crash_window, self.ews_cfg.window)
+        for key, lo in (("lookback", 1), ("exclusion_margin", 0),
+                        ("pre_crash_window", self.ews_cfg.window)):
+            object.__setattr__(self, key, check_int(key, getattr(self, key), lo))
         if isinstance(self.signals, str) or not all(isinstance(s, str) for s in self.signals):
             raise ValueError(f"signals must be a list of names, got {self.signals!r}")
         _check_window(self.signals, self.ews_cfg)

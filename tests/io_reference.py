@@ -8,9 +8,10 @@ candidates in the same order, so they differ only where ``math`` and
 ``numpy`` disagree in the last bit.
 
 ``load_price_csv`` checks, canonicalises and collects one row at a
-time; ``phasecrash.io`` checks whole columns and walks the rows only to
-report an error. Both must return the same series, and raise the same
-error, message and line.
+time, and finds a repeated (ticker, date) pair with a set as it goes;
+``phasecrash.io`` parses each distinct date spelling and ticker once,
+keeps four numbers a row and finds repeated pairs with one sort. Both
+must return the same series, and raise the same error, message and line.
 """
 
 import csv

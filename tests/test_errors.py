@@ -4,7 +4,7 @@ import pytest
 import phasecrash as pc
 from phasecrash.cli import _cmd_simulate, build_parser
 from phasecrash.errors import check_int
-from phasecrash.io import PARAM_DEFAULTS, AssetGroupSpec, simulate_asset
+from phasecrash.io import PARAM_DEFAULTS, AssetGroupSpec, RunManifest, _to_dict, simulate_asset
 from phasecrash.noise import MAX_SEED
 
 
@@ -86,4 +86,20 @@ def test_every_integer_field_refuses_a_bool_a_fraction_and_a_value_below_its_flo
         with pytest.raises(ValueError) as exc:
             call(bad, tmp_path)
         assert f"{name} must {rule}, got {bad!r}" in str(exc.value)
-    call(good, tmp_path)
+    made = call(good, tmp_path)
+    if isinstance(made, _CONFIGS):  # a config keeps the Python int, which JSON can write
+        held = getattr(made, name.split("[")[0])
+        assert type(held[int(name[-2])] if "[" in name else held) is int
+
+
+_CONFIGS = (pc.Ramp, pc.WindowConfig, pc.SearchConfig, pc.StudyConfig, AssetGroupSpec)
+
+
+def test_a_study_config_with_numpy_counts_digests_as_one_with_python_ints():
+    def config(cast):
+        ews = pc.WindowConfig(window=cast(63), stride=cast(5), tau_grid=(2, cast(4), 8))
+        return pc.StudyConfig(lookback=cast(126), pre_crash_window=cast(252),
+                              exclusion_margin=cast(63), ews_cfg=ews)
+
+    digests = [RunManifest.digest_config(_to_dict(config(cast))) for cast in (int, I64)]
+    assert digests[0] == digests[1]

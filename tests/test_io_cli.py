@@ -311,11 +311,10 @@ def test_load_bad_close_deep_in_a_large_file_matches_reference(tmp_path):
     assert str(got.value) == f"{path}:50001: bad close 'ten'"
 
 
-# A file read a few records at a time: blank records fall on chunk
-# boundaries, every ticker's rows span chunks, 2020-01-07 is first seen
-# in a late chunk, one row is padded, the quoted ids hold ",", '"' and
-# "%", and the four tickers share three dates.
-_CHUNKED = (
+# Blank records between rows, every ticker's rows interleaved with the
+# others', 2020-01-07 first seen near the end, one row padded, quoted ids
+# holding ",", '"' and "%", and four tickers that share three dates.
+_INTERLEAVED = (
     "date,ticker,close\n"
     '2020-01-03,"BRK,A",101.5\n'
     "\n"
@@ -338,10 +337,8 @@ _CHUNKED = (
 )
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_load_across_chunk_boundaries_matches_reference(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", chunk)
-    path = _write(tmp_path, _CHUNKED)
+def test_load_of_interleaved_tickers_matches_reference(tmp_path):
+    path = _write(tmp_path, _INTERLEAVED)
     got = load_price_csv(path)
     _assert_same_series(got, io_reference.load_price_csv(path))
     assert [s.id for s in got] == ["BRK,A", 'say "hi"', "50%", "%s"]
@@ -361,7 +358,7 @@ _LATE_FAILURES = {
     "arity": (_good_rows(20) + "\n2000-02-01,T1\n", 23, "expected 3 fields"),
     "duplicate": (_good_rows(20) + "2000-01-04,T1,5\n", 22,
                   "duplicate (ticker, date) = (T1, 2000-01-04)"),
-    # the first bad row is reported, not the first bad chunk's kind of failure
+    # the first bad row is reported, whatever kind of failure comes later
     "close-then-arity": (_good_rows(9) + "2000-01-03,T0,0\n" + _good_rows(5) + "x,T1\n", 11,
                          "close must be positive and finite, got 0"),
     "duplicate-then-date": (_good_rows(9) + "2000-01-03,T0,1\n" + _good_rows(5) + "x,T1,1\n",
@@ -369,11 +366,8 @@ _LATE_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7])
 @pytest.mark.parametrize("body, line, message", _LATE_FAILURES.values(), ids=_LATE_FAILURES)
-def test_load_errors_across_chunk_boundaries_match_reference(tmp_path, monkeypatch, chunk,
-                                                             body, line, message):
-    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", chunk)
+def test_load_errors_after_good_rows_match_reference(tmp_path, body, line, message):
     path = _write(tmp_path, "date,ticker,close\n" + body)
     with pytest.raises(CsvParseError) as got:
         load_price_csv(path)
@@ -384,8 +378,7 @@ def test_load_errors_across_chunk_boundaries_match_reference(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("failure", ["header", *_LATE_FAILURES])
-def test_failed_load_leaves_no_open_file(tmp_path, monkeypatch, failure):
-    monkeypatch.setattr(pc_io, "_CHUNK_ROWS", 2)
+def test_failed_load_leaves_no_open_file(tmp_path, failure):
     if failure == "header":
         path = _write(tmp_path, "time,ticker,close\n" + _good_rows(3))
     else:
@@ -396,6 +389,25 @@ def test_failed_load_leaves_no_open_file(tmp_path, monkeypatch, failure):
             load_price_csv(path)
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("failure", [None, *_LATE_FAILURES])
+def test_load_opens_its_file_once(tmp_path, monkeypatch, failure):
+    body = _good_rows(30) if failure is None else _LATE_FAILURES[failure][0]
+    path = _write(tmp_path, "date,ticker,close\n" + body)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(pc_io, "open", counting_open, raising=False)
+    if failure is None:
+        assert [s.id for s in load_price_csv(path)] == ["T0", "T1", "T2"]
+    else:
+        with pytest.raises(CsvParseError):
+            load_price_csv(path)
+    assert opened == [path]
 
 
 _DECODE = "cannot decode byte 0xe9 as UTF-8"
@@ -426,6 +438,21 @@ def test_load_a_byte_that_is_not_utf8_names_its_line(tmp_path, data, line, messa
         load_price_csv(str(path))
     assert exc.value.line == line
     assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("width", [1, 10_000], ids=["within_8kb", "past_8kb"])
+def test_load_a_wrong_header_wins_over_a_bad_byte_on_line_3(tmp_path, width):
+    # the text reader decodes the file 8 KB at a time: where the byte falls
+    # must not decide which error is reported
+    path = tmp_path / "prices.csv"
+    line_2 = f"2020-01-02,{'A' * width},100\n".encode()
+    path.write_bytes(b"time,ticker,close\n" + line_2 + b"2020-01-03,Caf\xe9,101\n")
+    with pytest.raises(CsvParseError) as exc:
+        load_price_csv(str(path))
+    assert exc.value.line == 1
+    assert str(exc.value) == (
+        f"{path}: expected header 'date,ticker,close', got ['time', 'ticker', 'close']"
+    )
 
 
 def test_cli_detect_reports_a_byte_that_is_not_utf8_by_line(tmp_path, capsys):
@@ -1191,7 +1218,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     assert detect.threshold == study.crash_threshold
     assert detect.lookback == study.lookback
     ews = parser.parse_args(["ews", "--input", "x.csv"])
-    assert tuple(ews.signals.split(",")) == study.signals
+    assert ews.signals == study.signals
     assert (ews.window, ews.stride) == (window.window, window.stride)
     assert tuple(ews.tau_grid) == window.tau_grid
     # multi couples critical-route assets: the cpt row, with the route's lam = 1
@@ -1610,15 +1637,25 @@ def test_cli_ews_refuses_unknown_signal_before_reading_input(tmp_path, capsys):
 @pytest.mark.parametrize(
     "signals, message",
     [("volatility,volatility", "signals repeats 'volatility'"),
-     ("cross_cov,ghe1,cross_cov,ghe1", "signals repeats 'cross_cov', 'ghe1'"),
-     (",", "signals must name at least one signal"),
-     ("", "signals must name at least one signal")],
+     ("cross_cov,ghe1,cross_cov,ghe1", "signals repeats 'cross_cov', 'ghe1'")],
 )
-def test_cli_ews_refuses_an_empty_or_repeated_signal_list(tmp_path, capsys, signals, message):
+def test_cli_ews_refuses_a_repeated_signal(tmp_path, capsys, signals, message):
     rc = cli_dispatch(["ews", "--input", str(tmp_path / "absent.csv"),
                        "--signals", signals, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == f"phasecrash: error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("signals", ["volatility,,skewness", "volatility,", ",", " , ", ""])
+def test_cli_ews_refuses_an_empty_signal_item_as_a_usage_error(tmp_path, capsys, signals):
+    # an empty item is a typo, not a shorter list, as in --grid and --tau-grid
+    rc = cli_dispatch(["ews", "--input", str(tmp_path / "absent.csv"),
+                       "--signals", signals, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: phasecrash ews")
+    assert err.endswith(f"error: argument --signals: empty item in {signals!r}\n")
     assert not (tmp_path / "o").exists()
 
 
