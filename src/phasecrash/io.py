@@ -14,9 +14,10 @@ nonempty, unpadded, free of carriage returns and unique, or they would
 not load back; the writer and ``synth_corpus`` refuse any other. The
 loader reads the file once, checks each row as it comes, and keeps four
 numbers a row (ticker rank, date-spelling index, close, first line).
-Every CSV streams into its atomic file, the price CSV a series at a time;
-the others write floats with 17 significant digits, which parse back to
-the same doubles. The loader skips a leading UTF-8 byte-order mark, as
+Every CSV streams into its atomic file, the price and signal CSVs a
+series at a time through one ``%`` template each. Floats other than
+closes are written with 17 significant digits, which parse back to the
+same doubles. The loader skips a leading UTF-8 byte-order mark, as
 spreadsheets write.
 
 JSON configs and corpus specs are keyed by dataclass field names;
@@ -289,13 +290,16 @@ def write_price_csv(series_list, path):
 
 def write_ews_csv(ews_list, path):
     """Long-format signal CSV: asset_id, signal, window_end_time, value,
-    missing_flag."""
-    rows = (
-        (e.id, e.signal, t, "" if gap else v, int(gap))
-        for e in ews_list
-        for t, v, gap in zip(e.times.tolist(), e.values.tolist(), e.missing.tolist())
-    )
-    _write_csv(path, "asset_id,signal,window_end_time,value,missing_flag", rows)
+    missing_flag; a missing value is an empty cell with flag 1. Each
+    series goes through one ``%`` template, a row of it per window."""
+    with _atomic_file(path) as fh:
+        fh.write("asset_id,signal,window_end_time,value,missing_flag\n")
+        for e in ews_list:
+            head = f"{_csv_field(e.id)},{_csv_field(e.signal)},".replace("%", "%%")
+            rows = (head + "%.17g,%.17g,0\n", head + "%.17g,%.0s,1\n")  # %.0s prints nothing
+            template = "".join(map(rows.__getitem__, e.missing.tolist()))
+            cells = chain.from_iterable(zip(e.times.tolist(), e.values.tolist()))
+            fh.write(template % tuple(cells))
 
 
 def write_events_json(events, path, skipped=()):

@@ -21,11 +21,14 @@ Three families are provided:
   scaled cumulative sum, so only the ``n - t_start`` ramped rows of the
   factor are built, an O((n - t_start) * n)-memory block refused above
   ``MAX_MBM_STEPS**2`` entries. The kernel is built in row blocks up to
-  its diagonal, so building the factor peaks at twice the factor it
-  keeps (the kernel and its Cholesky copy). The head increments are
-  plain Wiener increments, and a seed draws the same path as the full
-  factor up to rounding. A block that is not positive definite raises
-  ``GenerationError`` naming its smallest eigenvalue.
+  its diagonal and factored in place, a panel of columns at a time, so
+  building the factor raises the peak RSS by 1.1 to 1.2 times the factor
+  it keeps; ``np.linalg.cholesky`` on the whole kernel raised it by 3.1
+  to 3.2 times (the kernel, LAPACK's work copy and the factor). The
+  head increments are plain Wiener increments, and a seed draws the
+  same path as the full factor up to rounding. A block that is not
+  positive definite raises ``GenerationError`` naming its smallest
+  eigenvalue.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
 same inputs, bit-identical output. Batches split one master seed into
@@ -53,9 +56,10 @@ MAX_SEED = 2**64 - 1
 
 #: Cap on a ramped-Hurst factor: synth_fbm refuses a path whose ramped
 #: rows span more than MAX_MBM_STEPS**2 kernel entries. The cached factor
-#: takes 8 bytes an entry (512 MB at the cap), and building it peaks at
-#: 2.0 times that, the kernel and its Cholesky copy (measured at n = 1024,
-#: 2048 and 2520 under tracemalloc).
+#: takes 8 bytes an entry (512 MB at the cap). Building it in place raises
+#: the peak RSS by 1.2 and 1.1 times the factor at n = 2048 and 4096 with
+#: no Brownian head, against 3.2 and 3.1 times for np.linalg.cholesky on
+#: the whole kernel, which holds it, LAPACK's work copy and the factor.
 MAX_MBM_STEPS = 8192
 
 
@@ -215,15 +219,19 @@ def _fgn_constant(h, n, rng):
 #: Kernel entries built at a time by _mbm_blocks (1 MB a temporary).
 _MBM_BLOCK = 1 << 17
 
+#: Columns in a panel of _mbm_factor_in_place, and rows in a block of
+#: the L21 L21^T product that _mbm_blocks subtracts.
+_MBM_PANEL = 128
+
 
 def _mbm_blocks(schedule, n, dt, k):
     """``L21`` and the lower triangle of ``R22 - L21 L21^T`` for the
     ramped rows ``k..n-1`` of the kernel.
 
     Rows are built in blocks of about ``_MBM_BLOCK`` entries, each only
-    up to its last diagonal entry, because ``np.linalg.cholesky`` and
-    ``eigvalsh`` read the lower triangle alone; the block temporaries are
-    gone when this returns.
+    up to its last diagonal entry, because :func:`_mbm_factor_in_place`
+    and ``eigvalsh`` read the lower triangle alone; the block temporaries
+    are gone when this returns.
     """
     h = schedule.values(n)
     t = np.arange(1, n + 1) * dt
@@ -250,9 +258,37 @@ def _mbm_blocks(schedule, n, dt, k):
             rows /= np.sqrt(dt)
         r22[i - k : j - k, : j - k] = cov[:, k:]
         del hs, cov, tmp  # before the next block or the product below
-    if k:
-        r22 -= l21 @ l21.T
+    if k:  # a block of rows at a time, so no (n - k)**2 product is held
+        for i in range(0, n - k, _MBM_PANEL):
+            j = min(i + _MBM_PANEL, n - k)
+            r22[i:j, :j] -= l21[i:j] @ l21[:j].T
     return l21, r22
+
+
+def _mbm_factor_in_place(a):
+    """Overwrite the lower triangle of the positive-definite ``a`` with
+    its Cholesky factor and zero the upper triangle.
+
+    Right-looking and blocked: each panel of ``_MBM_PANEL`` columns
+    factors its diagonal block with ``np.linalg.cholesky``, which raises
+    ``LinAlgError`` when ``a`` is not positive definite, maps the rows
+    below it through the inverse of that block's factor and subtracts
+    their product from the trailing lower triangle a row block at a
+    time, so no temporary outgrows one panel. ``np.linalg.cholesky(a)``
+    would hold ``a``, LAPACK's work copy and the factor at once.
+    """
+    m = a.shape[0]
+    for p in range(0, m, _MBM_PANEL):
+        q = min(p + _MBM_PANEL, m)
+        a[p:q, p:q] = diag = np.linalg.cholesky(a[p:q, p:q])
+        a[p:q, q:] = 0.0
+        if q == m:
+            break
+        below = a[q:, p:q]  # solves below @ diag.T = A[q:, p:q]
+        below[...] = below @ np.linalg.inv(diag).T
+        for r in range(q, m, _MBM_PANEL):
+            s = min(r + _MBM_PANEL, m)
+            a[r:s, q:s] -= below[r - q : s - q] @ below[: s - q].T
 
 
 @lru_cache(maxsize=1)  # one factor is up to 8 * MAX_MBM_STEPS**2 bytes
@@ -272,15 +308,19 @@ def _mbm_cholesky_factor(schedule, n, dt):
             f"entries, got {n - k} ramped rows of {n} steps",
             schedule=schedule,
         )
-    l21, r22 = _mbm_blocks(schedule, n, dt, k)
+    l21, l22 = _mbm_blocks(schedule, n, dt, k)
     try:
-        return l21, np.linalg.cholesky(r22)
+        _mbm_factor_in_place(l22)
+        return l21, l22
     except np.linalg.LinAlgError:
-        raise GenerationError(
-            f"covariance for {schedule} is not positive definite: smallest "
-            f"eigenvalue {np.linalg.eigvalsh(r22)[0]:.3g}",
-            schedule=schedule,
-        ) from None
+        pass  # leave the handler, whose traceback holds the half-factored block
+    del l21, l22
+    r22 = _mbm_blocks(schedule, n, dt, k)[1]  # built again to name its spectrum
+    raise GenerationError(
+        f"covariance for {schedule} is not positive definite: smallest "
+        f"eigenvalue {np.linalg.eigvalsh(r22)[0]:.3g}",
+        schedule=schedule,
+    )
 
 
 def synth_fbm(n, schedule, dt, seed):

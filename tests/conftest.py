@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ def readme_json_blocks():
     with open(path, encoding="utf-8") as fh:
         readme = fh.read()
     return dict(re.findall(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", readme, re.S))
+
+
+def fresh_python(code):
+    """The stdout of ``python -c code`` in a fresh interpreter that imports
+    the package from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def series_from_increments(inc, asset_id="x"):

@@ -1,4 +1,4 @@
-"""Slow reference oracles for the price CSV functions of ``phasecrash.io``.
+"""Slow reference oracles for the CSV functions of ``phasecrash.io``.
 
 ``write_price_csv`` picks each close with scalar ``math.exp`` and
 ``math.log`` and writes every row through ``csv.writer``;
@@ -6,6 +6,10 @@
 ``np.nextafter`` and the loader's own ``np.log``. Both try the same
 candidates in the same order, so they differ only where ``math`` and
 ``numpy`` disagree in the last bit.
+
+``write_ews_csv`` writes every row through ``csv.writer``, each float
+with ``format(v, ".17g")``; ``phasecrash.io`` writes a series through
+one ``%`` template. The two files must be byte-identical.
 
 ``load_price_csv`` checks, canonicalises and collects one row at a
 time, and finds a repeated (ticker, date) pair with a set as it goes;
@@ -50,6 +54,16 @@ def write_price_csv(series_list, path):
                 dates = [(_BASE_DATE + timedelta(days=i)).isoformat() for i in range(len(s))]
             for d, lp in zip(dates, s.log_prices):
                 writer.writerow((d, s.id, close_repr(float(lp))))
+
+
+def write_ews_csv(ews_list, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("asset_id", "signal", "window_end_time", "value", "missing_flag"))
+        for e in ews_list:
+            for t, v, gap in zip(e.times.tolist(), e.values.tolist(), e.missing.tolist()):
+                value = "" if gap else format(v, ".17g")
+                writer.writerow((e.id, e.signal, format(t, ".17g"), value, int(gap)))
 
 
 def load_price_csv(path, calendar="as_is"):

@@ -3,12 +3,16 @@
 ``full_factor`` is the full Cholesky factor of the local-exponent kernel
 that ``phasecrash.noise`` factored before it skipped the Brownian head.
 ``synth_fbm`` must reproduce its increments bitwise when the schedule
-has no Brownian head, and its path to rounding when it has one.
+has no Brownian head and the path fits in one panel of
+``phasecrash.noise._mbm_factor_in_place``, and its path to rounding
+otherwise.
 
 ``block_factor`` builds every ramped row of the kernel at once, whole
-rows and all, with three full-size temporaries; ``phasecrash.noise``
-builds them in row blocks up to the diagonal. The two must agree
-bitwise, ``L21`` and ``L22`` alike.
+rows and all, with three full-size temporaries, and factors them with
+one ``np.linalg.cholesky`` call; ``phasecrash.noise`` builds them in row
+blocks up to the diagonal and factors them in place, a panel at a time.
+``L21`` must agree bitwise, and so must ``L22`` when its rows fit in one
+panel; a wider ``L22`` agrees to rounding.
 """
 
 import numpy as np

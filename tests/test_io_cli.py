@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -46,7 +45,7 @@ from phasecrash.simulate import CptParams, MuSchedule, simulate_cpt
 from phasecrash.study import SegmentTrend, SignalTrend, TrendReport
 
 import io_reference
-from conftest import readme_json_blocks
+from conftest import fresh_python, readme_json_blocks
 
 
 def _read_json(path):
@@ -517,7 +516,8 @@ def test_price_csv_peak_memory_on_the_readme_corpus(tmp_path):
 
 
 def test_signal_csv_peak_memory_streams_its_rows(tmp_path):
-    # 20 series of 10,000 windows, an 8.3 MB file: measured 0.85 MB; a list of
+    # 20 series of 10,000 windows, an 8.3 MB file: measured 1.33 MB with one
+    # template a series, 0.85 MB row by row through csv.writer; a list of
     # row tuples and a StringIO copy of the file peaked at 43.4 MB
     t = np.arange(10_000.0)
     values = np.random.default_rng(5).random(t.size)
@@ -533,6 +533,25 @@ def test_signal_csv_peak_memory_streams_its_rows(tmp_path):
     assert peak <= 4.0 * 2**20
     with open(path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 1 + 20 * t.size
+
+
+def test_signal_csv_matches_the_csv_writer_oracle(tmp_path):
+    # missing and non-finite windows, ids and a signal that need quoting
+    # or hold a %, -0.0, an empty series and an empty id
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    values[[0, 3, 4, 17, 39]] = [np.nan, np.inf, -np.inf, np.nan, np.nan]
+    values[5] = -0.0
+    times = np.cumsum(rng.random(40)) - 3.0
+    ews = [pc.EwsSeries(times, values, "volatility", name)
+           for name in ("X", 'a,b "c"', "50%s%%", "line\nbreak", "cr\r", " pad ", "")]
+    ews += [pc.EwsSeries(times[:3], values[:3], "sig,%d", "Y"),
+            pc.EwsSeries([], [], "skewness", "empty"),
+            pc.EwsSeries(times[:2], [np.nan, np.nan], "skewness", "gaps")]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_ews_csv(ews, got)
+    io_reference.write_ews_csv(ews, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -1659,16 +1678,9 @@ def test_cli_ews_refuses_an_empty_signal_item_as_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-def _fresh_python(code):
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
-
-
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, phasecrash.cli; print('scipy' in sys.modules)"
-    assert _fresh_python(code).split() == ["False"]
+    assert fresh_python(code).split() == ["False"]
 
 
 def test_fit_lppl_and_its_cli_never_import_scipy(tmp_path):
@@ -1686,7 +1698,7 @@ def test_fit_lppl_and_its_cli_never_import_scipy(tmp_path):
         f"rc = cli_dispatch(['fit-lppl', '--input', {csv_path!r}, '--out', {str(tmp_path)!r}])\n"
         "print(rc, 'scipy' in sys.modules)\n"
     )
-    assert _fresh_python(code).split() == ["False", "0", "False"]
+    assert fresh_python(code).split() == ["False", "0", "False"]
     assert os.path.exists(tmp_path / "fit.json")
 
 

@@ -11,7 +11,7 @@ from phasecrash.errors import GenerationError
 from phasecrash.io import derive_seed
 
 import noise_reference
-from conftest import series_from_increments
+from conftest import fresh_python, series_from_increments
 
 
 # ---------------------------------------------------------------- gaussian
@@ -223,7 +223,10 @@ def test_mbm_cap_bounds_the_ramped_rows(monkeypatch):
 
 @pytest.mark.parametrize("t_start", [0, 512])
 def test_mbm_factor_is_built_in_place(t_start):
-    # the kernel rows and their Cholesky copy: twice the factor kept
+    # the factor kept and the three 1 MB temporaries of a kernel row
+    # block: measured 1.393 and 1.801 times the factor (2.0 and 1.8
+    # while np.linalg.cholesky copied the whole block)
+    ratio = {0: 1.40, 512: 1.81}[t_start]
     n = 1024
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
     noise._mbm_cholesky_factor.cache_clear()
@@ -236,17 +239,18 @@ def test_mbm_factor_is_built_in_place(t_start):
         noise._mbm_cholesky_factor.cache_clear()
     assert l21.shape == (n - t_start, t_start)
     assert l22.shape == (n - t_start, n - t_start)
-    assert peak <= 2.01 * 8 * (n - t_start) * n
+    assert peak <= ratio * 8 * (n - t_start) * n
 
 
 @pytest.mark.parametrize(
     "n, schedule, peak_mb",
-    [(2048, pc.HurstSchedule(0.6, 0.9), 64.1),  # no Brownian head: 32 MB kept
+    [(2048, pc.HurstSchedule(0.6, 0.9), 35.3),  # no Brownian head: 32 MB kept
      # the README crash asset: onset 0.7 of 2520 steps, 14.5 MB kept
-     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 19.1)],
+     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 17.8)],
 )
 def test_mbm_factor_build_peak(n, schedule, peak_mb):
-    # measured 64.00 and 18.94 MB; the whole-row build peaked at 96.2 and 43.8
+    # measured 35.16 and 17.70 MB; 64.00 and 18.94 while np.linalg.cholesky
+    # copied the whole block, 96.2 and 43.8 when whole rows were built
     tracemalloc.start()
     try:
         noise._mbm_cholesky_factor.__wrapped__(schedule, n, 1.0)
@@ -256,6 +260,37 @@ def test_mbm_factor_build_peak(n, schedule, peak_mb):
     assert peak <= peak_mb * 2**20
 
 
+def test_mbm_factor_build_grows_rss_by_under_1_5_factors():
+    # tracemalloc misses LAPACK's work copy; np.linalg.cholesky on the
+    # whole block grew ru_maxrss by 102 MB, 3.2 times the 32 MB factor
+    code = (
+        "import resource, phasecrash as pc\n"
+        "from phasecrash import noise\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9), 2048, 1.0)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    grown_kb = int(fresh_python(code))  # Linux reports ru_maxrss in KiB
+    assert grown_kb * 1024 < 1.5 * 8 * 2048**2
+
+
+# a block of ramped rows wider than one panel is factored in the order of
+# the blocked algorithm, not LAPACK's; the two differed by at most 1.8e-10
+# * max|L| over the grid below and the README schedule
+_PANEL_RTOL = 1e-9
+
+
+def _assert_block_factor_matches(got, want, panel, case):
+    (l21, l22), (ref21, ref22) = got, want
+    assert np.array_equal(l21, ref21) and l21.shape == ref21.shape, case
+    assert l22.shape == ref22.shape, case
+    if l22.shape[0] <= panel:  # one np.linalg.cholesky call on the same block
+        assert np.array_equal(l22, ref22), case
+    elif l22.size:
+        assert np.abs(l22 - ref22).max() <= _PANEL_RTOL * np.abs(ref22).max(), case
+        assert not np.triu(l22, 1).any(), case
+
+
 _BLOCK_GRID = sorted(
     {(n, t) for n in (1, 2, 64, 400, 1000) for t in (0, 1, n // 2, int(0.7 * n), n - 1, n)}
 )
@@ -263,26 +298,26 @@ _BLOCK_GRID = sorted(
 
 @pytest.mark.parametrize("n, t_start", _BLOCK_GRID)
 def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
-    # one block holds 2**17 entries, so n = 400 and 1000 span several
-    # blocks of rows; 256 entries make a block of 4 rows at n = 64 and
-    # of one row above n = 128
-    for block in (noise._MBM_BLOCK, 256):
+    # one kernel block holds 2**17 entries, so n = 400 and 1000 span several
+    # blocks of rows; 256 entries make a block of 4 rows at n = 64 and of
+    # one row above n = 128. Panels of 7 columns leave a partial last panel
+    # at every size above 7
+    for block, panel in ((noise._MBM_BLOCK, noise._MBM_PANEL), (256, 7)):
         monkeypatch.setattr(noise, "_MBM_BLOCK", block)
+        monkeypatch.setattr(noise, "_MBM_PANEL", panel)
         for dt in (0.25, 1.0, 2.0):
             for h_start in (0.5, 0.6):
                 sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
-                l21, l22 = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
-                ref21, ref22 = noise_reference.block_factor(sch, n, dt)
-                case = (block, dt, h_start)
-                assert np.array_equal(l21, ref21) and l21.shape == ref21.shape, case
-                assert np.array_equal(l22, ref22) and l22.shape == ref22.shape, case
+                got = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
+                want = noise_reference.block_factor(sch, n, dt)
+                _assert_block_factor_matches(got, want, panel, (block, panel, dt, h_start))
 
 
 def test_mbm_blocks_match_block_factor_oracle_on_the_readme_schedule():
     sch = pc.HurstSchedule(0.5, 0.9, t_start=1764)
     got = noise._mbm_cholesky_factor.__wrapped__(sch, 2520, 1.0)
-    for g, w in zip(got, noise_reference.block_factor(sch, 2520, 1.0)):
-        assert np.array_equal(g, w)
+    want = noise_reference.block_factor(sch, 2520, 1.0)
+    _assert_block_factor_matches(got, want, noise._MBM_PANEL, "readme")
 
 
 _ORACLE_GRID = sorted(
@@ -299,7 +334,7 @@ def test_mbm_matches_full_factor_oracle(n, t_start):
             p = pc.synth_fbm(n, sch, dt, 5)
             ref_path, z = noise_reference.mbm_path(sch, n, dt, 5)
             k = min(t_start, n) if h_start == 0.5 else 0
-            if k == 0:
+            if k == 0 and n <= noise._MBM_PANEL:  # one np.linalg.cholesky call
                 assert np.array_equal(p.increments, np.diff(ref_path, prepend=0.0)), case
                 continue
             assert np.array_equal(p.increments[:k], np.sqrt(dt) * z[:k]), case
@@ -317,6 +352,33 @@ def test_block_factor_refuses_what_the_full_factor_refuses():
     with pytest.raises(GenerationError, match="smallest eigenvalue") as exc:
         pc.synth_fbm(256, sch, 1.0, 1)
     assert exc.value.schedule == sch
+
+
+@pytest.mark.parametrize(
+    "h_start, n", [(0.5, 250), (0.5, 500), (0.5, 1000), (0.5, 2520), (0.6, 500), (0.6, 1000)]
+)
+def test_in_place_factor_refuses_exactly_what_the_full_factor_refuses(h_start, n):
+    # ramps over the last 10% to 0.1% of the path straddle the steepest
+    # ramp that factors (the README's "shortest ramp that factors")
+    refused = []
+    for h_end in (0.9, 0.95):
+        for onset in (0.9, 0.95, 0.98, 0.985, 0.99, 0.995, 0.998, 0.999):
+            sch = pc.HurstSchedule(h_start, h_end, t_start=int(onset * n))
+            k = sch.t_start if h_start == 0.5 else 0
+            r22 = noise._mbm_blocks(sch, n, 1.0, k)[1]
+            try:
+                np.linalg.cholesky(r22)  # a copy: r22 is left as it was
+                want = False
+            except np.linalg.LinAlgError:
+                want = True
+            try:
+                noise._mbm_factor_in_place(r22)
+                got = False
+            except np.linalg.LinAlgError:
+                got = True
+            assert got == want, (h_end, onset)
+            refused.append(want)
+    assert any(refused) and not all(refused)
 
 
 def test_fbm_time_varying_determinism():
