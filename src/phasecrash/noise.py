@@ -19,16 +19,17 @@ Three families are provided:
   A schedule that starts at H = 0.5 has a Brownian head before
   ``t_start``: there the kernel is ``min(s, t)`` and its factor is a
   scaled cumulative sum, so only the ``n - t_start`` ramped rows of the
-  factor are built, an O((n - t_start) * n)-memory block refused above
-  ``MAX_MBM_STEPS**2`` entries. The kernel is built in row blocks up to
-  its diagonal and factored in place, a panel of columns at a time, so
-  building the factor raises the peak RSS by 1.1 to 1.2 times the factor
-  it keeps; ``np.linalg.cholesky`` on the whole kernel raised it by 3.1
-  to 3.2 times (the kernel, LAPACK's work copy and the factor). The
-  head increments are plain Wiener increments, and a seed draws the
-  same path as the full factor up to rounding. A block that is not
-  positive definite raises ``GenerationError`` naming its smallest
-  eigenvalue.
+  factor are built; a path whose ramped rows span more than
+  ``MAX_MBM_STEPS**2`` kernel entries is refused. The factor is built
+  and kept as panels of 128 rows, each only up to its last diagonal
+  entry, so it keeps about half the entries of the ramped rows when the
+  head is short. Building it raises the peak RSS by 1.1 to 1.35 times
+  the factor it keeps, 0.58 to 0.72 times a dense factor of the same
+  rows. The head increments are plain Wiener increments, and a seed
+  draws the same path as the full factor up to rounding. A kernel that
+  is not positive definite raises ``GenerationError`` naming the panel
+  of steps where the factor failed and the smallest eigenvalue of the
+  kernel's Schur complement there.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
 same inputs, bit-identical output. Batches split one master seed into
@@ -56,10 +57,10 @@ MAX_SEED = 2**64 - 1
 
 #: Cap on a ramped-Hurst factor: synth_fbm refuses a path whose ramped
 #: rows span more than MAX_MBM_STEPS**2 kernel entries. The cached factor
-#: takes 8 bytes an entry (512 MB at the cap). Building it in place raises
-#: the peak RSS by 1.2 and 1.1 times the factor at n = 2048 and 4096 with
-#: no Brownian head, against 3.2 and 3.1 times for np.linalg.cholesky on
-#: the whole kernel, which holds it, LAPACK's work copy and the factor.
+#: keeps their lower triangle at 8 bytes an entry: about 256 MB at the cap
+#: with no Brownian head, up to 512 MB below a long head. Building it
+#: raises the peak RSS by 1.35 and 1.12 times the factor at n = 2048 and
+#: 4096 with no head (0.72 and 0.58 times a dense factor).
 MAX_MBM_STEPS = 8192
 
 
@@ -216,90 +217,31 @@ def _fgn_constant(h, n, rng):
     return np.fft.fft(spec).real[:n]
 
 
-#: Kernel entries built at a time by _mbm_blocks (1 MB a temporary).
+#: Kernel entries built at a time by _mbm_cholesky_factor (1 MB a temporary).
 _MBM_BLOCK = 1 << 17
 
-#: Columns in a panel of _mbm_factor_in_place, and rows in a block of
-#: the L21 L21^T product that _mbm_blocks subtracts.
+#: Ramped rows in a panel of the factor that _mbm_cholesky_factor keeps.
 _MBM_PANEL = 128
-
-
-def _mbm_blocks(schedule, n, dt, k):
-    """``L21`` and the lower triangle of ``R22 - L21 L21^T`` for the
-    ramped rows ``k..n-1`` of the kernel.
-
-    Rows are built in blocks of about ``_MBM_BLOCK`` entries, each only
-    up to its last diagonal entry, because :func:`_mbm_factor_in_place`
-    and ``eigvalsh`` read the lower triangle alone; the block temporaries
-    are gone when this returns.
-    """
-    h = schedule.values(n)
-    t = np.arange(1, n + 1) * dt
-    l21 = np.empty((n - k, k))
-    r22 = np.zeros((n - k, n - k))
-    step = max(1, _MBM_BLOCK // n)
-    for i in range(k, n, step):
-        j = min(i + step, n)  # rows i..j-1, columns 0..j-1
-        s, tt = t[i:j, None], t[None, :j]
-        hs = h[i:j, None] + h[None, :j]
-        # R = (s**hs + tt**hs - |tt - s|**hs) / 2, built in place
-        cov = np.power(s, hs)
-        tmp = np.power(tt, hs)
-        cov += tmp
-        np.subtract(tt, s, out=tmp)
-        np.abs(tmp, out=tmp)
-        np.power(tmp, hs, out=tmp)
-        cov -= tmp
-        cov *= 0.5
-        if k:  # the head columns, differenced as np.diff(prepend=0) does
-            rows = l21[i - k : j - k]
-            rows[:, 0] = cov[:, 0]
-            np.subtract(cov[:, 1:k], cov[:, : k - 1], out=rows[:, 1:])
-            rows /= np.sqrt(dt)
-        r22[i - k : j - k, : j - k] = cov[:, k:]
-        del hs, cov, tmp  # before the next block or the product below
-    if k:  # a block of rows at a time, so no (n - k)**2 product is held
-        for i in range(0, n - k, _MBM_PANEL):
-            j = min(i + _MBM_PANEL, n - k)
-            r22[i:j, :j] -= l21[i:j] @ l21[:j].T
-    return l21, r22
-
-
-def _mbm_factor_in_place(a):
-    """Overwrite the lower triangle of the positive-definite ``a`` with
-    its Cholesky factor and zero the upper triangle.
-
-    Right-looking and blocked: each panel of ``_MBM_PANEL`` columns
-    factors its diagonal block with ``np.linalg.cholesky``, which raises
-    ``LinAlgError`` when ``a`` is not positive definite, maps the rows
-    below it through the inverse of that block's factor and subtracts
-    their product from the trailing lower triangle a row block at a
-    time, so no temporary outgrows one panel. ``np.linalg.cholesky(a)``
-    would hold ``a``, LAPACK's work copy and the factor at once.
-    """
-    m = a.shape[0]
-    for p in range(0, m, _MBM_PANEL):
-        q = min(p + _MBM_PANEL, m)
-        a[p:q, p:q] = diag = np.linalg.cholesky(a[p:q, p:q])
-        a[p:q, q:] = 0.0
-        if q == m:
-            break
-        below = a[q:, p:q]  # solves below @ diag.T = A[q:, p:q]
-        below[...] = below @ np.linalg.inv(diag).T
-        for r in range(q, m, _MBM_PANEL):
-            s = min(r + _MBM_PANEL, m)
-            a[r:s, q:s] -= below[r - q : s - q] @ below[: s - q].T
 
 
 @lru_cache(maxsize=1)  # one factor is up to 8 * MAX_MBM_STEPS**2 bytes
 def _mbm_cholesky_factor(schedule, n, dt):
-    """Rows ``[L21 | L22]`` of the kernel's Cholesky factor below its
-    Brownian head.
+    """Row panels ``[L21 | L22]`` of the kernel's Cholesky factor below its
+    Brownian head, lower triangle only.
 
     Over the first ``k`` steps of a schedule that starts at H = 0.5 the
     kernel is ``dt * min(i, j)``, whose factor is ``sqrt(dt)`` times a
     lower triangle of ones; only the ``n - k`` ramped rows are built and
-    factored. With k = 0, ``L22`` is the full factor.
+    factored. A panel holds ``_MBM_PANEL`` of them (the last may hold
+    fewer), steps ``p..q-1``, as a ``(q - p, q)`` array: the ``k`` head
+    columns and the ramped columns up to its last diagonal entry.
+
+    Left-looking: a panel's kernel rows are built about ``_MBM_BLOCK``
+    entries at a time. Then, an earlier panel at a time, the columns
+    below that panel's diagonal block lose the product of the columns
+    before them and are mapped through the inverse of its diagonal
+    factor. Last, ``np.linalg.cholesky`` factors the panel's own diagonal
+    block, which is also the positive-definite check.
     """
     k = min(schedule.t_start, n) if schedule.start == 0.5 else 0
     if (n - k) * n > MAX_MBM_STEPS**2:
@@ -308,19 +250,50 @@ def _mbm_cholesky_factor(schedule, n, dt):
             f"entries, got {n - k} ramped rows of {n} steps",
             schedule=schedule,
         )
-    l21, l22 = _mbm_blocks(schedule, n, dt, k)
-    try:
-        _mbm_factor_in_place(l22)
-        return l21, l22
-    except np.linalg.LinAlgError:
-        pass  # leave the handler, whose traceback holds the half-factored block
-    del l21, l22
-    r22 = _mbm_blocks(schedule, n, dt, k)[1]  # built again to name its spectrum
-    raise GenerationError(
-        f"covariance for {schedule} is not positive definite: smallest "
-        f"eigenvalue {np.linalg.eigvalsh(r22)[0]:.3g}",
-        schedule=schedule,
-    )
+    h = schedule.values(n)
+    t = np.arange(1, n + 1) * dt
+    panels, inverses = [], []
+    for p in range(k, n, _MBM_PANEL):
+        q = min(p + _MBM_PANEL, n)
+        panel = np.empty((q - p, q))
+        step = max(1, _MBM_BLOCK // q)
+        for i in range(p, q, step):
+            j = min(i + step, q)  # rows i..j-1, columns 0..q-1
+            s, tt = t[i:j, None], t[None, :q]
+            hs = h[i:j, None] + h[None, :q]
+            # R = (s**hs + tt**hs - |tt - s|**hs) / 2, built in the panel
+            rows = np.power(s, hs, out=panel[i - p : j - p])
+            tmp = np.power(tt, hs)
+            rows += tmp
+            np.subtract(tt, s, out=tmp)
+            np.abs(tmp, out=tmp)
+            np.power(tmp, hs, out=tmp)
+            rows -= tmp
+            rows *= 0.5
+            del hs, tmp  # before the next block
+            if k:  # the head columns, differenced as np.diff(prepend=0) does
+                rows[:, 1:k] = np.diff(rows[:, :k])
+                rows[:, :k] /= np.sqrt(dt)
+        for prev, inv in zip(panels, inverses):  # prev holds steps c..d-1
+            d = prev.shape[1]
+            c = d - prev.shape[0]
+            cols = panel[:, c:d]
+            cols -= panel[:, :c] @ prev[:, :c].T
+            cols[...] = cols @ inv
+        diag = panel[:, p:]
+        diag -= panel[:, :p] @ panel[:, :p].T
+        try:
+            diag[...] = factor = np.linalg.cholesky(diag)
+        except np.linalg.LinAlgError:
+            raise GenerationError(
+                f"covariance for {schedule} is not positive definite at steps "
+                f"{p}-{q - 1}: the Schur complement there has smallest "
+                f"eigenvalue {np.linalg.eigvalsh(diag)[0]:.3g}",
+                schedule=schedule,
+            ) from None
+        panels.append(panel)
+        inverses.append(np.linalg.inv(factor).T)
+    return tuple(panels)
 
 
 def synth_fbm(n, schedule, dt, seed):
@@ -340,11 +313,11 @@ def synth_fbm(n, schedule, dt, seed):
     if schedule.is_constant():
         inc = _fgn_constant(schedule.start, n, rng) * dt**schedule.start
     else:
-        l21, l22 = _mbm_cholesky_factor(schedule, n, dt)
-        k = l21.shape[1]
+        panels = _mbm_cholesky_factor(schedule, n, dt)
+        k = n - sum(len(panel) for panel in panels)
         z = rng.standard_normal(n)
         inc = np.empty(n)
         inc[:k] = np.sqrt(dt) * z[:k]
-        tail = l21 @ z[:k] + l22 @ z[k:]
-        inc[k:] = np.diff(tail, prepend=inc[:k].sum())
+        tail = [panel @ z[: panel.shape[1]] for panel in panels]
+        inc[k:] = np.diff(np.concatenate([[inc[:k].sum()], *tail]))
     return NoisePath(inc)

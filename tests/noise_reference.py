@@ -4,15 +4,17 @@
 that ``phasecrash.noise`` factored before it skipped the Brownian head.
 ``synth_fbm`` must reproduce its increments bitwise when the schedule
 has no Brownian head and the path fits in one panel of
-``phasecrash.noise._mbm_factor_in_place``, and its path to rounding
+``phasecrash.noise._mbm_cholesky_factor``, and its path to rounding
 otherwise.
 
 ``block_factor`` builds every ramped row of the kernel at once, whole
 rows and all, with three full-size temporaries, and factors them with
-one ``np.linalg.cholesky`` call; ``phasecrash.noise`` builds them in row
-blocks up to the diagonal and factors them in place, a panel at a time.
-``L21`` must agree bitwise, and so must ``L22`` when its rows fit in one
-panel; a wider ``L22`` agrees to rounding.
+one ``np.linalg.cholesky`` call; ``phasecrash.noise`` builds them a panel
+of rows at a time, each up to its last diagonal entry, and factors them
+left-looking, panel by panel. ``assemble_panels`` lays those panels out
+as ``block_factor``'s ``(L21, L22)``. ``L21`` must agree bitwise, and so
+must ``L22`` when its rows fit in one panel; a wider ``L22`` agrees to
+rounding.
 """
 
 import numpy as np
@@ -54,3 +56,16 @@ def block_factor(schedule, n, dt):
     if k:
         r22 -= l21 @ l21.T
     return l21, np.linalg.cholesky(r22)
+
+
+def assemble_panels(panels, n):
+    """``(L21, L22)`` from the row panels of an ``n``-step factor."""
+    k = n - sum(len(p) for p in panels)
+    l21 = np.zeros((n - k, k))
+    l22 = np.zeros((n - k, n - k))
+    i = 0
+    for p in panels:
+        l21[i : i + len(p)] = p[:, :k]
+        l22[i : i + len(p), : p.shape[1] - k] = p[:, k:]
+        i += len(p)
+    return l21, l22

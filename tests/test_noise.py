@@ -221,36 +221,62 @@ def test_mbm_cap_bounds_the_ramped_rows(monkeypatch):
         pc.synth_fbm(41, pc.HurstSchedule(0.6, 0.9), 1.0, 1)
 
 
+def _kept_bytes(panels):
+    return sum(panel.nbytes for panel in panels)
+
+
 @pytest.mark.parametrize("t_start", [0, 512])
 def test_mbm_factor_is_built_in_place(t_start):
-    # the factor kept and the three 1 MB temporaries of a kernel row
-    # block: measured 1.393 and 1.801 times the factor (2.0 and 1.8
-    # while np.linalg.cholesky copied the whole block)
-    ratio = {0: 1.40, 512: 1.81}[t_start]
-    n = 1024
+    # the panels kept, the inverses of their diagonal factors and the two
+    # 1 MB temporaries of a kernel row block: measured 1.699 and 1.814
+    # times the factor kept (0.956 and 1.474 times a dense factor of the
+    # ramped rows, which measured 1.393 and 1.801 while L22 was dense)
+    ratio = {0: 1.71, 512: 1.82}[t_start]
+    n, panel = 1024, noise._MBM_PANEL
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
     noise._mbm_cholesky_factor.cache_clear()
     tracemalloc.start()
     try:
-        l21, l22 = noise._mbm_cholesky_factor(sch, n, 1.0)
+        panels = noise._mbm_cholesky_factor(sch, n, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         noise._mbm_cholesky_factor.cache_clear()
-    assert l21.shape == (n - t_start, t_start)
-    assert l22.shape == (n - t_start, n - t_start)
-    assert peak <= ratio * 8 * (n - t_start) * n
+    ends = range(t_start + panel, n + panel, panel)
+    assert [p.shape for p in panels] == [(panel, end) for end in ends]
+    assert peak <= ratio * _kept_bytes(panels)
+
+
+@pytest.mark.parametrize(
+    "n, t_start",
+    [(1, 0), (64, 0), (129, 0), (1000, 0), (1000, 1), (1000, 500), (1000, 999),
+     (1000, 1000), (2048, 0), (2520, 1764)],
+)
+def test_mbm_factor_keeps_the_lower_triangle_in_row_panels(n, t_start):
+    # each panel is a (rows, k + its diagonal end) array of its own, so the
+    # factor keeps about (n - k)(k + (n - k) / 2) entries, not (n - k) n
+    panel = noise._MBM_PANEL
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
+    panels = noise._mbm_cholesky_factor.__wrapped__(sch, n, 1.0)
+    k = min(t_start, n)
+    starts = range(k, n, panel)
+    assert [p.shape for p in panels] == [(min(panel, n - s), min(s + panel, n)) for s in starts]
+    assert all(p.base is None and p.flags.c_contiguous for p in panels)
+    kept = _kept_bytes(panels)
+    assert kept == 8 * sum(rows * width for rows, width in (p.shape for p in panels))
+    assert kept <= 8 * (n - k) * (k + (n - k + panel) / 2)
 
 
 @pytest.mark.parametrize(
     "n, schedule, peak_mb",
-    [(2048, pc.HurstSchedule(0.6, 0.9), 35.3),  # no Brownian head: 32 MB kept
-     # the README crash asset: onset 0.7 of 2520 steps, 14.5 MB kept
-     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 17.8)],
+    [(2048, pc.HurstSchedule(0.6, 0.9), 22.5),  # no Brownian head: 17.0 MB kept
+     # the README crash asset: onset 0.7 of 2520 steps, 12.7 MB kept
+     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 16.5)],
 )
 def test_mbm_factor_build_peak(n, schedule, peak_mb):
-    # measured 35.16 and 17.70 MB; 64.00 and 18.94 while np.linalg.cholesky
-    # copied the whole block, 96.2 and 43.8 when whole rows were built
+    # measured 21.17 and 15.63 MB; 35.16 and 17.70 while L22 was dense and
+    # factored in place, 64.00 and 18.94 while np.linalg.cholesky copied
+    # the whole block, 96.2 and 43.8 when whole rows were built
     tracemalloc.start()
     try:
         noise._mbm_cholesky_factor.__wrapped__(schedule, n, 1.0)
@@ -260,28 +286,61 @@ def test_mbm_factor_build_peak(n, schedule, peak_mb):
     assert peak <= peak_mb * 2**20
 
 
-def test_mbm_factor_build_grows_rss_by_under_1_5_factors():
-    # tracemalloc misses LAPACK's work copy; np.linalg.cholesky on the
-    # whole block grew ru_maxrss by 102 MB, 3.2 times the 32 MB factor
+def _peak_rss_growth(statement):
+    """Bytes by which ``statement`` raises the peak RSS of a fresh
+    interpreter, and what it prints. The peak is VmHWM, that of the
+    process's own address space: Linux carries a parent's RSS into
+    ru_maxrss across fork and exec, so a child of a large test process
+    reads no growth there."""
     code = (
-        "import resource, phasecrash as pc\n"
+        "import phasecrash as pc\n"
         "from phasecrash import noise\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9), 2048, 1.0)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        f"{statement}\n"
+        "print(hwm() - before)\n"
     )
-    grown_kb = int(fresh_python(code))  # Linux reports ru_maxrss in KiB
-    assert grown_kb * 1024 < 1.5 * 8 * 2048**2
+    *printed, grown_kb = fresh_python(code).splitlines()
+    return int(grown_kb) * 1024, "\n".join(printed)  # VmHWM is in kB
+
+
+_DENSE_2048 = 8 * 2048**2  # a dense 32 MB factor of 2048 ramped rows
+
+
+def test_mbm_factor_build_grows_rss_by_under_0_75_dense_factors():
+    # measured 0.716 of the dense factor (17.0 MB kept); 1.22 while L22 was
+    # dense and factored in place, 3.2 when np.linalg.cholesky copied it
+    grown, _ = _peak_rss_growth(
+        "noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9), 2048, 1.0)"
+    )
+    assert grown < 0.75 * _DENSE_2048
+
+
+def test_mbm_refusal_grows_rss_by_under_0_75_dense_factors():
+    # the last panel fails, after every other is built; measured 0.71 of
+    # the dense factor, 2.27 while the refusal rebuilt the whole kernel
+    # and took its spectrum with np.linalg.eigvalsh
+    grown, message = _peak_rss_growth(
+        "try:\n"
+        "    noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9, t_start=2043), 2048, 1.0)\n"
+        "except pc.GenerationError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "not positive definite at steps 1920-2047" in message
+    assert "smallest eigenvalue -6.93" in message
+    assert grown < 0.75 * _DENSE_2048
 
 
 # a block of ramped rows wider than one panel is factored in the order of
-# the blocked algorithm, not LAPACK's; the two differed by at most 1.8e-10
+# the blocked algorithm, not LAPACK's; the two differed by at most 2.6e-10
 # * max|L| over the grid below and the README schedule
 _PANEL_RTOL = 1e-9
 
 
-def _assert_block_factor_matches(got, want, panel, case):
-    (l21, l22), (ref21, ref22) = got, want
+def _assert_block_factor_matches(panels, n, want, panel, case):
+    (l21, l22), (ref21, ref22) = noise_reference.assemble_panels(panels, n), want
     assert np.array_equal(l21, ref21) and l21.shape == ref21.shape, case
     assert l22.shape == ref22.shape, case
     if l22.shape[0] <= panel:  # one np.linalg.cholesky call on the same block
@@ -300,7 +359,7 @@ _BLOCK_GRID = sorted(
 def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
     # one kernel block holds 2**17 entries, so n = 400 and 1000 span several
     # blocks of rows; 256 entries make a block of 4 rows at n = 64 and of
-    # one row above n = 128. Panels of 7 columns leave a partial last panel
+    # one row above n = 128. Panels of 7 rows leave a partial last panel
     # at every size above 7
     for block, panel in ((noise._MBM_BLOCK, noise._MBM_PANEL), (256, 7)):
         monkeypatch.setattr(noise, "_MBM_BLOCK", block)
@@ -310,14 +369,15 @@ def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
                 sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
                 got = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
                 want = noise_reference.block_factor(sch, n, dt)
-                _assert_block_factor_matches(got, want, panel, (block, panel, dt, h_start))
+                case = (block, panel, dt, h_start)
+                _assert_block_factor_matches(got, n, want, panel, case)
 
 
 def test_mbm_blocks_match_block_factor_oracle_on_the_readme_schedule():
     sch = pc.HurstSchedule(0.5, 0.9, t_start=1764)
     got = noise._mbm_cholesky_factor.__wrapped__(sch, 2520, 1.0)
     want = noise_reference.block_factor(sch, 2520, 1.0)
-    _assert_block_factor_matches(got, want, noise._MBM_PANEL, "readme")
+    _assert_block_factor_matches(got, 2520, want, noise._MBM_PANEL, "readme")
 
 
 _ORACLE_GRID = sorted(
@@ -359,22 +419,22 @@ def test_block_factor_refuses_what_the_full_factor_refuses():
 )
 def test_in_place_factor_refuses_exactly_what_the_full_factor_refuses(h_start, n):
     # ramps over the last 10% to 0.1% of the path straddle the steepest
-    # ramp that factors (the README's "shortest ramp that factors")
+    # ramp that factors (the README's "shortest ramp that factors"); the
+    # panels refuse exactly what one np.linalg.cholesky call refuses
     refused = []
     for h_end in (0.9, 0.95):
         for onset in (0.9, 0.95, 0.98, 0.985, 0.99, 0.995, 0.998, 0.999):
             sch = pc.HurstSchedule(h_start, h_end, t_start=int(onset * n))
-            k = sch.t_start if h_start == 0.5 else 0
-            r22 = noise._mbm_blocks(sch, n, 1.0, k)[1]
             try:
-                np.linalg.cholesky(r22)  # a copy: r22 is left as it was
+                noise_reference.block_factor(sch, n, 1.0)
                 want = False
             except np.linalg.LinAlgError:
                 want = True
             try:
-                noise._mbm_factor_in_place(r22)
+                noise._mbm_cholesky_factor.__wrapped__(sch, n, 1.0)
                 got = False
-            except np.linalg.LinAlgError:
+            except GenerationError as exc:
+                assert "smallest eigenvalue" in str(exc), (h_end, onset)
                 got = True
             assert got == want, (h_end, onset)
             refused.append(want)
