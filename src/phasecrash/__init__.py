@@ -72,4 +72,4 @@ from .study import (
     segment_windows,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

@@ -51,7 +51,7 @@ import numpy as np
 from . import __version__
 from .errors import CsvParseError, check_finite, check_int
 from .ews import PriceSeries, WindowConfig
-from .noise import HurstSchedule, StableSchedule, sample_gaussian_increments
+from .noise import HurstSchedule, StableSchedule, _seed_list, sample_gaussian_increments
 from .simulate import (
     CptParams,
     DptParams,
@@ -408,33 +408,42 @@ def simulate_asset(kind, p, n, dt, t_start, seed):
     """Log-price path of ``n`` steps for asset ``kind``, a key of
     :data:`PARAM_DEFAULTS`, from its params ``p`` with every key given
     (``onset`` is not read); the kind's mu, H or alpha ramp starts at
-    step ``t_start``. ``synth`` and ``simulate`` both draw through here."""
+    step ``t_start``. ``synth`` and ``simulate`` both draw through here.
+
+    ``seed`` is an int, for one path, or a sequence of ints, for a list of
+    paths, each the one its seed draws alone; ``dpt_hurst`` draws the
+    sequence in one :func:`~phasecrash.simulate.simulate_dpt` call."""
     check_int("t_start", t_start, 0)
+    seeds, one = _seed_list(seed)
     if kind == "bm":
         check_finite(sigma=p["sigma"], p0=p["p0"])
-        noise = sample_gaussian_increments(n, dt, seed)
-        return p["p0"] + p["sigma"] * noise.path()
-    if kind == "cpt":
+        paths = [p["p0"] + p["sigma"] * sample_gaussian_increments(n, dt, s).path()
+                 for s in seeds]
+    elif kind == "cpt":
         mu = MuSchedule(p["mu_start"], p["mu_end"], t_start=t_start)
         params = CptParams(r=p["r"], mu_schedule=mu, sigma=p["sigma"], p0=p["p0"])
-        return simulate_cpt(params, n, dt, seed).values
-    if kind == "spt":
+        paths = [simulate_cpt(params, n, dt, s).values for s in seeds]
+    elif kind == "spt":
         params = SptParams(r=p["r"], lam=p["lam"], alpha_vol=p["alpha_vol"], p0=p["p0"])
-        return simulate_spt(params, n, dt, seed).values
-    scale = p["scale"]  # dpt_hurst | dpt_stable: a flat noise law, then a ramp
-    if kind == "dpt_hurst":
-        sch = HurstSchedule(p["h_start"], p["h_end"], t_start=t_start)
+        paths = [simulate_spt(params, n, dt, s).values for s in seeds]
     else:
-        a0, a1 = p["alpha_start"], p["alpha_end"]
-        sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
-        scale = 1.0  # the stable schedule carries the scale
-    return simulate_dpt(DptParams(sch, scale=scale, p0=p["p0"]), n, dt, seed).values
+        scale = p["scale"]  # dpt_hurst | dpt_stable: a flat noise law, then a ramp
+        if kind == "dpt_hurst":
+            sch = HurstSchedule(p["h_start"], p["h_end"], t_start=t_start)
+        else:
+            a0, a1 = p["alpha_start"], p["alpha_end"]
+            sch = StableSchedule(a0, a1, t_start=t_start, scale=scale)
+            scale = 1.0  # the stable schedule carries the scale
+        params = DptParams(sch, scale=scale, p0=p["p0"])
+        paths = [path.values for path in simulate_dpt(params, n, dt, seeds)]
+    return paths[0] if one else paths
 
 
 def synth_corpus(spec, seed):
     """Deterministic synthetic panel; asset ``j`` overall uses the RNG
     stream derived from ``(seed, j)``, and ``onset`` starts a group's
-    ramp at step ``int(onset * n)``. Ids are checked before any draw."""
+    ramp at step ``int(onset * n)``. Ids are checked before any draw, and
+    each group is drawn in one :func:`simulate_asset` call."""
     if isinstance(spec, dict):
         spec = CorpusSpec.from_dict(spec)
     ids = []
@@ -443,13 +452,12 @@ def synth_corpus(spec, seed):
         ids.append([f"{prefix}{i:03d}" for i in range(group.count)])
     _check_ids([i for group_ids in ids for i in group_ids])
     out = []
-    asset_index = 0
     for group, group_ids in zip(spec.groups, ids):
         p = {**PARAM_DEFAULTS[group.kind], **group.params}
         t_start = int(p.get("onset", 0.0) * group.n)
-        for asset_id in group_ids:
-            seed_i = derive_seed(seed, asset_index)
-            values = simulate_asset(group.kind, p, group.n, group.dt, t_start, seed_i)
+        seeds = [derive_seed(seed, len(out) + i) for i in range(group.count)]
+        paths = simulate_asset(group.kind, p, group.n, group.dt, t_start, seeds)
+        for asset_id, values in zip(group_ids, paths):
             values = values[:: group.sample_every]
             if group.forced_drop is not None:
                 steps = np.arange(1, group.drop_len + 1) / group.drop_len
@@ -457,7 +465,6 @@ def synth_corpus(spec, seed):
                     [values, values[-1] + math.log1p(-group.forced_drop) * steps]
                 )
             out.append(PriceSeries(np.arange(values.size, dtype=float), values, asset_id))
-            asset_index += 1
     return out
 
 

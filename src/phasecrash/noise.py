@@ -18,28 +18,35 @@ Three families are provided:
   ``R(s, t) = (s**(H(s)+H(t)) + t**(H(s)+H(t)) - |t-s|**(H(s)+H(t))) / 2``.
   A schedule that starts at H = 0.5 has a Brownian head before
   ``t_start``: there the kernel is ``min(s, t)`` and its factor is a
-  scaled cumulative sum, so only the ``n - t_start`` ramped rows of the
-  factor are built; a path whose ramped rows span more than
-  ``MAX_MBM_STEPS**2`` kernel entries is refused. The factor is built
-  and kept as panels of 128 rows, each only up to its last diagonal
-  entry, so it keeps about half the entries of the ramped rows when the
-  head is short. Building it raises the peak RSS by 1.1 to 1.35 times
-  the factor it keeps, 0.58 to 0.72 times a dense factor of the same
-  rows. The head increments are plain Wiener increments, and a seed
-  draws the same path as the full factor up to rounding. A kernel that
-  is not positive definite raises ``GenerationError`` naming the panel
-  of steps where the factor failed and the smallest eigenvalue of the
-  kernel's Schur complement there.
+  scaled cumulative sum, so the head increments are plain Wiener
+  increments, and the factor's ramped rows have a closed form over the
+  head columns, rebuilt a block at a time when needed. Only the factor
+  of the ramped block's Schur complement is built and kept, as panels
+  of 128 rows, each only up to its last diagonal entry; a path whose
+  ramped rows span more than ``MAX_MBM_STEPS**2`` kernel entries is
+  refused. With no head, building it raises the peak RSS by 1.1 to 1.25
+  times the factor it keeps (0.56 to 0.66 times a dense factor); below
+  a head, 1 MB temporaries add a few MB (8.3 MB for the README crash
+  asset, whose factor keeps 2.5 MB). A list of seeds is drawn with one
+  pass over the head columns, so a group costs about what one path
+  does. A seed draws the same path as the full factor up to rounding,
+  and the same bits whatever seeds share its call. A kernel that is not
+  positive definite raises ``GenerationError`` naming the panel of steps
+  where the factor failed and the smallest eigenvalue of the kernel's
+  Schur complement there.
 
 Every generator is a pure function of its parameters and a 64-bit seed:
 same inputs, bit-identical output. Batches split one master seed into
 per-path seeds with :func:`phasecrash.io.derive_seed`.
 """
 
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GenerationError, check_int
 
@@ -57,10 +64,10 @@ MAX_SEED = 2**64 - 1
 
 #: Cap on a ramped-Hurst factor: synth_fbm refuses a path whose ramped
 #: rows span more than MAX_MBM_STEPS**2 kernel entries. The cached factor
-#: keeps their lower triangle at 8 bytes an entry: about 256 MB at the cap
-#: with no Brownian head, up to 512 MB below a long head. Building it
-#: raises the peak RSS by 1.35 and 1.12 times the factor at n = 2048 and
-#: 4096 with no head (0.72 and 0.58 times a dense factor).
+#: keeps the lower triangle of the ramped rows' own columns at 8 bytes an
+#: entry, about 256 MB at the cap, and none of the Brownian head's columns.
+#: Building it raises the peak RSS by 1.25 and 1.10 times the factor at
+#: n = 2048 and 4096 with no head (0.66 and 0.56 times a dense factor).
 MAX_MBM_STEPS = 8192
 
 
@@ -217,33 +224,85 @@ def _fgn_constant(h, n, rng):
     return np.fft.fft(spec).real[:n]
 
 
-#: Kernel entries built at a time by _mbm_cholesky_factor (1 MB a temporary).
+#: Kernel entries built at a time by _mbm_cholesky_factor and _mbm_head_blocks
+#: (1 MB a temporary).
 _MBM_BLOCK = 1 << 17
 
 #: Ramped rows in a panel of the factor that _mbm_cholesky_factor keeps.
 _MBM_PANEL = 128
 
 
-@lru_cache(maxsize=1)  # one factor is up to 8 * MAX_MBM_STEPS**2 bytes
+def _mbm_head(schedule, n):
+    """Steps in the Brownian head of a ramped-Hurst path: those before
+    ``t_start`` when the schedule starts at H = 0.5, else none."""
+    return min(schedule.t_start, n) if schedule.start == 0.5 else 0
+
+
+def _increment_power(eta, log_m, log_step, out, tmp):
+    """``(m + 1)**eta - m**eta`` into ``out``, from ``log(m)`` and
+    ``log1p(1 / m)``, as ``m**eta * expm1(eta * log1p(1 / m))``, which
+    does not cancel; ``tmp`` is scratch of the same shape."""
+    np.exp(np.multiply(eta, log_m, out=out), out=out)
+    np.expm1(np.multiply(eta, log_step, out=tmp), out=tmp)
+    out *= tmp
+    return out
+
+
+def _mbm_head_blocks(h, k, dt):
+    """``(a, L21[:, a:b].T)``: the head columns ``a..b-1`` of the factor's
+    ramped rows, as rows, a block of at most ``_MBM_BLOCK`` entries at a
+    time. The blocks share one buffer, so each is overwritten by the next.
+
+    Over a head of ``k`` steps the kernel's factor is ``sqrt(dt)`` times a
+    lower triangle of ones, so ``L21`` is the kernel's ramped rows
+    differenced over the head columns. With ``eta = h_i + 0.5`` and 0-based
+    steps that is ``dt**h_i / 2 * (D_i(j) + D_i(i - j))``, where
+    ``D_i(m) = (m + 1)**eta - m**eta`` and ``D_i(0) = 1``. The split
+    depends only on ``(n, k)``."""
+    n = h.size
+    if n == k:  # no ramped rows
+        return
+    eta, half = h[k:] + 0.5, dt ** h[k:] / 2
+    m = np.arange(1.0, n)  # log(m) and log1p(1 / m) for m = 1..n-1 at m - 1
+    log_m, log_step = np.log(m), np.log1p(1.0 / m)
+    width = max(1, _MBM_BLOCK // (n - k))
+    work = np.empty((3, width * (n - k)))
+    for a in range(0, k, width):
+        b = min(a + width, k)
+        block, d, tmp = (w[: (b - a) * (n - k)].reshape(b - a, n - k) for w in work)
+
+        def toeplitz(v):  # v[i - j - 1] at row j - a, column i - k
+            return sliding_window_view(v[k - b : n - 1 - a], n - k)[::-1]
+
+        _increment_power(eta, toeplitz(log_m), toeplitz(log_step), block, tmp)
+        j = max(a, 1)  # D_i(j) for the columns j >= 1; D_i(0) = 1
+        cols = np.s_[j - 1 : b - 1, None]  # log(j) and log1p(1 / j), a row each
+        block[j - a :] += _increment_power(eta, log_m[cols], log_step[cols], d[j - a :], tmp[j - a :])
+        if a == 0:
+            block[0] += 1.0
+        block *= half
+        yield a, block
+
+
+@lru_cache(maxsize=1)  # one factor is up to 4 * MAX_MBM_STEPS**2 bytes
 def _mbm_cholesky_factor(schedule, n, dt):
-    """Row panels ``[L21 | L22]`` of the kernel's Cholesky factor below its
-    Brownian head, lower triangle only.
+    """Row panels of ``L22``, the Cholesky factor of the ramped block's
+    Schur complement ``K22 - L21 L21^T`` below the Brownian head, lower
+    triangle only.
 
-    Over the first ``k`` steps of a schedule that starts at H = 0.5 the
-    kernel is ``dt * min(i, j)``, whose factor is ``sqrt(dt)`` times a
-    lower triangle of ones; only the ``n - k`` ramped rows are built and
-    factored. A panel holds ``_MBM_PANEL`` of them (the last may hold
-    fewer), steps ``p..q-1``, as a ``(q - p, q)`` array: the ``k`` head
-    columns and the ramped columns up to its last diagonal entry.
-
-    Left-looking: a panel's kernel rows are built about ``_MBM_BLOCK``
-    entries at a time. Then, an earlier panel at a time, the columns
-    below that panel's diagonal block lose the product of the columns
-    before them and are mapped through the inverse of its diagonal
-    factor. Last, ``np.linalg.cholesky`` factors the panel's own diagonal
-    block, which is also the positive-definite check.
+    Only the ``n - k`` ramped rows are factored (``k`` from
+    :func:`_mbm_head`). A panel holds ``_MBM_PANEL`` of them (the last may
+    hold fewer), steps ``p..q-1``, as a ``(q - p, q - k)`` array: the
+    ramped columns up to its last diagonal entry. Each panel's kernel rows
+    are built about ``_MBM_BLOCK`` entries at a time. Then every block of
+    :func:`_mbm_head_blocks` is subtracted times its transpose and
+    dropped. Last, left-looking, panel by panel: the columns below each
+    earlier panel's diagonal block lose the product of the columns before
+    them and are mapped through the inverse of its diagonal factor, and
+    ``np.linalg.cholesky`` factors the panel's own diagonal block, which
+    is also the positive-definite check.
     """
-    k = min(schedule.t_start, n) if schedule.start == 0.5 else 0
+    k = _mbm_head(schedule, n)
     if (n - k) * n > MAX_MBM_STEPS**2:
         raise GenerationError(
             f"ramped-Hurst paths are limited to {MAX_MBM_STEPS}**2 factor "
@@ -252,15 +311,15 @@ def _mbm_cholesky_factor(schedule, n, dt):
         )
     h = schedule.values(n)
     t = np.arange(1, n + 1) * dt
-    panels, inverses = [], []
+    panels = []
     for p in range(k, n, _MBM_PANEL):
         q = min(p + _MBM_PANEL, n)
-        panel = np.empty((q - p, q))
-        step = max(1, _MBM_BLOCK // q)
+        panel = np.empty((q - p, q - k))
+        step = max(1, _MBM_BLOCK // (q - k))
         for i in range(p, q, step):
-            j = min(i + step, q)  # rows i..j-1, columns 0..q-1
-            s, tt = t[i:j, None], t[None, :q]
-            hs = h[i:j, None] + h[None, :q]
+            j = min(i + step, q)  # rows i..j-1, columns k..q-1
+            s, tt = t[i:j, None], t[None, k:q]
+            hs = h[i:j, None] + h[None, k:q]
             # R = (s**hs + tt**hs - |tt - s|**hs) / 2, built in the panel
             rows = np.power(s, hs, out=panel[i - p : j - p])
             tmp = np.power(tt, hs)
@@ -271,10 +330,18 @@ def _mbm_cholesky_factor(schedule, n, dt):
             rows -= tmp
             rows *= 0.5
             del hs, tmp  # before the next block
-            if k:  # the head columns, differenced as np.diff(prepend=0) does
-                rows[:, 1:k] = np.diff(rows[:, :k])
-                rows[:, :k] /= np.sqrt(dt)
-        for prev, inv in zip(panels, inverses):  # prev holds steps c..d-1
+        panels.append(panel)
+    starts = range(0, n - k, _MBM_PANEL)  # of the panels, in ramped columns
+    for _, block in _mbm_head_blocks(h, k, dt):  # K22 - L21 L21^T
+        for p, panel in zip(starts, panels):
+            below = block[:, p : p + len(panel)].T
+            width = max(1, _MBM_BLOCK // len(panel))
+            for c in range(0, panel.shape[1], width):
+                d = min(c + width, panel.shape[1])
+                panel[:, c:d] -= below @ block[:, c:d]
+    inverses = []
+    for p, panel in zip(starts, panels):
+        for prev, inv in zip(panels, inverses):  # prev holds ramped columns c..d-1
             d = prev.shape[1]
             c = d - prev.shape[0]
             cols = panel[:, c:d]
@@ -287,13 +354,45 @@ def _mbm_cholesky_factor(schedule, n, dt):
         except np.linalg.LinAlgError:
             raise GenerationError(
                 f"covariance for {schedule} is not positive definite at steps "
-                f"{p}-{q - 1}: the Schur complement there has smallest "
-                f"eigenvalue {np.linalg.eigvalsh(diag)[0]:.3g}",
+                f"{k + p}-{k + p + len(panel) - 1}: the Schur complement there has "
+                f"smallest eigenvalue {np.linalg.eigvalsh(diag)[0]:.3g}",
                 schedule=schedule,
             ) from None
-        panels.append(panel)
         inverses.append(np.linalg.inv(factor).T)
     return tuple(panels)
+
+
+def _mbm_draw(schedule, n, dt, rngs):
+    """Ramped-Hurst increments, an array of ``n`` for each generator in
+    ``rngs``, drawn by its ``n`` unit normals ``z``.
+
+    The head is ``sqrt(dt) * z``. One pass over :func:`_mbm_head_blocks`
+    adds ``L21 z`` for every path, a matvec a block and path, and then
+    each ramped panel adds its own matvec; a path's bits do not depend on
+    which other paths share the call."""
+    panels = _mbm_cholesky_factor(schedule, n, dt)  # refuses before any draw
+    k = _mbm_head(schedule, n)
+    zs = [rng.standard_normal(n) for rng in rngs]
+    heads = [np.zeros(n - k) if k else None for _ in zs]
+    for a, block in _mbm_head_blocks(schedule.values(n), k, dt):
+        for z, head in zip(zs, heads):
+            head += z[a : a + len(block)] @ block
+    for z, head in zip(zs, heads):  # z becomes the increments
+        tail = [panel @ z[k : k + panel.shape[1]] for panel in panels]
+        z[:k] *= np.sqrt(dt)
+        path = np.concatenate([[z[:k].sum()], *tail])  # X at steps k-1..n-1
+        if k:
+            path[1:] += head
+        z[k:] = np.diff(path)
+    return zs
+
+
+def _seed_list(seed):
+    """``(seeds, one)``: ``seed``, an int or a sequence of ints, as a list of
+    checked seeds, and whether it was one int."""
+    if isinstance(seed, Integral) or isinstance(seed, str) or not isinstance(seed, Iterable):
+        return [check_int("seed", seed, 0, MAX_SEED)], True
+    return [check_int("seed", s, 0, MAX_SEED) for s in seed], False
 
 
 def synth_fbm(n, schedule, dt, seed):
@@ -305,19 +404,20 @@ def synth_fbm(n, schedule, dt, seed):
     from the local-exponent kernel documented in the module docstring and
     are refused when their ramped rows exceed ``MAX_MBM_STEPS**2`` kernel
     entries.
+
+    ``seed`` is an int, for one :class:`NoisePath`, or a sequence of ints,
+    for a list of them; each path is the one its seed draws alone. A
+    ramped schedule below a Brownian head draws a sequence in one pass
+    over the head, so a group costs about what one seed does.
     """
     if not isinstance(schedule, HurstSchedule):
         raise ValueError("schedule must be a HurstSchedule")
     n, dt = _check_n_dt(n, dt)
-    rng = np.random.default_rng(check_int("seed", seed, 0, MAX_SEED))
+    seeds, one = _seed_list(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     if schedule.is_constant():
-        inc = _fgn_constant(schedule.start, n, rng) * dt**schedule.start
+        incs = [_fgn_constant(schedule.start, n, rng) * dt**schedule.start for rng in rngs]
     else:
-        panels = _mbm_cholesky_factor(schedule, n, dt)
-        k = n - sum(len(panel) for panel in panels)
-        z = rng.standard_normal(n)
-        inc = np.empty(n)
-        inc[:k] = np.sqrt(dt) * z[:k]
-        tail = [panel @ z[: panel.shape[1]] for panel in panels]
-        inc[k:] = np.diff(np.concatenate([[inc[:k].sum()], *tail]))
-    return NoisePath(inc)
+        incs = _mbm_draw(schedule, n, dt, rngs)
+    paths = [NoisePath(inc) for inc in incs]
+    return paths[0] if one else paths

@@ -41,6 +41,7 @@ from .noise import (
     Ramp,
     StableSchedule,
     _check_n_dt,
+    _seed_list,
     sample_alpha_stable,
     sample_gaussian_increments,
     synth_fbm,
@@ -252,15 +253,20 @@ def simulate_spt(params, n, dt, seed):
 
 
 def simulate_dpt(params, n, dt, seed):
-    """Dynamic route: ``p(t) = p0 + scale * X(t)`` for scheduled noise X."""
+    """Dynamic route: ``p(t) = p0 + scale * X(t)`` for scheduled noise X.
+
+    ``seed`` is an int, for one :class:`SimPath`, or a sequence of ints, for
+    a list of them, each the path its seed draws alone; a Hurst schedule
+    draws the sequence in one :func:`~phasecrash.noise.synth_fbm` call."""
     if not isinstance(params, DptParams):
         raise ValueError("params must be DptParams")
+    seeds, one = _seed_list(seed)
     if isinstance(params.noise_spec, HurstSchedule):
-        noise = synth_fbm(n, params.noise_spec, dt, seed)
+        noises = synth_fbm(n, params.noise_spec, dt, seeds)
     else:
-        noise = sample_alpha_stable(n, params.noise_spec, dt, seed)
-    values = params.p0 + params.scale * noise.path()
-    return _finish(values, "dpt", dt, n)
+        noises = [sample_alpha_stable(n, params.noise_spec, dt, s) for s in seeds]
+    paths = [_finish(params.p0 + params.scale * noise.path(), "dpt", dt, n) for noise in noises]
+    return paths[0] if one else paths
 
 
 def simulate_multivariate(params, n, dt, seed):

@@ -8,16 +8,21 @@ has no Brownian head and the path fits in one panel of
 otherwise.
 
 ``block_factor`` builds every ramped row of the kernel at once, whole
-rows and all, with three full-size temporaries, and factors them with
-one ``np.linalg.cholesky`` call; ``phasecrash.noise`` builds them a panel
-of rows at a time, each up to its last diagonal entry, and factors them
-left-looking, panel by panel. ``assemble_panels`` lays those panels out
-as ``block_factor``'s ``(L21, L22)``. ``L21`` must agree bitwise, and so
-must ``L22`` when its rows fit in one panel; a wider ``L22`` agrees to
-rounding.
+rows and all, with three full-size temporaries, differences them over
+the Brownian head's columns into ``L21``, and factors ``K22 - L21 L21^T``
+with one ``np.linalg.cholesky`` call. ``phasecrash.noise`` computes
+``L21`` in closed form, a block of head columns at a time, and keeps
+only ``L22``, built a panel of rows at a time, each up to its last
+diagonal entry, and factored left-looking, panel by panel.
+``assemble_factor`` lays those head blocks and panels out as
+``block_factor``'s ``(L21, L22)``. ``L21`` agrees to the rounding of the
+differences, and ``L22`` bitwise when there is no head and its rows fit
+in one panel, to rounding otherwise.
 """
 
 import numpy as np
+
+from phasecrash import noise
 
 
 def full_factor(schedule, n, dt):
@@ -58,14 +63,18 @@ def block_factor(schedule, n, dt):
     return l21, np.linalg.cholesky(r22)
 
 
-def assemble_panels(panels, n):
-    """``(L21, L22)`` from the row panels of an ``n``-step factor."""
+def assemble_factor(panels, schedule, n, dt):
+    """``(L21, L22)`` of an ``n``-step factor: the closed-form head blocks
+    of ``phasecrash.noise._mbm_head_blocks`` side by side, and the row
+    panels that ``phasecrash.noise._mbm_cholesky_factor`` keeps of
+    ``L22``."""
     k = n - sum(len(p) for p in panels)
     l21 = np.zeros((n - k, k))
+    for a, block in noise._mbm_head_blocks(schedule.values(n), k, dt):
+        l21[:, a : a + len(block)] = block.T
     l22 = np.zeros((n - k, n - k))
     i = 0
     for p in panels:
-        l21[i : i + len(p)] = p[:, :k]
-        l22[i : i + len(p), : p.shape[1] - k] = p[:, k:]
+        l22[i : i + len(p), : p.shape[1]] = p
         i += len(p)
     return l21, l22

@@ -1204,6 +1204,43 @@ def test_cli_simulate_draws_what_a_one_asset_synth_group_draws(tmp_path, kind):
     assert Path(os.path.join(sim_out, "path.csv")).read_bytes() == corpus
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_cli_simulate_draws_an_asset_of_a_five_asset_dpt_hurst_group(tmp_path, j):
+    # synth draws the group's ramped-Hurst paths in one pass over the head;
+    # simulate draws asset j alone from its derived seed, to the same bits
+    params = dict(_KIND_PARAMS["dpt_hurst"], onset=0.5)
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in _KIND_PARAMS["dpt_hurst"].items()]
+    group = {"kind": "dpt_hurst", "count": 5, "n": 400, "dt": 0.01, "params": params,
+             "id_prefix": "SIM"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [group]}))
+    synth_out, sim_out = str(tmp_path / "synth"), str(tmp_path / "sim")
+    assert cli_dispatch(["synth", "--spec", str(spec), "--seed", "5", "--out", synth_out]) == 0
+    rc = cli_dispatch(["simulate", "--kind", "dpt-hurst", "--n", "400", "--dt", "0.01",
+                       "--t-start=200", *flags, "--seed", str(derive_seed(5, j)),
+                       "--out", sim_out])
+    assert rc == 0
+    with open(os.path.join(synth_out, "corpus.csv"), encoding="utf-8") as fh:
+        corpus = [(d, c) for d, ticker, c in csv.reader(fh) if ticker == f"SIM{j:03d}"]
+    with open(os.path.join(sim_out, "path.csv"), encoding="utf-8") as fh:
+        path = [(d, c) for d, _, c in list(csv.reader(fh))[1:]]
+    assert len(path) == 401 and path == corpus
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+def test_simulate_asset_draws_a_seed_sequence_as_its_seeds_alone(kind):
+    params = {**PARAM_DEFAULTS[kind], **_KIND_PARAMS[kind]}
+    seeds = [derive_seed(9, j) for j in range(3)]
+    alone = [pc_io.simulate_asset(kind, params, 300, 0.01, 150, s) for s in seeds]
+    for group in (seeds, tuple(seeds), np.array(seeds, dtype=np.uint64)):
+        paths = pc_io.simulate_asset(kind, params, 300, 0.01, 150, group)
+        assert isinstance(paths, list) and len(paths) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(paths, alone))
+    assert pc_io.simulate_asset(kind, params, 300, 0.01, 150, []) == []
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        pc_io.simulate_asset(kind, params, 300, 0.01, 150, [seeds[0], True])
+
+
 @pytest.mark.parametrize("kind", sorted(PARAM_DEFAULTS))
 def test_cli_simulate_without_param_flags_draws_a_default_synth_group(tmp_path, kind):
     # every param flag left out takes the kind's PARAM_DEFAULTS value, as synth does

@@ -11,7 +11,7 @@ from phasecrash.errors import GenerationError
 from phasecrash.io import derive_seed
 
 import noise_reference
-from conftest import fresh_python, series_from_increments
+from conftest import fresh_python, readme_json_blocks, series_from_increments
 
 
 # ---------------------------------------------------------------- gaussian
@@ -227,11 +227,13 @@ def _kept_bytes(panels):
 
 @pytest.mark.parametrize("t_start", [0, 512])
 def test_mbm_factor_is_built_in_place(t_start):
-    # the panels kept, the inverses of their diagonal factors and the two
-    # 1 MB temporaries of a kernel row block: measured 1.699 and 1.814
-    # times the factor kept (0.956 and 1.474 times a dense factor of the
-    # ramped rows, which measured 1.393 and 1.801 while L22 was dense)
-    ratio = {0: 1.71, 512: 1.82}[t_start]
+    # the panels kept, the inverses of their diagonal factors, and either
+    # the two 1 MB temporaries of a kernel row block or the three 1 MB
+    # buffers of the closed-form head blocks: measured 1.680 and 4.017
+    # times the factor kept, 4.5 and 1.25 MB (5.02 MB at t_start 512, where
+    # 0.20.0 kept 3.4 MB, head columns and all, and peaked at 1.814 times
+    # that, 6.2 MB; 1.699 times at t_start 0)
+    ratio = {0: 1.69, 512: 4.05}[t_start]
     n, panel = 1024, noise._MBM_PANEL
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
     noise._mbm_cholesky_factor.cache_clear()
@@ -242,7 +244,7 @@ def test_mbm_factor_is_built_in_place(t_start):
     finally:
         tracemalloc.stop()
         noise._mbm_cholesky_factor.cache_clear()
-    ends = range(t_start + panel, n + panel, panel)
+    ends = range(panel, n - t_start + panel, panel)
     assert [p.shape for p in panels] == [(panel, end) for end in ends]
     assert peak <= ratio * _kept_bytes(panels)
 
@@ -253,30 +255,33 @@ def test_mbm_factor_is_built_in_place(t_start):
      (1000, 1000), (2048, 0), (2520, 1764)],
 )
 def test_mbm_factor_keeps_the_lower_triangle_in_row_panels(n, t_start):
-    # each panel is a (rows, k + its diagonal end) array of its own, so the
-    # factor keeps about (n - k)(k + (n - k) / 2) entries, not (n - k) n
+    # each panel is a (rows, q - k) array of its own, the ramped columns up
+    # to its diagonal end, so the factor keeps about (n - k)**2 / 2 entries;
+    # the head columns are not kept at all
     panel = noise._MBM_PANEL
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
     panels = noise._mbm_cholesky_factor.__wrapped__(sch, n, 1.0)
     k = min(t_start, n)
     starts = range(k, n, panel)
-    assert [p.shape for p in panels] == [(min(panel, n - s), min(s + panel, n)) for s in starts]
+    assert [p.shape for p in panels] == [(min(panel, n - s), min(s + panel, n) - k) for s in starts]
     assert all(p.base is None and p.flags.c_contiguous for p in panels)
     kept = _kept_bytes(panels)
     assert kept == 8 * sum(rows * width for rows, width in (p.shape for p in panels))
-    assert kept <= 8 * (n - k) * (k + (n - k + panel) / 2)
+    assert kept <= 8 * (n - k) * (n - k + panel) / 2
 
 
 @pytest.mark.parametrize(
     "n, schedule, peak_mb",
     [(2048, pc.HurstSchedule(0.6, 0.9), 22.5),  # no Brownian head: 17.0 MB kept
-     # the README crash asset: onset 0.7 of 2520 steps, 12.7 MB kept
-     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 16.5)],
+     # the README crash asset: onset 0.7 of 2520 steps, 2.5 MB kept
+     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 6.9)],
 )
 def test_mbm_factor_build_peak(n, schedule, peak_mb):
-    # measured 21.17 and 15.63 MB; 35.16 and 17.70 while L22 was dense and
-    # factored in place, 64.00 and 18.94 while np.linalg.cholesky copied
-    # the whole block, 96.2 and 43.8 when whole rows were built
+    # measured 20.11 and 6.57 MB; 21.17 and 15.63 while the head columns of
+    # the factor were kept (12.7 MB for the README asset), 35.16 and 17.70
+    # while L22 was dense and factored in place, 64.00 and 18.94 while
+    # np.linalg.cholesky copied the whole block, 96.2 and 43.8 when whole
+    # rows were built
     tracemalloc.start()
     try:
         noise._mbm_cholesky_factor.__wrapped__(schedule, n, 1.0)
@@ -286,15 +291,16 @@ def test_mbm_factor_build_peak(n, schedule, peak_mb):
     assert peak <= peak_mb * 2**20
 
 
-def _peak_rss_growth(statement):
-    """Bytes by which ``statement`` raises the peak RSS of a fresh
-    interpreter, and what it prints. The peak is VmHWM, that of the
+def _peak_rss_growth(statement, setup=""):
+    """Bytes by which ``statement``, run after ``setup``, raises the peak
+    RSS of a fresh interpreter, and what it prints. The peak is VmHWM, that of the
     process's own address space: Linux carries a parent's RSS into
     ru_maxrss across fork and exec, so a child of a large test process
     reads no growth there."""
     code = (
         "import phasecrash as pc\n"
         "from phasecrash import noise\n"
+        f"{setup}\n"
         "def hwm():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
@@ -333,17 +339,70 @@ def test_mbm_refusal_grows_rss_by_under_0_75_dense_factors():
     assert grown < 0.75 * _DENSE_2048
 
 
-# a block of ramped rows wider than one panel is factored in the order of
-# the blocked algorithm, not LAPACK's; the two differed by at most 2.6e-10
-# * max|L| over the grid below and the README schedule
+def test_readme_corpus_grows_rss_by_under_12_mb():
+    # the README spec: 20 dpt_hurst assets drawn in one pass over a head of
+    # 1,764 steps, and 20 bm assets; measured 10.1-10.3 MB, and 18.9 MB
+    # when the factor kept its 10.2 MB of head columns and each asset was
+    # drawn alone
+    spec = readme_json_blocks()["spec.json"]
+    grown, _ = _peak_rss_growth(
+        "synth_corpus(spec, 7)",
+        setup=f"import json\nfrom phasecrash.io import synth_corpus\nspec = json.loads({spec!r})",
+    )
+    assert grown < 12 * 2**20
+
+
+@pytest.mark.parametrize(
+    "n, schedule",
+    [(2520, pc.HurstSchedule(0.5, 0.9, t_start=1764)),  # the README crash asset
+     (600, pc.HurstSchedule(0.6, 0.9, t_start=200)),  # no Brownian head, 5 panels
+     (500, pc.HurstSchedule(0.7))],  # Davies-Harte
+)
+def test_fbm_group_draw_is_each_seed_drawn_alone(n, schedule):
+    seeds = [derive_seed(33, j) for j in range(5)]
+    noise._mbm_cholesky_factor.cache_clear()
+    alone = [pc.synth_fbm(n, schedule, 1.0, s).increments for s in seeds]  # first one cold
+    noise._mbm_cholesky_factor.cache_clear()
+    cold = pc.synth_fbm(n, schedule, 1.0, seeds)
+    warm = pc.synth_fbm(n, schedule, 1.0, seeds)
+    reversed_ = pc.synth_fbm(n, schedule, 1.0, seeds[::-1])[::-1]
+    for paths in (cold, warm, reversed_):
+        assert isinstance(paths, list) and len(paths) == len(seeds)
+        assert all(np.array_equal(p.increments, a) for p, a in zip(paths, alone))
+    one = pc.synth_fbm(n, schedule, 1.0, seeds[2])
+    assert isinstance(one, pc.NoisePath) and np.array_equal(one.increments, alone[2])
+
+
+def test_fbm_seed_sequence_is_checked_seed_by_seed():
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=32)
+    assert pc.synth_fbm(64, sch, 1.0, []) == []
+    assert len(pc.synth_fbm(64, sch, 1.0, range(3))) == 3
+    for bad in ([1, -1], [1, 2.0], (True,), [noise.MAX_SEED + 1]):
+        with pytest.raises(ValueError, match="seed"):
+            pc.synth_fbm(64, sch, 1.0, bad)
+    for bad in (1.0, "7", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            pc.synth_fbm(64, sch, 1.0, bad)
+
+
+# a block of ramped rows wider than one panel, or below a head, is factored
+# in the order of the blocked algorithm, not LAPACK's; the two differed by
+# at most 2.9e-10 * max|L| over the grid below and the README schedule
 _PANEL_RTOL = 1e-9
 
+# the oracle differences the kernel over the head columns, which cancels:
+# it was 6.9e-13 * max|L21| from the closed form on the README schedule,
+# and the closed form was 2.2e-15 from a long-double evaluation of it
+_HEAD_RTOL = 1e-12
 
-def _assert_block_factor_matches(panels, n, want, panel, case):
-    (l21, l22), (ref21, ref22) = noise_reference.assemble_panels(panels, n), want
-    assert np.array_equal(l21, ref21) and l21.shape == ref21.shape, case
+
+def _assert_block_factor_matches(got, sch, n, dt, want, panel, case):
+    (l21, l22), (ref21, ref22) = noise_reference.assemble_factor(got, sch, n, dt), want
+    assert l21.shape == ref21.shape, case
+    if l21.size:
+        assert np.abs(l21 - ref21).max() <= _HEAD_RTOL * np.abs(ref21).max(), case
     assert l22.shape == ref22.shape, case
-    if l22.shape[0] <= panel:  # one np.linalg.cholesky call on the same block
+    if l22.shape[0] <= panel and not l21.size:  # one np.linalg.cholesky call on one block
         assert np.array_equal(l22, ref22), case
     elif l22.size:
         assert np.abs(l22 - ref22).max() <= _PANEL_RTOL * np.abs(ref22).max(), case
@@ -359,8 +418,9 @@ _BLOCK_GRID = sorted(
 def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
     # one kernel block holds 2**17 entries, so n = 400 and 1000 span several
     # blocks of rows; 256 entries make a block of 4 rows at n = 64 and of
-    # one row above n = 128. Panels of 7 rows leave a partial last panel
-    # at every size above 7
+    # one row above n = 128, and a head block of 256 // (n - k) columns,
+    # one column once 129 rows are ramped. Panels of 7 rows leave a
+    # partial last panel at every size above 7
     for block, panel in ((noise._MBM_BLOCK, noise._MBM_PANEL), (256, 7)):
         monkeypatch.setattr(noise, "_MBM_BLOCK", block)
         monkeypatch.setattr(noise, "_MBM_PANEL", panel)
@@ -370,14 +430,14 @@ def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
                 got = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
                 want = noise_reference.block_factor(sch, n, dt)
                 case = (block, panel, dt, h_start)
-                _assert_block_factor_matches(got, n, want, panel, case)
+                _assert_block_factor_matches(got, sch, n, dt, want, panel, case)
 
 
 def test_mbm_blocks_match_block_factor_oracle_on_the_readme_schedule():
     sch = pc.HurstSchedule(0.5, 0.9, t_start=1764)
     got = noise._mbm_cholesky_factor.__wrapped__(sch, 2520, 1.0)
     want = noise_reference.block_factor(sch, 2520, 1.0)
-    _assert_block_factor_matches(got, 2520, want, noise._MBM_PANEL, "readme")
+    _assert_block_factor_matches(got, sch, 2520, 1.0, want, noise._MBM_PANEL, "readme")
 
 
 _ORACLE_GRID = sorted(
