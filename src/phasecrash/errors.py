@@ -9,8 +9,9 @@ A computation that fails on valid input is a :class:`ComputationError`
 ``DegenerateDesignError``, ``FitFailureError``); with ``ArithmeticError``
 it exits 2.
 
-:func:`check_int` (every count, size, index and seed) and :func:`check_finite`
-refuse a bad parameter by name where it is given, not inside a computation.
+:func:`check_int` (every count, size, index and seed) and :func:`check_real`
+(every real-valued parameter, with its interval) refuse a bad parameter by
+name where it is given, not inside a computation.
 """
 
 from numbers import Integral
@@ -76,10 +77,18 @@ def check_int(name, value, lo, hi=None):
     return n
 
 
-def check_finite(**fields):
-    """Refuse a NaN or infinite parameter by name; the Euler step would
-    carry it into the path and report a divergence instead, and the LPPL
-    model would return NaN."""
+def check_real(interval="(-inf, inf)", /, **fields):
+    """Refuse by name a real parameter that is NaN or outside ``interval``,
+    written like ``"(0, 1]"`` or ``"[0, inf)"``, or a tuple or array with
+    such an element; None passes. The default interval refuses NaN and
+    the infinities: the Euler step would carry one into the path and report
+    a divergence instead, and the LPPL model would return NaN."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = np.greater_equal if interval[0] == "[" else np.greater
+    below = np.less_equal if interval[-1] == "]" else np.less
+    rule = "be finite" if interval == "(-inf, inf)" else f"lie in {interval}"
     for name, value in fields.items():
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if value is not None:
+            v = np.asarray(value, dtype=float)
+            if not (above(v, lo) & below(v, hi)).all():
+                raise ValueError(f"{name} must {rule}, got {value!r}")

@@ -49,7 +49,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .errors import CsvParseError, check_finite, check_int
+from .errors import CsvParseError, check_int, check_real
 from .ews import PriceSeries, WindowConfig
 from .noise import HurstSchedule, StableSchedule, _seed_list, sample_gaussian_increments
 from .simulate import (
@@ -377,15 +377,11 @@ class AssetGroupSpec:
                 raise ValueError(
                     f"{self.kind} params: {key} must be float, got {type(value).__name__}"
                 )
-        onset = self.params.get("onset", 0.0)
-        if not 0.0 <= onset < 1.0:
-            raise ValueError(f"{self.kind} params: onset must lie in [0, 1), got {onset!r}")
+        check_real("[0, 1)", **{f"{self.kind} params: onset": self.params.get("onset")})
         for name, lo in (("count", 0), ("n", 1), ("sample_every", 1), ("drop_len", 1)):
             setattr(self, name, check_int(f"asset group: {name}", getattr(self, name), lo))
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"asset group: dt must be finite and > 0, got {self.dt!r}")
-        if self.forced_drop is not None and not 0.0 < self.forced_drop < 1.0:
-            raise ValueError("forced_drop must lie in (0, 1)")
+        check_real("(0, inf)", **{"asset group: dt": self.dt})
+        check_real("(0, 1)", **{"asset group: forced_drop": self.forced_drop})
 
     def to_dict(self):
         return asdict(self)
@@ -416,7 +412,8 @@ def simulate_asset(kind, p, n, dt, t_start, seed):
     check_int("t_start", t_start, 0)
     seeds, one = _seed_list(seed)
     if kind == "bm":
-        check_finite(sigma=p["sigma"], p0=p["p0"])
+        check_real(p0=p["p0"])
+        check_real("[0, inf)", sigma=p["sigma"])
         paths = [p["p0"] + p["sigma"] * sample_gaussian_increments(n, dt, s).path()
                  for s in seeds]
     elif kind == "cpt":

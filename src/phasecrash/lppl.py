@@ -50,7 +50,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegenerateDesignError, FitFailureError, check_finite, check_int
+from .errors import DegenerateDesignError, FitFailureError, check_int, check_real
 
 __all__ = [
     "LpplParams",
@@ -81,11 +81,9 @@ class LpplParams:
     tc: float
 
     def __post_init__(self):
-        check_finite(**vars(self))
-        if not 0.0 < self.m < 1.0:
-            raise ValueError(f"m must lie in (0, 1), got {self.m}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        check_real(A=self.A, B=self.B, C1=self.C1, C2=self.C2, tc=self.tc)
+        check_real("(0, 1)", m=self.m)
+        check_real("(0, inf)", omega=self.omega)
 
     @property
     def C(self):
@@ -108,15 +106,11 @@ class HazardParams:
     tc: float
 
     def __post_init__(self):
-        check_finite(**vars(self))
-        if self.alpha_h <= 0.0:
-            raise ValueError("alpha_h must be positive")
-        if abs(self.beta_h) > 1.0:
-            raise ValueError("|beta_h| must be <= 1 to keep the hazard nonnegative")
-        if not 0.0 < self.m < 1.0:
-            raise ValueError(f"m must lie in (0, 1), got {self.m}")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        check_real(phi=self.phi, tc=self.tc)
+        check_real("(0, inf)", alpha_h=self.alpha_h)
+        check_real("[-1, 1]", beta_h=self.beta_h)  # |beta_h| <= 1 keeps the hazard >= 0
+        check_real("(0, 1)", m=self.m)
+        check_real("(0, inf)", omega=self.omega)
 
 
 @dataclass
@@ -176,16 +170,13 @@ class SearchConfig:
     refine_top_k: int = 5
 
     def __post_init__(self):
-        check_finite(m_bounds=self.m_bounds, omega_bounds=self.omega_bounds,
-                     tc_bounds=self.tc_bounds)
-        if not 0.0 < self.m_bounds[0] < self.m_bounds[1] < 1.0:
-            raise ValueError(f"m_bounds must satisfy 0 < lo < hi < 1: {self.m_bounds}")
-        if not 0.0 < self.omega_bounds[0] < self.omega_bounds[1]:
-            raise ValueError(
-                f"omega_bounds must satisfy 0 < lo < hi: {self.omega_bounds}"
-            )
-        if self.tc_bounds is not None and not self.tc_bounds[0] < self.tc_bounds[1]:
-            raise ValueError("tc_bounds must satisfy lo < hi")
+        check_real("(0, 1)", m_bounds=self.m_bounds)
+        check_real("(0, inf)", omega_bounds=self.omega_bounds)
+        check_real(tc_bounds=self.tc_bounds)
+        for name in ("m_bounds", "omega_bounds", "tc_bounds"):
+            bounds = getattr(self, name)
+            if bounds is not None and not bounds[0] < bounds[1]:
+                raise ValueError(f"{name} must satisfy lo < hi, got {bounds}")
         for name, lo in (("n_tc", 1), ("n_m", 1), ("n_omega", 1), ("refine_top_k", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
@@ -305,7 +296,7 @@ def _grid(times, y, tcs, ms, omegas):
 
 def solve_linear_params(tc, m, omega, series):
     """Exact least-squares (A, B, C1, C2, ssr) at fixed (tc, m, omega)."""
-    check_finite(tc=tc, m=m, omega=omega)
+    check_real(tc=tc, m=m, omega=omega)
     times, y = series.times, series.log_prices
     if len(series) < 8:
         raise ValueError("need at least 8 observations for the linear subproblem")
@@ -327,7 +318,11 @@ def power_law_ssr(series, tc, m):
     Comparing this with a full fit's ``ssr`` measures how much of the fit
     quality the log-periodic terms actually contribute.
     """
-    check_finite(tc=tc, m=m)
+    check_real(tc=tc, m=m)
+    if len(series) < 3:
+        raise ValueError(
+            f"need at least 3 observations for the power-law baseline, got {len(series)}"
+        )
     tail = tc - series.times
     if np.any(tail <= 0):
         raise ValueError(f"tc = {tc} must exceed every observation time")

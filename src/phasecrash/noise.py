@@ -48,7 +48,7 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GenerationError, check_int
+from .errors import GenerationError, check_int, check_real
 
 __all__ = [
     "NoisePath",
@@ -95,7 +95,7 @@ class Ramp:
         return self.end is None or self.end == self.start
 
 
-def _check_schedule(sch, ramp, name, interval, inside):
+def _check_schedule(sch, ramp, name, interval):
     # ``ramp`` selects nothing; it is accepted for callers that still pass
     # ramp="linear", and ramp="constant" must not contradict ``end``
     if ramp not in ("constant", "linear"):
@@ -103,8 +103,7 @@ def _check_schedule(sch, ramp, name, interval, inside):
     if ramp == "constant" and not sch.is_constant():
         raise ValueError(f"ramp='constant' but end {sch.end} != start {sch.start}")
     for v in (sch.start, sch.end):
-        if v is not None and not inside(v):
-            raise ValueError(f"{name} must lie in {interval}, got {v}")
+        check_real(interval, **{name: v})
 
 
 @dataclass(frozen=True)
@@ -115,22 +114,21 @@ class HurstSchedule(Ramp):
 
     def __post_init__(self, ramp):
         super().__post_init__()
-        _check_schedule(self, ramp, "Hurst exponent", "(0, 1)", lambda h: 0 < h < 1)
+        _check_schedule(self, ramp, "Hurst exponent", "(0, 1)")
 
 
 @dataclass(frozen=True)
 class StableSchedule(Ramp):
     """Stability index over the path, a :class:`Ramp` of values in (0, 2],
-    with a per-step scale."""
+    with a per-step scale in [0, inf); scale 0 draws a flat path."""
 
     scale: float = 1.0
     ramp: InitVar[str] = "linear"
 
     def __post_init__(self, ramp):
         super().__post_init__()
-        _check_schedule(self, ramp, "stability index", "(0, 2]", lambda a: 0 < a <= 2)
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _check_schedule(self, ramp, "stability index", "(0, 2]")
+        check_real("[0, inf)", scale=self.scale)
 
 
 @dataclass
@@ -157,8 +155,7 @@ class NoisePath:
 
 def _check_n_dt(n, dt):
     n = check_int("n", n, 1)
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    check_real("(0, inf)", dt=dt)
     return n, float(dt)
 
 

@@ -21,8 +21,7 @@ the Cholesky factor of ``D`` and then scaled by ``sqrt(dt)``.
 One kernel runs every Euler chain: each chain is a generator of states
 on Python floats, and the chains of a call run one after the other into
 one ``np.fromiter``, so no per-step list and no copy of a path is made,
-and only the running chain's row of ``c`` is alive as a list. The paths
-are bit-identical to those of 0.17.0, which appended each state to a list.
+and only the running chain's row of ``c`` is alive as a list.
 
 All simulators are pure functions of (params, n, dt, seed). A non-finite
 state stays non-finite under the step, so a blow-up raises
@@ -35,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SimulationOverflowError, check_finite, check_int
+from .errors import SimulationOverflowError, check_int, check_real
 from .noise import (
     HurstSchedule,
     Ramp,
@@ -77,10 +76,9 @@ class CptParams:
     p0: float
 
     def __post_init__(self):
-        check_finite(r=self.r, mu_start=self.mu_schedule.start,
-                     mu_end=self.mu_schedule.end, sigma=self.sigma, p0=self.p0)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        check_real(r=self.r, mu_start=self.mu_schedule.start,
+                   mu_end=self.mu_schedule.end, p0=self.p0)
+        check_real("[0, inf)", sigma=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,10 @@ class SptParams:
     p0: float
 
     def __post_init__(self):
-        check_finite(r=self.r, lam=self.lam, alpha_vol=self.alpha_vol, p0=self.p0)
-        if self.lam <= 0:
-            raise ValueError("lam must be positive (confining potential)")
-        if self.alpha_vol < 0:
-            raise ValueError("alpha_vol must be nonnegative")
+        check_real(r=self.r, p0=self.p0)
+        # the double well's minima sit at +-sqrt(r / lam), so lam must be > 0
+        check_real("(0, inf)", lam=self.lam)
+        check_real("[0, inf)", alpha_vol=self.alpha_vol)
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,8 @@ class DptParams:
     def __post_init__(self):
         if not isinstance(self.noise_spec, (HurstSchedule, StableSchedule)):
             raise ValueError("noise_spec must be a HurstSchedule or StableSchedule")
-        check_finite(scale=self.scale, p0=self.p0)
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+        check_real(p0=self.p0)
+        check_real("[0, inf)", scale=self.scale)
 
 
 @dataclass(frozen=True)
@@ -133,17 +129,15 @@ class MultiParams:
         d = np.asarray(self.coupling, dtype=float)
         if d.shape != (k, k):
             raise ValueError(f"coupling must be {k}x{k}")
-        check_finite(r=self.r, lam=self.lam, mu_start=self.mu_schedule.start,
-                     mu_end=self.mu_schedule.end, sigma=self.sigma,
-                     coupling=self.coupling, p0=self.p0)
+        check_real(r=self.r, mu_start=self.mu_schedule.start,
+                   mu_end=self.mu_schedule.end, coupling=self.coupling, p0=self.p0)
+        # lam = 0 leaves an asset the linear drift -mu + r*x, a limit the panel
+        # may take; only SptParams' double well needs lam > 0
+        check_real("[0, inf)", sigma=self.sigma, lam=self.lam)
         if not np.allclose(d, d.T):
             raise ValueError("coupling matrix must be symmetric")
         if not np.allclose(np.diag(d), 1.0):
             raise ValueError("coupling matrix must have unit diagonal")
-        if any(s <= 0 for s in self.sigma):
-            raise ValueError("sigma entries must be positive")
-        if any(v < 0 for v in self.lam):
-            raise ValueError("lam entries must be nonnegative (confining potential)")
         if self.p0 is not None and len(self.p0) != k:
             raise ValueError("p0 must have one entry per asset")
 
@@ -164,8 +158,7 @@ class SimPath:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        check_real("(0, inf)", dt=self.dt)
 
     @property
     def times(self):

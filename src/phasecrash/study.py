@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError, check_int
+from .errors import InsufficientDataError, check_int, check_real
 from .ews import (
     ANOMALOUS_DIM,
     LAG1_AUTOCORR,
@@ -129,8 +129,7 @@ class StudyConfig:
     ews_cfg: WindowConfig = field(default_factory=_default_ews_cfg)
 
     def __post_init__(self):
-        if not 0.0 < self.crash_threshold < 1.0:
-            raise ValueError("crash_threshold must lie in (0, 1)")
+        check_real("(0, 1)", crash_threshold=self.crash_threshold)
         for key, lo in (("lookback", 1), ("exclusion_margin", 0),
                         ("pre_crash_window", self.ews_cfg.window)):
             object.__setattr__(self, key, check_int(key, getattr(self, key), lo))

@@ -913,13 +913,13 @@ def test_asset_group_spec_validation():
         AssetGroupSpec(kind="lppl", count=1)
     with pytest.raises(ValueError):
         AssetGroupSpec(kind="bm", count=1, forced_drop=1.5)
-    for key, value, rule in [("count", -1, ">= 0"), ("n", 0, ">= 1"),
-                             ("dt", 0.0, "finite and > 0"), ("dt", -1.0, "finite and > 0"),
-                             ("dt", math.inf, "finite and > 0"),
-                             ("dt", math.nan, "finite and > 0"), ("sample_every", 0, ">= 1"),
-                             ("drop_len", 0, ">= 1"), ("drop_len", -3, ">= 1")]:
+    for key, value, rule in [("count", -1, "be >= 0"), ("n", 0, "be >= 1"),
+                             ("dt", 0.0, "lie in (0, inf)"), ("dt", -1.0, "lie in (0, inf)"),
+                             ("dt", math.inf, "lie in (0, inf)"),
+                             ("dt", math.nan, "lie in (0, inf)"), ("sample_every", 0, "be >= 1"),
+                             ("drop_len", 0, "be >= 1"), ("drop_len", -3, "be >= 1")]:
         kw = {"kind": "bm", "count": 1, "forced_drop": 0.25, key: value}
-        message = f"asset group: {key} must be {rule}, got {value!r}"
+        message = f"asset group: {key} must {rule}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             AssetGroupSpec(**kw)
     spec = CorpusSpec.from_dict({"groups": [{"kind": "bm", "count": 1}]})
@@ -1291,8 +1291,8 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     "flag, message",
     [(["--sample-every", "0"], "sample_every must be >= 1, got 0"),
      (["--t-start", "-5"], "t_start must be >= 0, got -5"),
-     (["--dt", "-1"], "dt must be positive and finite, got -1.0"),
-     (["--dt", "inf"], "dt must be positive and finite, got inf"),
+     (["--dt", "-1"], "dt must lie in (0, inf), got -1.0"),
+     (["--dt", "inf"], "dt must lie in (0, inf), got inf"),
      (["--n", "0"], "n must be >= 1, got 0"),
      # a ramp that starts at or past the path's end would ignore its end flag
      (["--t-start", "50"], "t_start must lie in [0, n), got 50 with n = 50"),
@@ -1499,9 +1499,9 @@ def test_cli_fit_lppl_refuses_a_tc_range_before_the_last_observation(tmp_path, c
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--omega-max", "inf"], "omega_bounds must be finite, got (2.0, inf)"),
+    [(["--omega-max", "inf"], "omega_bounds must lie in (0, inf), got (2.0, inf)"),
      (["--tc-min", "400", "--tc-max", "inf"], "tc_bounds must be finite, got (400.0, inf)"),
-     (["--m-min", "nan"], "m_bounds must be finite, got (nan, 0.9)")],
+     (["--m-min", "nan"], "m_bounds must lie in (0, 1), got (nan, 0.9)")],
     ids=["omega", "tc", "m"],
 )
 def test_cli_fit_lppl_refuses_a_bound_that_is_not_finite(tmp_path, capsys, flags, message):
@@ -1659,7 +1659,7 @@ def test_cli_synth_group_value_of_wrong_type_is_a_validation_error(tmp_path, cap
      ("bm", {"sigma": "0.001"}, "bm params: sigma must be float, got str"),
      ("bm", {"sigma": True}, "bm params: sigma must be float, got bool"),
      # refused before the draw, not when the writer meets a NaN log-price
-     ("bm", {"sigma": math.nan}, "sigma must be finite, got nan"),
+     ("bm", {"sigma": math.nan}, "sigma must lie in [0, inf), got nan"),
      ("bm", {"p0": -math.inf}, "p0 must be finite, got -inf")],
 )
 def test_cli_synth_refuses_bad_param_values(tmp_path, capsys, kind, params, message):
@@ -1678,7 +1678,7 @@ def test_cli_synth_refuses_a_dt_that_is_not_finite_and_positive(tmp_path, capsys
     spec.write_text(json.dumps({"groups": [{"kind": "bm", "count": 1, "n": 200, "dt": dt}]}))
     rc = cli_dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 1
-    message = f"asset group: dt must be finite and > 0, got {dt!r}"
+    message = f"asset group: dt must lie in (0, inf), got {dt!r}"
     assert f"phasecrash: error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

@@ -84,8 +84,8 @@ def test_params_validation():
     "kw, message",
     [(dict(m=0.0), "m must lie in (0, 1), got 0.0"),
      (dict(m=1.0), "m must lie in (0, 1), got 1.0"),
-     (dict(omega=0.0), "omega must be positive"),
-     (dict(omega=-6.0), "omega must be positive")],
+     (dict(omega=0.0), "omega must lie in (0, inf), got 0.0"),
+     (dict(omega=-6.0), "omega must lie in (0, inf), got -6.0")],
 )
 def test_hazard_params_refuse_m_and_omega_outside_the_model(kw, message):
     base = dict(alpha_h=1.0, beta_h=0.5, m=0.5, omega=6.0, phi=0.0, tc=10.0)
@@ -96,6 +96,8 @@ def test_hazard_params_refuse_m_and_omega_outside_the_model(kw, message):
 
 _LPPL_FIELDS = dict(A=1.0, B=-0.5, C1=0.05, C2=0.05, m=0.5, omega=8.0, tc=550.0)
 _HAZARD_FIELDS = dict(alpha_h=1.0, beta_h=0.5, m=0.5, omega=6.0, phi=0.0, tc=10.0)
+#: The interval of each field that has one; the others need only be finite
+_INTERVALS = {"m": "(0, 1)", "omega": "(0, inf)", "alpha_h": "(0, inf)", "beta_h": "[-1, 1]"}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -110,7 +112,8 @@ def test_params_refuse_a_field_that_is_not_finite(cls, base, name, value):
     # otherwise the model returns NaN without an error
     with pytest.raises(ValueError) as exc:
         cls(**{**base, name: value})
-    assert str(exc.value) == f"{name} must be finite, got {value!r}"
+    rule = f"lie in {_INTERVALS[name]}" if name in _INTERVALS else "be finite"
+    assert str(exc.value) == f"{name} must {rule}, got {value!r}"
 
 
 def test_phase_identity():
@@ -549,6 +552,15 @@ def test_power_law_ssr_refuses_a_tc_inside_the_data(tc):
     assert str(exc.value) == f"tc = {tc} must exceed every observation time"
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_power_law_ssr_refuses_fewer_than_three_observations(n):
+    # its three columns need three rows for R's last diagonal entry
+    series = pc.PriceSeries(np.arange(float(n)), np.zeros(n))
+    with pytest.raises(ValueError) as exc:
+        pc.power_law_ssr(series, 10.0, 0.5)
+    assert str(exc.value) == f"need at least 3 observations for the power-law baseline, got {n}"
+
+
 @pytest.mark.parametrize("kind", ["bubble", "walk"])
 def test_power_law_ssr_matches_reference_oracle(kind):
     series = _oracle_series(kind, 500, 75)
@@ -561,10 +573,11 @@ def test_power_law_ssr_matches_reference_oracle(kind):
 @pytest.mark.parametrize(
     "bounds, message",
     [
-        ({"m_bounds": (0.5, 1.5)}, "m_bounds must satisfy 0 < lo"),
-        ({"m_bounds": (0.0, 0.5)}, "m_bounds must satisfy 0 < lo"),
-        ({"omega_bounds": (-5.0, 5.0)}, "omega_bounds must satisfy 0 < lo"),
-        ({"omega_bounds": (0.0, 5.0)}, "omega_bounds must satisfy 0 < lo"),
+        ({"m_bounds": (0.5, 1.5)}, r"^m_bounds must lie in \(0, 1\), got \(0.5, 1.5\)$"),
+        ({"m_bounds": (0.0, 0.5)}, r"^m_bounds must lie in \(0, 1\), got \(0.0, 0.5\)$"),
+        ({"omega_bounds": (-5.0, 5.0)},
+         r"^omega_bounds must lie in \(0, inf\), got \(-5.0, 5.0\)$"),
+        ({"omega_bounds": (0.0, 5.0)}, r"^omega_bounds must lie in \(0, inf\), got \(0.0, 5.0\)$"),
         ({"n_tc": 0}, "n_tc must be >= 1, got 0"),
         ({"n_m": -2}, "n_m must be >= 1, got -2"),
         ({"n_omega": 0}, "n_omega must be >= 1, got 0"),
@@ -581,12 +594,13 @@ def test_power_law_ssr_matches_reference_oracle(kind):
         ({"tc_bounds": (50.0, 200.0), "n_tc": 1},
          r"^tc_bounds \(50.0, 200.0\) with n_tc = 1 put no grid tc past the last "
          r"observation time 99.0$"),
-        ({"tc_bounds": (150.0, 120.0)}, "^tc_bounds must satisfy lo < hi$"),
-        ({"tc_bounds": (150.0, 150.0)}, "^tc_bounds must satisfy lo < hi$"),
+        ({"tc_bounds": (150.0, 120.0)}, r"^tc_bounds must satisfy lo < hi, got \(150.0, 120.0\)$"),
+        ({"tc_bounds": (150.0, 150.0)}, r"^tc_bounds must satisfy lo < hi, got \(150.0, 150.0\)$"),
         # a bound that is not finite would put an infinite or NaN node in the grid
-        ({"omega_bounds": (2.0, math.inf)}, r"^omega_bounds must be finite, got \(2.0, inf\)$"),
+        ({"omega_bounds": (2.0, math.inf)},
+         r"^omega_bounds must lie in \(0, inf\), got \(2.0, inf\)$"),
         ({"tc_bounds": (400.0, math.inf)}, r"^tc_bounds must be finite, got \(400.0, inf\)$"),
-        ({"m_bounds": (math.nan, 0.5)}, r"^m_bounds must be finite, got \(nan, 0.5\)$"),
+        ({"m_bounds": (math.nan, 0.5)}, r"^m_bounds must lie in \(0, 1\), got \(nan, 0.5\)$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
          "n_tc_float", "n_m_bool", "n_omega_float", "top_k_float", "top_k_bool",

@@ -75,7 +75,7 @@ def test_stable_schedule_validation():
         pc.StableSchedule(0.0)
     with pytest.raises(ValueError):
         pc.StableSchedule(2.2)
-    for scale in (0.0, np.nan, np.inf):
+    for scale in (-1e-300, np.nan, np.inf):
         with pytest.raises(ValueError, match="scale"):
             pc.StableSchedule(1.5, scale=scale)
     with pytest.raises(ValueError):
@@ -420,8 +420,13 @@ def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
     # blocks of rows; 256 entries make a block of 4 rows at n = 64 and of
     # one row above n = 128, and a head block of 256 // (n - k) columns,
     # one column once 129 rows are ramped. Panels of 7 rows leave a
-    # partial last panel at every size above 7
-    for block, panel in ((noise._MBM_BLOCK, noise._MBM_PANEL), (256, 7)):
+    # partial last panel at every size above 7. All of that occurs by
+    # n = 400 (one-column head blocks at t_start 200), so n = 1000 runs
+    # the default sizes alone
+    sizes = [(noise._MBM_BLOCK, noise._MBM_PANEL)]
+    if n <= 400:
+        sizes.append((256, 7))
+    for block, panel in sizes:
         monkeypatch.setattr(noise, "_MBM_BLOCK", block)
         monkeypatch.setattr(noise, "_MBM_PANEL", panel)
         for dt in (0.25, 1.0, 2.0):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_multi_not_psd_rejected():
 
 
 def test_multi_refuses_negative_lam():
-    # lam = 0 is the noise-only case; below it the cubic drives paths out
+    # lam = 0 leaves the linear drift -mu + r*x; below it the cubic drives paths out
     kw = dict(r=(1.0, 1.0), mu_schedule=_const_mu(0.0), sigma=(0.1, 0.1),
               coupling=_coupling(2, 0.3))
     with pytest.raises(ValueError, match="lam"):
@@ -281,8 +282,8 @@ def test_multi_refuses_negative_lam():
      (dict(coupling=(1.0, 0.3)), "coupling must be 2x2"),
      (dict(coupling=((1.0, 0.2), (0.3, 1.0))), "coupling matrix must be symmetric"),
      (dict(coupling=((2.0, 0.3), (0.3, 2.0))), "coupling matrix must have unit diagonal"),
-     (dict(sigma=(0.1, 0.0)), "sigma entries must be positive"),
-     (dict(sigma=(-0.1, 0.1)), "sigma entries must be positive"),
+     (dict(sigma=(0.1, -1e-300)), "sigma must lie in [0, inf), got (0.1, -1e-300)"),
+     (dict(sigma=(-0.1, 0.1)), "sigma must lie in [0, inf), got (-0.1, 0.1)"),
      (dict(p0=(1.0,)), "p0 must have one entry per asset"),
      (dict(p0=(1.0, 1.0, 1.0)), "p0 must have one entry per asset")],
 )
@@ -529,6 +530,15 @@ _FIELDS = {
 }
 
 
+def _rule(route, field):
+    """The start of the message refusing a bad ``field`` of ``route``'s params."""
+    if field == "lam":  # spt's double well needs lam > 0, a multi asset takes lam = 0
+        return f"lam must lie in {'(0, inf)' if route == 'spt' else '[0, inf)'}"
+    if field in ("sigma", "alpha_vol", "scale"):  # noise amplitudes
+        return f"{field} must lie in [0, inf)"
+    return f"{field} must be finite"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("route, field",
                          [(route, f) for route, fields in _FIELDS.items() for f in fields])
@@ -543,15 +553,15 @@ def test_params_refuse_non_finite_fields(route, field, bad):
         kw = {**kw, "coupling": ((1.0, bad), (bad, 1.0))}
     else:
         kw = {**kw, field: (1.0, bad) if route == "multi" else bad}
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(_rule(route, field))}"):
         cls(**kw)
 
 
 @pytest.mark.parametrize(
     "route, kw, message",
-    [("cpt", dict(sigma=-0.03), "sigma must be nonnegative"),
-     ("spt", dict(alpha_vol=-0.01), "alpha_vol must be nonnegative"),
-     ("dpt", dict(scale=-0.01), "scale must be nonnegative"),
+    [("cpt", dict(sigma=-0.03), "sigma must lie in [0, inf), got -0.03"),
+     ("spt", dict(alpha_vol=-0.01), "alpha_vol must lie in [0, inf), got -0.01"),
+     ("dpt", dict(scale=-0.01), "scale must lie in [0, inf), got -0.01"),
      ("dpt", dict(noise_spec=0.7), "noise_spec must be a HurstSchedule or StableSchedule")],
 )
 def test_params_refuse_out_of_range_fields(route, kw, message):
@@ -559,6 +569,21 @@ def test_params_refuse_out_of_range_fields(route, kw, message):
     with pytest.raises(ValueError) as exc:
         cls(**{**valid, **kw})
     assert str(exc.value) == message
+
+
+def test_a_zero_noise_amplitude_draws_the_drift_alone():
+    # every noise amplitude lies in [0, inf), whichever params class reads it
+    mu = pc.MuSchedule(0.0, 0.36)
+    multi = pc.MultiParams(r=(1.0, 1.0), lam=(1.0, 1.0), mu_schedule=mu, sigma=(0.1, 0.0),
+                           coupling=_coupling(2, 0.3))
+    cpt = pc.CptParams(r=1.0, mu_schedule=mu, sigma=0.0, p0=0.0)
+    np.testing.assert_array_equal(pc.simulate_multivariate(multi, 200, 0.01, 3)[1].values,
+                                  pc.simulate_cpt(cpt, 200, 0.01, 3).values)
+    stable = pc.StableSchedule(2.0, 1.2, scale=0.0)
+    assert not pc.sample_alpha_stable(50, stable, 1.0, 3).increments.any()
+    for sch in (stable, pc.HurstSchedule(0.5, 0.9)):
+        flat = pc.simulate_dpt(pc.DptParams(sch, scale=0.0, p0=0.2), 50, 1.0, 3)
+        assert (flat.values == 0.2).all()
 
 
 @pytest.mark.parametrize(
@@ -579,7 +604,7 @@ def test_simulators_refuse_another_routes_params(simulate, route, expected):
 def test_sim_path_refuses_a_dt_that_is_not_positive_and_finite(dt):
     with pytest.raises(ValueError) as exc:
         pc.SimPath(np.zeros(3), dt)
-    assert str(exc.value) == f"dt must be positive and finite, got {dt!r}"
+    assert str(exc.value) == f"dt must lie in (0, inf), got {dt!r}"
 
 
 @pytest.mark.parametrize("sample_every", [0, -1])

@@ -720,9 +720,9 @@ def test_study_config_refuses_bad_signals_at_construction(signals, message):
 
 @pytest.mark.parametrize(
     "kw, message",
-    [({"crash_threshold": 0.0}, "crash_threshold must lie in (0, 1)"),
-     ({"crash_threshold": 1.0}, "crash_threshold must lie in (0, 1)"),
-     ({"crash_threshold": math.nan}, "crash_threshold must lie in (0, 1)"),
+    [({"crash_threshold": 0.0}, "crash_threshold must lie in (0, 1), got 0.0"),
+     ({"crash_threshold": 1.0}, "crash_threshold must lie in (0, 1), got 1.0"),
+     ({"crash_threshold": math.nan}, "crash_threshold must lie in (0, 1), got nan"),
      ({"lookback": 0}, "lookback must be >= 1, got 0"),
      ({"exclusion_margin": -1}, "exclusion_margin must be >= 0, got -1"),
      ({"pre_crash_window": 62}, "pre_crash_window must be >= 63, got 62")],
