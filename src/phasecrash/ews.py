@@ -37,6 +37,12 @@ standard deviation across ``tau_grid`` of the per-lag exponents implied
 by that same fit: zero for an exact power law, large when scaling is
 broken inside the window.
 
+A panel is estimated in one pass per signal: :func:`estimate_panel` lays
+the series' log-prices end to end and reads them with one row-wise
+kernel, from window starts that never cross into the next series, so
+each window takes the value the series alone gives it. Each per-series
+estimator is that kernel on a panel of one.
+
 Windows without enough signal (zero variance, overflowing moments) yield
 NaN, which downstream trend statistics skip.
 """
@@ -60,6 +66,7 @@ __all__ = [
     "generalized_hurst",
     "conformality_index",
     "cross_covariance",
+    "estimate_panel",
 ]
 
 VOLATILITY = "volatility"
@@ -173,24 +180,6 @@ class EwsSeries:
         return ~np.isfinite(self.values)
 
 
-def _windows(series, cfg, min_window=None):
-    """The values a signal rolls over, the start and the stamp of each
-    window: log-returns for a moment signal, which passes its
-    ``min_window``, and log-prices for a scaling signal."""
-    if min_window is None:
-        cfg.check_scaling()
-    elif cfg.window < min_window:
-        raise ValueError(f"window must be >= {min_window}, got {cfg.window}")
-    values, lag = (series.log_prices, 0) if min_window is None else (series.returns(), 1)
-    if len(series) < cfg.window + lag:
-        raise InsufficientDataError(
-            f"series {series.id!r} has {len(series)} observations, "
-            f"needs at least window{' + 1' if lag else ''} = {cfg.window + lag}"
-        )
-    starts = np.arange(values.size - cfg.window + 1)[:: cfg.stride]
-    return values, starts, series.times[starts + cfg.window - 1 + lag]
-
-
 #: Most float64 values that one row block of a window matrix may hold.
 #: At 256 kB a block and its temporaries stay near the core caches, and a
 #: stride-1 call on a long series never builds the whole
@@ -217,11 +206,8 @@ def _centered(w):
     return w - w.mean(axis=-1, keepdims=True)
 
 
-def rolling_volatility(series, cfg):
-    """Sample standard deviation (ddof=1) of log-returns per window."""
-    r, starts, times = _windows(series, cfg, min_window=2)
-    vals = _rowwise(r, starts, cfg.window, lambda w: w.std(axis=-1, ddof=1))
-    return EwsSeries(times, vals, VOLATILITY, series.id)
+def _std_rows(w):
+    return w.std(axis=-1, ddof=1)
 
 
 def _skew_rows(w):
@@ -234,13 +220,6 @@ def _skew_rows(w):
     return g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
 
 
-def rolling_skewness(series, cfg):
-    """Adjusted Fisher-Pearson skewness of log-returns per window."""
-    r, starts, times = _windows(series, cfg, min_window=3)
-    vals = _rowwise(r, starts, cfg.window, _skew_rows)
-    return EwsSeries(times, vals, SKEWNESS, series.id)
-
-
 def _lag1_rows(w):
     da, db = _centered(w[..., :-1]), _centered(w[..., 1:])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -250,30 +229,25 @@ def _lag1_rows(w):
     return rho
 
 
-def rolling_lag1_autocorr(series, cfg):
-    """Pearson correlation of consecutive log-return pairs per window."""
-    r, starts, times = _windows(series, cfg, min_window=4)
-    vals = _rowwise(r, starts, cfg.window, _lag1_rows)
-    return EwsSeries(times, vals, LAG1_AUTOCORR, series.id)
-
-
 def _row_mean(m):
     return m.mean(axis=-1)
 
 
-def _log_structure(series, cfg, order):
-    """Window end times and per-window ``log S_order(tau)``, one column
-    per lag in ``cfg.tau_grid``; rows with a zero or non-finite structure
+def _log_structure(x, starts, cfg, order):
+    """Per-window ``log S_order(tau)`` of log-prices ``x``, one column per
+    lag in ``cfg.tau_grid``; rows with a zero or non-finite structure
     function are all NaN."""
-    x, starts, times = _windows(series, cfg)
+    columns = []
     # overflowing or vanishing moments become missing windows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logs = np.log(np.column_stack([
-            _rowwise(np.abs(x[tau:] - x[:-tau]) ** order, starts, cfg.window - tau, _row_mean)
-            for tau in cfg.tau_grid
-        ]))
+        for tau in cfg.tau_grid:
+            d = x[tau:] - x[:-tau]
+            np.abs(d, out=d)
+            d **= order
+            columns.append(_rowwise(d, starts, cfg.window - tau, _row_mean))
+        logs = np.log(np.column_stack(columns))
     logs[~np.isfinite(logs).all(axis=1)] = np.nan
-    return times, logs
+    return logs
 
 
 def _loglog_fit(logs, taus):
@@ -284,27 +258,128 @@ def _loglog_fit(logs, taus):
     return slope, logs.mean(axis=1) - slope * log_tau.mean()
 
 
-def _rolling_exponent(series, cfg, order):
-    times, logs = _log_structure(series, cfg, order)
-    slope, _ = _loglog_fit(logs, cfg.tau_grid)
-    return times, slope / order
+def _conformality(logs, taus):
+    """Sample standard deviation across ``taus`` of the per-lag exponents
+    ``(log S_2(tau) - intercept) / (2 log tau)`` of the second-order fit."""
+    _, intercept = _loglog_fit(logs, taus)
+    log_tau = np.log(np.asarray(taus, dtype=float))
+    return ((logs - intercept[:, None]) / (2.0 * log_tau)).std(axis=1, ddof=1)
+
+
+#: Moment signals: the least window each can use and its row reduction.
+_MOMENTS = {VOLATILITY: (2, _std_rows), SKEWNESS: (3, _skew_rows), LAG1_AUTOCORR: (4, _lag1_rows)}
+
+
+def _ghe_order(name):
+    """``n`` for the signal name ``ghe<n>`` with ``n >= 1``, else None."""
+    digits = name[3:]
+    if name.startswith("ghe") and digits.isdecimal() and int(digits) >= 1:
+        return int(digits)
+    return None
+
+
+def _kernel(name, cfg):
+    """``(lag, rows)`` of the univariate signal ``name`` under ``cfg``.
+
+    A window spans ``cfg.window + lag`` log-prices: ``lag`` is 1 for a
+    moment signal, whose window holds ``cfg.window`` log-returns, and 0
+    for a scaling one. ``rows(x, starts)`` gives one value per window from
+    log-prices ``x`` and the index in ``x`` of each window's first price.
+    An unknown name, or a ``cfg`` the signal cannot use, raises ValueError.
+    """
+    if name in _MOMENTS:
+        min_window, reduce = _MOMENTS[name]
+        if cfg.window < min_window:
+            raise ValueError(f"window must be >= {min_window}, got {cfg.window}")
+        return 1, lambda x, starts: _rowwise(np.diff(x), starts, cfg.window, reduce)
+    if name == CONFORMALITY:
+        if len(cfg.tau_grid) < 3:
+            raise ValueError("conformality index needs at least 3 lags in tau_grid")
+        cfg.check_scaling()
+        return 0, lambda x, starts: _conformality(_log_structure(x, starts, cfg, 2), cfg.tau_grid)
+    order = 2 if name == ANOMALOUS_DIM else _ghe_order(name)
+    if order is None:
+        raise ValueError(f"unknown signal {name!r}")
+    cfg.check_scaling()
+
+    def exponent(x, starts):
+        slope, _ = _loglog_fit(_log_structure(x, starts, cfg, order), cfg.tau_grid)
+        return slope / order
+
+    return 0, exponent
+
+
+def _stamps(series, cfg, lag):
+    """The time of the price that closes each window of ``series``: window
+    ``j`` spans prices ``j * cfg.stride`` to ``j * cfg.stride + cfg.window
+    + lag - 1``. A series too short for one raises InsufficientDataError."""
+    span = cfg.window + lag
+    if len(series) < span:
+        raise InsufficientDataError(
+            f"series {series.id!r} has {len(series)} observations, "
+            f"needs at least window{' + 1' if lag else ''} = {span}"
+        )
+    return series.times[span - 1 :: cfg.stride]
+
+
+def _estimate(name, series, cfg):
+    """The signal ``name`` over one series: :func:`estimate_panel`'s
+    kernel on a panel of one."""
+    lag, rows = _kernel(name, cfg)
+    times = _stamps(series, cfg, lag)
+    starts = np.arange(len(series) - cfg.window - lag + 1)[:: cfg.stride]
+    return EwsSeries(times, rows(series.log_prices, starts), name, series.id)
+
+
+def estimate_panel(name, panel, cfg):
+    """Per-window values of the univariate signal ``name`` over every
+    series of ``panel``, series after series, with each series' window
+    count and the prices a window spans.
+
+    Window ``j`` of a series opens at its price ``j * cfg.stride``, as in
+    the series' own estimate, and takes the same value bit for bit. The
+    series' log-prices are laid end to end and read in one row-wise pass,
+    from window starts that never cross into the next series; a series
+    too short for one window has none.
+    """
+    lag, rows = _kernel(name, cfg)
+    span = cfg.window + lag
+    sizes = np.array([len(s) for s in panel], dtype=np.int64)
+    stride = min(cfg.stride, int(sizes.max(initial=1)))  # a longer one opens no second window
+    counts = np.maximum(sizes - span, -1) // stride + 1
+    if not counts.sum():
+        return np.empty(0), counts, span
+    ends = np.cumsum(counts)
+    step = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    starts = np.repeat(np.cumsum(sizes) - sizes, counts) + stride * step
+    return rows(np.concatenate([s.log_prices for s in panel]), starts), counts, span
+
+
+def rolling_volatility(series, cfg):
+    """Sample standard deviation (ddof=1) of log-returns per window."""
+    return _estimate(VOLATILITY, series, cfg)
+
+
+def rolling_skewness(series, cfg):
+    """Adjusted Fisher-Pearson skewness of log-returns per window."""
+    return _estimate(SKEWNESS, series, cfg)
+
+
+def rolling_lag1_autocorr(series, cfg):
+    """Pearson correlation of consecutive log-return pairs per window."""
+    return _estimate(LAG1_AUTOCORR, series, cfg)
 
 
 def anomalous_dimension(series, cfg):
     """Second-order structure-function scaling exponent per window."""
-    times, vals = _rolling_exponent(series, cfg, order=2)
-    return EwsSeries(times, vals, ANOMALOUS_DIM, series.id)
+    return _estimate(ANOMALOUS_DIM, series, cfg)
 
 
 def generalized_hurst(series, cfg):
     """Per-order scaling exponents; order 2 matches anomalous_dimension."""
     if not cfg.orders:
         raise ValueError("cfg.orders must be nonempty")
-    out = []
-    for order in cfg.orders:
-        times, vals = _rolling_exponent(series, cfg, order)
-        out.append(EwsSeries(times, vals, ghe_signal(order), series.id))
-    return out
+    return [_estimate(ghe_signal(order), series, cfg) for order in cfg.orders]
 
 
 def conformality_index(series, cfg):
@@ -315,14 +390,7 @@ def conformality_index(series, cfg):
     constant under exact power-law scaling, and the reported index is the
     sample standard deviation of those values across ``tau_grid``.
     """
-    if len(cfg.tau_grid) < 3:
-        raise ValueError("conformality index needs at least 3 lags in tau_grid")
-    times, logs = _log_structure(series, cfg, order=2)
-    _, intercept = _loglog_fit(logs, cfg.tau_grid)
-    log_tau = np.log(np.asarray(cfg.tau_grid, dtype=float))
-    per_tau = (logs - intercept[:, None]) / (2.0 * log_tau)
-    vals = per_tau.std(axis=1, ddof=1)
-    return EwsSeries(times, vals, CONFORMALITY, series.id)
+    return _estimate(CONFORMALITY, series, cfg)
 
 
 def cross_covariance(series_list, cfg):
@@ -344,7 +412,10 @@ def cross_covariance(series_list, cfg):
         keep = (np.fromiter(map(shared.__contains__, key), bool, len(key)) for key in keys)
         series_list = [PriceSeries(s.times[m], s.log_prices[m], s.id)
                        for s, m in zip(series_list, keep)]
-    _, starts, times = _windows(series_list[0], cfg, min_window=2)
+    if cfg.window < 2:
+        raise ValueError(f"window must be >= 2, got {cfg.window}")
+    times = _stamps(series_list[0], cfg, 1)
+    starts = np.arange(len(series_list[0]) - cfg.window)[:: cfg.stride]
     rets = np.stack([s.returns() for s in series_list])
     k = rets.shape[0]
 
@@ -375,9 +446,8 @@ def signal_estimator(name):
     }
     if name in table:
         return table[name]
-    digits = name[3:]
-    if name.startswith("ghe") and digits.isdecimal() and int(digits) >= 1:
-        order = int(digits)
+    order = _ghe_order(name)
+    if order is not None:
 
         def ghe_one(series, cfg):
             return generalized_hurst(series, replace(cfg, orders=(order,)))[0]

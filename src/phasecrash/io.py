@@ -12,9 +12,15 @@ grid, and the round trip is exact only to one representable price,
 under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
 nonempty, unpadded, free of carriage returns and unique, or they would
 not load back; the writer and ``synth_corpus`` refuse any other. The
-loader reads the file once, checks each row as it comes, and keeps four
-numbers a row (ticker rank, date-spelling index, close, first line).
-Every CSV streams into its atomic file, the price and signal CSVs a
+loader reads the file once, in chunks of whole lines of about 64 K
+characters. A chunk with no quote, carriage return or NUL is split with
+``str.split`` and checked a column at a time: each distinct date
+spelling and raw ticker once, every close by one ``map(float, ...)``.
+From the first chunk that is not plain, or that holds a row with a wrong
+field count, a blank row or a bad field, the csv reader takes the rows
+one at a time to the end of the file, and only it words an error. Both
+paths keep four numbers a row (ticker rank, date-spelling index, close,
+first line). Every CSV streams into its atomic file, the price and signal CSVs a
 series at a time through one ``%`` template each. Floats other than
 closes are written with 17 significant digits, which parse back to the
 same doubles. The loader skips a leading UTF-8 byte-order mark, as
@@ -149,22 +155,77 @@ def _undecodable_byte(path, start, row):
     return None
 
 
+#: Characters the loader reads at a time, then up to the end of that line.
+#: A chunk shorter than csv's field size limit cannot hold a field over it.
+_CHUNK = 1 << 16
+
+
+def _plain_rows(text, spelling, ordinals, code, rank):
+    """The ticker ranks, date-spelling indices and closes of ``text``, whole
+    lines of ``date,ticker,close`` rows, split by column; or None when a
+    row needs the csv reader's row loop: ``text`` holds a quote, a carriage
+    return, a NUL or a byte that is not UTF-8, is as long as csv's field
+    size limit, or has a row with a wrong field count (a blank row among
+    them) or a field that the row loop refuses. Each distinct date
+    spelling and raw ticker is checked once, and a new one is entered in
+    ``spelling`` and ``ordinals``, or ``code`` and ``rank``, as the row
+    loop enters it."""
+    if not text or len(text) >= csv.field_size_limit() or any(c in text for c in '"\r\0'):
+        return None
+    try:
+        text.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate
+    except UnicodeEncodeError:
+        return None
+    body = text[:-1] if text[-1] == "\n" else text
+    n = body.count("\n") + 1
+    # each line break ends the field before it: a row's close, when every
+    # row has three fields and every break sits in a close
+    fields = body.replace("\n", "\n,").split(",")
+    dates, tickers, raw_closes = fields[0::3], fields[1::3], fields[2::3]
+    if len(fields) != 3 * n or "".join(raw_closes).count("\n") != n - 1:
+        return None
+    try:
+        closes = array("d", map(float, raw_closes))  # float() strips as str.strip() does
+    except ValueError:
+        return None
+    c = np.frombuffer(closes)
+    if not ((c > 0.0) & (c < math.inf)).all():
+        return None
+    for raw_date in set(dates).difference(spelling):
+        try:
+            ordinals.append(date.fromisoformat(raw_date.strip()).toordinal())
+        except ValueError:
+            return None
+        spelling[raw_date] = len(spelling)
+    for raw_ticker in dict.fromkeys(tickers):  # first-appearance order
+        if raw_ticker not in code:
+            ticker = raw_ticker.strip()
+            if not ticker:
+                return None
+            code[raw_ticker] = rank.setdefault(ticker, len(rank))
+    ticks = array("i", map(code.__getitem__, tickers))
+    return ticks, array("i", map(spelling.__getitem__, dates)), closes
+
+
 def load_price_csv(path):
     """Read ``date,ticker,close`` rows into one PriceSeries per ticker, in
     first-appearance order, each sorted by its ``YYYY-MM-DD`` dates.
 
-    One pass checks each row in turn: its field count, date, ticker and
-    close, and each distinct date spelling and raw ticker only on first
-    sight. A failing row is reported by its first line, or by the line of
-    a byte in it that is not UTF-8; a row that repeats an earlier row's
-    (ticker, date) pair is found by one stable sort, at the end or at the
-    first other failure, and is reported if it comes first."""
+    The file is read in chunks of whole lines. A plain chunk is split by
+    columns (:func:`_plain_rows`); from the first chunk that is not, the
+    csv reader takes each row in turn to the end of the file and checks
+    its field count, date, ticker and close, each distinct date spelling
+    and raw ticker only on first sight. Either way a row keeps four
+    numbers. A failing row is reported by its first line, or by the line
+    of a byte in it that is not UTF-8; a row that repeats an earlier
+    row's (ticker, date) pair is found by one stable sort, at the end or
+    at the first other failure, and is reported if it comes first."""
     rank, code, spelling, ordinals = {}, {}, {}, []
     # per data row: ticker rank, date-spelling index, close, first line
     ticks, spells, closes, lines = array("i"), array("i"), array("d"), array("q")
     error = None
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
+        reader, before = csv.reader(fh), 0  # before: lines ahead of the reader's first
         try:
             header = next(reader, None)
             if [h.strip().lower() for h in header or ()] != ["date", "ticker", "close"]:
@@ -173,8 +234,20 @@ def load_price_csv(path):
                     f"{path}: {msg}", line=1
                 )
             start = reader.line_num + 1
+            while True:
+                text = fh.read(_CHUNK)
+                if text[-1:] not in ("\n", ""):
+                    text += fh.readline()
+                plain = _plain_rows(text, spelling, ordinals, code, rank)
+                if plain is None:
+                    break
+                for column, values in zip((ticks, spells, closes), plain):
+                    column.extend(values)
+                lines.frombytes(np.arange(start, start + len(plain[0])).tobytes())
+                start += text.count("\n")
+            reader, before = csv.reader(chain(StringIO(text, newline=""), fh)), start - 1
             for row in reader:
-                lineno, start = start, reader.line_num + 1
+                lineno, start = start, before + reader.line_num + 1
                 if len(row) != 3:
                     if len(row) > 1 or (row and row[0].strip()):
                         msg = "expected 3 fields"
@@ -216,7 +289,7 @@ def load_price_csv(path):
                     f"{path}:{lineno}: {msg}", line=lineno
                 )
         except csv.Error as exc:
-            line = reader.line_num
+            line = before + reader.line_num
             error = CsvParseError(f"{path}:{line}: {exc}", line=line)
     tick = np.frombuffer(ticks, dtype=np.int32)
     day = np.array(ordinals, dtype=np.int32)[np.frombuffer(spells, dtype=np.int32)]
@@ -236,7 +309,7 @@ def load_price_csv(path):
     cuts = np.flatnonzero(np.diff(tick)) + 1
     iso = {o: date.fromordinal(o).isoformat() for o in ordinals}
     return [
-        PriceSeries(np.arange(d.size, dtype=float), x, t, tuple(iso[o] for o in d.tolist()))
+        PriceSeries(np.arange(d.size, dtype=float), x, t, tuple(map(iso.__getitem__, d.tolist())))
         for t, d, x in zip(rank, np.split(day, cuts), np.split(lp, cuts))
     ]
 

@@ -157,8 +157,9 @@ class SearchConfig:
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
-    best grid node. Every bound must be finite, and the four counts must
-    be integers; a bool is refused.
+    best grid node. Each bounds field holds exactly two values, lo < hi,
+    every bound must be finite, and the four counts must be integers; a
+    bool is refused.
     """
 
     m_bounds: tuple = (0.1, 0.9)
@@ -170,6 +171,10 @@ class SearchConfig:
     refine_top_k: int = 5
 
     def __post_init__(self):
+        for name in ("m_bounds", "omega_bounds", "tc_bounds"):
+            bounds = getattr(self, name)
+            if bounds is not None and np.shape(bounds) != (2,):
+                raise ValueError(f"{name} must hold exactly two values, got {bounds!r}")
         check_real("(0, 1)", m_bounds=self.m_bounds)
         check_real("(0, inf)", omega_bounds=self.omega_bounds)
         check_real(tc_bounds=self.tc_bounds)
@@ -299,7 +304,9 @@ def solve_linear_params(tc, m, omega, series):
     check_real(tc=tc, m=m, omega=omega)
     times, y = series.times, series.log_prices
     if len(series) < 8:
-        raise ValueError("need at least 8 observations for the linear subproblem")
+        raise ValueError(
+            f"need at least 8 observations for the linear subproblem, got {len(series)}"
+        )
     if tc <= times[-1]:
         raise ValueError(f"tc = {tc} must exceed every observation time")
     ssr, ok, sv, r = _profile(times, y, tc, m, omega)
@@ -499,7 +506,7 @@ def fit_lppl(series, search=None):
     if search is None:
         search = SearchConfig()
     if len(series) < 30:
-        raise ValueError("need at least 30 observations to fit")
+        raise ValueError(f"need at least 30 observations to fit, got {len(series)}")
     times, y = series.times, series.log_prices
     tc_bounds = search.tc_bounds or _default_tc_bounds(times)
     tc_floor = float(times[-1]) + 1e-9 * max(1.0, abs(times[-1]))

@@ -8,17 +8,23 @@ at the peak form a pre-crash segment; stretches at least
 ``exclusion_margin`` observations away from every peak-to-trough
 interval form the normal-time segments, each a ``(start, stop)`` index
 range. Each configured early-warning signal (a univariate one: the panel
-signal ``cross_cov`` is not) is estimated once per asset, on one window
-grid anchored at step 0; a segment takes the windows wholly inside it,
-their monotone trend is summarised by Kendall's tau-b against window
-index, and the pre and normal tau samples are compared per signal with a
-two-sample Mann-Whitney test.
+signal ``cross_cov`` is not) is estimated once over the panel, each asset
+on one window grid anchored at its step 0; a segment takes the windows
+wholly inside it, their monotone trend is summarised by Kendall's tau-b
+against window index, and the pre and normal tau samples are compared
+per signal with a two-sample Mann-Whitney test. The report counts, per
+signal and group, the segments ranked and those dropped with fewer than
+10 windows or a NaN tau (a constant signal).
 
 Both statistics are computed here in numpy, to the rules of
 ``scipy.stats`` (which the tests use as their oracle), so the CLI never
-imports scipy for them. :func:`kendall_tau_trend` counts inversions by a
-bottom-up merge in O(n log^2 n); it gives no p-value, as overlapping
-windows are not independent draws. ``_mannwhitney_p``
+imports scipy for them. Kendall's tau counts inversions by a bottom-up
+merge in O(n log^2 n) (Knight 1966, JASA 61:436), for every segment of
+every signal in one batched pass: segments are grouped by power-of-two
+size class and ranked a block of padded rows at a time, with merge keys
+offset per row and block pair. :func:`kendall_tau_trend` is that pass on
+one series. It gives no p-value, as overlapping windows are
+not independent draws. ``_mannwhitney_p``
 follows scipy's ``auto`` rule: the exact null distribution by Mann and
 Whitney's recursion when the smaller sample has at most 8 values and
 there are no ties, else the tie- and continuity-corrected normal
@@ -44,9 +50,9 @@ from .ews import (
     LAG1_AUTOCORR,
     SKEWNESS,
     VOLATILITY,
-    EwsSeries,
     PriceSeries,
     WindowConfig,
+    estimate_panel,
     signal_estimator,
 )
 from .ews import rolling_volatility  # noqa: F401  perfbench's tracer test reads it here
@@ -160,6 +166,8 @@ class SignalTrend:
     taus_normal: list
     p_value: float
     inconclusive_reason: str = None  # None when both groups have taus
+    # per group: segments ranked, and dropped with too few windows or a NaN tau
+    segment_counts: dict = field(default_factory=dict)
 
     @property
     def inconclusive(self):
@@ -191,6 +199,7 @@ class SignalTrend:
             "p_value": self.p_value,
             "inconclusive": self.inconclusive,
             "inconclusive_reason": self.inconclusive_reason,
+            "segments": self.segment_counts,
         }
 
 
@@ -331,65 +340,120 @@ def segment_windows(series, events, cfg):
 # Leaf blocks of _LEAF ranks count their inversions pair by pair: cheaper
 # than the first four merge passes, which cost a few numpy calls each.
 _LEAF = 16
+_ABOVE_DIAGONAL = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+
+#: Fewest ranked windows that give a segment a trend.
+_MIN_WINDOWS = 10
 
 
-def _inversions(ranks):
-    """Pairs i < j with ranks[i] > ranks[j], for nonnegative integer
-    ranks, in O(n log^2 n).
+def _inversions(s):
+    """Per row of ``s``, the pairs i < j with s[i] > s[j], for nonnegative
+    integers in rows a power-of-two multiple of ``_LEAF`` long, in
+    O(m log^2 m) for a row of m.
 
-    The ranks are padded to a power-of-two multiple of ``_LEAF`` with a
-    value above every rank, which adds no inversion. After the leaves,
-    each bottom-up merge pass counts, for every value in the right half
-    of a block pair, the larger values in the sorted left half (one
-    ``searchsorted`` over keys offset per pair), then sorts each pair
-    into one block.
+    Leaf blocks of ``_LEAF`` count their pairs at once. Each bottom-up
+    merge pass then counts, for every value in the right half of a block
+    pair, the larger values in the sorted left half (one ``searchsorted``
+    over keys offset per pair), and sorts each pair into one block.
     """
-    width = size = _LEAF
-    while size < ranks.size:
-        size *= 2
-    top = int(ranks.max()) + 1
-    s = np.full(size, top, dtype=np.int64)
-    s[: ranks.size] = ranks
-    leaves = s.reshape(-1, width)
-    count = int(np.triu(leaves[:, :, None] > leaves[:, None, :], 1).sum())
-    s = np.sort(leaves, axis=1)
-    span = top + 1
+    rows, size = s.shape
+    span = int(s.max()) + 1
+    width = _LEAF
+    leaves = s.reshape(rows, -1, width)
+    pairs = (leaves[..., :, None] > leaves[..., None, :]) & _ABOVE_DIAGONAL
+    count = pairs.reshape(rows, -1).sum(axis=1)
+    s = np.sort(leaves, axis=-1)
     while width < size:
         pairs = s.reshape(-1, 2, width)
         n_pairs = len(pairs)
         offset = (np.arange(n_pairs) * span)[:, None]
         at_most = np.searchsorted(
             (pairs[:, 0] + offset).ravel(), (pairs[:, 1] + offset).ravel(), side="right"
-        )
+        ).reshape(n_pairs, width)
         # the right half of pair p has p + 1 full left halves at or before it
-        count += width * width * n_pairs * (n_pairs + 1) // 2 - int(at_most.sum())
+        larger = width * np.arange(1, n_pairs + 1)[:, None] - at_most
+        count += larger.reshape(rows, -1).sum(axis=1)
         s = np.sort(pairs.reshape(n_pairs, 2 * width), axis=1)
         width *= 2
     return count
 
 
-def kendall_tau_trend(values, min_points=10):
+def _block_taus(x, m, size):
+    """Kendall's tau-b against index of each run of ``m`` values of ``x``,
+    runs end to end, of 2 to ``size`` values each; NaN for a run without
+    an untied pair. ``size`` is a power-of-two multiple of ``_LEAF``."""
+    row_of = np.repeat(np.arange(m.size), m)
+    # stable, so that equal values stay in run order: one rank for each
+    # distinct value, which orders every run, and one group for its ties in each
+    order = np.argsort(x, kind="stable")
+    xs, rs = x[order], row_of[order]
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    ranks = np.empty(x.size, dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    new[1:] |= rs[1:] != rs[:-1]
+    heads = np.flatnonzero(new)
+    ties = np.diff(heads, append=x.size)
+    tied = np.bincount(rs[heads], ties * (ties - 1) // 2, m.size).astype(np.int64)
+    s = np.full((m.size, size), x.size)  # a run a row, padded above every rank
+    s[row_of, np.arange(x.size) - np.repeat(np.cumsum(m) - m, m)] = ranks
+    pairs = m * (m - 1) // 2
+    # concordant minus discordant; the index itself has no ties
+    disc = pairs - tied - 2 * _inversions(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.clip(disc / np.sqrt(pairs) / np.sqrt(pairs - tied), -1.0, 1.0)
+    tau[tied == pairs] = np.nan
+    return tau
+
+
+#: Most padded values that one block of the batched Kendall pass ranks.
+_KENDALL_BLOCK = 1 << 14
+
+
+def _kendall_taus(values, lo, hi):
+    """Kendall's tau-b against window index of each slice
+    ``values[lo[i]:hi[i]]``, missing values skipped, and the number of
+    values ranked in each, as two arrays. A slice without an untied pair
+    (a constant one, or one of fewer than two values) has a NaN tau.
+
+    Slices are ranked by size class, the least power-of-two multiple of
+    ``_LEAF`` that holds their values, in blocks of up to
+    ``_KENDALL_BLOCK`` padded values: one sort ranks a block and counts
+    each slice's ties, and one :func:`_inversions` call counts the
+    discordant pairs of all its slices.
+    """
+    finite = np.isfinite(values)
+    seen = np.concatenate([[0], np.cumsum(finite)])
+    n = seen[hi] - seen[lo]
+    size = np.full(n.size, _LEAF)
+    while (grow := size < n).any():
+        size[grow] *= 2
+    tau = np.full(n.size, np.nan)
+    for cls in sorted(set(size[n > 1].tolist())):
+        in_class = np.flatnonzero((size == cls) & (n > 1))
+        step = max(1, _KENDALL_BLOCK // cls)
+        for k in range(0, in_class.size, step):
+            rows = in_class[k : k + step]
+            lens = hi[rows] - lo[rows]
+            at = np.arange(lens.sum()) + np.repeat(lo[rows] - (np.cumsum(lens) - lens), lens)
+            tau[rows] = _block_taus(values[at[finite[at]]], n[rows], cls)
+    return tau, n
+
+
+def kendall_tau_trend(values, min_points=_MIN_WINDOWS):
     """Kendall's tau-b of an EWS series against window index.
 
     Missing windows are skipped. Returns ``(tau, n)``, ``n`` the number
     of windows ranked; fewer than ``min_points`` of them raise
     :class:`InsufficientDataError`, and a constant series gives
-    ``(nan, n)``.
+    ``(nan, n)``. This is the study's batched pass on a batch of one.
     """
-    mask = np.isfinite(values.values)
-    n = int(mask.sum())
-    if n < min_points:
+    tau, n = _kendall_taus(values.values, np.array([0]), np.array([len(values)]))
+    if n[0] < min_points:
         raise InsufficientDataError(
-            f"need at least {min_points} non-missing values, got {n}"
+            f"need at least {min_points} non-missing values, got {n[0]}"
         )
-    _, ranks, ties = np.unique(values.values[mask], return_inverse=True, return_counts=True)
-    pairs = n * (n - 1) // 2
-    tied = int((ties * (ties - 1) // 2).sum())
-    if tied == pairs:
-        return float("nan"), n
-    # concordant minus discordant; the window index itself has no ties
-    s = pairs - tied - 2 * _inversions(ranks)
-    return min(1.0, max(-1.0, s / math.sqrt(pairs) / math.sqrt(pairs - tied))), n
+    return float(tau[0]), int(n[0])
 
 
 def _mannwhitney_p(a, b):
@@ -432,32 +496,58 @@ def _mwu_lower_tail(m, n, k):
     return f[m].sum() / math.comb(m + n, m)
 
 
-def _trend_records(asset, signal, cfg, pre, normal):
-    """One :class:`SegmentTrend` per segment ``(start, stop)`` of ``asset``
-    whose windows of ``signal`` have a Kendall trend. The signal is
-    estimated once over the asset (no records if it is too short for one
-    window); a segment ranks the windows that open at or after ``start``
-    and close before ``stop``, and is dropped with fewer than 10 of them
-    or a NaN tau (a constant signal)."""
-    try:
-        ews = signal_estimator(signal)(asset, cfg.ews_cfg)
-    except InsufficientDataError:
-        return []
-    close = np.searchsorted(asset.times, ews.times)
-    first = close - close[0]  # the grid's first window opens at step 0
+def _trend_records(segmented, cfg):
+    """The :class:`SegmentTrend` records of the segments of each
+    ``(asset, (pre, normal))`` of ``segmented``, asset by asset and signal
+    by signal, and per signal and group the segments ranked, dropped with
+    fewer than 10 windows and dropped with a NaN tau (a constant signal).
+
+    Each signal is estimated once over the panel of segmented assets, on
+    each asset's one window grid; a segment ``(start, stop)`` ranks the
+    windows that open at or after ``start`` and close before ``stop``, and
+    one batched Kendall pass ranks the segments of every signal.
+    """
+    segmented = [(asset, parts) for asset, parts in segmented if parts[0] or parts[1]]
+    panel = [asset for asset, _ in segmented]
+    rows = [(a, group, k, start, stop)
+            for a, (_, parts) in enumerate(segmented)
+            for group, part in zip(("pre", "normal"), parts)
+            for k, (start, stop) in enumerate(part)]
+    stride = cfg.ews_cfg.stride
+    values, lo, hi, base = [], [], [], 0
+    for signal in cfg.signals if rows else ():  # no segments, no estimate
+        vals, n_windows, span = estimate_panel(signal, panel, cfg.ews_cfg)
+        first = (base + np.cumsum(n_windows) - n_windows).tolist()  # each asset's first
+        for a, _, _, start, stop in rows:
+            opens = -(-start // stride)
+            lo.append(first[a] + opens)
+            hi.append(first[a] + max(opens, (stop - span) // stride + 1))
+        values.append(vals)
+        base += vals.size
+    values = np.concatenate(values) if values else np.empty(0)
+    shape = (len(cfg.signals), len(rows))
+    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    tau, n = (a.reshape(shape) for a in _kendall_taus(values, lo, hi))
+    few = n < _MIN_WINDOWS
+    nan = ~few & np.isnan(tau)
+    outcome = {"ranked": ~few & ~nan, "too_few_windows": few, "nan_tau": nan}
+    pre = np.array([group == "pre" for _, group, *_ in rows], dtype=bool)
+    counts = {
+        signal: {group: {key: int(hit[i, in_group].sum()) for key, hit in outcome.items()}
+                 for group, in_group in (("pre", pre), ("normal", ~pre))}
+        for i, signal in enumerate(cfg.signals)
+    }
+    # records asset by asset, then signal by signal, each in row order
+    kept_signal, kept_row = np.nonzero(outcome["ranked"])
+    asset_of = np.array([a for a, *_ in rows], dtype=np.int64)
+    order = np.lexsort((kept_row, kept_signal, asset_of[kept_row]))
     records = []
-    for group, segments in (("pre", pre), ("normal", normal)):
-        for k, (start, stop) in enumerate(segments):
-            inside = (first >= start) & (close < stop)
-            held = EwsSeries(ews.times[inside], ews.values[inside], signal, asset.id)
-            try:
-                tau, n_windows = kendall_tau_trend(held)
-            except InsufficientDataError:
-                continue
-            if np.isfinite(tau):
-                span = asset.times[[start, stop - 1]].tolist()
-                records.append(SegmentTrend(asset.id, signal, group, k, *span, n_windows, tau))
-    return records
+    for i, r in zip(kept_signal[order].tolist(), kept_row[order].tolist()):
+        a, group, k, start, stop = rows[r]
+        ends = panel[a].times[[start, stop - 1]].tolist()
+        records.append(SegmentTrend(panel[a].id, cfg.signals[i], group, k, *ends,
+                                    int(n[i, r]), float(tau[i, r])))
+    return records, counts
 
 
 def run_study(assets, cfg=None):
@@ -475,12 +565,9 @@ def run_study(assets, cfg=None):
         cfg = StudyConfig()
 
     scanned, skipped = detect_panel(assets, cfg)
-    n_events, records = 0, []
-    for asset, events in scanned:
-        pre, normal = segment_windows(asset, events, cfg)
-        for signal in cfg.signals:
-            records += _trend_records(asset, signal, cfg, pre, normal)
-        n_events += len(events)
+    segmented = [(asset, segment_windows(asset, events, cfg)) for asset, events in scanned]
+    records, counts = _trend_records(segmented, cfg)
+    n_events = sum(len(events) for _, events in scanned)
 
     report_signals = {}
     for signal in cfg.signals:
@@ -499,6 +586,7 @@ def run_study(assets, cfg=None):
             taus_normal=taus["normal"],
             p_value=p_value,
             inconclusive_reason=reason,
+            segment_counts=counts[signal],
         )
     return TrendReport(
         signals=report_signals,

@@ -13,9 +13,10 @@ one ``%`` template. The two files must be byte-identical.
 
 ``load_price_csv`` checks, canonicalises and collects one row at a
 time, and finds a repeated (ticker, date) pair with a set as it goes;
-``phasecrash.io`` parses each distinct date spelling and ticker once,
-keeps four numbers a row and finds repeated pairs with one sort. Both
-must return the same series, and raise the same error, message and line.
+``phasecrash.io`` splits plain chunks of lines by column, parses each
+distinct date spelling and ticker once, keeps four numbers a row and
+finds repeated pairs with one sort. Both must return the same series,
+and raise the same error, message and line.
 """
 
 import csv

@@ -14,10 +14,11 @@ mask; both must return the same ``(start, stop)`` ranges.
 ``segment_ews`` estimates a signal per segment, on the sub-series that
 starts at the first step of the asset's window grid (anchored at step 0,
 advancing by the stride) inside the segment; ``trend_records`` ranks
-those windows as the study does. ``phasecrash.study`` estimates each
-signal once per asset and gives a segment the windows wholly inside it;
-both must give every segment the same windows, times and values bit for
-bit, and the same records.
+those windows as the study does, one ``kendall_tau_trend`` call a
+segment. ``phasecrash.study`` estimates each signal once over the panel,
+gives a segment the windows wholly inside it and ranks every segment of
+every signal in one batched Kendall pass; both must give every segment
+the same windows, times and values bit for bit, and the same records.
 """
 
 import numpy as np

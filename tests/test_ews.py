@@ -6,7 +6,7 @@ from scipy.stats import wilcoxon
 
 import phasecrash as pc
 from phasecrash.errors import InsufficientDataError
-from phasecrash.ews import ghe_signal, signal_estimator
+from phasecrash.ews import estimate_panel, ghe_signal, signal_estimator
 from phasecrash.io import derive_seed
 
 import ews_reference as ref
@@ -423,6 +423,43 @@ def test_a_stride_past_the_int64_range_gives_the_first_window(signal):
     lag = 1 if signal in ("volatility", "skewness", "lag1_autocorr", "cross_cov") else 0
     assert out.times.tolist() == [cfg.window - 1.0 + lag]
     assert np.isfinite(out.values).all()
+
+
+_UNIVARIATE = ("volatility", "skewness", "lag1_autocorr", "anomalous_dim", "conformality",
+               "ghe1", "ghe2", "ghe3")
+
+
+@pytest.mark.parametrize("signal", _UNIVARIATE)
+@pytest.mark.parametrize("window, stride", [(40, 1), (40, 7), (33, 40), (40, 2**63)])
+def test_panel_estimate_matches_each_series_alone(signal, window, stride):
+    # series of different lengths, two too short for a window (one by a single
+    # price for the moment signals), a flat stretch of missing windows, and
+    # strides that do and do not divide the lengths
+    cfg = pc.WindowConfig(window=window, stride=stride, tau_grid=(2, 4, 8))
+    panel = _random_panel(300, k=3) + _random_panel(window, k=1, seed=5)
+    panel += _random_panel(window - 3, k=1, seed=6) + _random_panel(131, k=2, seed=7)
+    panel[1].log_prices[100:180] = panel[1].log_prices[100]
+    values, counts, span = estimate_panel(signal, panel, cfg)
+    assert counts.tolist() == [len(s.times[span - 1 :: stride]) for s in panel]
+    assert values.size == counts.sum()
+    missing = 0
+    for series, part in zip(panel, np.split(values, np.cumsum(counts)[:-1])):
+        if len(series) < span:
+            with pytest.raises(InsufficientDataError):
+                signal_estimator(signal)(series, cfg)
+            assert part.size == 0
+            continue
+        alone = signal_estimator(signal)(series, cfg)
+        assert np.array_equal(part, alone.values, equal_nan=True)
+        assert np.array_equal(series.times[span - 1 :: stride], alone.times)
+        missing += int(alone.missing.sum())
+    if stride == 1:  # the flat stretch leaves volatility at zero, the rest missing
+        assert (missing > 0) == (signal != "volatility")
+
+
+def test_panel_estimate_of_series_all_too_short_is_empty():
+    values, counts, span = estimate_panel("volatility", _random_panel(7, k=3), _cfg())
+    assert values.size == 0 and counts.tolist() == [0, 0, 0] and span == 9
 
 
 def test_volatility_return_scaling_linear():

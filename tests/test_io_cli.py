@@ -483,6 +483,76 @@ def test_load_a_price_csv_that_starts_with_a_byte_order_mark(tmp_path, bad_row, 
     assert str(exc.value) == f"{marked}:3: {message}"
 
 
+#: Rows that need the csv reader's row loop, each placed at row 3 of a file
+#: of 25-byte rows (line 5; the header is line 1).
+_SEAM_ROWS = {
+    "quoted_comma": b'2021-06-01,"A,B",101\n',
+    "quoted_break": b'2021-06-01,"A\nB",101\n',
+    "crlf": b"2021-06-01,T1,101\r\n",
+    "blank": b"\n",
+    "bad_close": b"2021-06-01,T1,ten\n",
+    "bad_byte": b"2021-06-01,Caf\xe9,101\n",
+    "duplicate": b"2020-01-02,T1,101\n",  # row 2's pair
+    # two fields, then four: split at every comma, the fields would line up
+    "two_then_four": b"2021-06-01,A\n7.5,2021-06-02,B,8.5\n",
+}
+
+
+def _seam_file(tmp_path, special, tail):
+    rows = [f"{date(2020, 1, 1) + timedelta(days=i // 2)},T{i % 2},{100 + i:.6f}\n".encode()
+            for i in range(12)]
+    assert {len(r) for r in rows} == {25}
+    path = tmp_path / "seam.csv"
+    path.write_bytes(b"date,ticker,close\n" + b"".join(rows[:3]) + special
+                     + b"".join(rows[3:]) + tail)
+    return str(path)
+
+
+@pytest.mark.parametrize("tail", [b"", b"2021-07-01,T0,0\n"], ids=["clean", "late_bad_close"])
+@pytest.mark.parametrize("case", list(_SEAM_ROWS))
+def test_load_matches_reference_with_a_row_loop_row_at_every_chunk_seam(tmp_path, monkeypatch,
+                                                                        case, tail):
+    # chunks of 40 to 129 characters end before, inside and after the row at
+    # 75-100, and some of them between its carriage return and line feed
+    path = _seam_file(tmp_path, _SEAM_ROWS[case], tail)
+    if case == "bad_byte":
+        want = f"{path}:5: cannot decode byte 0xe9 as UTF-8"
+    else:
+        try:
+            want = io_reference.load_price_csv(path)
+        except CsvParseError as exc:
+            want = str(exc)
+    for chunk in range(40, 130):
+        monkeypatch.setattr(pc_io, "_CHUNK", chunk)
+        if isinstance(want, str):
+            with pytest.raises(CsvParseError) as exc:
+                load_price_csv(path)
+            assert (str(exc.value), exc.value.line) == (want, int(want.split(":")[1])), chunk
+        else:
+            _assert_same_series(load_price_csv(path), want)
+
+
+def test_seam_cases_reach_the_row_loop_from_plain_chunks(tmp_path, monkeypatch):
+    # the cases above load some chunks by columns before the row loop takes over
+    real, taken = pc_io._plain_rows, []
+
+    def spy(text, *state):
+        out = real(text, *state)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(pc_io, "_plain_rows", spy)
+    monkeypatch.setattr(pc_io, "_CHUNK", 60)
+    for case, special in _SEAM_ROWS.items():
+        taken.clear()
+        path = _seam_file(tmp_path, special, b"")
+        try:
+            load_price_csv(path)
+        except CsvParseError:
+            pass
+        assert taken[0] and not taken[-1], case
+
+
 def test_write_matches_reference_bytes_for_quoted_ids(tmp_path):
     # a close of 1 everywhere: numpy's log and math.log can pick different
     # closes for the same log-price elsewhere (see the README round trip)

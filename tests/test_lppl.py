@@ -213,6 +213,16 @@ def test_solve_linear_degenerate_design():
         pc.solve_linear_params(550.0, 1e-12, 8.0, series)
 
 
+@pytest.mark.parametrize("n", [0, 6, 7])
+def test_solve_linear_refuses_fewer_than_eight_observations(n):
+    series = pc.PriceSeries(np.arange(float(n)), np.zeros(n))
+    with pytest.raises(ValueError) as exc:
+        pc.solve_linear_params(550.0, 0.5, 8.0, series)
+    assert str(exc.value) == (
+        f"need at least 8 observations for the linear subproblem, got {n}"
+    )
+
+
 def test_solve_linear_preconditions():
     series = _synthetic_series(_params(), n=6)
     with pytest.raises(ValueError):
@@ -316,6 +326,14 @@ def test_fit_preconditions():
     series = _synthetic_series(_params(), n=20)
     with pytest.raises(ValueError):
         pc.fit_lppl(series)
+
+
+@pytest.mark.parametrize("n", [0, 20, 29])
+def test_fit_refuses_fewer_than_thirty_observations(n):
+    series = pc.PriceSeries(np.arange(float(n)), np.zeros(n))
+    with pytest.raises(ValueError) as exc:
+        pc.fit_lppl(series)
+    assert str(exc.value) == f"need at least 30 observations to fit, got {n}"
 
 
 def test_fit_with_every_grid_node_degenerate_raises():
@@ -601,11 +619,21 @@ def test_power_law_ssr_matches_reference_oracle(kind):
          r"^omega_bounds must lie in \(0, inf\), got \(2.0, inf\)$"),
         ({"tc_bounds": (400.0, math.inf)}, r"^tc_bounds must be finite, got \(400.0, inf\)$"),
         ({"m_bounds": (math.nan, 0.5)}, r"^m_bounds must lie in \(0, 1\), got \(nan, 0.5\)$"),
+        # a bounds field holds lo and hi, no more and no fewer
+        ({"m_bounds": (0.1, 0.5, 0.9)},
+         r"^m_bounds must hold exactly two values, got \(0.1, 0.5, 0.9\)$"),
+        ({"m_bounds": (0.5,)}, r"^m_bounds must hold exactly two values, got \(0.5,\)$"),
+        ({"omega_bounds": (2.0, 5.0, 25.0)},
+         r"^omega_bounds must hold exactly two values, got \(2.0, 5.0, 25.0\)$"),
+        ({"omega_bounds": ()}, r"^omega_bounds must hold exactly two values, got \(\)$"),
+        ({"tc_bounds": (150.0,)}, r"^tc_bounds must hold exactly two values, got \(150.0,\)$"),
+        ({"tc_bounds": 150.0}, r"^tc_bounds must hold exactly two values, got 150.0$"),
     ],
     ids=["bounds0", "bounds1", "bounds2", "bounds3", "n_tc", "n_m", "n_omega", "top_k",
          "n_tc_float", "n_m_bool", "n_omega_float", "top_k_float", "top_k_bool",
          "tc_before", "tc_at", "tc_one_node", "tc_reversed", "tc_equal",
-         "omega_inf", "tc_inf", "m_nan"],
+         "omega_inf", "tc_inf", "m_nan", "m_three", "m_one", "omega_three", "omega_none",
+         "tc_one", "tc_scalar"],
 )
 def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, message):
     def no_profile(*_a, **_k):

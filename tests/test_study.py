@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -85,11 +84,16 @@ def _walk(n, seed=21, asset_id="x"):
     return _prices(np.exp(np.cumsum(0.01 * rng.standard_normal(n))), asset_id)
 
 
+def _records(asset, signal, cfg, pre, normal):
+    records, _ = _trend_records([(asset, (pre, normal))], replace(cfg, signals=(signal,)))
+    return records
+
+
 def test_trend_records_need_ten_trend_points():
     # the study keeps a segment only with kendall_tau_trend's default of 10:
     # at window 10 and stride 1 a segment of 10 + k prices holds k windows
     segments = [(0, 19), (20, 40)]
-    records = _trend_records(_walk(60), "volatility", _cfg(), segments, segments)
+    records = _records(_walk(60), "volatility", _cfg(), segments, segments)
     assert [(r.group, r.segment_index, r.n_windows) for r in records] == [
         ("pre", 1, 10), ("normal", 1, 10)]
 
@@ -101,22 +105,24 @@ def test_trend_records_drop_a_segment_exactly_one_window_long(signal):
     cfg = _cfg(pre_crash_window=40, signals=(signal,),
                ews_cfg=pc.WindowConfig(window=40, stride=1, tau_grid=(2, 4, 8)))
     segments = [(0, 40), (40, 100)]
-    records = _trend_records(_walk(120), signal, cfg, segments, segments)
+    records = _records(_walk(120), signal, cfg, segments, segments)
     assert [(r.group, r.segment_index) for r in records] == [("pre", 1), ("normal", 1)]
 
 
 def test_trend_records_let_other_value_errors_through(monkeypatch):
-    def estimate(series, cfg):
+    def estimate(name, panel, cfg):
         raise ValueError("not a data shortage")
 
-    monkeypatch.setattr(pc.ews, "rolling_volatility", estimate)
+    monkeypatch.setattr(study, "estimate_panel", estimate)
     with pytest.raises(ValueError, match="not a data shortage"):
-        _trend_records(_walk(30), "volatility", _cfg(), [(0, 30)], [])
+        _records(_walk(30), "volatility", _cfg(), [(0, 30)], [])
 
 
 def test_trend_records_of_an_asset_shorter_than_one_window_are_empty():
-    records = _trend_records(_walk(10), "volatility", _cfg(), [(0, 10)], [(0, 10)])
+    records, counts = _trend_records([(_walk(10), ([(0, 10)], [(0, 10)]))], _cfg())
     assert records == []
+    few = {"ranked": 0, "too_few_windows": 1, "nan_tau": 0}
+    assert counts == {s: {"pre": few, "normal": few} for s in _cfg().signals}
 
 
 def _scipy_kendall(vals):
@@ -147,6 +153,62 @@ def test_kendall_constant_series_is_nan_like_scipy():
     tau, n = pc.kendall_tau_trend(pc.EwsSeries(np.arange(40.0), vals, "s"))
     assert math.isnan(tau) and n == 38
     assert math.isnan(_scipy_kendall(vals))
+
+
+def _kendall_slices():
+    """Values with slices of 0 to 300 values end to end, distinct, tied,
+    partly missing and constant, then 30 slices that overlap them."""
+    rng = np.random.default_rng(derive_seed(907, 0))
+    parts = []
+    for n in (0, 1, 2, 9, 10, 15, 16, 17, 31, 32, 33, 64, 65, 300):
+        for kind in ("distinct", "ties", "missing", "constant"):
+            v = rng.standard_normal(n) + rng.uniform(-0.05, 0.05) * np.arange(n)
+            if kind == "ties":
+                v = np.round(v * 2.0)
+            elif kind == "missing":
+                v[rng.random(n) < 0.25] = np.nan
+            elif kind == "constant":
+                v = np.where(rng.random(n) < 0.1, np.nan, 0.25)
+            parts.append(v)
+    values = np.concatenate(parts)
+    hi = np.cumsum([p.size for p in parts])
+    lo = hi - [p.size for p in parts]
+    extra = rng.integers(0, values.size - 80, 30)
+    extra_hi = extra + rng.integers(0, 80, 30)
+    return values, np.concatenate([lo, extra]), np.concatenate([hi, extra_hi])
+
+
+@pytest.mark.parametrize("block", [16, 100, study._KENDALL_BLOCK])
+def test_batched_kendall_matches_each_slice_alone_bit_for_bit(monkeypatch, block):
+    # blocks of one slice a block (16), of a few, and of every slice of a size class
+    values, lo, hi = _kendall_slices()
+    monkeypatch.setattr(study, "_KENDALL_BLOCK", block)
+    tau, n = study._kendall_taus(values, lo, hi)
+    assert tau.shape == n.shape == lo.shape
+    for t, m, a, b in zip(tau.tolist(), n.tolist(), lo.tolist(), hi.tolist()):
+        alone, ranked = pc.kendall_tau_trend(pc.EwsSeries(np.arange(b - a), values[a:b], "s"),
+                                             min_points=0)
+        assert m == ranked == int(np.isfinite(values[a:b]).sum())
+        assert t == alone or (math.isnan(t) and math.isnan(alone))
+        if m >= 2:
+            want = _scipy_kendall(values[a:b])
+            assert (math.isnan(t) and math.isnan(want)) or abs(t - want) <= 1e-15
+
+
+@pytest.mark.parametrize("size", [16, 32, 64, 512])
+def test_inversions_count_every_pair_of_each_row(size):
+    rng = np.random.default_rng(derive_seed(907, size))
+    ranks = rng.integers(0, 40, (5, size))
+    ranks[0] = np.sort(ranks[0])[::-1]  # every untied pair inverted
+    ranks[1] = 7  # none
+    got = study._inversions(ranks)
+    assert got.tolist() == [int(np.triu(r[:, None] > r[None, :], 1).sum()) for r in ranks]
+
+
+def test_batched_kendall_of_no_slices_is_empty():
+    tau, n = study._kendall_taus(np.empty(0), np.empty(0, dtype=np.int64),
+                                 np.empty(0, dtype=np.int64))
+    assert tau.size == n.size == 0
 
 
 # ----------------------------------------------------------- mann-whitney
@@ -572,36 +634,59 @@ def _readme_study_cfg():
 
 
 def _ranked_windows(monkeypatch, assets, cfg):
-    """run_study's report and the windows it hands kendall_tau_trend, one
-    EwsSeries per (asset, signal, segment), in the study's order."""
-    ranked = []
+    """run_study's report and the windows its one Kendall pass ranks: per
+    segment, in the study's order (asset by asset, pre then normal), a dict
+    of one EwsSeries per signal, each slice of the pass stamped from the
+    window grid of the estimate it reads."""
+    estimates, passes = [], []
 
-    def spy(ews):
-        ranked.append(ews)
-        return kendall(ews)
+    def estimating(name, panel, ews_cfg):
+        out = estimate(name, panel, ews_cfg)
+        estimates.append((name, panel, *out))
+        return out
 
-    kendall = study.kendall_tau_trend
+    def ranking(values, lo, hi):
+        passes.append((values, lo.tolist(), hi.tolist()))
+        return kendall(values, lo, hi)
+
+    estimate, kendall = study.estimate_panel, study._kendall_taus
     with monkeypatch.context() as m:
-        m.setattr(study, "kendall_tau_trend", spy)
+        m.setattr(study, "estimate_panel", estimating)
+        m.setattr(study, "_kendall_taus", ranking)
         report = pc.run_study(assets, cfg)
-    return report, ranked
+    (values, lo, hi), = passes
+    assert [name for name, *_ in estimates] == (list(cfg.signals) if lo else [])
+    n_rows = len(lo) // len(cfg.signals)
+    by_row = [{} for _ in range(n_rows)]
+    stop = 0
+    for i, (name, panel, vals, counts, span) in enumerate(estimates):
+        base, stop = stop, stop + vals.size
+        first = base + np.cumsum(counts) - counts  # each asset's first window
+        for row in range(n_rows):
+            a, b = lo[i * n_rows + row], hi[i * n_rows + row]
+            j = int(np.searchsorted(first, a, side="right")) - 1  # the asset, if b > a
+            opens = (np.arange(a, b) - first[j]) * cfg.ews_cfg.stride
+            by_row[row][name] = pc.EwsSeries(panel[j].times[opens + span - 1], values[a:b], name)
+    return report, by_row
 
 
 def _assert_windows_match_per_segment_oracle(monkeypatch, assets, cfg):
     """Every window a segment takes from its asset's one estimate is the
     window of the per-segment estimate anchored at the segment's first
     grid step, times and values bit for bit; so are the records."""
-    report, ranked = _ranked_windows(monkeypatch, assets, cfg)
+    report, by_row = _ranked_windows(monkeypatch, assets, cfg)
     scanned, _ = pc.detect_panel(assets, cfg)
-    want_windows, want_records = [], []
+    ranked, want_windows, want_records, row = [], [], [], 0
     for asset, events in scanned:
         assert len(asset) > cfg.ews_cfg.window  # every asset has one estimate
         pre, normal = pc.segment_windows(asset, events, cfg)
         for signal in cfg.signals:
+            ranked += [by_row[row + i][signal] for i in range(len(pre + normal))]
             want_windows += [study_reference.segment_ews(asset, signal, cfg, seg)
                              for seg in pre + normal]
             want_records += study_reference.trend_records(asset, signal, cfg, pre, normal)
-    assert len(ranked) == len(want_windows)
+        row += len(pre + normal)
+    assert row == len(by_row) and len(ranked) == len(want_windows)
     for got, want in zip(ranked, want_windows):
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values, want.values, equal_nan=True)
@@ -659,27 +744,64 @@ def test_segment_windows_match_the_per_segment_oracle_on_edge_cases(monkeypatch)
                     "ranked"}
 
 
-def test_run_study_estimates_each_signal_once_per_scanned_asset(monkeypatch):
+def test_trend_records_match_the_per_segment_oracle_at_size_class_edges():
+    # segments of 9, 10, 16, 17, 32 and 33 windows at window 10, stride 1
+    # (the Kendall pass pads ranks to 16, 32 and 64); a flat asset, whose
+    # volatility is constant and whose other signals are missing; and a walk
+    # with a flat stretch, whose skewness and autocorrelation miss windows
+    segments = [(0, 19), (20, 40), (40, 66), (66, 93), (93, 135), (135, 178)]
+    stretch = _walk(200, seed=5, asset_id="STRETCH")
+    stretch.log_prices[60:90] = stretch.log_prices[60]
+    panel = [_walk(200, asset_id="WALK"), pc.PriceSeries(np.arange(200.0), np.zeros(200), "FLAT"),
+             stretch]
+    for stride in (1, 2, 3):
+        cfg = _cfg(ews_cfg=pc.WindowConfig(window=10, stride=stride, tau_grid=(2,)))
+        segmented = [(a, (segments[::2], segments[1::2])) for a in panel]
+        records, counts = _trend_records(segmented, cfg)
+        want = [rec for a, (pre, normal) in segmented for signal in cfg.signals
+                for rec in study_reference.trend_records(a, signal, cfg, pre, normal)]
+        assert [vars(r) for r in records] == [vars(r) for r in want]
+        for signal in cfg.signals:
+            for group in ("pre", "normal"):
+                c = counts[signal][group]
+                assert sum(c.values()) == 3 * 3
+                assert c["ranked"] == sum(r.signal == signal and r.group == group
+                                          for r in records)
+    assert counts["volatility"]["pre"] == {"ranked": 2, "too_few_windows": 6, "nan_tau": 1}
+
+
+def test_report_counts_ranked_short_and_constant_segments(tmp_path):
+    rise = 100.0 * np.exp(np.cumsum(0.01 + 0.005 * np.sin(np.arange(31.0))))
+    crash = _prices(np.concatenate([rise, rise[-1] * 0.93 ** np.arange(1, 6)]), "C")
+    flat = _prices(np.full(36, 100.0), "FLAT")  # one constant normal segment
+    short = _walk(15, asset_id="SHORT")  # one normal segment of 5 windows
+    report = pc.run_study([crash, flat, short], _cfg(exclusion_margin=40, signals=("volatility",)))
+    st = report.signals["volatility"]
+    assert st.n_pre == 1 and st.n_normal == 0
+    want = {"pre": {"ranked": 1, "too_few_windows": 0, "nan_tau": 0},
+            "normal": {"ranked": 0, "too_few_windows": 1, "nan_tau": 1}}
+    assert st.segment_counts == want
+    assert st.to_dict()["segments"] == want
+    pc.io.write_report_json(report, tmp_path / "report.json")
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert doc["signals"]["volatility"]["segments"] == want
+
+
+def test_run_study_estimates_each_signal_once_per_panel(monkeypatch):
     corpus = _readme_corpus()
     short = _prices(np.linspace(100, 90, 100), "SHORT")  # at most lookback = 126 rows
     cfg = _readme_study_cfg()
-    calls = Counter()
+    calls = []
 
-    def counting(name):
-        estimate = real(name)
+    def counting(name, panel, ews_cfg):
+        calls.append((name, [s.id for s in panel]))
+        return real(name, panel, ews_cfg)
 
-        def run(series, ews_cfg):
-            calls[series.id, name] += 1
-            return estimate(series, ews_cfg)
-
-        return run
-
-    real = study.signal_estimator
-    monkeypatch.setattr(study, "signal_estimator", counting)
+    real = study.estimate_panel
+    monkeypatch.setattr(study, "estimate_panel", counting)
     report = pc.run_study(corpus + [short], cfg)
     assert report.skipped[0]["asset_id"] == "SHORT"
-    assert calls == Counter({(a.id, s): 1 for a in corpus for s in cfg.signals})
-    assert sum(calls.values()) == 200
+    assert calls == [(s, [a.id for a in corpus]) for s in cfg.signals]
 
 
 def test_signal_trend_inconclusive_reason():
