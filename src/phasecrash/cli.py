@@ -313,8 +313,9 @@ def _cmd_detect(args):
 def _cmd_study(args):
     if (args.input is None) == (args.spec is None):
         raise ValueError("study needs exactly one of --input or --spec")
-    cfg = StudyConfig()
-    if args.config is not None:
+    if args.config is None:
+        cfg = StudyConfig()
+    else:
         cfg = study_config_from_dict(_load_json(args.config))
     if args.input is not None:
         assets = load_price_csv(args.input)

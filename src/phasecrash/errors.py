@@ -28,11 +28,8 @@ class ComputationError(PhasecrashError):
 
 
 class GenerationError(ComputationError):
-    """Noise synthesis failed (e.g. covariance not positive definite)."""
-
-    def __init__(self, message, schedule=None):
-        super().__init__(message)
-        self.schedule = schedule
+    """Noise synthesis failed (e.g. a circulant embedding with a negative
+    eigenvalue)."""
 
 
 class SimulationOverflowError(ComputationError):

@@ -423,9 +423,9 @@ class AssetGroupSpec:
 
     ``n`` counts simulation steps; the observed series keeps every
     ``sample_every``-th point. ``forced_drop``, when set, appends a
-    ``drop_len``-observation linear decline of that total fraction so a
-    crash event is guaranteed at the end of the path. ``dpt_hurst`` with H
-    0.5 -> 0.9 over 2520 steps raises GenerationError for ``onset`` > ~0.985.
+    ``drop_len``-observation linear decline of that total fraction at the
+    end of the path. It need not be the asset's crash event: a path that
+    falls past the crash threshold before the drop has its event there.
     """
 
     kind: str

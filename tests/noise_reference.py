@@ -1,80 +1,49 @@
-"""Reference oracles for ramped-Hurst paths.
+"""Reference oracle for ramped-Hurst paths.
 
-``full_factor`` is the full Cholesky factor of the local-exponent kernel
-that ``phasecrash.noise`` factored before it skipped the Brownian head.
-``synth_fbm`` must reproduce its increments bitwise when the schedule
-has no Brownian head and the path fits in one panel of
-``phasecrash.noise._mbm_cholesky_factor``, and its path to rounding
-otherwise.
+``ramped_increments`` is the exact per-row construction that
+``phasecrash.noise.synth_fbm`` approximates for a ramped schedule. For
+every step ``r`` it builds the circulant-embedding weights ``w(h_r)`` of
+unit-step fractional Gaussian noise at that step's H from the
+autocovariance, and takes the real part of their discrete Fourier sum
+against the seed's complex normal vector ``zeta`` at frequency ``r``:
 
-``block_factor`` builds every ramped row of the kernel at once, whole
-rows and all, with three full-size temporaries, differences them over
-the Brownian head's columns into ``L21``, and factors ``K22 - L21 L21^T``
-with one ``np.linalg.cholesky`` call. ``phasecrash.noise`` computes
-``L21`` in closed form, a block of head columns at a time, and keeps
-only ``L22``, built a panel of rows at a time, each up to its last
-diagonal entry, and factored left-looking, panel by panel.
-``assemble_factor`` lays those head blocks and panels out as
-``block_factor``'s ``(L21, L22)``. ``L21`` agrees to the rounding of the
-differences, and ``L22`` bitwise when there is no head and its rows fit
-in one panel, to rounding otherwise.
+    inc_r = Re sum_k w_k(h_r) zeta_k exp(-2 pi i k r / 2n)
+
+by a direct sum, with no FFT over ``zeta`` and no interpolation across
+H. That is O(n**2) work, done a block of rows at a time. ``synth_fbm``
+draws the same ``zeta`` from the same seed (before its ``dt**h_start``
+scale), so the two agree to the accuracy of its interpolation.
 """
 
 import numpy as np
 
-from phasecrash import noise
+_BLOCK = 128  # rows of phases at a time: 128 x 2n complex values
 
 
-def full_factor(schedule, n, dt):
+def embedding_weights(h, n):
+    """``sqrt(eigenvalues / 2n)`` of the circulant embedding of ``n`` steps
+    of fractional Gaussian noise, one row for each H in ``h``."""
+    k = np.arange(n + 1.0)
+    h2 = 2.0 * np.asarray(h, dtype=float)[:, None]
+    gamma = 0.5 * ((k + 1) ** h2 - 2 * k**h2 + np.abs(k - 1) ** h2)
+    row = np.concatenate([gamma, gamma[:, n - 1 : 0 : -1]], axis=1)
+    lam = np.fft.fft(row, axis=1).real
+    return np.sqrt(np.clip(lam, 0.0, None) / row.shape[1])
+
+
+def ramped_increments(schedule, n, seeds):
+    """Unit-step increments of ``schedule`` over ``n`` steps, one row for
+    each seed in ``seeds``."""
     h = schedule.values(n)
-    t = np.arange(1, n + 1) * dt
-    hs = h[:, None] + h[None, :]
-    s, tt = t[:, None], t[None, :]
-    cov = 0.5 * (s**hs + tt**hs - np.abs(tt - s) ** hs)
-    return np.linalg.cholesky(cov)
-
-
-def mbm_path(schedule, n, dt, seed):
-    """The path ``X(dt), ..., X(n dt)`` and the unit normals that drew it."""
-    z = np.random.default_rng(seed).standard_normal(n)
-    return full_factor(schedule, n, dt) @ z, z
-
-
-def block_factor(schedule, n, dt):
-    """``(L21, L22)``: the ramped rows of the factor below the Brownian head."""
-    k = min(schedule.t_start, n) if schedule.start == 0.5 else 0
-    h = schedule.values(n)
-    t = np.arange(1, n + 1) * dt
-    s, tt = t[k:, None], t[None, :]
-    hs = h[k:, None] + h[None, :]
-    cov = np.power(s, hs)
-    tmp = np.power(tt, hs)
-    cov += tmp
-    np.subtract(tt, s, out=tmp)
-    np.abs(tmp, out=tmp)
-    np.power(tmp, hs, out=tmp)
-    cov -= tmp
-    cov *= 0.5
-    l21 = np.diff(cov[:, :k], axis=1, prepend=0.0)
-    l21 /= np.sqrt(dt)
-    r22 = cov[:, k:]
-    if k:
-        r22 -= l21 @ l21.T
-    return l21, np.linalg.cholesky(r22)
-
-
-def assemble_factor(panels, schedule, n, dt):
-    """``(L21, L22)`` of an ``n``-step factor: the closed-form head blocks
-    of ``phasecrash.noise._mbm_head_blocks`` side by side, and the row
-    panels that ``phasecrash.noise._mbm_cholesky_factor`` keeps of
-    ``L22``."""
-    k = n - sum(len(p) for p in panels)
-    l21 = np.zeros((n - k, k))
-    for a, block in noise._mbm_head_blocks(schedule.values(n), k, dt):
-        l21[:, a : a + len(block)] = block.T
-    l22 = np.zeros((n - k, n - k))
-    i = 0
-    for p in panels:
-        l22[i : i + len(p), : p.shape[1]] = p
-        i += len(p)
-    return l21, l22
+    m = 2 * n
+    z = np.array([np.random.default_rng(s).standard_normal(2 * m) for s in seeds])
+    zeta = z[:, :m] + 1j * z[:, m:]
+    twiddle = np.exp(-2j * np.pi * np.arange(m) / m)
+    k = np.arange(m)
+    out = np.empty((len(seeds), n))
+    for a in range(0, n, _BLOCK):
+        r = np.arange(a, min(a + _BLOCK, n))
+        levels, which = np.unique(h[r], return_inverse=True)
+        w = embedding_weights(levels, n)[which]
+        out[:, r] = ((w * twiddle[np.outer(r, k) % m]) @ zeta.T).real.T
+    return out

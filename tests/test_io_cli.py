@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1160,6 +1161,31 @@ def test_cli_study_records_short_ticker_as_skip(tmp_path):
     assert volatility["inconclusive_reason"] is None
 
 
+@pytest.mark.parametrize("config", [None, {"signals": ["volatility", "ghe1"]}],
+                         ids=["default", "config"])
+def test_cli_study_probes_each_configured_signal_once(tmp_path, monkeypatch, config):
+    # a --config run builds no default StudyConfig, so it never probes the
+    # four default signals
+    import phasecrash.study as pc_study
+
+    probed = []
+
+    def probe(signals, cfg, check=pc_study._check_window):
+        probed.extend(signals)
+        return check(signals, cfg)
+
+    monkeypatch.setattr(pc_study, "_check_window", probe)
+    panel = _panel_with_short_ticker(tmp_path)
+    argv = ["study", "--input", panel, "--out", str(tmp_path / "st")]
+    if config is not None:
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        argv[3:3] = ["--config", str(cfg_path)]
+    assert cli_dispatch(argv) == 0
+    want = config["signals"] if config else list(pc_study.StudyConfig.signals)
+    assert probed == want
+
+
 def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"{path} holds {constant}, which is not JSON")
@@ -1221,6 +1247,42 @@ def test_cli_simulate_byte_identical_reruns(tmp_path):
         assert rc == 0
         outs.append(Path(os.path.join(out, "path.csv")).read_bytes())
     assert outs[0] == outs[1]
+
+
+def _outputs_under_blas_threads(work, threads):
+    """Every file that the README ``synth``, a no-head ``dpt_hurst``
+    ``synth``, ``simulate --kind dpt-hurst`` and ``study --input`` write,
+    each run in a fresh interpreter with BLAS limited to ``threads``
+    threads, by path relative to ``work``."""
+    work.mkdir()
+    for name, text in readme_json_blocks().items():
+        (work / name).write_text(text + "\n", encoding="utf-8")
+    (work / "nohead.json").write_text(json.dumps({"groups": [
+        {"kind": "dpt_hurst", "count": 3, "n": 2048, "params": {"h_start": 0.6}}]}))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["synth", "--spec", "spec.json", "--seed", "7", "--out", "corpus"],
+                 ["synth", "--spec", "nohead.json", "--seed", "7", "--out", "nohead"],
+                 ["simulate", "--kind", "dpt-hurst", "--n", "2520", "--t-start", "1764",
+                  "--seed", "5", "--out", "sim"],
+                 ["study", "--input", "corpus/corpus.csv", "--config", "study.json",
+                  "--seed", "7", "--out", "study"]):
+        subprocess.run([sys.executable, "-m", "phasecrash.cli", *argv], cwd=work, env=env,
+                       check=True, capture_output=True)
+    return {str(p.relative_to(work)): p.read_bytes()
+            for p in sorted(work.rglob("*")) if p.parent != work}
+
+
+def test_cli_outputs_are_byte_identical_under_any_blas_thread_count(tmp_path):
+    # the ramped-Hurst draw and the study call no threaded BLAS routine, so
+    # one and two threads write the same bytes, manifests included
+    one = _outputs_under_blas_threads(tmp_path / "one", 1)
+    two = _outputs_under_blas_threads(tmp_path / "two", 2)
+    assert sorted(one) == sorted(two)
+    assert {"corpus/corpus.csv", "nohead/manifest.json", "sim/path.csv",
+            "study/report.json"} <= set(one)
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 def test_cli_simulate_dpt_stable_honours_t_start(tmp_path):

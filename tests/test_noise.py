@@ -108,6 +108,32 @@ def test_stable_scale_and_dt_scaling():
     assert np.allclose(2.0 * a.increments, b.increments)
 
 
+@pytest.mark.parametrize(
+    "schedule", [pc.StableSchedule(2.0, 1.2, t_start=100, scale=0.5), pc.StableSchedule(1.5)],
+    ids=["ramp", "constant"],
+)
+def test_stable_step_scale_is_set_by_alpha_start(schedule):
+    # every step is scaled by scale * dt**(1/alpha_start), so dt scales a
+    # path and does not tilt its volatility along the ramp
+    n, seed = 1000, 8
+    unit = pc.sample_alpha_stable(n, schedule, 1.0, seed).increments
+    for dt in (1 / 252, 0.5, 100.0):
+        got = pc.sample_alpha_stable(n, schedule, dt, seed).increments
+        assert np.allclose(got, unit * dt ** (1 / schedule.start), rtol=1e-14, atol=0), dt
+    # where the per-step dt**(1/alpha_i) rule agrees with it, at dt 1 and
+    # for a constant schedule at any dt, the bits are that rule's, op for op
+    rng = np.random.default_rng(seed)
+    alpha = schedule.values(n)
+    u = (rng.random(n) - 0.5) * np.pi
+    e = rng.standard_exponential(n)
+    x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+        np.cos((1.0 - alpha) * u) / e
+    ) ** ((1.0 - alpha) / alpha)
+    for dt in (1.0, 1 / 252) if schedule.is_constant() else (1.0,):
+        got = pc.sample_alpha_stable(n, schedule, dt, seed).increments
+        assert np.array_equal(got, schedule.scale * dt ** (1.0 / alpha) * x), dt
+
+
 # ---------------------------------------------------------------------- fbm
 
 
@@ -189,102 +215,53 @@ def test_fbm_negative_embedding_raises(monkeypatch):
         pc.synth_fbm(64, pc.HurstSchedule(0.7), 1.0, 1)
 
 
-def test_fbm_ramped_hurst_refused_above_limit():
-    sch = pc.HurstSchedule(0.5, 0.9)
-    n = noise.MAX_MBM_STEPS + 1
+def test_fbm_ramped_hurst_has_no_step_cap():
+    # any length draws; the cold draw peaks at 2.56 times the basis it
+    # caches (7.7 MiB over 3.0 MiB measured), and 100,000 steps at 92 MiB
+    sch, n = pc.HurstSchedule(0.5, 0.9), 8193
+    noise._hurst_basis.cache_clear()
     tracemalloc.start()
     try:
-        with pytest.raises(GenerationError, match="limited") as exc:
-            pc.synth_fbm(n, sch, 1.0, 1)
+        p = pc.synth_fbm(n, sch, 1.0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.schedule == sch
-    assert peak < 8 * n  # refused before even one row of the n x n factor
-    # the constant-H path has no such limit
-    assert len(pc.synth_fbm(n, pc.HurstSchedule(0.9), 1.0, 1)) == n
-
-
-def test_mbm_cap_bounds_the_ramped_rows(monkeypatch):
-    # the cap counts (n - k) * n factor entries below a Brownian head of k
-    monkeypatch.setattr(noise, "MAX_MBM_STEPS", 40)
-    noise._mbm_cholesky_factor.cache_clear()  # a cached factor skips the cap
-    at_cap = pc.HurstSchedule(0.5, 0.9, t_start=84)  # 16 rows x 100 = 40**2
-    assert len(pc.synth_fbm(100, at_cap, 1.0, 1)) == 100
-    over = pc.HurstSchedule(0.5, 0.9, t_start=83)  # 17 rows x 100
-    with pytest.raises(GenerationError, match="limited") as exc:
-        pc.synth_fbm(100, over, 1.0, 1)
-    assert exc.value.schedule == over
-    # without a Brownian head every row is ramped
-    assert len(pc.synth_fbm(40, pc.HurstSchedule(0.6, 0.9), 1.0, 1)) == 40
-    with pytest.raises(GenerationError, match="limited"):
-        pc.synth_fbm(41, pc.HurstSchedule(0.6, 0.9), 1.0, 1)
-
-
-def _kept_bytes(panels):
-    return sum(panel.nbytes for panel in panels)
-
-
-@pytest.mark.parametrize("t_start", [0, 512])
-def test_mbm_factor_is_built_in_place(t_start):
-    # the panels kept, the inverses of their diagonal factors, and either
-    # the two 1 MB temporaries of a kernel row block or the three 1 MB
-    # buffers of the closed-form head blocks: measured 1.680 and 4.017
-    # times the factor kept, 4.5 and 1.25 MB (5.02 MB at t_start 512, where
-    # 0.20.0 kept 3.4 MB, head columns and all, and peaked at 1.814 times
-    # that, 6.2 MB; 1.699 times at t_start 0)
-    ratio = {0: 1.69, 512: 4.05}[t_start]
-    n, panel = 1024, noise._MBM_PANEL
-    sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
-    noise._mbm_cholesky_factor.cache_clear()
-    tracemalloc.start()
-    try:
-        panels = noise._mbm_cholesky_factor(sch, n, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        noise._mbm_cholesky_factor.cache_clear()
-    ends = range(panel, n - t_start + panel, panel)
-    assert [p.shape for p in panels] == [(panel, end) for end in ends]
-    assert peak <= ratio * _kept_bytes(panels)
+    weights, coef = noise._hurst_basis(sch, n)
+    assert len(p) == n and np.all(np.isfinite(p.increments))
+    assert peak <= 2.75 * (weights.nbytes + coef.nbytes)
 
 
 @pytest.mark.parametrize(
     "n, t_start",
-    [(1, 0), (64, 0), (129, 0), (1000, 0), (1000, 1), (1000, 500), (1000, 999),
-     (1000, 1000), (2048, 0), (2520, 1764)],
+    [(2, 0), (3, 0), (64, 0), (129, 0), (1000, 0), (1000, 1), (1000, 500), (1000, 997),
+     (1000, 998), (2048, 0), (2520, 1764), (4097, 0)],
 )
-def test_mbm_factor_keeps_the_lower_triangle_in_row_panels(n, t_start):
-    # each panel is a (rows, q - k) array of its own, the ramped columns up
-    # to its diagonal end, so the factor keeps about (n - k)**2 / 2 entries;
-    # the head columns are not kept at all
-    panel = noise._MBM_PANEL
+def test_hurst_basis_holds_unit_variance_weights_for_every_step(n, t_start):
+    # the cache keeps _HURST_NODES x 2n weights and n x _HURST_NODES
+    # coefficients, whatever the ramp; each step's interpolated weights
+    # have unit sum of squares, and a step on a node takes that node alone
+    nodes = noise._HURST_NODES
     sch = pc.HurstSchedule(0.5, 0.9, t_start=t_start)
-    panels = noise._mbm_cholesky_factor.__wrapped__(sch, n, 1.0)
-    k = min(t_start, n)
-    starts = range(k, n, panel)
-    assert [p.shape for p in panels] == [(min(panel, n - s), min(s + panel, n) - k) for s in starts]
-    assert all(p.base is None and p.flags.c_contiguous for p in panels)
-    kept = _kept_bytes(panels)
-    assert kept == 8 * sum(rows * width for rows, width in (p.shape for p in panels))
-    assert kept <= 8 * (n - k) * (n - k + panel) / 2
+    weights, coef = noise._hurst_basis.__wrapped__(sch, n)
+    assert weights.shape == (nodes, 2 * n) and coef.shape == (n, nodes)
+    h = sch.values(n)
+    assert np.array_equal(coef[h == 0.5], np.tile(np.eye(nodes)[-1], (np.sum(h == 0.5), 1)))
+    assert np.array_equal(coef[-1], np.eye(nodes)[0])
+    step_weights = np.einsum("rp,pk->rk", coef, weights)
+    assert np.abs((step_weights**2).sum(axis=1) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize(
     "n, schedule, peak_mb",
-    [(2048, pc.HurstSchedule(0.6, 0.9), 22.5),  # no Brownian head: 17.0 MB kept
-     # the README crash asset: onset 0.7 of 2520 steps, 2.5 MB kept
-     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 6.9)],
+    [(2048, pc.HurstSchedule(0.6, 0.9), 3.3),  # no Brownian head
+     (2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 2.75)],  # the README crash asset
 )
-def test_mbm_factor_build_peak(n, schedule, peak_mb):
-    # measured 20.11 and 6.57 MB; 21.17 and 15.63 while the head columns of
-    # the factor were kept (12.7 MB for the README asset), 35.16 and 17.70
-    # while L22 was dense and factored in place, 64.00 and 18.94 while
-    # np.linalg.cholesky copied the whole block, 96.2 and 43.8 when whole
-    # rows were built
+def test_cold_hurst_draw_peak(n, schedule, peak_mb):
+    # measured 2.99 and 2.48 MiB
+    noise._hurst_basis.cache_clear()
     tracemalloc.start()
     try:
-        noise._mbm_cholesky_factor.__wrapped__(schedule, n, 1.0)
+        pc.synth_fbm(n, schedule, 1.0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,38 +289,15 @@ def _peak_rss_growth(statement, setup=""):
     return int(grown_kb) * 1024, "\n".join(printed)  # VmHWM is in kB
 
 
-_DENSE_2048 = 8 * 2048**2  # a dense 32 MB factor of 2048 ramped rows
-
-
-def test_mbm_factor_build_grows_rss_by_under_0_75_dense_factors():
-    # measured 0.716 of the dense factor (17.0 MB kept); 1.22 while L22 was
-    # dense and factored in place, 3.2 when np.linalg.cholesky copied it
-    grown, _ = _peak_rss_growth(
-        "noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9), 2048, 1.0)"
-    )
-    assert grown < 0.75 * _DENSE_2048
-
-
-def test_mbm_refusal_grows_rss_by_under_0_75_dense_factors():
-    # the last panel fails, after every other is built; measured 0.71 of
-    # the dense factor, 2.27 while the refusal rebuilt the whole kernel
-    # and took its spectrum with np.linalg.eigvalsh
-    grown, message = _peak_rss_growth(
-        "try:\n"
-        "    noise._mbm_cholesky_factor(pc.HurstSchedule(0.6, 0.9, t_start=2043), 2048, 1.0)\n"
-        "except pc.GenerationError as exc:\n"
-        "    print(exc)\n"
-    )
-    assert "not positive definite at steps 1920-2047" in message
-    assert "smallest eigenvalue -6.93" in message
-    assert grown < 0.75 * _DENSE_2048
+def test_cold_hurst_draw_grows_rss_by_under_12_mb():
+    # n = 2048 with no Brownian head; measured 8.4-8.7 MiB, most of it
+    # numpy's FFT set-up
+    grown, _ = _peak_rss_growth("pc.synth_fbm(2048, pc.HurstSchedule(0.6, 0.9), 1.0, 1)")
+    assert grown < 12 * 2**20
 
 
 def test_readme_corpus_grows_rss_by_under_12_mb():
-    # the README spec: 20 dpt_hurst assets drawn in one pass over a head of
-    # 1,764 steps, and 20 bm assets; measured 10.1-10.3 MB, and 18.9 MB
-    # when the factor kept its 10.2 MB of head columns and each asset was
-    # drawn alone
+    # the README spec: 20 dpt_hurst assets and 20 bm assets; measured 5.5 MiB
     spec = readme_json_blocks()["spec.json"]
     grown, _ = _peak_rss_growth(
         "synth_corpus(spec, 7)",
@@ -355,14 +309,15 @@ def test_readme_corpus_grows_rss_by_under_12_mb():
 @pytest.mark.parametrize(
     "n, schedule",
     [(2520, pc.HurstSchedule(0.5, 0.9, t_start=1764)),  # the README crash asset
-     (600, pc.HurstSchedule(0.6, 0.9, t_start=200)),  # no Brownian head, 5 panels
+     (600, pc.HurstSchedule(0.6, 0.9, t_start=200)),  # no Brownian head
+     (1000, pc.HurstSchedule(0.8, 0.4, t_start=300)),  # falling
      (500, pc.HurstSchedule(0.7))],  # Davies-Harte
 )
 def test_fbm_group_draw_is_each_seed_drawn_alone(n, schedule):
     seeds = [derive_seed(33, j) for j in range(5)]
-    noise._mbm_cholesky_factor.cache_clear()
+    noise._hurst_basis.cache_clear()
     alone = [pc.synth_fbm(n, schedule, 1.0, s).increments for s in seeds]  # first one cold
-    noise._mbm_cholesky_factor.cache_clear()
+    noise._hurst_basis.cache_clear()
     cold = pc.synth_fbm(n, schedule, 1.0, seeds)
     warm = pc.synth_fbm(n, schedule, 1.0, seeds)
     reversed_ = pc.synth_fbm(n, schedule, 1.0, seeds[::-1])[::-1]
@@ -385,125 +340,121 @@ def test_fbm_seed_sequence_is_checked_seed_by_seed():
             pc.synth_fbm(64, sch, 1.0, bad)
 
 
-# a block of ramped rows wider than one panel, or below a head, is factored
-# in the order of the blocked algorithm, not LAPACK's; the two differed by
-# at most 2.9e-10 * max|L| over the grid below and the README schedule
-_PANEL_RTOL = 1e-9
-
-# the oracle differences the kernel over the head columns, which cancels:
-# it was 6.9e-13 * max|L21| from the closed form on the README schedule,
-# and the closed form was 2.2e-15 from a long-double evaluation of it
-_HEAD_RTOL = 1e-12
-
-
-def _assert_block_factor_matches(got, sch, n, dt, want, panel, case):
-    (l21, l22), (ref21, ref22) = noise_reference.assemble_factor(got, sch, n, dt), want
-    assert l21.shape == ref21.shape, case
-    if l21.size:
-        assert np.abs(l21 - ref21).max() <= _HEAD_RTOL * np.abs(ref21).max(), case
-    assert l22.shape == ref22.shape, case
-    if l22.shape[0] <= panel and not l21.size:  # one np.linalg.cholesky call on one block
-        assert np.array_equal(l22, ref22), case
-    elif l22.size:
-        assert np.abs(l22 - ref22).max() <= _PANEL_RTOL * np.abs(ref22).max(), case
-        assert not np.triu(l22, 1).any(), case
+def _assert_matches_oracle(n, sch, seeds, bound, dts=(1.0,)):
+    """``synth_fbm`` against the exact per-row oracle: within ``bound`` a
+    unit increment, and a step whose H is ``h_start`` or ``h_end`` is the
+    constant-H draw at that H, to the bit."""
+    want = noise_reference.ramped_increments(sch, n, seeds)
+    h = sch.values(n)
+    for dt in dts:
+        scale = dt**sch.start
+        for s, ref in zip(seeds, want):
+            got = pc.synth_fbm(n, sch, dt, s).increments
+            assert np.abs(got / scale - ref).max() <= bound, (dt, s)
+            for end in (sch.start, sch.end):
+                at = h == end
+                flat = noise._fgn_constant(end, n, np.random.default_rng(s)) * scale
+                assert np.array_equal(got[at], flat[at]), (dt, s, end)
 
 
-_BLOCK_GRID = sorted(
-    {(n, t) for n in (1, 2, 64, 400, 1000) for t in (0, 1, n // 2, int(0.7 * n), n - 1, n)}
+# the exact per-row oracle against the interpolated draw, at 16 nodes, over
+# 8 seeds: 1.3e-8 (README), 6.5e-9 (no head), 2.5e-10 (falling) and 4.2e-5
+# (0.1 -> 0.95); a 0.05 -> 0.99 ramp reads 4e-3
+@pytest.mark.parametrize(
+    "n, schedule, bound",
+    [(2520, pc.HurstSchedule(0.5, 0.9, t_start=1764), 1e-7),
+     (2048, pc.HurstSchedule(0.6, 0.9), 5e-8),
+     (1000, pc.HurstSchedule(0.8, 0.4, t_start=300), 2e-9),
+     (2420, pc.HurstSchedule(0.1, 0.95), 2e-4)],
+    ids=["readme", "no-head", "falling", "wide"],
 )
-
-
-@pytest.mark.parametrize("n, t_start", _BLOCK_GRID)
-def test_mbm_blocks_match_block_factor_oracle(monkeypatch, n, t_start):
-    # one kernel block holds 2**17 entries, so n = 400 and 1000 span several
-    # blocks of rows; 256 entries make a block of 4 rows at n = 64 and of
-    # one row above n = 128, and a head block of 256 // (n - k) columns,
-    # one column once 129 rows are ramped. Panels of 7 rows leave a
-    # partial last panel at every size above 7. All of that occurs by
-    # n = 400 (one-column head blocks at t_start 200), so n = 1000 runs
-    # the default sizes alone
-    sizes = [(noise._MBM_BLOCK, noise._MBM_PANEL)]
-    if n <= 400:
-        sizes.append((256, 7))
-    for block, panel in sizes:
-        monkeypatch.setattr(noise, "_MBM_BLOCK", block)
-        monkeypatch.setattr(noise, "_MBM_PANEL", panel)
-        for dt in (0.25, 1.0, 2.0):
-            for h_start in (0.5, 0.6):
-                sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
-                got = noise._mbm_cholesky_factor.__wrapped__(sch, n, dt)
-                want = noise_reference.block_factor(sch, n, dt)
-                case = (block, panel, dt, h_start)
-                _assert_block_factor_matches(got, sch, n, dt, want, panel, case)
-
-
-def test_mbm_blocks_match_block_factor_oracle_on_the_readme_schedule():
-    sch = pc.HurstSchedule(0.5, 0.9, t_start=1764)
-    got = noise._mbm_cholesky_factor.__wrapped__(sch, 2520, 1.0)
-    want = noise_reference.block_factor(sch, 2520, 1.0)
-    _assert_block_factor_matches(got, sch, 2520, 1.0, want, noise._MBM_PANEL, "readme")
+def test_ramped_hurst_matches_per_row_oracle(n, schedule, bound):
+    _assert_matches_oracle(n, schedule, [derive_seed(61, i) for i in range(8)], bound)
 
 
 _ORACLE_GRID = sorted(
-    {(n, t) for n in (1, 2, 64, 400, 2520) for t in (0, 1, n // 2, n - 1, n, n + 2)}
+    {(n, t) for n in (1, 2, 64, 400, 1000, 2520) for t in (0, 1, n // 2, n - 1, n, n + 2)}
 )
 
 
 @pytest.mark.parametrize("n, t_start", _ORACLE_GRID)
-def test_mbm_matches_full_factor_oracle(n, t_start):
-    for dt in (0.25, 1.0, 2.0):
-        for h_start in (0.5, 0.6):
-            case = (dt, h_start)
-            sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
-            p = pc.synth_fbm(n, sch, dt, 5)
-            ref_path, z = noise_reference.mbm_path(sch, n, dt, 5)
-            k = min(t_start, n) if h_start == 0.5 else 0
-            if k == 0 and n <= noise._MBM_PANEL:  # one np.linalg.cholesky call
-                assert np.array_equal(p.increments, np.diff(ref_path, prepend=0.0)), case
-                continue
-            assert np.array_equal(p.increments[:k], np.sqrt(dt) * z[:k]), case
-            # two LAPACK orderings of the full factor itself (numpy's and
-            # scipy's) differ by up to 1.5e-9 * max|path| at n = 2520
-            err = np.abs(p.path()[1:] - ref_path).max()
-            assert err <= 1e-8 * np.abs(ref_path).max(), case
-
-
-def test_block_factor_refuses_what_the_full_factor_refuses():
-    # a jump of 0.4 in H over one step after a long Brownian head
-    sch = pc.HurstSchedule(0.5, 0.9, t_start=254)
-    with pytest.raises(np.linalg.LinAlgError):
-        noise_reference.full_factor(sch, 256, 1.0)
-    with pytest.raises(GenerationError, match="smallest eigenvalue") as exc:
-        pc.synth_fbm(256, sch, 1.0, 1)
-    assert exc.value.schedule == sch
+def test_ramped_hurst_matches_per_row_oracle_on_a_grid(n, t_start):
+    # ramps of every length from none to the whole path, with a head at
+    # H 0.5 or 0.6; measured 1.5e-8 at most (at n = 2520)
+    for h_start in (0.5, 0.6):
+        sch = pc.HurstSchedule(h_start, 0.9, t_start=t_start)
+        _assert_matches_oracle(n, sch, [5, 6], 5e-8, dts=(0.25, 1.0, 2.0))
 
 
 @pytest.mark.parametrize(
     "h_start, n", [(0.5, 250), (0.5, 500), (0.5, 1000), (0.5, 2520), (0.6, 500), (0.6, 1000)]
 )
-def test_in_place_factor_refuses_exactly_what_the_full_factor_refuses(h_start, n):
-    # ramps over the last 10% to 0.1% of the path straddle the steepest
-    # ramp that factors (the README's "shortest ramp that factors"); the
-    # panels refuse exactly what one np.linalg.cholesky call refuses
-    refused = []
+def test_steep_ramps_draw_what_the_oracle_draws(h_start, n):
+    # ramps over the last 10% to 0.1% of the path, down to 3 steps, have a
+    # Gaussian law like any other. Measured 6.5e-7 at most, at n = 2520
+    # (3.2e-7 at n = 250, 1.0e-7 with a head at H 0.6)
     for h_end in (0.9, 0.95):
         for onset in (0.9, 0.95, 0.98, 0.985, 0.99, 0.995, 0.998, 0.999):
             sch = pc.HurstSchedule(h_start, h_end, t_start=int(onset * n))
-            try:
-                noise_reference.block_factor(sch, n, 1.0)
-                want = False
-            except np.linalg.LinAlgError:
-                want = True
-            try:
-                noise._mbm_cholesky_factor.__wrapped__(sch, n, 1.0)
-                got = False
-            except GenerationError as exc:
-                assert "smallest eigenvalue" in str(exc), (h_end, onset)
-                got = True
-            assert got == want, (h_end, onset)
-            refused.append(want)
-    assert any(refused) and not all(refused)
+            _assert_matches_oracle(n, sch, [1], 3e-6)
+
+
+def test_a_jump_in_h_draws_the_two_constant_paths():
+    # H jumps from 0.5 to 0.9 in one step after a long Brownian head: every
+    # step is on a node, so the path is the two constant-H draws spliced
+    sch = pc.HurstSchedule(0.5, 0.9, t_start=254)
+    _assert_matches_oracle(256, sch, [1, 2], 1e-14)
+
+
+@pytest.mark.parametrize(
+    "h, n, dt", [(0.5, 1, 1.0), (0.1, 257, 1.0), (0.3, 64, 0.25), (0.7, 2520, 1.0),
+                 (0.9, 1000, 2.0), (0.95, 2048, 0.5), (0.7, 4097, 1 / 252)],
+)
+def test_constant_hurst_keeps_its_davies_harte_bits(h, n, dt):
+    # the constant-H draw is unchanged: op for op the circulant embedding,
+    # its complex normal vector, one FFT and the dt**h scale; a ramp that
+    # never leaves its start draws it too
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * (np.abs(k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
+    row = np.concatenate([gamma[:n], [gamma[n]], gamma[1:n][::-1]])
+    w = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None) / row.size)
+    z = np.random.default_rng(3).standard_normal(2 * w.size)
+    want = np.fft.fft(w * (z[: w.size] + 1j * z[w.size :])).real[:n] * dt**h
+    for sch in (pc.HurstSchedule(h), pc.HurstSchedule(h, 0.95, t_start=n - 1)):
+        assert np.array_equal(pc.synth_fbm(n, sch, dt, 3).increments, want), sch
+
+
+def _last_increment_sd(n, schedule, dt, seeds, step=-1):
+    incs = np.array([p.increments[step] for p in pc.synth_fbm(n, schedule, dt, seeds)])
+    return incs.std(ddof=1) / dt**schedule.start
+
+
+@pytest.mark.parametrize(
+    "n, sch",
+    [(2520, pc.HurstSchedule(0.5, 0.9, t_start=1764)),
+     (2048, pc.HurstSchedule(0.6, 0.9)),
+     (1000, pc.HurstSchedule(0.8, 0.4, t_start=300)),
+     (2420, pc.HurstSchedule(0.1, 0.95))],
+    ids=["readme", "no-head", "falling", "wide"],
+)
+def test_ramped_hurst_increments_have_unit_variance_at_any_dt(n, sch):
+    # the last increment. Each dt scales the same unit draw, so all three
+    # dts read the same sd: measured 1.04 (README), 0.99 (no head), 0.98
+    # (falling) and 1.02 (0.1 -> 0.95)
+    seeds = [derive_seed(40, i) for i in range(200)]
+    sds = [_last_increment_sd(n, sch, dt, seeds) for dt in (1 / 252, 1.0, 100.0)]
+    assert all(0.9 <= sd <= 1.1 for sd in sds), sds
+
+
+@pytest.mark.parametrize("step", [-1, -378], ids=["last", "mid-ramp"])
+def test_ramped_hurst_law_does_not_depend_on_where_the_path_starts(step):
+    # the same 756-step ramp at the end of a 1,000- and a 5,000-step path;
+    # measured 1.03 and 1.03 at the last step, 0.97 and 1.04 mid-ramp. Two
+    # sds of 200 draws each differ by 0.07 at one standard error
+    seeds = [derive_seed(41, i) for i in range(200)]
+    sds = [_last_increment_sd(n, pc.HurstSchedule(0.5, 0.9, t_start=n - 756), 1.0, seeds, step)
+           for n in (1000, 5000)]
+    assert all(0.9 <= sd <= 1.1 for sd in sds) and abs(sds[0] - sds[1]) < 0.15, sds
 
 
 def test_fbm_time_varying_determinism():
@@ -595,31 +546,23 @@ def test_ramp_rejects_bad_step_range(make):
         make(0.5, 0.9, 2.0)
 
 
-def test_mbm_factor_cache_holds_one_factor():
-    noise._mbm_cholesky_factor.cache_clear()
+def test_hurst_basis_cache_holds_one_basis():
+    noise._hurst_basis.cache_clear()
     for t_start in (0, 10, 20):
         pc.synth_fbm(64, pc.HurstSchedule(0.5, 0.9, t_start=t_start), 1.0, 1)
-    assert noise._mbm_cholesky_factor.cache_info().currsize == 1
-    noise._mbm_cholesky_factor.cache_clear()
+    assert noise._hurst_basis.cache_info().currsize == 1
+    noise._hurst_basis.cache_clear()
 
 
-def test_generation_error_names_schedule(monkeypatch):
-    sch = pc.HurstSchedule(0.5, 0.9)
-    attempts = []
-
-    def failing_cholesky(a):
-        attempts.append(a)
-        raise np.linalg.LinAlgError("boom")
-
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-    from phasecrash.noise import _mbm_cholesky_factor
-
-    _mbm_cholesky_factor.cache_clear()
-    with pytest.raises(GenerationError, match="smallest eigenvalue") as exc:
-        pc.synth_fbm(64, sch, 1.0, 1)
-    assert exc.value.schedule == sch
-    assert len(attempts) == 1  # no retry with jitter
-    _mbm_cholesky_factor.cache_clear()
+def test_negative_embedding_refuses_a_ramped_schedule(monkeypatch):
+    # the Davies-Harte refusal is the only one a ramp can meet; it comes
+    # before any draw and caches nothing
+    bad = lambda n_lags, h: np.r_[1.0, np.full(n_lags, 2.0)]
+    monkeypatch.setattr(noise, "_fgn_autocov", bad)
+    noise._hurst_basis.cache_clear()
+    with pytest.raises(GenerationError, match="eigenvalue"):
+        pc.synth_fbm(64, pc.HurstSchedule(0.5, 0.9), 1.0, 1)
+    assert noise._hurst_basis.cache_info().currsize == 0
 
 
 def test_noisepath_validation():
