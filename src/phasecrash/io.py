@@ -13,7 +13,8 @@ under 3e-16. Write/load/write is byte-stable in all cases. Ids must be
 nonempty, unpadded, free of carriage returns and unique, or they would
 not load back; the writer and ``synth_corpus`` refuse any other. The
 loader reads the file once, in chunks of whole lines of about 64 K
-characters. A chunk with no quote, carriage return or NUL is split with
+characters. A chunk with no quote, NUL or carriage return, other than
+those that end a line as ``\\r\\n`` does in a Windows export, is split with
 ``str.split`` and checked a column at a time: each distinct date
 spelling and raw ticker once, every close by one ``map(float, ...)``.
 From the first chunk that is not plain, or that holds a row with a wrong
@@ -163,14 +164,19 @@ _CHUNK = 1 << 16
 def _plain_rows(text, spelling, ordinals, code, rank):
     """The ticker ranks, date-spelling indices and closes of ``text``, whole
     lines of ``date,ticker,close`` rows, split by column; or None when a
-    row needs the csv reader's row loop: ``text`` holds a quote, a carriage
-    return, a NUL or a byte that is not UTF-8, is as long as csv's field
-    size limit, or has a row with a wrong field count (a blank row among
-    them) or a field that the row loop refuses. Each distinct date
-    spelling and raw ticker is checked once, and a new one is entered in
-    ``spelling`` and ``ordinals``, or ``code`` and ``rank``, as the row
-    loop enters it."""
-    if not text or len(text) >= csv.field_size_limit() or any(c in text for c in '"\r\0'):
+    row needs the csv reader's row loop: ``text`` holds a quote, a NUL, a
+    carriage return that is not the first half of a ``\\r\\n`` or a byte
+    that is not UTF-8, is as long as csv's field size limit, or has a row
+    with a wrong field count (a blank row among them) or a field that the
+    row loop refuses. Each ``\\r\\n`` reads as ``\\n``, as the csv reader
+    ends a row at either. Each distinct date spelling and raw ticker is
+    checked once, and a new one is entered in ``spelling`` and
+    ``ordinals``, or ``code`` and ``rank``, as the row loop enters it."""
+    if not text or len(text) >= csv.field_size_limit():
+        return None
+    if "\r" in text:  # "in" clears an LF chunk some 80 times faster than replace
+        text = text.replace("\r\n", "\n")
+    if any(c in text for c in '"\r\0'):
         return None
     try:
         text.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate

@@ -20,16 +20,24 @@ numerical rank below 4 or a condition number above 1e12 makes it
 degenerate. The grid skips such nodes, Nelder-Mead sees an infinite
 residual there and :func:`solve_linear_params` raises
 :class:`~phasecrash.errors.DegenerateDesignError` instead of returning
-noise-amplified coefficients. The power column is built as
-``f = exp(m * ln(tc - t))``, so each node takes one log, shared with the
-phase. QR runs in numpy's ``raw`` mode, and a constant upper-triangular
+noise-amplified coefficients. The grid first bounds each block's
+condition number by ``||R||_F * ||R^-1||_F``, with the inverse from one
+back substitution across all nodes: a node whose bound lies a
+thousandfold inside the gate's limit passes the SVD gate for certain,
+after the error bounds of the substitution and of LAPACK's singular
+values, and only the other nodes take the SVD. The power column is built
+as ``f = exp(m * ln(tc - t))``, so each node takes one log, shared with
+the phase. QR runs in numpy's ``raw`` mode, and a constant upper-triangular
 mask cuts R out of its result with the bits of mode ``"r"``.
 
 The search factorises a coarse grid one (tc, m) row of omegas at a time.
 ``ln(tc - t)`` and the cosine and sine of every omega depend on tc only,
 so one trig pass per tc serves all of its m rows. The rows keep their R
-factors, and one batched SVD call gates every grid node. Then :func:`minimize`,
-a port of scipy's bounded Nelder-Mead (Nelder & Mead 1965), refines the
+factors, and one pass gates every grid node: the bound accepts the
+well-conditioned ones and one batched SVD call judges the rest (none, on
+the default grid of a bubble or a random walk of 250 to 1000 steps).
+Then :func:`minimize`, a port of scipy's bounded Nelder-Mead (Nelder &
+Mead 1965), refines the
 best nodes in lockstep. Each start's simplex bookkeeping runs in Python
 floats, and each phase of a step (reflect; expand or contract; shrink)
 profiles the trial points of every live start in one batched residual
@@ -152,8 +160,10 @@ class SearchConfig:
     ValueError (``n_tc = 1`` places its one tc at the lower bound). The
     grid computes ``ln(tc - t)`` and the trig columns once per tc, builds
     each power column as ``exp(m * ln(tc - t))``, factorises one (tc, m)
-    row of omegas per raw-mode QR call and gates every node with one SVD
-    call at the end. Nelder-Mead then
+    row of omegas per raw-mode QR call and gates every node at the end: a
+    node whose condition bound ``||R||_F * ||R^-1||_F`` is at most 1e-3 of
+    the gate's limit passes outright, and one SVD call judges the rest
+    exactly as the refinement's objective judges each node. Nelder-Mead then
     refines the ``refine_top_k`` best nodes in lockstep, for at most 400
     iterations each, inside the m and omega bounds and with tc between
     the last time and the upper tc bound; ``refine_top_k = 0`` keeps the
@@ -252,22 +262,81 @@ def _factor(a):
     return np.where(_UPPER, h[..., :5].swapaxes(-1, -2), 0.0)
 
 
+def _rcond(n):
+    """The numerical-rank tolerance of :func:`_gate` for ``n`` observations."""
+    return np.finfo(float).eps * max(n, 4)
+
+
 def _gate(r, n):
     """Judge the R factors ``r`` of designs with ``n`` observations, a batch
-    of any shape in one SVD call. Returns ``(ssr, ok, sv)``: the residual,
+    of any shape in one SVD call. Returns ``(ssr, ok)``: the residual and
     the gate (rank 4 at rcond = eps * max(n, 4) and condition at most
-    1e12) and the design's singular values."""
+    1e12)."""
     sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
-    rcond = np.finfo(float).eps * max(n, 4)
-    ok = (lo > rcond * hi) & (hi <= _MAX_CONDITION * lo)
-    return r[..., 4, 4] ** 2, ok, sv
+    ok = (lo > _rcond(n) * hi) & (hi <= _MAX_CONDITION * lo)
+    return r[..., 4, 4] ** 2, ok
+
+
+def _condition_bound(r):
+    """``||R||_F * ||X||_F`` for the leading 4x4 blocks ``R`` of the upper
+    triangular factors ``r``, a batch of any shape, with ``X`` the inverse
+    of ``R`` by back substitution, computed elementwise across the batch.
+
+    Back substitution is componentwise backward stable (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 8.5): the
+    computed ``X`` has ``R X = I + E`` with ``|E| <= gamma_4 |R| |X|``,
+    ``gamma_4 = 4u / (1 - 4u)`` and ``u = 2**-53``. So ``||E||_2 <=
+    gamma_4 b`` for the bound ``b`` returned (exact up to its own rounding,
+    under 1e-14), and ``R``'s 2-norm condition number is at most ``b / (1 -
+    gamma_4 b)``, however inaccurate ``X`` may be. Underflow adds under
+    1e-13 to ``||E||_2``; a zero on the diagonal, an infinite or NaN entry
+    and an overflow make ``b`` infinite or NaN."""
+    # one contiguous (4, 4, nodes) block: each entry's values sit together
+    t = np.ascontiguousarray(np.moveaxis(r[..., :4, :4], (-2, -1), (0, 1)))
+    x = np.zeros_like(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        for i in range(3, -1, -1):
+            row = x[i, i:]  # row i of X, from its diagonal entry on
+            row[0] = 1.0
+            for k in range(i + 1, 4):
+                row[k - i :] -= t[i, k] * x[k, k:]
+            row /= t[i, i]
+        return np.sqrt(np.square(t).sum((0, 1)) * np.square(x).sum((0, 1)))
+
+
+#: The share of the gate's condition limit below which :func:`_screen`
+#: accepts a node on :func:`_condition_bound` alone.
+_MARGIN = 1e-3
+
+
+def _screen(r, n):
+    """:func:`_gate`'s ``(ssr, ok)``, with the SVD run only on the nodes
+    that :func:`_condition_bound` does not accept.
+
+    A node whose bound ``b`` is at most ``_MARGIN`` times ``limit = min(1e12,
+    1 / rcond)`` passes the SVD gate, so it is accepted without one. Its
+    condition number is at most ``b / (1 - gamma_4 b) < 1.000001e-3 *
+    limit``, since ``b <= 1e9``. LAPACK's singular values carry absolute
+    errors of at most ``p u sigma_max``, with ``p`` a modest function of the
+    order (LAPACK Users' Guide, section 4.9), so the SVD's condition number
+    is at most ``cond (1 + p u) / (1 - p u cond)``: under ``2e-3 * limit``
+    for any ``p`` up to 4e6, which passes both of the gate's tests. Every
+    other node (a large, infinite or NaN bound) goes to :func:`_gate`,
+    which defines the gate, so ``ok`` is the SVD's own verdict bit for bit.
+    """
+    limit = min(_MAX_CONDITION, 1.0 / _rcond(n))
+    ok = _condition_bound(r) <= _MARGIN * limit
+    rest = ~ok
+    if rest.any():
+        ok[rest] = _gate(r[rest], n)[1]
+    return r[..., 4, 4] ** 2, ok
 
 
 def _profile(times, y, tc, m, omega):
     """Profile (A, B, C1, C2) out at (tc, m, omega), which broadcast: a
-    batch of nodes is one call. Returns :func:`_gate`'s ``(ssr, ok, sv)``
-    and the R factor of the augmented design."""
+    batch of nodes is one call. Returns :func:`_gate`'s ``(ssr, ok)`` and
+    the R factor of the augmented design."""
     log_tail = np.log(np.asarray(tc)[..., None] - times)
     # (tc - t)**m from the phase's log; exp works element by element, so a
     # node gets the same bits whatever batch it is profiled in
@@ -280,13 +349,13 @@ def _profile(times, y, tc, m, omega):
 
 
 def _grid(times, y, tcs, ms, omegas):
-    """:func:`_gate`'s ``(ssr, ok, sv)`` at every node of the grid ``tcs``
-    x ``ms`` x ``omegas``, each of shape (tc, m, omega).
+    """:func:`_gate`'s ``(ssr, ok)`` at every node of the grid ``tcs`` x
+    ``ms`` x ``omegas``, each of shape (tc, m, omega).
 
     ``ln(tc - t)`` and the trig of every omega depend on tc only: one pass
     per tc serves its m rows. One QR call per (tc, m) row of omegas keeps
     the working set to one row; the R factors of all rows, 25 floats a
-    node, are gated in one call at the end."""
+    node, are gated in one :func:`_screen` call at the end."""
     r = np.empty((tcs.size, ms.size, omegas.size, 5, 5))
     row = _design(y, omegas.shape)
     for i, tc in enumerate(tcs):
@@ -296,7 +365,7 @@ def _grid(times, y, tcs, ms, omegas):
         for j, m in enumerate(ms):
             _fill(row, np.exp(m * log_tail), cos, sin)
             r[i, j] = _factor(row)
-    return _gate(r, times.size)
+    return _screen(r, times.size)
 
 
 def solve_linear_params(tc, m, omega, series):
@@ -309,8 +378,9 @@ def solve_linear_params(tc, m, omega, series):
         )
     if tc <= times[-1]:
         raise ValueError(f"tc = {tc} must exceed every observation time")
-    ssr, ok, sv, r = _profile(times, y, tc, m, omega)
+    ssr, ok, r = _profile(times, y, tc, m, omega)
     if not ok:
+        sv = np.linalg.svd(r[:4, :4], compute_uv=False)
         raise DegenerateDesignError(
             f"design matrix at (tc={tc}, m={m}, omega={omega}) is degenerate "
             f"(condition {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3g})"
@@ -520,7 +590,7 @@ def fit_lppl(series, search=None):
     ms = np.linspace(search.m_bounds[0], search.m_bounds[1], search.n_m)
     omegas = np.linspace(search.omega_bounds[0], search.omega_bounds[1], search.n_omega)
 
-    ssr, ok, _ = _grid(times, y, live, ms, omegas)
+    ssr, ok = _grid(times, y, live, ms, omegas)
     keys = [ssr[ok]] + [g[ok] for g in np.meshgrid(live, ms, omegas, indexing="ij")]
     order = np.lexsort(keys[::-1])[: max(search.refine_top_k, 1)]  # (ssr, tc, m, omega)
     if not order.size:
@@ -533,7 +603,7 @@ def fit_lppl(series, search=None):
 
         def objective(theta):
             tc, m, omega = theta.T
-            ssr, ok, _, _ = _profile(times, y, tc, m, omega)
+            ssr, ok, _ = _profile(times, y, tc, m, omega)
             ok &= tc > tc_floor  # clipping can put tc on its floor; m and omega stay valid
             return np.where(ok, ssr, np.inf)
 

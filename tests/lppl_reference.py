@@ -7,7 +7,9 @@ condition number exceeds ``1e12``. ``fit_lppl`` walks the grid node by
 node, sorts the survivors by ``(ssr, tc, m, omega)`` and refines the best
 with Nelder-Mead on the same solve. The batched QR kernel in
 ``phasecrash.lppl`` must choose the same grid node, refuse the same nodes
-and agree on the residuals to a fixed tolerance.
+and agree on the residuals to a fixed tolerance. :func:`svd_gate` is the
+gate by the singular values of every R factor, which the grid's bounded
+screen must reproduce bit for bit.
 
 :func:`lockstep_minimize` is the numpy form of ``phasecrash.lppl.minimize``
 that keeps every start's simplex in one (k, d + 1, d) array and masks the
@@ -41,6 +43,15 @@ def solve_linear(times, y, tc, m, omega):
         raise DegenerateDesignError(f"degenerate at ({tc}, {m}, {omega})")
     resid = y - x @ beta
     return beta, float(resid @ resid), cond
+
+
+def svd_gate(r, n):
+    """``ok`` for the R factors ``r`` of designs with ``n`` observations:
+    the singular values of each leading 4x4 block show rank 4 at rcond =
+    eps * max(n, 4) and a condition number of at most 1e12."""
+    sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
+    lo, hi = sv[..., -1], sv[..., 0]
+    return (lo > np.finfo(float).eps * max(n, 4) * hi) & (hi <= MAX_CONDITION * lo)
 
 
 def _sorted(sim, fsim):

@@ -377,6 +377,19 @@ def test_load_errors_after_good_rows_match_reference(tmp_path, body, line, messa
     assert str(got.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize("chunk", [64, pc_io._CHUNK], ids=["chunk64", "default"])
+@pytest.mark.parametrize("body, line, message", _LATE_FAILURES.values(), ids=_LATE_FAILURES)
+def test_load_errors_in_a_crlf_file_name_the_lf_file_lines(tmp_path, monkeypatch, body, line,
+                                                           message, chunk):
+    # 64-character chunks load the good rows by columns before the bad one
+    monkeypatch.setattr(pc_io, "_CHUNK", chunk)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("date,ticker,close\n" + body).replace("\n", "\r\n").encode())
+    with pytest.raises(CsvParseError) as got:
+        load_price_csv(path)
+    assert (got.value.line, str(got.value)) == (line, f"{path}:{line}: {message}")
+
+
 @pytest.mark.parametrize("failure", ["header", *_LATE_FAILURES])
 def test_failed_load_leaves_no_open_file(tmp_path, failure):
     if failure == "header":
@@ -484,12 +497,32 @@ def test_load_a_price_csv_that_starts_with_a_byte_order_mark(tmp_path, bad_row, 
     assert str(exc.value) == f"{marked}:3: {message}"
 
 
-#: Rows that need the csv reader's row loop, each placed at row 3 of a file
-#: of 25-byte rows (line 5; the header is line 1).
+def test_load_a_crlf_copy_of_the_readme_corpus_by_columns(tmp_path, monkeypatch):
+    # Windows spreadsheets end each line with CR LF
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_price_csv(synth_corpus(json.loads(readme_json_blocks()["spec.json"]), 7), str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    real, taken = pc_io._plain_rows, []
+
+    def spy(text, *state):
+        out = real(text, *state)
+        taken.append((bool(text), out is not None))
+        return out
+
+    monkeypatch.setattr(pc_io, "_plain_rows", spy)
+    got = load_price_csv(str(crlf))
+    # every chunk loads by columns; the empty read at the end of the file ends the loop
+    assert len(taken) > 50 and taken == [(True, True)] * (len(taken) - 1) + [(False, False)]
+    _assert_same_series(got, load_price_csv(str(lf)))
+
+
+#: Rows that need the csv reader's row loop, save the CRLF row, each placed
+#: at row 3 of a file of 25-byte rows (line 5; the header is line 1).
 _SEAM_ROWS = {
     "quoted_comma": b'2021-06-01,"A,B",101\n',
     "quoted_break": b'2021-06-01,"A\nB",101\n',
-    "crlf": b"2021-06-01,T1,101\r\n",
+    "crlf": b"2021-06-01,T1,101\r\n",  # loads by columns, like its LF rows
+    "lone_cr": b"2021-06-01,T1,101\r",
     "blank": b"\n",
     "bad_close": b"2021-06-01,T1,ten\n",
     "bad_byte": b"2021-06-01,Caf\xe9,101\n",
@@ -534,12 +567,13 @@ def test_load_matches_reference_with_a_row_loop_row_at_every_chunk_seam(tmp_path
 
 
 def test_seam_cases_reach_the_row_loop_from_plain_chunks(tmp_path, monkeypatch):
-    # the cases above load some chunks by columns before the row loop takes over
+    # the cases above load some chunks by columns before the row loop takes
+    # over, save the CRLF row, which never needs it
     real, taken = pc_io._plain_rows, []
 
     def spy(text, *state):
         out = real(text, *state)
-        taken.append(out is not None)
+        taken.append((bool(text), out is not None))
         return out
 
     monkeypatch.setattr(pc_io, "_plain_rows", spy)
@@ -551,7 +585,10 @@ def test_seam_cases_reach_the_row_loop_from_plain_chunks(tmp_path, monkeypatch):
             load_price_csv(path)
         except CsvParseError:
             pass
-        assert taken[0] and not taken[-1], case
+        if case == "crlf":  # only the empty read at the end of the file is refused
+            assert taken == [(True, True)] * (len(taken) - 1) + [(False, False)], case
+        else:
+            assert taken[0] == (True, True) and not taken[-1][1], case
 
 
 def test_write_matches_reference_bytes_for_quoted_ids(tmp_path):
@@ -1251,8 +1288,9 @@ def test_cli_simulate_byte_identical_reruns(tmp_path):
 
 def _outputs_under_blas_threads(work, threads):
     """Every file that the README ``synth``, a no-head ``dpt_hurst``
-    ``synth``, ``simulate --kind dpt-hurst`` and ``study --input`` write,
-    each run in a fresh interpreter with BLAS limited to ``threads``
+    ``synth``, ``simulate --kind dpt-hurst``, ``study --input``, the README
+    ``fit-lppl`` and ``ews`` on that corpus, and ``simulate --kind multi``
+    write, each run in a fresh interpreter with BLAS limited to ``threads``
     threads, by path relative to ``work``."""
     work.mkdir()
     for name, text in readme_json_blocks().items():
@@ -1267,7 +1305,14 @@ def _outputs_under_blas_threads(work, threads):
                  ["simulate", "--kind", "dpt-hurst", "--n", "2520", "--t-start", "1764",
                   "--seed", "5", "--out", "sim"],
                  ["study", "--input", "corpus/corpus.csv", "--config", "study.json",
-                  "--seed", "7", "--out", "study"]):
+                  "--seed", "7", "--out", "study"],
+                 ["fit-lppl", "--input", "corpus/corpus.csv", "--ticker", "CRASH000",
+                  "--out", "fit"],
+                 ["ews", "--input", "corpus/corpus.csv", "--signals",
+                  "volatility,anomalous_dim,ghe1", "--out", "signals"],
+                 # the noise mix of ten coupled assets is a BLAS matmul
+                 ["simulate", "--kind", "multi", "--k", "10", "--n", "2000", "--dt", "0.02",
+                  "--seed", "5", "--out", "multi"]):
         subprocess.run([sys.executable, "-m", "phasecrash.cli", *argv], cwd=work, env=env,
                        check=True, capture_output=True)
     return {str(p.relative_to(work)): p.read_bytes()
@@ -1275,13 +1320,13 @@ def _outputs_under_blas_threads(work, threads):
 
 
 def test_cli_outputs_are_byte_identical_under_any_blas_thread_count(tmp_path):
-    # the ramped-Hurst draw and the study call no threaded BLAS routine, so
     # one and two threads write the same bytes, manifests included
     one = _outputs_under_blas_threads(tmp_path / "one", 1)
     two = _outputs_under_blas_threads(tmp_path / "two", 2)
     assert sorted(one) == sorted(two)
     assert {"corpus/corpus.csv", "nohead/manifest.json", "sim/path.csv",
-            "study/report.json"} <= set(one)
+            "study/report.json", "fit/fit.json", "signals/signals.csv",
+            "multi/path.csv"} <= set(one)
     assert [name for name in one if one[name] != two[name]] == []
 
 

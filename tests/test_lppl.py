@@ -406,7 +406,7 @@ def test_grid_trig_pass_per_tc_matches_per_row_profiles_exactly(kind, n):
     nodes, degenerate = [], 0
     for tc in np.linspace(*pc.lppl._default_tc_bounds(times), 20):
         for m in np.linspace(0.1, 0.9, 9):
-            ssr, ok, _, _ = _profile(times, y, tc, m, omegas)
+            ssr, ok, _ = _profile(times, y, tc, m, omegas)
             degenerate += int((~ok).sum())
             nodes += [(s, tc, m, omega) for s, omega in zip(ssr[ok], omegas[ok])]
     assert (fit.ssr, fit.params.tc, fit.params.m, fit.params.omega) == min(nodes)
@@ -425,7 +425,7 @@ def test_profile_of_a_batch_matches_per_node_calls_exactly():
     batch = _profile(series.times, series.log_prices, tc, m, omega)
     for i in range(7):
         node = _profile(series.times, series.log_prices, tc[i], m[i], omega[i])
-        assert batch[1][i] == node[1] and np.array_equal(batch[3][i], node[3])
+        assert batch[1][i] == node[1] and np.array_equal(batch[2][i], node[2])
 
 
 @pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 250), ("walk", 1000)])
@@ -503,14 +503,149 @@ def test_raw_qr_gives_the_bits_of_mode_r(monkeypatch, kind, n):
 def test_grid_gate_in_one_call_matches_a_gate_call_per_row(monkeypatch, kind, n):
     series = _oracle_series(kind, n, 72)
     for tcs, ms, omegas in _default_and_stress_grids(series):
-        designs, (ssr, ok, sv) = _recorded_designs(monkeypatch, lambda: pc.lppl._grid(
+        designs, (ssr, ok) = _recorded_designs(monkeypatch, lambda: pc.lppl._grid(
             series.times, series.log_prices, tcs, ms, omegas))
         assert len(designs) == tcs.size * ms.size
         rows = [pc.lppl._gate(pc.lppl._factor(a), n) for a in designs]
         shape = (tcs.size, ms.size, omegas.size)
-        for got, want in zip((ssr, ok, sv), zip(*rows)):
-            want = np.array(want)
-            assert np.array_equal(got, want.reshape(shape + want.shape[2:]))
+        for got, want in zip((ssr, ok), zip(*rows)):
+            assert np.array_equal(got, np.array(want).reshape(shape))
+
+
+def _screened_factors(monkeypatch, series, tcs, ms, omegas):
+    # the R factors that the grid hands to its gate, and the grid's (ssr, ok)
+    factors, screen = [], pc.lppl._screen
+
+    def record(r, n):
+        factors.append(r.copy())
+        return screen(r, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pc.lppl, "_screen", record)
+        out = pc.lppl._grid(series.times, series.log_prices, tcs, ms, omegas)
+    return factors[0], out
+
+
+@pytest.mark.parametrize("kind", ["bubble", "walk"])
+@pytest.mark.parametrize("n", [30, 250, 1000])
+def test_grid_gate_matches_the_svd_oracle_bit_for_bit(monkeypatch, kind, n):
+    series = _oracle_series(kind, n, 72)
+    for tcs, ms, omegas in _default_and_stress_grids(series):
+        r, (ssr, ok) = _screened_factors(monkeypatch, series, tcs, ms, omegas)
+        assert np.array_equal(ok, ref.svd_gate(r, n))
+        assert np.array_equal(ssr, r[..., 4, 4] ** 2)
+
+
+def test_default_grid_of_bubbles_and_walks_sends_no_node_to_the_svd(monkeypatch):
+    # the six series shapes of the benchmark's LPPL fits: condition numbers
+    # up to a few 1e4, so the bound accepts every node
+    def no_svd(*_a):
+        raise AssertionError("a node went to the SVD")
+
+    monkeypatch.setattr(pc.lppl, "_gate", no_svd)
+    for kind in ("bubble", "walk"):
+        for n in (250, 500, 1000):
+            series = _oracle_series(kind, n, 78)
+            tcs, ms, omegas = _default_and_stress_grids(series)[0]
+            _, ok = pc.lppl._grid(series.times, series.log_prices, tcs, ms, omegas)
+            assert ok.all()
+
+
+def _triangular_stacks():
+    """Upper-triangular 4x4 blocks by family, with condition numbers from 1
+    to past 1e17."""
+    rng = np.random.default_rng(77)
+    # rows graded as QR leaves them: diagonal 1, g, g**2, g**3
+    g = np.logspace(0, -17 / 3, 300)[:, None] ** np.arange(4)
+    graded = g[..., None] * (np.eye(4) + np.triu(rng.uniform(-1.0, 1.0, (300, 4, 4)), 1))
+    # Kahan's matrix: diag(1, s, s**2, s**3) times 1 on the diagonal and -c above
+    theta = np.logspace(-6.0, np.log10(1.5), 200)
+    s, c = np.sin(theta)[:, None], np.cos(theta)[:, None, None]
+    kahan = (s ** np.arange(4))[..., None] * (np.eye(4) - c * np.triu(np.ones((4, 4)), 1))
+    # each diagonal entry zero in turn, and a zero block
+    zero = np.repeat(graded[::60], 4, axis=0)
+    k = np.arange(zero.shape[0])
+    zero[k, k % 4, k % 4] = 0.0
+    zero = np.concatenate([zero, np.zeros((1, 4, 4))])
+    rows, cols = np.triu_indices(4)
+    infinite = np.repeat(graded[100:101], 2 * rows.size, axis=0)
+    infinite[np.arange(2 * rows.size), np.tile(rows, 2), np.tile(cols, 2)] = np.repeat(
+        [np.inf, -np.inf], rows.size)
+    # singular values 1, 1e-3, 1e-6 and 1 / cond under random rotations, with
+    # cond within 1% of 1e12 and of the rcond limit at n = 1e5
+    near = []
+    for limit in (1e12, 1.0 / (np.finfo(float).eps * 100_000)):
+        for d in np.concatenate([np.logspace(-7, -2, 100), -np.logspace(-7, -2, 100)]):
+            u, v = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+            sv = np.array([1.0, 1e-3, 1e-6, 1.0 / (limit * (1.0 + d))])
+            near.append(np.linalg.qr((u * sv) @ v.T, mode="r"))
+    return {"graded": graded, "kahan": kahan, "zero": zero, "infinite": infinite,
+            "near_limit": np.array(near)}
+
+
+def _padded(r4):
+    # 4x4 blocks in the corner of 5x5 R factors, each with its own residual
+    r = np.zeros(r4.shape[:-2] + (5, 5))
+    r[..., :4, :4] = r4
+    r[..., 4, 4] = np.arange(1, r4[..., 0, 0].size + 1).reshape(r4.shape[:-2])
+    return r
+
+
+@pytest.mark.parametrize("n", [4, 250, 100_000])
+def test_screen_matches_the_svd_oracle_on_triangular_stacks(n):
+    stacks = _triangular_stacks()
+    r = _padded(np.concatenate(list(stacks.values())))
+    want = ref.svd_gate(r, n)
+    assert 0 < want.sum() < want.size
+    ssr, ok = pc.lppl._screen(r, n)
+    assert np.array_equal(ok, want)
+    assert np.array_equal(ssr, r[..., 4, 4] ** 2)
+    nan = _padded(stacks["graded"][:3].copy())
+    nan[1, 2, 3] = np.nan
+    for gate in (ref.svd_gate, lambda r, n: pc.lppl._screen(r, n)[1]):
+        with pytest.raises(np.linalg.LinAlgError):
+            gate(nan, n)
+
+
+def _condition(r):
+    sv = np.linalg.svd(r[..., :4, :4], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sv[..., 0] / sv[..., -1]
+
+
+def test_condition_bound_lies_between_the_condition_and_four_times_it():
+    # ||R||_F ||R^-1||_F is at least cond_2(R) and at most 4 cond_2(R) for a
+    # 4x4 R; checked where the SVD's condition number is good to 1e-6
+    r = _padded(np.concatenate(list(_triangular_stacks().values())))
+    cond, b = _condition(r), pc.lppl._condition_bound(r)
+    keep = cond <= 1e10
+    assert keep.sum() > 200
+    assert np.all(b[keep] >= cond[keep] * (1 - 1e-6))
+    assert np.all(b[keep] <= 4 * cond[keep] * (1 + 1e-6))
+    assert not np.isfinite(b[~np.isfinite(cond)]).any()
+
+
+@pytest.mark.parametrize("n", [4, 100_000])
+def test_screen_sends_the_svd_every_node_within_1e3_of_the_limit(monkeypatch, n):
+    # the bound accepts a node only 1e-3 inside the gate's limit: the SVD
+    # judges every node with cond above that, and none with cond below a
+    # quarter of it
+    r = _padded(np.concatenate(list(_triangular_stacks().values())))
+    sent, gate = [], pc.lppl._gate
+
+    def record(rest, n):
+        sent.extend(rest[..., 4, 4].astype(int) - 1)
+        return gate(rest, n)
+
+    monkeypatch.setattr(pc.lppl, "_gate", record)
+    pc.lppl._screen(r, n)
+    judged = np.zeros(len(r), dtype=bool)
+    judged[sent] = True
+    cond = _condition(r)
+    margin = 1e-3 * min(1e12, 1.0 / (np.finfo(float).eps * n))
+    far, near = cond < margin / 4, ~(cond <= margin)
+    assert far.sum() > 150 and (near & (cond < 1e3 * margin)).sum() > 10
+    assert np.array_equal(judged[far | near], near[far | near])
 
 
 @pytest.mark.parametrize("kind, n", [("bubble", 250), ("walk", 1000)])
@@ -639,7 +774,9 @@ def test_search_config_refuses_bounds_outside_the_model(monkeypatch, bounds, mes
     def no_profile(*_a, **_k):
         raise AssertionError("the search ran")
 
+    # the grid factorises every node and may send none of them to the SVD
     monkeypatch.setattr(pc.lppl, "_profile", no_profile)
+    monkeypatch.setattr(pc.lppl, "_factor", no_profile)
     monkeypatch.setattr(pc.lppl, "_gate", no_profile)
     series = _synthetic_series(_params(), n=100)
     with pytest.raises(ValueError, match=message):
